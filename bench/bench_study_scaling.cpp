@@ -1,6 +1,8 @@
 // Study-engine scaling: the metered Fig-7 workload (full K40c
 // configuration space through the wall-meter + CI measurement protocol)
-// evaluated serially and on a shared thread pool at 1..N threads.
+// evaluated serially and on a shared thread pool at 2..N threads.  The
+// thread count is what runs: parallelFor puts its caller to work beside
+// the pool, so T threads are T-1 pool workers plus the caller.
 //
 // Two invariants are checked on every parallel run:
 //   * results are bitwise-identical to the serial baseline (per-config
@@ -11,7 +13,7 @@
 // Emits BENCH_study.json (ns/op, configs/s, thread count) so the perf
 // trajectory is tracked across PRs.
 //
-// Run as:  bench_study_scaling [maxThreads]   (default 8)
+// Run as:  bench_study_scaling [maxThreads]   (default 8, at least 2)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -60,7 +62,7 @@ bool sweepEqual(const std::vector<core::WorkloadResult>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int maxThreads = argc > 1 ? std::atoi(argv[1]) : 8;
+  const int maxThreads = std::max(2, argc > 1 ? std::atoi(argv[1]) : 8);
   const int n = 10240;  // Fig 7's larger K40c workload
   const std::vector<int> sweepSizes{8704, 10240};
 
@@ -89,15 +91,16 @@ int main(int argc, char** argv) {
   records.push_back({"runWorkload/metered", 1, 1e9 * serialS / configs,
                      configs / serialS});
 
-  Table t({"threads", "wall [s]", "speedup", "configs/s", "bitwise"});
-  t.setTitle("parallel runWorkload vs serial");
+  Table t({"threads", "pool workers", "wall [s]", "speedup", "configs/s",
+           "bitwise"});
+  t.setTitle("parallel runWorkload vs serial (threads = workers + caller)");
   bool allIdentical = true;
   std::vector<std::size_t> threadCounts;
-  for (std::size_t c = 1; c <= static_cast<std::size_t>(maxThreads); c *= 2) {
+  for (std::size_t c = 2; c <= static_cast<std::size_t>(maxThreads); c *= 2) {
     threadCounts.push_back(c);
   }
   for (std::size_t threads : threadCounts) {
-    ThreadPool pool(threads);
+    ThreadPool pool(threads - 1);
     double bestS = 1e300;
     core::WorkloadResult parallel;
     for (int rep = 0; rep < 3; ++rep) {
@@ -107,8 +110,8 @@ int main(int argc, char** argv) {
     }
     const bool same = bitwiseEqual(parallel.data, serial.data);
     allIdentical = allIdentical && same;
-    t.addRow({std::to_string(threads), formatDouble(bestS, 3),
-              formatDouble(serialS / bestS, 2),
+    t.addRow({std::to_string(threads), std::to_string(pool.size()),
+              formatDouble(bestS, 3), formatDouble(serialS / bestS, 2),
               formatDouble(configs / bestS, 0), same ? "yes" : "NO"});
     records.push_back({"runWorkload/metered/pool",
                        static_cast<int>(threads), 1e9 * bestS / configs,
@@ -122,7 +125,7 @@ int main(int argc, char** argv) {
   const auto sweepT0 = Clock::now();
   const auto sweepSerial = study.runSweep(sweepSizes, sweepRng);
   const double sweepSerialS = secondsSince(sweepT0);
-  ThreadPool pool(static_cast<std::size_t>(maxThreads));
+  ThreadPool pool(static_cast<std::size_t>(maxThreads) - 1);
   const auto sweepT1 = Clock::now();
   const auto sweepParallel = study.runSweep(sweepSizes, sweepRng, &pool);
   const double sweepParallelS = secondsSince(sweepT1);

@@ -34,7 +34,8 @@ inline void printFront(const std::string& title,
 // form so the perf trajectory can be tracked across PRs.
 struct BenchRecord {
   std::string name;         // e.g. "runWorkload/metered"
-  int threads = 1;          // pool threads (1 = serial baseline)
+  int threads = 1;          // threads running: pool workers + caller
+                            // (1 = serial baseline)
   double nsPerOp = 0.0;     // wall nanoseconds per item (config)
   double itemsPerSecond = 0.0;  // configs/s
 };

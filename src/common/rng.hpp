@@ -5,22 +5,40 @@
 // the experiment, so that a whole experiment — including its statistics loop —
 // is reproducible bit-for-bit.  Streams can be forked so that adding draws in
 // one component does not perturb another (a common reproducibility bug).
+//
+// Contract (pinned by test_common against the std types):
+//   * The engine yields exactly std::mt19937_64's sequence for the seed
+//     (C++ [rand.predef]).  Its 312-word state is filled from the seed on
+//     the first draw, not at construction, so fork(), seed() and copying
+//     an Rng that has not drawn yet cost a few words; a copy draws the
+//     same stream as its original.
+//   * uniform() and uniformInt() are std::uniform_real_distribution and
+//     std::uniform_int_distribution running on that engine.
+//   * normal() and standardNormals() are libstdc++'s polar method as a
+//     fresh std::normal_distribution runs it: each value takes a new
+//     (x, y) pair and the spare is discarded.  normal(m, s) is z * s + m.
+//   * The noise path is compiled without FMA (no -march, target attribute
+//     or fma()): contracting x*x + y*y or z * s + m changes the bits.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
 
 namespace ep {
 
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed), seed_(seed) {}
+  explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
   // Uniform real in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi);
 
   // Standard normal scaled: mean + sigma * N(0,1).
   [[nodiscard]] double normal(double mean, double sigma);
+
+  // Fill out[0, n) with N(0,1) draws: bit-identical to n consecutive
+  // normal(0, 1) calls, without their per-call overhead.
+  void standardNormals(double* out, std::size_t n);
 
   // Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::uint64_t uniformInt(std::uint64_t lo, std::uint64_t hi);
@@ -29,11 +47,39 @@ class Rng {
   // (seed, salt) so forks with different salts are decorrelated.
   [[nodiscard]] Rng fork(std::uint64_t salt) const;
 
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
+  [[nodiscard]] std::uint64_t seed() const { return engine_.seed(); }
 
  private:
-  std::mt19937_64 engine_;
-  std::uint64_t seed_;
+  // MT19937-64, lazily seeded, twisting all 312 words at once and
+  // tempering on output.  A UniformRandomBitGenerator, so the std
+  // distributions run on it directly.
+  class Engine {
+   public:
+    using result_type = std::uint64_t;
+
+    explicit Engine(result_type seed) : seed_(seed) {}
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()();
+
+    [[nodiscard]] result_type seed() const { return seed_; }
+
+   private:
+    static constexpr std::size_t kWords = 312;
+    static constexpr std::size_t kUnseeded = kWords + 1;
+
+    void refill();  // seed on first use, then twist the whole block
+
+    result_type state_[kWords]{};
+    std::size_t next_ = kUnseeded;  // next word of state_ to temper
+    result_type seed_;
+  };
+
+  // std::generate_canonical<double, 53> on the engine.
+  double canonical();
+
+  Engine engine_;
 };
 
 // splitmix64 mixing function; exposed for deterministic hashing needs.

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <random>
 #include <stdexcept>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -178,6 +181,123 @@ TEST(Rng, ForkedStreamsAreDecorrelated) {
     if (a.uniform(0.0, 1.0) != b.uniform(0.0, 1.0)) anyDifferent = true;
   }
   EXPECT_TRUE(anyDifferent);
+}
+
+// The std types are the reference the Rng contract is written against.
+static_assert(sizeof(Rng) <= sizeof(std::mt19937_64) + sizeof(std::uint64_t),
+              "Rng holds one MT19937-64 state and its seed, nothing more");
+
+std::uint64_t bitsOf(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Rng, TenThousandthOutputMatchesTheStandard) {
+  // C++ [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 (seed 5489) produces 9981545732273789042.
+  // A full-range uniformInt returns the raw engine output.
+  Rng rng(5489);
+  std::uint64_t x = 0;
+  for (int i = 0; i < 10000; ++i) x = rng.uniformInt(0, ~std::uint64_t{0});
+  EXPECT_EQ(x, 9981545732273789042ULL);
+}
+
+TEST(Rng, InterleavedDrawsMatchStdBitForBit) {
+  // One million draws per seed, in an irregular mix of kinds and
+  // parameters, must equal std::mt19937_64 driving fresh std
+  // distributions.  normal() is
+  // libstdc++'s polar method, so it is compared only against libstdc++.
+#ifdef __GLIBCXX__
+  constexpr std::uint64_t kKinds = 3;
+#else
+  constexpr std::uint64_t kKinds = 2;
+#endif
+  constexpr int kDraws = 1'000'000;
+  for (const std::uint64_t seed : {1ULL, 5489ULL, 0xDEADBEEFULL}) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    int mismatches = 0;
+    int first = -1;
+    for (int i = 0; i < kDraws; ++i) {
+      const std::uint64_t pick =
+          splitmix64(seed ^ static_cast<std::uint64_t>(i));
+      const double a = static_cast<double>(pick >> 40) / 4096.0 - 1000.0;
+      const double b = a + 1.0 + static_cast<double>(pick & 0xFFF);
+      std::uint64_t got = 0;
+      std::uint64_t want = 0;
+      switch ((pick >> 20) % kKinds) {
+        case 0: {
+          got = bitsOf(rng.uniform(a, b));
+          want = bitsOf(std::uniform_real_distribution<double>(a, b)(ref));
+          break;
+        }
+        case 1: {
+          // Small, wide (past 2^32), full and one-value ranges take
+          // different paths through the distribution.
+          const std::uint64_t lo = pick & 0xFF;
+          const std::uint64_t spans[] = {pick >> 52, pick >> 20,
+                                         ~std::uint64_t{0} - lo, 0};
+          const std::uint64_t hi = lo + spans[(pick >> 8) & 3];
+          got = rng.uniformInt(lo, hi);
+          want = std::uniform_int_distribution<std::uint64_t>(lo, hi)(ref);
+          break;
+        }
+        default: {
+          const double sigma = 1.0 + static_cast<double>(pick & 0xFF) / 64.0;
+          got = bitsOf(rng.normal(a, sigma));
+          want = bitsOf(std::normal_distribution<double>(a, sigma)(ref));
+          break;
+        }
+      }
+      if (got != want && mismatches++ == 0) first = i;
+    }
+    EXPECT_EQ(mismatches, 0) << "seed " << seed << ", first at draw " << first;
+  }
+}
+
+TEST(Rng, StandardNormalsEqualRepeatedNormalCalls) {
+  // Block sizes around the engine's 312-word refill and its 156-word
+  // twist split, after 0-3 draws that shift where the block starts.
+  for (const std::size_t n : {1u, 2u, 155u, 156u, 311u, 312u, 313u, 1000u}) {
+    for (int prior = 0; prior < 4; ++prior) {
+      Rng batched(0xC0FFEE + n);
+      Rng single(0xC0FFEE + n);
+      for (int i = 0; i < prior; ++i) {
+        (void)batched.uniformInt(0, 9);
+        (void)single.uniformInt(0, 9);
+      }
+      std::vector<double> z(n);
+      batched.standardNormals(z.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bitsOf(z[i]), bitsOf(single.normal(0.0, 1.0)))
+            << "n=" << n << " prior=" << prior << " i=" << i;
+      }
+      // Both streams consumed the same engine outputs.
+      EXPECT_EQ(batched.uniformInt(0, ~std::uint64_t{0}),
+                single.uniformInt(0, ~std::uint64_t{0}));
+    }
+  }
+}
+
+TEST(Rng, LateFirstDrawMatchesAnImmediateOne) {
+  // The state is seeded on the first draw; nothing observable may
+  // depend on when that happens.
+  Rng parent(42);
+  Rng forkedEarly = parent.fork(3);
+  const Rng copiedEarly = parent;  // copied before anything drew
+  std::vector<double> immediate(50);
+  parent.standardNormals(immediate.data(), immediate.size());
+  Rng forkedLate = parent.fork(3);  // fork() reads only the seed
+  Rng copy = copiedEarly;
+  for (const double z : immediate) {
+    EXPECT_EQ(bitsOf(copy.normal(0.0, 1.0)), bitsOf(z));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(forkedEarly.uniformInt(0, ~std::uint64_t{0}),
+              forkedLate.uniformInt(0, ~std::uint64_t{0}));
+  }
+  // A copy taken mid-stream continues the original's stream.
+  Rng midCopy = forkedLate;
+  EXPECT_EQ(bitsOf(midCopy.uniform(0.0, 1.0)),
+            bitsOf(forkedLate.uniform(0.0, 1.0)));
+  EXPECT_EQ(copiedEarly.seed(), 42u);
 }
 
 TEST(Rng, Splitmix64ProducesDistinctOutputs) {

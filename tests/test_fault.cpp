@@ -390,7 +390,11 @@ class JournalTest : public ::testing::Test {
   JournalTest()
       : app_(hw::GpuModel(hw::nvidiaK40c()), journalOptions()),
         study_(app_),
-        path_(::testing::TempDir() + "epfault_journal_test.journal") {
+        // ctest runs each case as its own process, in parallel under
+        // -j: one file per case keeps them from racing on it.
+        path_(::testing::TempDir() + "epfault_journal_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".journal") {
     std::remove(path_.c_str());
   }
   ~JournalTest() override { std::remove(path_.c_str()); }

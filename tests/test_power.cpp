@@ -2,7 +2,10 @@
 // and the HCLWattsUp-style energy measurer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <mutex>
 #include <string>
@@ -10,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "fault/faulty_meter.hpp"
 #include "obs/trace.hpp"
 #include "power/measurer.hpp"
 #include "power/meter.hpp"
@@ -214,6 +218,133 @@ TEST(Meter, NoisyMeterUnbiasedOnAverage) {
     sum += meter.record(p, 30.0_s, rng).meanPower().value();
   }
   EXPECT_NEAR(sum / kTrials, 150.0, 1.0);
+}
+
+// The per-sample algorithm WattsUpMeter implements: two normal() draws
+// per sample, gain then additive.  The meter draws its noise in blocks;
+// its traces and its stream position must stay exactly these.
+void referenceRecord(const MeterOptions& o, const PowerSource& source,
+                     Seconds duration, Rng& rng, PowerTrace& trace) {
+  const double dt = o.sampleInterval.value();
+  double t = o.randomPhase ? rng.uniform(0.0, dt) : 0.0;
+  trace.clear();
+  const auto sampleAt = [&](double time) {
+    const double mid = std::max(0.0, time - 0.5 * dt);
+    double p = source.powerAt(Seconds{mid}).value();
+    p *= 1.0 + rng.normal(0.0, o.gainNoiseSigma);
+    p += rng.normal(0.0, o.additiveNoiseSigma.value());
+    if (o.quantization.value() > 0.0) {
+      const double q = o.quantization.value();
+      p = std::round(p / q) * q;
+    }
+    trace.append({Seconds{time}, Watts{std::max(0.0, p)}});
+  };
+  if (t > 0.0) sampleAt(0.0);
+  while (t < duration.value()) {
+    sampleAt(t);
+    t += dt;
+  }
+  if (trace.empty() || trace.endTime() < duration) sampleAt(duration.value());
+}
+
+std::uint64_t bitsOf(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+ProfilePowerSource steppedProfile() {
+  ProfilePowerSource p(90.0_W);
+  p.addSegment({Seconds{0.4}, Seconds{7.3}, 61.0_W});
+  p.addSegment({Seconds{0.0}, Seconds{9.9}, Watts{17.25}});
+  return p;
+}
+
+TEST(Meter, TracesEqualThePerSampleAlgorithmBitForBit) {
+  const ProfilePowerSource source = steppedProfile();
+  struct Window {
+    double interval;
+    double duration;
+  };
+  const Window windows[] = {
+      {1.0, 0.3},     // shorter than one sampling interval
+      {1.0, 5.0},     // an exact multiple of it
+      {0.25, 2.0},    // an exact multiple, several samples per second
+      {0.01, 12.34},  // ~1234 samples: many noise blocks
+      {1.0, 61.7},
+      {1.0, 127.0},   // 128 samples without phase: one full block
+  };
+  for (const bool phase : {true, false}) {
+    for (const double quantum : {0.0, 0.1}) {
+      for (const Window& w : windows) {
+        MeterOptions opts;
+        opts.randomPhase = phase;
+        opts.quantization = Watts{quantum};
+        opts.sampleInterval = Seconds{w.interval};
+        const WattsUpMeter meter(opts);
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          Rng rng(seed);
+          Rng ref(seed);
+          PowerTrace got;
+          PowerTrace want;
+          // Consecutive windows on one stream, reusing the buffers, as
+          // the measurer's CI loop records them.
+          for (int rep = 0; rep < 3; ++rep) {
+            meter.recordInto(source, Seconds{w.duration}, rng, got);
+            referenceRecord(opts, source, Seconds{w.duration}, ref, want);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              const PowerSample& a = got.samples()[i];
+              const PowerSample& b = want.samples()[i];
+              ASSERT_EQ(bitsOf(a.time.value()), bitsOf(b.time.value()))
+                  << "sample " << i;
+              ASSERT_EQ(bitsOf(a.power.value()), bitsOf(b.power.value()))
+                  << "sample " << i << " of " << got.size() << ", phase "
+                  << phase << ", quantum " << quantum << ", window "
+                  << w.duration;
+            }
+          }
+          // The meter left its stream where the per-sample loop did.
+          EXPECT_EQ(rng.uniformInt(0, ~std::uint64_t{0}),
+                    ref.uniformInt(0, ~std::uint64_t{0}));
+        }
+      }
+    }
+  }
+}
+
+TEST(Meter, FaultCampaignOverTheMeterIsUnchanged) {
+  // Digest of a fault campaign's windows, timeouts and tally through
+  // the meter.  The expected value was recorded with a meter that drew
+  // two normal() calls per sample (referenceRecord above); FaultyMeter
+  // forks its fault stream off the measurement stream, so any change in
+  // the meter's draws moves it.
+  const ProfilePowerSource source = steppedProfile();
+  MeterOptions opts;
+  opts.quantization = 0.0_W;  // keep every bit of the noise in the digest
+  std::uint64_t h = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const fault::FaultyMeter meter(
+        WattsUpMeter{opts}, fault::FaultInjectionOptions::campaign(0.05));
+    Rng rng(seed);
+    PowerTrace trace;
+    for (int w = 0; w < 40; ++w) {
+      try {
+        meter.recordInto(source, Seconds{3.0 + 0.7 * w}, rng, trace);
+      } catch (const MeterTimeoutError&) {
+        h = mix64(h, 0xDEAD);
+        continue;
+      }
+      h = mix64(h, trace.size());
+      for (const PowerSample& sample : trace.samples()) {
+        h = mix64(mix64(h, bitsOf(sample.time.value())),
+                  bitsOf(sample.power.value()));
+      }
+    }
+    const fault::FaultCounts& c = meter.counts();
+    for (const std::uint64_t n : {c.dropped, c.stuck, c.spikes, c.nans,
+                                  c.zeros, c.gainDrifts, c.timeouts}) {
+      h = mix64(h, n);
+    }
+    EXPECT_GT(c.total(), 0u);
+  }
+  EXPECT_EQ(h, 0xD9B2DD69F4F6CB78ULL);
 }
 
 TEST(Meter, RejectsBadOptions) {

@@ -137,12 +137,15 @@ TEST(Fig4, DynamicPowerIsNotAFunctionOfUtilization) {
 
 // --- Fig 6: dynamic-energy non-additivity and the 58 W component ---
 
+// The device name is a std::string, not a const char*: the test's name shows
+// the parameter, and a pointer would print as an address that differs from
+// run to run.
 class Fig6Additivity
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, int>> {};
 
 TEST_P(Fig6Additivity, NonAdditiveBelowThresholdAdditiveAbove) {
   const auto [name, threshold] = GetParam();
-  const hw::GpuSpec spec = std::string(name) == "k40c"
+  const hw::GpuSpec spec = name == "k40c"
                                ? hw::nvidiaK40c()
                                : hw::nvidiaP100Pcie();
   const hw::GpuModel model(spec);

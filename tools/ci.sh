@@ -69,7 +69,10 @@ profiler_drill() {
 echo "== tier-1: configure + build (-Wall -Wextra) + ctest =="
 cmake -B build -S .
 cmake --build build -j "${JOBS}"
-(cd build && ctest --output-on-failure -j "${JOBS}")
+# ctest runs every gtest case as its own process, in parallel: three
+# passes make a race between cases on a shared file or port fail CI
+# instead of passing by luck.
+(cd build && ctest --output-on-failure -j "${JOBS}" --repeat until-fail:3)
 
 echo "== epwatch smoke: watchdog catches an injected 58 W offset =="
 # Anomalous server: a constant +58 W meter offset (the Fig 6 signature)
@@ -198,7 +201,7 @@ echo "== eptop drill: healthy fleet -> shard kill -> latency SLO burn =="
 # so the drill converges fast).  Single tunes — cold or cached — stay
 # well under 2 ms, so after the warm-up ages out of the 3 s window
 # eptop --check must report no burning SLO (exit 0).  Killing a shard
-# and pushing uncached 16-workload study sweeps makes every in-window
+# and pushing uncached 32-workload study sweeps makes every in-window
 # request blow the threshold, so the burn rate crosses 2x in both
 # windows and eptop --check must exit 2, with the slow requests' trace
 # ids attached as exemplars to the burning cluster buckets.
@@ -235,9 +238,9 @@ for ROUND in $(seq 1 10); do
     # Sweeps routed to the killed shard are rejected -- that is the
     # point of the drill; the survivors still carry the burn load.
     ./build/tools/epserve_client --port "${PORT}" \
-      --raw "{\"op\":\"study\",\"device\":\"p100\",\"nBegin\":${COLD_N},\"nEnd\":$((COLD_N + 3840)),\"nStep\":256,\"trace_id\":\"b0b${ROUND}\"}" \
+      --raw "{\"op\":\"study\",\"device\":\"p100\",\"nBegin\":${COLD_N},\"nEnd\":$((COLD_N + 7936)),\"nStep\":256,\"trace_id\":\"b0b${ROUND}\"}" \
       >/dev/null 2>&1 || true
-    COLD_N=$((COLD_N + 4096))
+    COLD_N=$((COLD_N + 8192))
   done
   set +e
   ./build/tools/eptop --port "${PORT}" --once --check >/dev/null
