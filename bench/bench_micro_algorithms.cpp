@@ -1,17 +1,20 @@
 // google-benchmark microbenchmarks for the library's core algorithms:
-// Pareto fronts, FFTs, DGEMM, the statistics stack and the meter
-// simulation.  Guards against performance regressions in the pieces the
+// Pareto fronts, FFTs, DGEMM, the statistics stack, the meter
+// simulation and a cold model-direct study.  Guards against performance regressions in the pieces the
 // experiment harnesses iterate millions of times.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "apps/gpu_matmul_app.hpp"
 #include "blas/dgemm.hpp"
 #include "common/rng.hpp"
+#include "core/study.hpp"
 #include "fft/fft.hpp"
 #include "hw/gpu_model.hpp"
 #include "pareto/front.hpp"
 #include "power/meter.hpp"
+#include "serve/engine.hpp"
 #include "stats/distributions.hpp"
 #include "stats/ttest.hpp"
 
@@ -156,6 +159,36 @@ void BM_GpuModelMatMul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GpuModelMatMul);
+
+// A cold model-direct study's two parts.  The ceiling for the whole
+// study is 128 x BM_GpuModelMatMul: the model evaluations alone.
+
+// Rebuilding the points, both fronts and the trade-offs of a
+// 128-configuration P100 study (n = 10240).
+void BM_FinalizeWorkload(benchmark::State& state) {
+  apps::GpuMatMulOptions opts;
+  opts.useMeter = false;
+  const core::GpuEpStudy study(
+      apps::GpuMatMulApp(hw::GpuModel(hw::nvidiaP100Pcie()), opts));
+  Rng rng(9);
+  core::WorkloadResult r = study.runWorkload(10240, rng);
+  for (auto _ : state) {
+    core::finalizeWorkload(r);
+    benchmark::DoNotOptimize(r.localFront.data());
+  }
+  state.counters["configs"] = static_cast<double>(r.data.size());
+}
+BENCHMARK(BM_FinalizeWorkload);
+
+// The whole serial cold study a cache miss pays for, as epserved's
+// default engine runs it.
+void BM_ColdModelDirectEvaluate(benchmark::State& state) {
+  const serve::EpStudyEngine engine;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.evaluate(serve::Device::P100, 10240));
+  }
+}
+BENCHMARK(BM_ColdModelDirectEvaluate);
 
 }  // namespace
 

@@ -1,7 +1,10 @@
 #include "apps/gpu_matmul_app.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "apps/detail.hpp"
@@ -46,8 +49,18 @@ pareto::BiPoint GpuDataPoint::toPoint(std::uint64_t id) const {
 }
 
 std::string GpuDataPoint::label() const {
-  return "BS=" + std::to_string(config.bs) + " G=" + std::to_string(config.g) +
-         " R=" + std::to_string(config.r);
+  // "BS=<bs> G=<g> R=<r>", written into one stack buffer.
+  constexpr std::ptrdiff_t kIntChars = 11;  // "-2147483648"
+  char buf[3 * (3 + kIntChars)];
+  char* p = buf;
+  const auto field = [&](std::string_view name, int v) {
+    p = std::copy(name.begin(), name.end(), p);
+    p = std::to_chars(p, p + kIntChars, v).ptr;
+  };
+  field("BS=", config.bs);
+  field(" G=", config.g);
+  field(" R=", config.r);
+  return std::string(buf, p);
 }
 
 GpuMatMulApp::GpuMatMulApp(hw::GpuModel model, GpuMatMulOptions options)
@@ -92,26 +105,31 @@ std::vector<hw::MatMulConfig> GpuMatMulApp::additivityConfigs(int n, int bs,
   return out;
 }
 
-GpuDataPoint GpuMatMulApp::runConfig(const hw::MatMulConfig& cfg,
-                                     Rng& rng) const {
+GpuDataPoint GpuMatMulApp::modelPoint(const hw::MatMulConfig& cfg) const {
   GpuDataPoint out;
   out.config = cfg;
   out.model = model_.modelMatMul(cfg);
-
-  if (!options_.useMeter) {
-    out.time = out.model.time;
-    out.dynamicEnergy = out.model.dynamicEnergy();
-    out.repetitions = 1;
-    // epprof energy profile, model-direct mode: the ledger attributes
-    // these model joules per config, so the flamegraph folds the same
-    // quantity under the kernel frame to stay reconcilable.
-    if (obs::profilerArmed()) {
-      obs::ProfileFrame kernelFrame("kernel/dgemm");
-      obs::Profiler::global().recordEnergySample(
-          out.dynamicEnergy.value(), obs::currentContext().traceId);
-    }
-    return out;
+  out.time = out.model.time;
+  out.dynamicEnergy = out.model.dynamicEnergy();
+  out.repetitions = 1;
+  // epprof energy profile, model-direct mode: the ledger attributes
+  // these model joules per config, so the flamegraph folds the same
+  // quantity under the kernel frame to stay reconcilable.
+  if (obs::profilerArmed()) {
+    obs::ProfileFrame kernelFrame("kernel/dgemm");
+    obs::Profiler::global().recordEnergySample(
+        out.dynamicEnergy.value(), obs::currentContext().traceId);
   }
+  return out;
+}
+
+GpuDataPoint GpuMatMulApp::runConfig(const hw::MatMulConfig& cfg,
+                                     Rng& rng) const {
+  if (!options_.useMeter) return modelPoint(cfg);
+
+  GpuDataPoint out;
+  out.config = cfg;
+  out.model = model_.modelMatMul(cfg);
 
   // Build the node's ground-truth power profile for one execution.
   obs::Span span("power/measure_window");
@@ -155,35 +173,53 @@ std::vector<GpuDataPoint> GpuMatMulApp::runWorkload(
   const std::vector<hw::MatMulConfig> configs = enumerateConfigs(n);
   std::vector<GpuDataPoint> out(configs.size());
   const bool skip = options_.failPolicy == fault::FailPolicy::SkipAndRecord;
-  std::vector<std::string> errs(configs.size());
-  std::vector<char> failed(configs.size(), 0);
-  // Each slot is owned by exactly one index and each config draws only
-  // from its own forked stream (fork() is const and reads just the
-  // seed), so execution order cannot affect the result.  Under
-  // SkipAndRecord errors are captured per slot (parallelFor never sees
-  // an exception) and compacted below in enumeration order, which keeps
-  // serial == parallel identity even for a failing campaign.
-  const auto evalOne = [&](std::size_t i) {
-    Rng configRng = rng.fork(forkSalt(configs[i]));
+  // Under SkipAndRecord errors are captured per slot (parallelFor never
+  // sees an exception) and compacted below in enumeration order, which
+  // keeps serial == parallel identity even for a failing campaign.
+  std::vector<std::string> errs;
+  std::vector<char> failed;
+  if (skip) {
+    errs.resize(configs.size());
+    failed.assign(configs.size(), 0);
+  }
+  const auto settle = [&](std::size_t i, const auto& eval) {
     if (!skip) {
-      out[i] = runConfig(configs[i], configRng);
+      out[i] = eval();
       return;
     }
     try {
-      out[i] = runConfig(configs[i], configRng);
+      out[i] = eval();
     } catch (const EpError& e) {
       failed[i] = 1;
       errs[i] = e.what();
     }
   };
-  if (pool == nullptr || configs.size() < 2) {
-    for (std::size_t i = 0; i < configs.size(); ++i) evalOne(i);
+  if (!options_.useMeter) {
+    // Model-direct configs cost ~0.3 us each and draw no randomness:
+    // evaluated inline on the calling thread, with no forked stream and
+    // no pool hand-off (either would cost more than the config).
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      settle(i, [&] { return modelPoint(configs[i]); });
+    }
   } else {
-    // Grain 1: one CI-looped measurement per config dwarfs scheduling
-    // overhead, and fine grains load-balance the uneven repetition
-    // counts.
-    obs::Span span("study/parallel_eval");
-    pool->parallelFor(0, configs.size(), evalOne, /*grain=*/1);
+    // Each slot is owned by exactly one index and each config draws
+    // only from its own forked stream (fork() is const and reads just
+    // the seed), so execution order cannot affect the result.
+    const auto evalOne = [&](std::size_t i) {
+      settle(i, [&] {
+        Rng configRng = rng.fork(forkSalt(configs[i]));
+        return runConfig(configs[i], configRng);
+      });
+    };
+    if (pool == nullptr || configs.size() < 2) {
+      for (std::size_t i = 0; i < configs.size(); ++i) evalOne(i);
+    } else {
+      // Grain 1: one CI-looped measurement per config dwarfs scheduling
+      // overhead, and fine grains load-balance the uneven repetition
+      // counts.
+      obs::Span span("study/parallel_eval");
+      pool->parallelFor(0, configs.size(), evalOne, /*grain=*/1);
+    }
   }
   if (skip) {
     std::vector<GpuDataPoint> kept;

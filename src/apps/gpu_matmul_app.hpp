@@ -91,10 +91,14 @@ class GpuMatMulApp {
   [[nodiscard]] static std::uint64_t forkSalt(const hw::MatMulConfig& cfg);
 
   // Run every configuration of a workload; returns points in
-  // enumeration order.  With a pool, configurations are evaluated in
-  // parallel; each draws from its own forked stream and writes only its
-  // own slot, so the result is bitwise-identical to the serial path
-  // for any pool size.  Safe to call from inside a task on `pool`.
+  // enumeration order.  Metered configurations (useMeter) each draw
+  // from their own forked stream and write only their own slot; with a
+  // pool they are evaluated in parallel, so the result is
+  // bitwise-identical to the serial path for any pool size.  Safe to
+  // call from inside a task on `pool`.  Model-direct configurations
+  // (useMeter == false) draw nothing and cost well under a microsecond
+  // each, so they always run inline on the calling thread: no forked
+  // stream, and the pool is not used.
   //
   // Under FailPolicy::SkipAndRecord a configuration whose measurement
   // throws (budget exhausted, unlaunchable, ...) is dropped from the
@@ -109,6 +113,9 @@ class GpuMatMulApp {
       const std::vector<GpuDataPoint>& data);
 
  private:
+  // runConfig's model-direct path: the noise-free model point.
+  [[nodiscard]] GpuDataPoint modelPoint(const hw::MatMulConfig& cfg) const;
+
   hw::GpuModel model_;
   GpuMatMulOptions options_;
 };

@@ -16,8 +16,10 @@ GpuEpStudy::GpuEpStudy(apps::GpuMatMulApp app) : app_(std::move(app)) {}
 void finalizeWorkload(WorkloadResult& r) {
   obs::Span frontSpan("study/front_construction");
   r.points = apps::GpuMatMulApp::toPoints(r.data);
-  r.globalFront = pareto::paretoFront(r.points);
-  r.localFront = pareto::localFront(r.points, 2);
+  // One sort and one peel give both fronts.
+  auto fronts = pareto::leadingFronts(r.points, 2);
+  r.globalFront = std::move(fronts[0]);
+  r.localFront = std::move(fronts[1]);
   r.globalTradeoff = pareto::analyzeTradeoff(r.points);
   if (!r.localFront.empty()) {
     r.localTradeoff = pareto::analyzeTradeoff(r.localFront);

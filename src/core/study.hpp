@@ -95,15 +95,16 @@ class GpuEpStudy {
 
   [[nodiscard]] const apps::GpuMatMulApp& app() const { return app_; }
 
-  // With a pool, the configuration space is evaluated in parallel with
-  // results bitwise-identical to serial (see GpuMatMulApp::runWorkload).
+  // With a pool, a metered configuration space is evaluated in parallel
+  // with results bitwise-identical to serial; a model-direct one always
+  // runs inline (see GpuMatMulApp::runWorkload).
   [[nodiscard]] WorkloadResult runWorkload(int n, Rng& rng,
                                            ThreadPool* pool = nullptr) const;
 
-  // With a pool, workload sizes run in parallel AND each workload's
-  // configurations run in parallel on the same pool (the nested
-  // parallelFor shape); per-size forked streams and per-index result
-  // slots keep the output bitwise-identical to the serial path.
+  // With a pool, workload sizes run in parallel AND each metered
+  // workload's configurations run in parallel on the same pool (the
+  // nested parallelFor shape); per-size forked streams and per-index
+  // result slots keep the output bitwise-identical to the serial path.
   [[nodiscard]] std::vector<WorkloadResult> runSweep(
       const std::vector<int>& sizes, Rng& rng,
       ThreadPool* pool = nullptr) const;

@@ -13,8 +13,8 @@
 // partition on every platform.
 //
 // Not internally synchronized.  The router treats a ring as immutable
-// once published: topology changes build a modified copy and swap an
-// atomic shared_ptr, so lookups never take a lock.
+// once published: topology changes build a modified copy and swap the
+// shared_ptr, so lookups run on a snapshot without a lock.
 #pragma once
 
 #include <cstddef>

@@ -129,8 +129,7 @@ FleetRouter::FleetRouter(std::vector<FleetShardConfig> shards,
     ring->addShard(cfg.id);
     shards_.push_back(std::move(shard));
   }
-  ring_.store(std::shared_ptr<const HashRing>(std::move(ring)),
-              std::memory_order_release);
+  publishRing(std::move(ring));
 }
 
 FleetRouter::~FleetRouter() { shutdown(); }
@@ -594,8 +593,7 @@ bool FleetRouter::removeShardFromRing(const std::string& id) {
   std::lock_guard lk(adminMu_);
   auto next = std::make_shared<HashRing>(*ringSnapshot());
   next->removeShard(id);
-  ring_.store(std::shared_ptr<const HashRing>(std::move(next)),
-              std::memory_order_release);
+  publishRing(std::move(next));
   return true;
 }
 
@@ -604,8 +602,7 @@ bool FleetRouter::addShardToRing(const std::string& id) {
   std::lock_guard lk(adminMu_);
   auto next = std::make_shared<HashRing>(*ringSnapshot());
   next->addShard(id);
-  ring_.store(std::shared_ptr<const HashRing>(std::move(next)),
-              std::memory_order_release);
+  publishRing(std::move(next));
   return true;
 }
 

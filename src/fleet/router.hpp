@@ -11,13 +11,14 @@
 // workload class).
 //
 // Concurrency contract (the part TSan and the acceptance criteria pin
-// down): the routing decision takes NO lock shared across shards.
-//   * Ring topology is an immutable HashRing snapshot behind an
-//     atomic<shared_ptr>; admin edits copy-modify-swap it.
+// down): the routing decision holds no lock while it scores shards.
+//   * Ring topology is an immutable HashRing snapshot; a router copies
+//     the shared_ptr under a pointer-sized critical section and routes
+//     on the snapshot unlocked.  Admin edits copy-modify-swap it.
 //   * Every per-shard scoring input (aliveness, in-flight count,
 //     breaker mirror) and the cluster EWMA price table are relaxed
 //     atomics, updated from broker completion hooks.
-// The only router mutexes are adminMu_ (topology edits, rare) and
+// The other router mutexes are adminMu_ (topology edits, rare) and
 // clusterMu_ (Pareto-front inserts on the *completion* path — O(log n)
 // per executed study, never consulted while scoring).
 //
@@ -337,7 +338,12 @@ class FleetRouter {
                                      RouteDecision* decision);
 
   [[nodiscard]] std::shared_ptr<const HashRing> ringSnapshot() const {
-    return ring_.load(std::memory_order_acquire);
+    std::lock_guard lk(ringMu_);
+    return ring_;
+  }
+  void publishRing(std::shared_ptr<const HashRing> ring) {
+    std::lock_guard lk(ringMu_);
+    ring_ = std::move(ring);
   }
   [[nodiscard]] const Shard* shardById(const std::string& id) const;
   [[nodiscard]] Shard* shardById(const std::string& id);
@@ -376,7 +382,12 @@ class FleetRouter {
 
   std::mutex adminMu_;  // serializes topology edits and shutdown
   bool shutdown_ = false;
-  std::atomic<std::shared_ptr<const HashRing>> ring_;
+  // The current ring snapshot.  ringMu_ guards only the pointer copy
+  // (never held while routing on a snapshot): libstdc++ 12's
+  // atomic<shared_ptr>::load() releases its internal lock with relaxed
+  // ordering, which does not order the read before the next store().
+  mutable std::mutex ringMu_;
+  std::shared_ptr<const HashRing> ring_;
 
   // Health-monitor state; null unless FleetHealthOptions.enabled, so a
   // health-off router carries no extra registry and clusterSnapshot()

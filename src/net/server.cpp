@@ -121,7 +121,10 @@ struct Server::EventLoop {
           continue;
         }
         if ((ev & EPOLLIN) != 0) {
-          if (!readConn(*c)) continue;  // connection closed
+          // A peer that closes right after its last bytes can raise a
+          // single edge for both: read to EOF then, or the close is
+          // never seen.
+          if (!readConn(*c, (ev & EPOLLRDHUP) != 0)) continue;  // closed
         }
         if ((ev & EPOLLOUT) != 0) {
           markDirty(*c);
@@ -167,7 +170,7 @@ struct Server::EventLoop {
         continue;
       }
       epoll_event ev{};
-      ev.events = EPOLLIN | EPOLLET;
+      ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
       ev.data.fd = fd;
       if (::epoll_ctl(epollFd, EPOLL_CTL_ADD, fd, &ev) != 0) {
         ::close(fd);
@@ -180,9 +183,10 @@ struct Server::EventLoop {
     }
   }
 
-  // Drain the socket to EAGAIN, decode, append frames to this
-  // iteration's batch.  Returns false when the connection was closed.
-  bool readConn(Conn& c) {
+  // Drain the socket to EAGAIN (to EOF when the peer has closed its
+  // end), decode, append frames to this iteration's batch.  Returns
+  // false when the connection was closed.
+  bool readConn(Conn& c, bool peerClosed) {
     if (c.decoder.mode() == FrameDecoder::Mode::Broken) return true;
     char chunk[65536];
     for (;;) {
@@ -224,7 +228,9 @@ struct Server::EventLoop {
         }
         // A short read means the kernel buffer is empty (stream
         // socket); a full chunk means there may be more.
-        if (got < static_cast<ssize_t>(sizeof chunk)) return true;
+        if (!peerClosed && got < static_cast<ssize_t>(sizeof chunk)) {
+          return true;
+        }
         continue;
       }
       if (got == 0) {
@@ -365,7 +371,7 @@ struct Server::EventLoop {
   void armWrite(Conn& c, bool enable) {
     if (c.wantWrite == enable) return;
     epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLET | (enable ? EPOLLOUT : 0u);
+    ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET | (enable ? EPOLLOUT : 0u);
     ev.data.fd = c.fd;
     if (::epoll_ctl(epollFd, EPOLL_CTL_MOD, c.fd, &ev) == 0) {
       c.wantWrite = enable;

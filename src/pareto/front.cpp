@@ -20,37 +20,16 @@ void sortByTime(std::vector<BiPoint>& pts) {
   });
 }
 
-}  // namespace
-
-std::vector<BiPoint> paretoFront(const std::vector<BiPoint>& points) {
-  std::vector<BiPoint> sorted = points;
-  sortByTime(sorted);
-  std::vector<BiPoint> front;
-  double bestEnergy = 0.0;
-  bool haveBest = false;
-  for (const auto& p : sorted) {
-    if (!haveBest || p.energy.value() < bestEnergy) {
-      front.push_back(p);
-      bestEnergy = p.energy.value();
-      haveBest = true;
-    } else if (p.energy.value() == bestEnergy) {
-      // Equal energy: non-dominated only if time also ties the last
-      // front member (sorted order guarantees time >= last).
-      if (p.time == front.back().time) front.push_back(p);
-    }
-  }
-  return front;
-}
-
-namespace {
-
-// Sort-based front peeling (Jensen's 2-D sweep), O(n log n) total and
-// O(n log k) when capped at maxLevels fronts.
+// Sort-based front peeling (Jensen's 2-D sweep) over ONE sorted index
+// array: O(n log n) total and O(n log k) when capped at maxLevels
+// fronts.  Only indices move while sorting and peeling; no point (and
+// no label) is copied until a caller gathers the fronts it wants.
 //
-// After sortByTime, every already-placed point precedes the current
-// point p in (time, energy, configId) order, so whether a front
-// dominates p is decided by that front's TAIL (its last appended
-// member, which has the front's max time and min energy):
+// The sweep order is (time, energy, configId), ties broken by input
+// position.  Every already-placed point precedes the current point p in
+// that order, so whether a front dominates p is decided by that front's
+// TAIL (its last appended member, which has the front's max time and
+// min energy):
 //   tail dominates p  <=>  tail.energy < p.energy
 //                          || (tail.energy == p.energy
 //                              && tail.time < p.time)
@@ -64,16 +43,38 @@ namespace {
 // Capping at maxLevels is exact for the kept fronts: a point deeper
 // than maxLevels can never become the tail of a tracked front, so
 // discarding it cannot change how later points are placed.
-std::vector<std::vector<BiPoint>> peelFronts(std::vector<BiPoint> points,
-                                             std::size_t maxLevels) {
-  sortByTime(points);
-  std::vector<std::vector<BiPoint>> fronts;
-  for (auto& p : points) {
+struct Peel {
+  struct Entry {
+    std::size_t index = 0;  // into points
+    std::size_t level = 0;  // 0-based front; maxLevels = untracked
+  };
+  std::vector<Entry> sweep;  // every point, in sweep order
+  std::size_t fronts = 0;    // levels found, <= maxLevels
+};
+
+Peel peelFronts(const std::vector<BiPoint>& points, std::size_t maxLevels) {
+  const std::size_t n = points.size();
+  Peel pl;
+  pl.sweep.resize(n);
+  for (std::size_t i = 0; i < n; ++i) pl.sweep[i] = {i, maxLevels};
+  std::sort(pl.sweep.begin(), pl.sweep.end(),
+            [&points](const Peel::Entry& a, const Peel::Entry& b) {
+              const BiPoint& pa = points[a.index];
+              const BiPoint& pb = points[b.index];
+              if (pa.time != pb.time) return pa.time < pb.time;
+              if (pa.energy != pb.energy) return pa.energy < pb.energy;
+              if (pa.configId != pb.configId) return pa.configId < pb.configId;
+              return a.index < b.index;
+            });
+  std::vector<std::size_t> tails;  // tails[f]: index of front f's tail
+  tails.reserve(std::min(maxLevels, n));
+  for (Peel::Entry& e : pl.sweep) {
+    const BiPoint& p = points[e.index];
     std::size_t lo = 0;
-    std::size_t hi = fronts.size();
+    std::size_t hi = tails.size();
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
-      const BiPoint& tail = fronts[mid].back();
+      const BiPoint& tail = points[tails[mid]];
       const bool tailDominates =
           tail.energy < p.energy ||
           (tail.energy == p.energy && tail.time < p.time);
@@ -83,28 +84,59 @@ std::vector<std::vector<BiPoint>> peelFronts(std::vector<BiPoint> points,
         hi = mid;
       }
     }
-    if (lo == fronts.size()) {
-      if (fronts.size() == maxLevels) continue;  // deeper than we track
-      fronts.emplace_back();
+    if (lo == tails.size()) {
+      if (tails.size() == maxLevels) continue;  // deeper than we track
+      tails.push_back(e.index);
+    } else {
+      tails[lo] = e.index;
     }
-    fronts[lo].push_back(std::move(p));
+    e.level = lo;
   }
-  return fronts;
+  pl.fronts = tails.size();
+  return pl;
+}
+
+// Copies of front `level`'s members, in sweep order.
+std::vector<BiPoint> gatherLevel(const std::vector<BiPoint>& points,
+                                 const Peel& pl, std::size_t level) {
+  std::vector<BiPoint> front;
+  for (const Peel::Entry& e : pl.sweep) {
+    if (e.level == level) front.push_back(points[e.index]);
+  }
+  return front;
 }
 
 }  // namespace
 
+std::vector<BiPoint> paretoFront(const std::vector<BiPoint>& points) {
+  return localFront(points, 1);
+}
+
 std::vector<std::vector<BiPoint>> nonDominatedSort(std::vector<BiPoint> points) {
-  return peelFronts(std::move(points),
-                    std::numeric_limits<std::size_t>::max());
+  const Peel pl =
+      peelFronts(points, std::numeric_limits<std::size_t>::max());
+  std::vector<std::vector<BiPoint>> fronts(pl.fronts);
+  for (const Peel::Entry& e : pl.sweep) {
+    fronts[e.level].push_back(std::move(points[e.index]));
+  }
+  return fronts;
 }
 
 std::vector<BiPoint> localFront(const std::vector<BiPoint>& points,
                                 std::size_t k) {
   EP_REQUIRE(k >= 1, "front levels are 1-based");
-  auto fronts = peelFronts(points, k);
-  if (k > fronts.size()) return {};
-  return std::move(fronts[k - 1]);
+  return gatherLevel(points, peelFronts(points, k), k - 1);
+}
+
+std::vector<std::vector<BiPoint>> leadingFronts(
+    const std::vector<BiPoint>& points, std::size_t levels) {
+  EP_REQUIRE(levels >= 1, "front levels are 1-based");
+  const Peel pl = peelFronts(points, levels);
+  std::vector<std::vector<BiPoint>> fronts(levels);
+  for (std::size_t k = 0; k < levels && k < pl.fronts; ++k) {
+    fronts[k] = gatherLevel(points, pl, k);
+  }
+  return fronts;
 }
 
 bool isValidFront(const std::vector<BiPoint>& front,

@@ -11,9 +11,12 @@
 
 namespace ep::pareto {
 
-// The non-dominated subset of `points`, sorted by ascending time.
-// Duplicate-objective points are all kept (they are mutually
-// non-dominating), so fronts are set-stable.
+// Every front below comes from one algorithm: a single sort of an index
+// array by (time, energy, configId) followed by a sort-based peel.
+
+// The non-dominated subset of `points`, sorted by ascending time:
+// localFront(points, 1).  Duplicate-objective points are all kept (they
+// are mutually non-dominating), so fronts are set-stable.
 [[nodiscard]] std::vector<BiPoint> paretoFront(
     const std::vector<BiPoint>& points);
 
@@ -29,6 +32,13 @@ namespace ep::pareto {
 // (O(n log k)) instead of sorting the whole cloud.
 [[nodiscard]] std::vector<BiPoint> localFront(
     const std::vector<BiPoint>& points, std::size_t k);
+
+// The first `levels` fronts (levels >= 1) from ONE sort and ONE peel:
+// result[k] == localFront(points, k + 1) for every k < levels, empty
+// where fewer fronts exist.  A study's global and level-2 fronts are
+// leadingFronts(points, 2).
+[[nodiscard]] std::vector<std::vector<BiPoint>> leadingFronts(
+    const std::vector<BiPoint>& points, std::size_t levels);
 
 // True iff `front` is mutually non-dominating and no point of `points`
 // dominates any member.  Used by property tests.

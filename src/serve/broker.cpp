@@ -372,10 +372,12 @@ void Broker::submitTuneBatch(std::vector<TuneBatchItem> items) {
   }
 
   // Phase 3 — ONE pool hop for every queued member.  The jobs run
-  // sequentially on that worker; a cold study still fans out across
-  // the whole pool via the engine's nested parallelFor, and duplicate
-  // keys inside the batch resolve to cache hits / coalesced joins
-  // exactly as queued siblings always have.
+  // sequentially on that worker, and so do the batch's cold studies: a
+  // model-direct study evaluates its configurations inline (they are
+  // cheaper than a pool hand-off), while a metered one still fans out
+  // across the whole pool via the engine's nested parallelFor.
+  // Duplicate keys inside the batch resolve to cache hits / coalesced
+  // joins exactly as queued siblings always have.
   if (!queued.empty()) {
     pool_->submit([this, queued = std::move(queued)] {
       for (const auto& job : queued) runTuneJob(job);
@@ -626,8 +628,10 @@ Broker::StudyOutcome Broker::obtainStudy(Device device, int n, bool* cacheHit,
   try {
     obs::Span span("serve/engine_evaluate");
     // This thread is itself a pool worker; handing the pool to the
-    // engine lets idle workers help with the study's configuration
-    // loop (nested parallelFor — safe since the caller participates).
+    // engine lets idle workers help with a metered study's
+    // configuration loop (nested parallelFor — safe since the caller
+    // participates).  A model-direct study ignores the pool and runs
+    // on this worker alone.
     result = std::make_shared<const core::WorkloadResult>(
         engine_->evaluate(device, n, pool_.get()));
   } catch (...) {

@@ -31,17 +31,14 @@ net::BatchHandler NetService::handler() {
   };
 }
 
-net::ResponseBuffer NetService::frameJson(const std::string& body,
-                                          bool binary) {
-  std::string out;
+net::ResponseBuffer NetService::frameJson(std::string body, bool binary) {
   if (binary) {
+    std::string out;
     net::appendFrame(out, net::kOpJson, body);
-  } else {
-    out.reserve(body.size() + 1);
-    out = body;
-    out += '\n';
+    return net::makeBuffer(std::move(out));
   }
-  return net::makeBuffer(std::move(out));
+  body += '\n';
+  return net::makeBuffer(std::move(body));
 }
 
 void NetService::handleBatch(net::Server& server,

@@ -76,7 +76,7 @@ class NetService {
   void stop() { slowPool_.reset(); }
 
   // Frame one already-rendered JSON body for a connection mode.
-  [[nodiscard]] static net::ResponseBuffer frameJson(const std::string& body,
+  [[nodiscard]] static net::ResponseBuffer frameJson(std::string body,
                                                      bool binary);
 
  private:

@@ -1,51 +1,71 @@
 #include "serve/wire.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace ep::serve::wire {
 
 namespace {
 
-void appendEscaped(std::string& out, const std::string& s) {
+void appendEscaped(std::string& out, std::string_view s) {
   out += '"';
-  for (char c : s) {
+  // Plain characters are copied in runs; only escapes are written one
+  // at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escape = nullptr;
     switch (c) {
       case '"':
-        out += "\\\"";
+        escape = "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        escape = "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        escape = "\\n";
         break;
       case '\r':
-        out += "\\r";
+        escape = "\\r";
         break;
       case '\t':
-        out += "\\t";
+        escape = "\\t";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    if (escape != nullptr) {
+      out += escape;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out += buf;
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
 void appendNumber(std::string& out, double v) {
+  // to_chars' general format with a precision is specified as printf's
+  // %g in the C locale, so this is byte-identical to "%.12g" (±inf,
+  // nan and the sign of zero included) without printf's cost.
   char buf[32];
-  // %.17g round-trips doubles; trim to a compact form.
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  out += buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 12)
+                      .ptr);
+}
+
+template <typename Int>
+void appendInt(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 class Parser {
@@ -256,57 +276,51 @@ std::optional<Object> parseObject(const std::string& line,
   return Parser(line).parse(error);
 }
 
-void ObjectWriter::comma() {
+void ObjectWriter::beginField(std::string_view key) {
   if (!first_) out_ += ',';
   first_ = false;
-}
-
-ObjectWriter& ObjectWriter::add(const std::string& key,
-                                const std::string& value) {
-  comma();
   appendEscaped(out_, key);
   out_ += ':';
+}
+
+ObjectWriter& ObjectWriter::add(std::string_view key, std::string_view value) {
+  beginField(key);
   appendEscaped(out_, value);
   return *this;
 }
 
-ObjectWriter& ObjectWriter::add(const std::string& key, const char* value) {
-  return add(key, std::string(value));
+ObjectWriter& ObjectWriter::add(std::string_view key, const char* value) {
+  return add(key, std::string_view(value));
 }
 
-ObjectWriter& ObjectWriter::add(const std::string& key, double value) {
-  comma();
-  appendEscaped(out_, key);
-  out_ += ':';
+ObjectWriter& ObjectWriter::add(std::string_view key, double value) {
+  beginField(key);
   appendNumber(out_, value);
   return *this;
 }
 
-ObjectWriter& ObjectWriter::add(const std::string& key, std::uint64_t value) {
-  comma();
-  appendEscaped(out_, key);
-  out_ += ':';
-  out_ += std::to_string(value);
+ObjectWriter& ObjectWriter::add(std::string_view key, std::uint64_t value) {
+  beginField(key);
+  appendInt(out_, value);
   return *this;
 }
 
-ObjectWriter& ObjectWriter::add(const std::string& key, int value) {
-  comma();
-  appendEscaped(out_, key);
-  out_ += ':';
-  out_ += std::to_string(value);
+ObjectWriter& ObjectWriter::add(std::string_view key, int value) {
+  beginField(key);
+  appendInt(out_, value);
   return *this;
 }
 
-ObjectWriter& ObjectWriter::add(const std::string& key, bool value) {
-  comma();
-  appendEscaped(out_, key);
-  out_ += ':';
+ObjectWriter& ObjectWriter::add(std::string_view key, bool value) {
+  beginField(key);
   out_ += value ? "true" : "false";
   return *this;
 }
 
-std::string ObjectWriter::str() const { return out_ + "}"; }
+std::string ObjectWriter::str() {
+  out_ += '}';
+  return std::move(out_);
+}
 
 std::optional<WireRequest> decodeRequest(const std::string& line,
                                          std::string* error) {

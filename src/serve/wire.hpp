@@ -32,6 +32,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "obs/profile_export.hpp"
 #include "obs/slo.hpp"
@@ -62,22 +63,27 @@ using Object = std::map<std::string, Value>;
 [[nodiscard]] std::optional<Object> parseObject(const std::string& line,
                                                 std::string* error);
 
-// Incremental writer for one flat JSON object (escapes strings).
+// Incremental writer for one flat JSON object (escapes strings).  Keys
+// and values go straight into one buffer; doubles are written as
+// printf("%.12g") text.
 class ObjectWriter {
  public:
-  ObjectWriter& add(const std::string& key, const std::string& value);
-  ObjectWriter& add(const std::string& key, const char* value);
-  ObjectWriter& add(const std::string& key, double value);
-  ObjectWriter& add(const std::string& key, std::uint64_t value);
-  ObjectWriter& add(const std::string& key, int value);
-  ObjectWriter& add(const std::string& key, bool value);
-  [[nodiscard]] std::string str() const;
+  ObjectWriter& add(std::string_view key, std::string_view value);
+  ObjectWriter& add(std::string_view key, const char* value);
+  ObjectWriter& add(std::string_view key, double value);
+  ObjectWriter& add(std::string_view key, std::uint64_t value);
+  ObjectWriter& add(std::string_view key, int value);
+  ObjectWriter& add(std::string_view key, bool value);
+  // Closes the object and hands its text over without copying; call it
+  // once, last.
+  [[nodiscard]] std::string str();
 
  private:
-  void comma();
+  void beginField(std::string_view key);  // separator, quoted key, colon
   std::string out_ = "{";
   bool first_ = true;
 };
+
 
 // {"op":"metrics"} body format.
 enum class MetricsFormat { Json, Prometheus, OpenMetrics };

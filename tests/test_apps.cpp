@@ -3,6 +3,7 @@
 // application, including the full measurement pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,6 +17,8 @@
 #include "common/thread_pool.hpp"
 #include "core/study.hpp"
 #include "cudasim/executor.hpp"
+#include "obs/metrics.hpp"
+#include "pareto/point.hpp"
 #include "pareto/tradeoff.hpp"
 
 namespace ep::apps {
@@ -426,18 +429,33 @@ void expectSameGpuData(const std::vector<GpuDataPoint>& a,
   }
 }
 
+// Metered configurations fan out over the pool; model-direct ones never
+// touch it (they run inline on the caller).  Either way the result is
+// bitwise the serial one.
 TEST(GpuStudyIntegration, ParallelWorkloadBitwiseEqualsSerial) {
-  GpuMatMulOptions opts;
-  opts.useMeter = true;
-  const GpuMatMulApp app(hw::GpuModel(hw::nvidiaP100Pcie()), opts);
-  Rng rng(7);
-  const auto serial = app.runWorkload(8192, rng);
-  for (std::size_t threads : {1u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    Rng prng(7);
-    const auto parallel = app.runWorkload(8192, prng, &pool);
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expectSameGpuData(parallel, serial);
+  const obs::Counter& parallelFors = obs::Registry::global().counter(
+      "ep_threadpool_parallel_for_total",
+      "parallelFor/parallelMap invocations (all pools)");
+  for (const bool meter : {true, false}) {
+    GpuMatMulOptions opts;
+    opts.useMeter = meter;
+    const GpuMatMulApp app(hw::GpuModel(hw::nvidiaP100Pcie()), opts);
+    Rng rng(7);
+    const auto serial = app.runWorkload(8192, rng);
+    for (std::size_t threads : {1u, 4u, 8u}) {
+      ThreadPool pool(threads);
+      Rng prng(7);
+      const std::uint64_t before = parallelFors.value();
+      const auto parallel = app.runWorkload(8192, prng, &pool);
+      SCOPED_TRACE(std::string(meter ? "metered" : "model-direct") +
+                   " threads=" + std::to_string(threads));
+      if (meter) {
+        EXPECT_GT(parallelFors.value(), before);
+      } else {
+        EXPECT_EQ(parallelFors.value(), before);
+      }
+      expectSameGpuData(parallel, serial);
+    }
   }
 }
 
@@ -463,6 +481,120 @@ TEST(GpuStudyIntegration, ParallelSweepBitwiseEqualsSerial) {
       ASSERT_EQ(parallel[i].localFront.size(), serial[i].localFront.size());
     }
   }
+}
+
+// --- one-sort finalize against an independent quadratic reference ---
+
+// Level 1 = the points no other point dominates; level 2 = the same
+// over what level 1 leaves.  Each level in (time, energy, configId)
+// order.  O(n^2) pairwise dominance; shares no code with the peel.
+std::vector<std::vector<pareto::BiPoint>> quadraticFronts(
+    std::vector<pareto::BiPoint> rest, int levels) {
+  std::vector<std::vector<pareto::BiPoint>> fronts;
+  for (int k = 0; k < levels; ++k) {
+    std::vector<pareto::BiPoint> front;
+    std::vector<pareto::BiPoint> deeper;
+    for (const auto& p : rest) {
+      const bool dominated =
+          std::any_of(rest.begin(), rest.end(), [&p](const auto& q) {
+            return pareto::dominates(q, p);
+          });
+      (dominated ? deeper : front).push_back(p);
+    }
+    std::sort(front.begin(), front.end(), [](const auto& a, const auto& b) {
+      if (a.time != b.time) return a.time < b.time;
+      if (a.energy != b.energy) return a.energy < b.energy;
+      return a.configId < b.configId;
+    });
+    fronts.push_back(std::move(front));
+    rest = std::move(deeper);
+  }
+  return fronts;
+}
+
+void expectSameFront(const std::vector<pareto::BiPoint>& got,
+                     const std::vector<pareto::BiPoint>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].configId, want[i].configId) << "i=" << i;
+    EXPECT_EQ(got[i].time, want[i].time) << "i=" << i;
+    EXPECT_EQ(got[i].energy, want[i].energy) << "i=" << i;
+    EXPECT_EQ(got[i].label, want[i].label) << "i=" << i;
+  }
+}
+
+void expectFinalizeMatchesReference(const core::WorkloadResult& r) {
+  const auto want = quadraticFronts(r.points, 2);
+  {
+    SCOPED_TRACE("global front");
+    expectSameFront(r.globalFront, want[0]);
+  }
+  {
+    SCOPED_TRACE("local front");
+    expectSameFront(r.localFront, want[1]);
+  }
+}
+
+TEST(FinalizeWorkload, FrontsMatchQuadraticReferenceOnRealStudies) {
+  GpuMatMulOptions opts;
+  opts.useMeter = false;
+  for (const auto& spec : {hw::nvidiaK40c(), hw::nvidiaP100Pcie()}) {
+    const core::GpuEpStudy study(GpuMatMulApp(hw::GpuModel(spec), opts));
+    std::size_t sizes = 0;
+    for (int n = 1024; n <= 20480; n += 1024) {
+      SCOPED_TRACE(spec.name + " n=" + std::to_string(n));
+      Rng rng(static_cast<std::uint64_t>(n));
+      const core::WorkloadResult r = study.runWorkload(n, rng);
+      ASSERT_EQ(r.points.size(), r.data.size());
+      expectFinalizeMatchesReference(r);
+      ++sizes;
+    }
+    EXPECT_GE(sizes, 16u);
+  }
+}
+
+TEST(FinalizeWorkload, FrontsMatchQuadraticReferenceWithTiesAndDuplicates) {
+  // Coarse grids force equal times, equal energies and exact
+  // duplicate-objective points.
+  Rng rng(20261017);
+  for (int trial = 0; trial < 200; ++trial) {
+    core::WorkloadResult r;
+    const int n = 1 + static_cast<int>(rng.uniformInt(0, 127));
+    const auto grid = static_cast<std::uint64_t>(2 + trial % 6);
+    for (int i = 0; i < n; ++i) {
+      GpuDataPoint d;
+      d.config = {1024, 1 + i % 32, 1 + i / 32, 8};
+      d.time = Seconds{static_cast<double>(rng.uniformInt(1, grid))};
+      d.dynamicEnergy = Joules{static_cast<double>(rng.uniformInt(1, grid))};
+      r.data.push_back(d);
+    }
+    core::finalizeWorkload(r);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expectFinalizeMatchesReference(r);
+  }
+}
+
+TEST(GpuApp, LabelMatchesConcatenatedTextForEveryLaunchableConfig) {
+  std::size_t checked = 0;
+  for (const auto& spec : {hw::nvidiaK40c(), hw::nvidiaP100Pcie()}) {
+    for (const int products : {8, 64}) {
+      GpuMatMulOptions opts;
+      opts.totalProducts = products;
+      opts.useMeter = false;
+      const GpuMatMulApp app(hw::GpuModel(spec), opts);
+      for (const int n : {1024, 10240, 20480}) {
+        for (const auto& cfg : app.enumerateConfigs(n)) {
+          GpuDataPoint p;
+          p.config = cfg;
+          EXPECT_EQ(p.label(), "BS=" + std::to_string(cfg.bs) +
+                                   " G=" + std::to_string(cfg.g) +
+                                   " R=" + std::to_string(cfg.r));
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(CpuApp, ParallelWorkloadBitwiseEqualsSerial) {

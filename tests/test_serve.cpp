@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <condition_variable>
+#include <cstdio>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -1181,6 +1185,235 @@ TEST(Wire, EncodeSloStatusUsesFlatKeys) {
   EXPECT_EQ(obj->at("slo.p99.w0.threshold").number, 14.4);
   EXPECT_EQ(obj->at("slo.p99.w0.longBurn").number, 7.25);
   EXPECT_EQ(obj->at("slo.p99.w0.shortBurn").number, 6.5);
+}
+
+// --- byte-exact line-JSON encodings ---
+//
+// The strings below were recorded from the encoders before ObjectWriter
+// wrote keys as string_views and numbers through std::to_chars; the
+// responses are fixed values, so any byte the writer changes fails here.
+
+// Fixed responses for the byte-exact encoder tests: doubles that take
+// every %.12g form (fixed, exponent, rounding at the 12th digit, zero).
+pareto::BiPoint wirePoint(const char* label, double t, double e) {
+  pareto::BiPoint p;
+  p.label = label;
+  p.time = Seconds{t};
+  p.energy = Joules{e};
+  return p;
+}
+
+TuneResponse wireTuneResponse() {
+  TuneResponse r;
+  auto& rec = r.recommendation;
+  rec.recommended = wirePoint("BS=24 G=2 R=4", 0.123456789012345, 987.654321);
+  rec.performanceOptimal = wirePoint("BS=32 G=1 R=8", 0.1, 1234.5);
+  rec.energyOptimal = wirePoint("BS=8 G=4 R=2", 2.5e-7, 1e21);
+  rec.knee = wirePoint("BS=16 G=8 R=1", 1.0 / 3.0, 0.0);
+  rec.globalFront = {rec.performanceOptimal, rec.knee, rec.energyOptimal};
+  rec.energySavings = 0.10999999999999999;
+  rec.performanceDegradation = -0.0;
+  r.coalesced = true;
+  r.report.attributedJoules = 12345.678901234567;
+  r.report.measurementWindows = 640;
+  r.report.remeasures = 3;
+  r.report.studiesExecuted = 1;
+  r.report.cacheHits = 2;
+  r.report.coalesced = 4;
+  r.report.staleServed = 5;
+  r.report.skippedConfigs = 18446744073709551615ULL;
+  r.latency = Seconds{0.000123456789};
+  return r;
+}
+
+TuneResponse wireErrorResponse() {
+  TuneResponse r;
+  r.status = Status::Error;
+  r.error = "bad \"n\": \\ tab\t cr\r nl\n ctl\x01\x1f end";
+  r.stale = true;
+  r.latency = Seconds{1.5};
+  return r;
+}
+
+StudyResponse wireStudyResponse() {
+  StudyResponse r;
+  r.statistics.workloads = 17;
+  r.statistics.avgGlobalFrontSize = 1.0588235294117647;
+  r.statistics.maxGlobalFrontSize = 2;
+  r.statistics.avgLocalFrontSize = 4.235294117647059;
+  r.statistics.maxLocalFrontSize = 5;
+  r.statistics.maxGlobalSavings = 0.5;
+  r.statistics.degradationAtMaxGlobalSavings = 0.11;
+  r.statistics.maxLocalSavings = 1e-300;
+  r.statistics.degradationAtMaxLocalSavings = 123456789012345.0;
+  r.workloadCacheHits = 3;
+  r.staleWorkloads = 1;
+  r.report.attributedJoules = 42.0;
+  r.report.measurementWindows = 5;
+  r.latency = Seconds{0.25};
+  return r;
+}
+
+ServeMetrics wireMetrics() {
+  ServeMetrics m;
+  m.accepted = 100;
+  m.completed = 90;
+  m.failed = 1;
+  m.rejectedQueueFull = 2;
+  m.rejectedDeadline = 3;
+  m.rejectedShutdown = 4;
+  m.rejectedCircuitOpen = 5;
+  m.rejectedOverload = 6;
+  m.shedDeadline = 7;
+  m.coalesced = 8;
+  m.studiesExecuted = 9;
+  m.breakerOpens = 10;
+  m.staleServed = 11;
+  m.breakerStateP100 = "open";
+  m.breakerStateK40c = "half_open";
+  m.cacheHits = 12;
+  m.cacheMisses = 13;
+  m.cacheEvictions = 14;
+  m.cacheSize = 15;
+  m.cacheCapacity = 64;
+  m.queueDepth = 16;
+  m.inFlightStudies = 17;
+  m.admissionLimit = 18;
+  for (double ms : {0.01, 0.07, 0.3, 3.0, 3.0, 40.0, 9000.0}) {
+    m.latency.record(ms);
+  }
+  return m;
+}
+
+TEST(WireBytes, TuneResponseWithoutReport) {
+  EXPECT_EQ(wire::encodeTuneResponse(wireTuneResponse()),
+      R"json({"status":"ok","recommended":"BS=24 G=2 R=4",)json"
+      R"json("recommendedTimeS":0.123456789012,)json"
+      R"json("recommendedEnergyJ":987.654321,"energySavings":0.11,)json"
+      R"json("performanceDegradation":-0,)json"
+      R"json("performanceOptimal":"BS=32 G=1 R=8",)json"
+      R"json("energyOptimal":"BS=8 G=4 R=2","knee":"BS=16 G=8 R=1",)json"
+      R"json("frontSize":3,"cacheHit":false,"coalesced":true,)json"
+      R"json("stale":false,"latencyMs":0.123456789})json");
+}
+
+TEST(WireBytes, TuneResponseWithTraceIdAndReport) {
+  EXPECT_EQ(wire::encodeTuneResponse(wireTuneResponse(), "cafe01", true),
+      R"json({"status":"ok","trace_id":"cafe01",)json"
+      R"json("recommended":"BS=24 G=2 R=4",)json"
+      R"json("recommendedTimeS":0.123456789012,)json"
+      R"json("recommendedEnergyJ":987.654321,"energySavings":0.11,)json"
+      R"json("performanceDegradation":-0,)json"
+      R"json("performanceOptimal":"BS=32 G=1 R=8",)json"
+      R"json("energyOptimal":"BS=8 G=4 R=2","knee":"BS=16 G=8 R=1",)json"
+      R"json("frontSize":3,"cacheHit":false,"coalesced":true,)json"
+      R"json("stale":false,"attributedJoules":12345.6789012,)json"
+      R"json("measurementWindows":640,"remeasures":3,"studiesExecuted":1,)json"
+      R"json("reportCacheHits":2,"reportCoalesced":4,)json"
+      R"json("reportStaleServed":5,"skippedConfigs":18446744073709551615,)json"
+      R"json("latencyMs":0.123456789})json");
+}
+
+TEST(WireBytes, TuneErrorNeedingEscapes) {
+  EXPECT_EQ(wire::encodeTuneResponse(wireErrorResponse(), "t\"1", false),
+      R"json({"status":"error","trace_id":"t\"1",)json"
+      R"json("error":"bad \"n\": \\ tab\t cr\r nl\n ctl\u0001\u001f end",)json"
+      R"json("cacheHit":false,"coalesced":false,"stale":true,)json"
+      R"json("latencyMs":1500})json");
+}
+
+TEST(WireBytes, StudyResponse) {
+  EXPECT_EQ(wire::encodeStudyResponse(wireStudyResponse()),
+      R"json({"status":"ok","workloads":17,)json"
+      R"json("avgGlobalFrontSize":1.05882352941,"maxGlobalFrontSize":2,)json"
+      R"json("avgLocalFrontSize":4.23529411765,"maxLocalFrontSize":5,)json"
+      R"json("maxGlobalSavings":0.5,"degradationAtMaxGlobalSavings":0.11,)json"
+      R"json("maxLocalSavings":1e-300,)json"
+      R"json("degradationAtMaxLocalSavings":1.23456789012e+14,)json"
+      R"json("workloadCacheHits":3,"staleWorkloads":1,"latencyMs":250})json");
+  EXPECT_EQ(wire::encodeStudyResponse(wireStudyResponse(), "b0b1", true),
+      R"json({"status":"ok","trace_id":"b0b1","workloads":17,)json"
+      R"json("avgGlobalFrontSize":1.05882352941,"maxGlobalFrontSize":2,)json"
+      R"json("avgLocalFrontSize":4.23529411765,"maxLocalFrontSize":5,)json"
+      R"json("maxGlobalSavings":0.5,"degradationAtMaxGlobalSavings":0.11,)json"
+      R"json("maxLocalSavings":1e-300,)json"
+      R"json("degradationAtMaxLocalSavings":1.23456789012e+14,)json"
+      R"json("workloadCacheHits":3,"staleWorkloads":1,)json"
+      R"json("attributedJoules":42,"measurementWindows":5,"remeasures":0,)json"
+      R"json("studiesExecuted":0,"reportCacheHits":0,"reportCoalesced":0,)json"
+      R"json("reportStaleServed":0,"skippedConfigs":0,"latencyMs":250})json");
+}
+
+TEST(WireBytes, Metrics) {
+  EXPECT_EQ(wire::encodeMetrics(wireMetrics()),
+      R"json({"status":"ok","accepted":100,"completed":90,"failed":1,)json"
+      R"json("rejectedQueueFull":2,"rejectedDeadline":3,)json"
+      R"json("rejectedShutdown":4,"rejectedCircuitOpen":5,)json"
+      R"json("rejectedOverload":6,"shedDeadline":7,"coalesced":8,)json"
+      R"json("studiesExecuted":9,"breakerOpens":10,"staleServed":11,)json"
+      R"json("breakerStateP100":"open","breakerStateK40c":"half_open",)json"
+      R"json("cacheHits":12,"cacheMisses":13,"cacheEvictions":14,)json"
+      R"json("cacheSize":15,"cacheCapacity":64,"queueDepth":16,)json"
+      R"json("inFlightStudies":17,"admissionLimit":18,"latencyCount":7,)json"
+      R"json("latencyP50UpperMs":0.5,"latencyP99UpperMs":100})json");
+}
+
+// Every JSON double on the wire is written with to_chars; it must print
+// exactly what printf("%.12g") prints.  Bit
+// patterns from a seeded splitmix64 stream cover every exponent, NaN
+// payload and sign; the other draws force subnormals, short decimals
+// and ties at the 12th significant digit, where rounding could differ.
+TEST(WireBytes, NumbersMatchPrintfPercent12g) {
+  std::vector<double> values = {
+      0.0, -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      0.1, 1e-5, 1e-4, 9.99999999999949e-5, 123456789012.5, 999999999999.5,
+      1e11, 1e12, 1e15, 1e16, 1e21, 5e-324, 2.2250738585072009e-308};
+  std::uint64_t state = 20261017;
+  for (int i = 0; values.size() < 1'200'000; ++i) {
+    const std::uint64_t bits = splitmix64(state++);
+    switch (i % 4) {
+      case 0:  // any bit pattern
+        values.push_back(std::bit_cast<double>(bits));
+        break;
+      case 1:  // subnormal (exponent field zero), either sign
+        values.push_back(
+            std::bit_cast<double>(bits & 0x800FFFFFFFFFFFFFULL));
+        break;
+      case 2: {  // a short decimal: m / 10^k
+        const double m = static_cast<double>(bits % 100000000);
+        values.push_back(m / std::pow(10.0, static_cast<int>(bits >> 59)));
+        break;
+      }
+      default: {  // a 13-digit value ending in 5, at any decade
+        const double m =
+            static_cast<double>(bits % 9000000000000ULL + 1000000000000ULL);
+        const int e = static_cast<int>((bits >> 54) % 80) - 50;
+        values.push_back((m * 10.0 + 5.0) * std::pow(10.0, e));
+        break;
+      }
+    }
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    char num[40];
+    std::snprintf(num, sizeof num, "%.12g", v);
+    const std::string want = std::string("{\"v\":") + num + "}";
+    const std::string got = wire::ObjectWriter().add("v", v).str();
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::hex << std::bit_cast<std::uint64_t>(v)
+                    << ": to_chars " << got << " vs printf " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " doubles";
 }
 
 // --- EPB1 binary framing corpus (net/frame.hpp + serve/wire_binary) ---
