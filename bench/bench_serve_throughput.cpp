@@ -17,15 +17,9 @@
 // admission disabled the broker must run the pre-epchaos hot path at
 // full speed, and even an enabled-but-never-shedding admission gate
 // must cost <= 10% on warm hits.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <string>
@@ -33,6 +27,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "serve/broker.hpp"
@@ -131,8 +126,8 @@ double measureThroughput(const std::vector<int>& sizes, std::size_t threads,
 
 // ---------------------------------------------------------------------
 // TCP section: the same broker mounted on the net::Server event loop,
-// driven by loopback client threads (one connection each, epserve_client
-// style sliding window with batched writes).
+// driven by loopback client threads (one net::Client connection each,
+// epserve_client style sliding window with batched writes).
 
 struct TcpWorkerOut {
   std::vector<double> latenciesMs;
@@ -143,25 +138,15 @@ struct TcpWorkerOut {
 void runTcpWorker(std::uint16_t port, int requests,
                   const std::vector<int>& sizes, bool binary, int pipeline,
                   TcpWorkerOut* out) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    out->errors = requests;
-    return;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    close(fd);
+  ep::net::Client conn;
+  if (!conn.open("127.0.0.1", port, {.binary = binary})) {
     out->errors = requests;
     return;
   }
   out->latenciesMs.reserve(static_cast<std::size_t>(requests));
 
   std::string outBuf;
-  if (binary) outBuf.append(ep::net::kMagic, sizeof ep::net::kMagic);
-  std::string inBuf;
+  std::string payload;
   std::deque<Clock::time_point> starts;
   int queued = 0;
   int received = 0;
@@ -170,6 +155,7 @@ void runTcpWorker(std::uint16_t port, int requests,
   breq.tune.maxDegradation = 0.11;
 
   while (received < requests) {
+    outBuf.clear();
     while (queued < requests && queued - received < pipeline) {
       const int n = sizes[static_cast<std::size_t>(queued) % sizes.size()];
       starts.push_back(Clock::now());
@@ -186,86 +172,36 @@ void runTcpWorker(std::uint16_t port, int requests,
       }
       ++queued;
     }
-    std::size_t sent = 0;
-    while (sent < outBuf.size()) {
-      const ssize_t k = send(fd, outBuf.data() + sent, outBuf.size() - sent, 0);
-      if (k <= 0) {
-        out->errors += requests - received;
-        close(fd);
-        return;
-      }
-      sent += static_cast<std::size_t>(k);
+    // Send the window, read one response, then drain every response
+    // already buffered before refilling.
+    if (!conn.send(outBuf) || !conn.read(&payload)) {
+      out->errors += requests - received;
+      return;
     }
-    outBuf.clear();
-
-    bool madeProgress = false;
-    while (!madeProgress || received < queued) {
+    do {
+      const double ms = std::chrono::duration<double, std::milli>(
+                            Clock::now() - starts.front())
+                            .count();
+      starts.pop_front();
+      bool ok = false;
       if (binary) {
-        std::uint64_t len = 0;
-        const int used = ep::net::readVarint(inBuf.data(), inBuf.size(), &len);
-        if (used < 0 || (used > 0 && len == 0)) {
-          out->errors += requests - received;
-          close(fd);
-          return;
-        }
-        if (used > 0 && inBuf.size() >= static_cast<std::size_t>(used) + len) {
-          const std::string payload =
-              inBuf.substr(static_cast<std::size_t>(used) + 1,
-                           static_cast<std::size_t>(len) - 1);
-          inBuf.erase(0, static_cast<std::size_t>(used) +
-                             static_cast<std::size_t>(len));
-          const double ms = std::chrono::duration<double, std::milli>(
-                                Clock::now() - starts.front())
-                                .count();
-          starts.pop_front();
-          std::string err;
-          const auto resp =
-              ep::serve::wire_binary::decodeTuneResponse(payload, &err);
-          if (resp && resp->status == ep::serve::Status::Ok) {
-            ++out->ok;
-            out->latenciesMs.push_back(ms);
-          } else {
-            ++out->errors;
-          }
-          ++received;
-          madeProgress = true;
-          continue;
-        }
+        std::string err;
+        const auto resp =
+            ep::serve::wire_binary::decodeTuneResponse(payload, &err);
+        ok = resp && resp->status == ep::serve::Status::Ok;
       } else {
-        const std::size_t nl = inBuf.find('\n');
-        if (nl != std::string::npos) {
-          const double ms = std::chrono::duration<double, std::milli>(
-                                Clock::now() - starts.front())
-                                .count();
-          starts.pop_front();
-          // Cheap status check: every OK tune response leads with it.
-          static constexpr char kOkPrefix[] = "{\"status\":\"ok\"";
-          if (nl >= sizeof kOkPrefix - 1 &&
-              std::memcmp(inBuf.data(), kOkPrefix, sizeof kOkPrefix - 1) ==
-                  0) {
-            ++out->ok;
-            out->latenciesMs.push_back(ms);
-          } else {
-            ++out->errors;
-          }
-          inBuf.erase(0, nl + 1);
-          ++received;
-          madeProgress = true;
-          continue;
-        }
+        // Cheap status check: every OK tune response leads with it.
+        ok = payload.rfind("{\"status\":\"ok\"", 0) == 0;
       }
-      if (madeProgress) break;  // buffer drained; go refill the window
-      char chunk[65536];
-      const ssize_t got = recv(fd, chunk, sizeof chunk, 0);
-      if (got <= 0) {
-        out->errors += requests - received;
-        close(fd);
-        return;
+      if (ok) {
+        ++out->ok;
+        out->latenciesMs.push_back(ms);
+      } else {
+        ++out->errors;
       }
-      inBuf.append(chunk, static_cast<std::size_t>(got));
-    }
+      ++received;
+    } while (received < queued && conn.read(&payload, /*wait=*/false));
   }
-  close(fd);
 }
 
 double percentile(std::vector<double>& v, double p) {
@@ -381,23 +317,7 @@ int main() {
     Broker broker(engine, opts);
     for (int n : sizes) (void)broker.tune(req(Device::P100, n));
 
-    ep::serve::NetServiceHooks hooks;
-    hooks.tuneBatch =
-        [&broker](std::vector<ep::serve::ServiceTuneItem>&& items) {
-          std::vector<Broker::TuneBatchItem> batch;
-          batch.reserve(items.size());
-          for (auto& item : items) {
-            Broker::TuneBatchItem member;
-            member.req = item.req;
-            member.ctx = item.ctx;
-            member.done = std::move(item.done);
-            batch.push_back(std::move(member));
-          }
-          broker.submitTuneBatch(std::move(batch));
-        };
-    hooks.study = [&broker](const ep::serve::StudyRequest& r) {
-      return broker.study(r);
-    };
+    ep::serve::NetServiceHooks hooks = ep::serve::brokerHooks(broker);
     hooks.control = [](const ep::serve::wire::WireRequest&) {
       return ep::serve::wire::encodeError("unsupported op");
     };

@@ -1,19 +1,10 @@
 #include "chaos/faulty_transport.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstring>
+#include <string_view>
 #include <thread>
 
 #include "common/rng.hpp"
-#include "net/frame.hpp"
 
 namespace ep::chaos {
 
@@ -24,8 +15,6 @@ constexpr std::uint64_t kTransportSalt = 0x7A4590ULL;
 FaultyTransport::FaultyTransport(FaultyTransportOptions options,
                                  std::uint64_t stream)
     : options_(std::move(options)), stream_(stream) {}
-
-FaultyTransport::~FaultyTransport() { closeSock(); }
 
 FaultyTransport::Fault FaultyTransport::decide(std::uint64_t requestIndex,
                                                int attempt) {
@@ -47,95 +36,10 @@ FaultyTransport::Fault FaultyTransport::decide(std::uint64_t requestIndex,
 }
 
 bool FaultyTransport::ensureConnected() {
-  if (fd_ >= 0) return true;
-  rbuf_.clear();
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return false;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return false;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  if (options_.recvTimeoutMs > 0.0) {
-    timeval tv{};
-    const auto totalUs = static_cast<long>(options_.recvTimeoutMs * 1000.0);
-    tv.tv_sec = totalUs / 1000000;
-    tv.tv_usec = totalUs % 1000000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  }
-  fd_ = fd;
-  if (options_.binary) {
-    if (!sendAll(net::kMagic, sizeof net::kMagic)) {
-      closeSock();
-      return false;
-    }
-  }
-  return true;
-}
-
-void FaultyTransport::closeSock() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  rbuf_.clear();
-}
-
-bool FaultyTransport::sendAll(const char* p, std::size_t n) {
-  while (n > 0) {
-    const ssize_t sent = ::send(fd_, p, n, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += sent;
-    n -= static_cast<std::size_t>(sent);
-  }
-  return true;
-}
-
-bool FaultyTransport::readLine(std::string* line) {
-  for (;;) {
-    const std::size_t nl = rbuf_.find('\n');
-    if (nl != std::string::npos) {
-      *line = rbuf_.substr(0, nl);
-      rbuf_.erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t got = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (got <= 0) {
-      if (got < 0 && errno == EINTR) continue;
-      return false;  // EOF, reset, or receive timeout
-    }
-    rbuf_.append(chunk, static_cast<std::size_t>(got));
-  }
-}
-
-bool FaultyTransport::readFrame(std::string* payload) {
-  for (;;) {
-    std::uint64_t len = 0;
-    const int used = net::readVarint(rbuf_.data(), rbuf_.size(), &len);
-    if (used < 0) return false;  // the server never sends malformed frames
-    if (used > 0 && rbuf_.size() >= static_cast<std::size_t>(used) + len) {
-      *payload = rbuf_.substr(static_cast<std::size_t>(used),
-                              static_cast<std::size_t>(len));
-      rbuf_.erase(0, static_cast<std::size_t>(used) + len);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t got = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (got <= 0) {
-      if (got < 0 && errno == EINTR) continue;
-      return false;
-    }
-    rbuf_.append(chunk, static_cast<std::size_t>(got));
-  }
+  return conn_.connected() ||
+         conn_.open(options_.host, static_cast<std::uint16_t>(options_.port),
+                    {.binary = options_.binary,
+                     .recvTimeoutMs = options_.recvTimeoutMs});
 }
 
 FaultyTransport::Outcome FaultyTransport::roundTrip(
@@ -153,7 +57,7 @@ FaultyTransport::Outcome FaultyTransport::roundTrip(
     if (fault == Fault::Reset) {
       ++counts_.connectResets;
       ++out.faultsInjected;
-      closeSock();
+      conn_.close();
       continue;
     }
     if (fault == Fault::Stall) {
@@ -165,9 +69,8 @@ FaultyTransport::Outcome FaultyTransport::roundTrip(
     if (fault == Fault::Torn) {
       ++counts_.tornFrames;
       ++out.faultsInjected;
-      const std::size_t half = framed.size() > 1 ? framed.size() / 2 : 0;
-      if (half > 0) (void)sendAll(framed.data(), half);
-      closeSock();  // the server discards the partial frame on EOF
+      (void)conn_.send(std::string_view(framed).substr(0, framed.size() / 2));
+      conn_.close();  // the server discards the partial frame on EOF
       continue;
     }
     std::string wire = framed;
@@ -188,29 +91,14 @@ FaultyTransport::Outcome FaultyTransport::roundTrip(
         wire[0] = static_cast<char>(wire[0] ^ 0x80);
       }
     }
-    if (!sendAll(wire.data(), wire.size())) {
-      closeSock();
-      continue;  // connection died under us: replay
-    }
     std::string body;
-    if (options_.binary) {
-      std::string payload;
-      if (!readFrame(&payload) || payload.empty()) {
-        closeSock();
-        continue;
-      }
-      out.opcode = static_cast<std::uint8_t>(payload[0]);
-      body = payload.substr(1);
-    } else {
-      if (!readLine(&body)) {
-        closeSock();
-        continue;
-      }
-    }
-    if (corrupted) {
-      // The response answers our own injected corruption, not the
-      // request; the server also closes a broken-framing connection.
-      closeSock();
+    const bool answered =
+        conn_.send(wire) && conn_.read(&body, /*wait=*/true, &out.opcode);
+    // A dead connection is replayed; so is the answer to our own
+    // injected corruption (the server also closes a broken-framing
+    // connection).
+    if (!answered || corrupted) {
+      conn_.close();
       continue;
     }
     out.ok = true;

@@ -14,12 +14,15 @@
 // the request was never served).  Served error responses — including
 // the server's bad_request answer to a corrupted frame — are returned
 // to the caller, whose RetryPolicy/RetryBudget decides what to do next.
+// The socket itself is a net::Client; this class owns only the fault
+// decisions and what each fault does to the bytes.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "chaos/chaos.hpp"
+#include "net/client.hpp"
 
 namespace ep::chaos {
 
@@ -42,7 +45,6 @@ class FaultyTransport {
  public:
   // `stream` decorrelates fault schedules of concurrent clients.
   FaultyTransport(FaultyTransportOptions options, std::uint64_t stream);
-  ~FaultyTransport();
 
   FaultyTransport(const FaultyTransport&) = delete;
   FaultyTransport& operator=(const FaultyTransport&) = delete;
@@ -67,15 +69,10 @@ class FaultyTransport {
 
   Fault decide(std::uint64_t requestIndex, int attempt);
   bool ensureConnected();
-  void closeSock();
-  bool sendAll(const char* p, std::size_t n);
-  bool readLine(std::string* line);
-  bool readFrame(std::string* payload);
 
   FaultyTransportOptions options_;
   std::uint64_t stream_;
-  int fd_ = -1;
-  std::string rbuf_;
+  net::Client conn_;
   ChaosCounts counts_;
 };
 

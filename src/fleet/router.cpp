@@ -801,4 +801,27 @@ bool FleetRouter::frontsConsistent() const {
                    pareto::paretoFront(serviceLog_));
 }
 
+serve::NetServiceHooks routerHooks(FleetRouter& router) {
+  serve::NetServiceHooks hooks;
+  hooks.tuneBatch = [&router](std::vector<serve::ServiceTuneItem>&& items) {
+    std::vector<FleetRouter::FleetTuneBatchItem> batch;
+    batch.reserve(items.size());
+    for (auto& item : items) {
+      FleetRouter::FleetTuneBatchItem member;
+      if (!item.deviceAuto) member.req.device = item.req.device;
+      member.req.n = item.req.n;
+      member.req.maxDegradation = item.req.maxDegradation;
+      member.req.deadlineMs = item.req.deadlineMs;
+      member.ctx = item.ctx;
+      member.done = std::move(item.done);
+      batch.push_back(std::move(member));
+    }
+    router.submitTuneBatch(std::move(batch));
+  };
+  hooks.study = [&router](const serve::StudyRequest& req) {
+    return router.study(req);
+  };
+  return hooks;
+}
+
 }  // namespace ep::fleet

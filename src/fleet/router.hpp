@@ -60,6 +60,7 @@
 #include "obs/profile_export.hpp"
 #include "pareto/streaming_front.hpp"
 #include "serve/broker.hpp"
+#include "serve/service.hpp"
 
 namespace ep::fleet {
 
@@ -413,5 +414,11 @@ class FleetRouter {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unordered_map<std::string, std::size_t> shardIndex_;
 };
+
+// The fleet backend's tune and study hooks (control stays unset): every
+// tune of one round is routed and handed to the shard brokers through
+// ONE submitTuneBatch call, and "device":"auto" becomes the
+// nullopt-device request the price table resolves.
+[[nodiscard]] serve::NetServiceHooks routerHooks(FleetRouter& router);
 
 }  // namespace ep::fleet

@@ -17,6 +17,34 @@ obs::TraceContext rootContext(const std::string& traceId) {
 
 }  // namespace
 
+NetServiceHooks brokerHooks(Broker& broker) {
+  NetServiceHooks hooks;
+  hooks.tuneBatch = [&broker](std::vector<ServiceTuneItem>&& items) {
+    std::vector<Broker::TuneBatchItem> batch;
+    batch.reserve(items.size());
+    for (auto& item : items) {
+      if (item.deviceAuto) {
+        TuneResponse resp;
+        resp.status = Status::Error;
+        resp.error =
+            "\"auto\" device needs a fleet (epserved --shards N, N > 1)";
+        item.done(std::move(resp));
+        continue;
+      }
+      Broker::TuneBatchItem member;
+      member.req = item.req;
+      member.ctx = item.ctx;
+      member.done = std::move(item.done);
+      batch.push_back(std::move(member));
+    }
+    broker.submitTuneBatch(std::move(batch));
+  };
+  hooks.study = [&broker](const StudyRequest& req) {
+    return broker.study(req);
+  };
+  return hooks;
+}
+
 NetService::NetService(NetServiceHooks hooks, NetServiceOptions options)
     : hooks_(std::move(hooks)), options_(options) {
   EP_REQUIRE(hooks_.tuneBatch && hooks_.study && hooks_.control,

@@ -1,5 +1,6 @@
 // serve::NetService — the glue between net::Server's frame batches and
-// the tuning backends (Broker for epserved, FleetRouter for epfleetd).
+// the tuning backends (Broker for epserved, FleetRouter for
+// epserved --shards N).
 //
 // Responsibilities, per epoll round:
 //   * Decode every inbound frame once: EPB1 kOpTune via the binary
@@ -17,8 +18,10 @@
 //     or EPB1/kOpTune), and respond() with the frame's (conn, seq) —
 //     net::Server restores pipelined order.
 //
-// Both daemons mount the same class; the backend differences live in
-// the three hooks.
+// Both modes of the daemon mount the same class; the backend
+// differences live in the three hooks.  brokerHooks() below and
+// fleet::routerHooks() fill in the tune and study hooks of each
+// backend; the control hook is the daemon's op switch.
 #pragma once
 
 #include <functional>
@@ -59,6 +62,12 @@ struct NetServiceOptions {
   // Workers for blocking study sweeps (>= 1).
   std::size_t slowOpThreads = 1;
 };
+
+// The Broker backend's tune and study hooks (control stays unset):
+// every tune of one round goes to ONE Broker::submitTuneBatch call,
+// and "device":"auto" is answered with an error — placing it needs a
+// fleet's price table.
+[[nodiscard]] NetServiceHooks brokerHooks(Broker& broker);
 
 class NetService {
  public:

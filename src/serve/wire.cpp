@@ -233,6 +233,19 @@ class Parser {
   const char* strError_ = nullptr;
 };
 
+void appendReport(ObjectWriter& w, const RequestReport& r) {
+  w.add("attributedJoules", r.attributedJoules)
+      .add("measurementWindows", r.measurementWindows)
+      .add("remeasures", r.remeasures)
+      .add("studiesExecuted", r.studiesExecuted)
+      .add("reportCacheHits", r.cacheHits)
+      .add("reportCoalesced", r.coalesced)
+      .add("reportStaleServed", r.staleServed)
+      .add("skippedConfigs", r.skippedConfigs);
+}
+
+}  // namespace
+
 std::optional<double> getNumber(const Object& obj, const std::string& key) {
   auto it = obj.find(key);
   if (it == obj.end() || it->second.kind != Value::Kind::Number) {
@@ -257,19 +270,6 @@ std::optional<bool> getBool(const Object& obj, const std::string& key) {
   }
   return it->second.boolean;
 }
-
-void appendReport(ObjectWriter& w, const RequestReport& r) {
-  w.add("attributedJoules", r.attributedJoules)
-      .add("measurementWindows", r.measurementWindows)
-      .add("remeasures", r.remeasures)
-      .add("studiesExecuted", r.studiesExecuted)
-      .add("reportCacheHits", r.cacheHits)
-      .add("reportCoalesced", r.coalesced)
-      .add("reportStaleServed", r.staleServed)
-      .add("skippedConfigs", r.skippedConfigs);
-}
-
-}  // namespace
 
 std::optional<Object> parseObject(const std::string& line,
                                   std::string* error) {

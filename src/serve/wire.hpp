@@ -26,6 +26,13 @@
 //
 // Responses always carry "status"; tune responses add the recommended
 // configuration and trade-off, study responses the front statistics.
+//
+// One vocabulary serves both modes of epserved: a single broker, and
+// with --shards N > 1 a fleet, which adds "device":"auto" tunes,
+// {"op":"fleet"} and the "scope":"cluster" forms of metrics and
+// profile (a single broker answers those with an error).  Clients
+// parse a response with parseObject() and read its fields with
+// getNumber/getString/getBool(...).value_or(default).
 #pragma once
 
 #include <cstddef>
@@ -62,6 +69,15 @@ using Object = std::map<std::string, Value>;
 // malformed input (including nested arrays/objects).
 [[nodiscard]] std::optional<Object> parseObject(const std::string& line,
                                                 std::string* error);
+
+// One field of a parsed object; nullopt when `key` is absent or holds
+// another kind.  Callers pick their default with .value_or(...).
+[[nodiscard]] std::optional<double> getNumber(const Object& obj,
+                                              const std::string& key);
+[[nodiscard]] std::optional<std::string> getString(const Object& obj,
+                                                   const std::string& key);
+[[nodiscard]] std::optional<bool> getBool(const Object& obj,
+                                          const std::string& key);
 
 // Incremental writer for one flat JSON object (escapes strings).  Keys
 // and values go straight into one buffer; doubles are written as
@@ -104,9 +120,9 @@ struct WireRequest {
   // For Op::Metrics: flat JSON snapshot (default), Prometheus 0.0.4
   // text, or OpenMetrics 1.0 text.
   MetricsFormat metricsFormat = MetricsFormat::Json;
-  // For Op::Metrics on epfleetd: "scope":"cluster" answers with the
-  // federated cluster registry (per-shard registries merged) instead
-  // of the daemon's process registry.
+  // For Op::Metrics on a fleet (epserved --shards N, N > 1):
+  // "scope":"cluster" answers with the federated cluster registry
+  // (per-shard registries merged) instead of the process registry.
   bool clusterScope = false;
   // For Op::Tsdb: the series key (exposition identity) or histogram
   // family, the aggregation, quantile and window.
@@ -133,7 +149,7 @@ struct WireRequest {
   //   {"op":"profile","action":"snapshot","format":"speedscope"}
   // action: status (default) | start | stop | clear | snapshot.
   // kind cpu|energy and topN/format shape the snapshot; "scope":
-  // "cluster" on epfleetd federates shard profiles (clusterScope
+  // "cluster" on a fleet federates shard profiles (clusterScope
   // above).  cpuSampling=false gives an energy-only start.
   std::string profileAction = "status";
   std::string profileKind = "cpu";

@@ -1,15 +1,15 @@
 // epnet tests: LEB128 varints, the EPB1/line-JSON FrameDecoder state
-// machine, and the epoll event-loop Server over real loopback sockets —
+// machine, the epoll event-loop Server over real loopback sockets —
 // pipelined response ordering, slow-reader eviction, protocol-error
-// reply-then-close, and the Broker + NetService stack end to end in
-// both wire modes.
+// reply-then-close — the blocking net::Client that talks to it, and
+// the Broker and FleetRouter NetService stacks end to end in both wire
+// modes.
 //
 // Each Server owns a private metrics registry unless ServerOptions
 // points it elsewhere, so the ep_net_* counters here start at zero per
 // test and the socket tests assert absolute values.
-#include <gtest/gtest.h>
-
 #include <arpa/inet.h>
+#include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -17,15 +17,19 @@
 
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "fleet/router.hpp"
+#include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "obs/events.hpp"
@@ -174,70 +178,12 @@ TEST(FrameDecoder, OversizeJsonLineIsFatalEvenWithoutNewline) {
   EXPECT_EQ(dec.error(), "frame too large");
 }
 
-// --- loopback socket helpers ---
+// --- loopback clients ---
 
-int connectTo(std::uint16_t port) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  timeval tv{};
-  tv.tv_sec = 10;
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0)
-      << std::strerror(errno);
-  return fd;
-}
-
-void sendAll(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = send(fd, data.data() + sent, data.size() - sent, 0);
-    ASSERT_GT(n, 0);
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
-// Reads until `buf` holds a full '\n'-terminated line; returns it
-// without the newline.  Empty string on EOF/timeout.
-std::string recvLine(int fd, std::string* buf) {
-  for (;;) {
-    const std::size_t nl = buf->find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buf->substr(0, nl);
-      buf->erase(0, nl + 1);
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t got = recv(fd, chunk, sizeof chunk, 0);
-    if (got <= 0) return {};
-    buf->append(chunk, static_cast<std::size_t>(got));
-  }
-}
-
-// Reads one EPB1 frame; returns true with *opcode/*payload set.
-bool recvFrame(int fd, std::string* buf, std::uint8_t* opcode,
-               std::string* payload) {
-  for (;;) {
-    std::uint64_t len = 0;
-    const int used = readVarint(buf->data(), buf->size(), &len);
-    if (used < 0 || (used > 0 && len == 0)) return false;
-    if (used > 0 && buf->size() >= static_cast<std::size_t>(used) + len) {
-      *opcode = static_cast<std::uint8_t>((*buf)[static_cast<std::size_t>(used)]);
-      payload->assign(*buf, static_cast<std::size_t>(used) + 1,
-                      static_cast<std::size_t>(len) - 1);
-      buf->erase(0, static_cast<std::size_t>(used) +
-                        static_cast<std::size_t>(len));
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t got = recv(fd, chunk, sizeof chunk, 0);
-    if (got <= 0) return false;
-    buf->append(chunk, static_cast<std::size_t>(got));
-  }
-}
+// Every test client gets a receive timeout, so a server that never
+// answers fails the test instead of hanging it.
+constexpr ClientOptions kJson{.binary = false, .recvTimeoutMs = 10000.0};
+constexpr ClientOptions kBinary{.binary = true, .recvTimeoutMs = 10000.0};
 
 bool waitFor(const std::function<bool()>& cond, int timeoutMs = 5000) {
   const auto deadline =
@@ -274,13 +220,14 @@ TEST(Server, RestoresPipelinedResponseOrder) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  const int fd = connectTo(server.port());
-  sendAll(fd, "{\"a\":0}\n{\"a\":1}\n{\"a\":2}\n");
-  std::string buf;
-  EXPECT_EQ(recvLine(fd, &buf), "{\"r\":0}");
-  EXPECT_EQ(recvLine(fd, &buf), "{\"r\":1}");
-  EXPECT_EQ(recvLine(fd, &buf), "{\"r\":2}");
-  close(fd);
+  Client c;
+  ASSERT_TRUE(c.open("127.0.0.1", server.port(), kJson, &error)) << error;
+  ASSERT_TRUE(c.send("{\"a\":0}\n{\"a\":1}\n{\"a\":2}\n"));
+  std::string line;
+  for (const char* want : {"{\"r\":0}", "{\"r\":1}", "{\"r\":2}"}) {
+    ASSERT_TRUE(c.readLine(&line));
+    EXPECT_EQ(line, want);
+  }
   server.stop();
 }
 
@@ -296,13 +243,13 @@ TEST(Server, EvictsSlowReadersPastTheHighWaterMark) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  const int fd = connectTo(server.port());
+  Client c;
+  ASSERT_TRUE(c.open("127.0.0.1", server.port(), kJson, &error)) << error;
   std::string requests;
   for (int i = 0; i < 64; ++i) requests += "{\"a\":1}\n";
-  sendAll(fd, requests);
+  ASSERT_TRUE(c.send(requests));
   EXPECT_TRUE(waitFor([&] { return server.evicted() > 0; }))
       << "slow reader was never evicted";
-  close(fd);
   server.stop();
 }
 
@@ -312,18 +259,40 @@ TEST(Server, AnswersProtocolErrorsThenCloses) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  const int fd = connectTo(server.port());
-  sendAll(fd, "garbage\n");
-  std::string buf;
-  const std::string reply = recvLine(fd, &buf);
-  EXPECT_NE(reply.find("\"status\":\"bad_request\""), std::string::npos)
-      << reply;
-  EXPECT_NE(reply.find("unrecognized protocol"), std::string::npos);
-  // After the error reply the server closes its end.
-  char c;
-  EXPECT_EQ(recv(fd, &c, 1, 0), 0);
+  // A raw socket, because the close itself is under test: net::Client
+  // folds EOF, reset and timeout into one failed read.
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  const std::string_view garbage = "garbage\n";
+  ASSERT_EQ(::send(fd, garbage.data(), garbage.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(garbage.size()));
+  // Read to the end of the stream: exactly one error line, then the
+  // server closes its end cleanly — recv() == 0 (FIN), not -1 (reset
+  // or timeout), and no byte after the line.
+  std::string received;
+  char chunk[4096];
+  ssize_t got = 0;
+  while ((got = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
+    received.append(chunk, static_cast<std::size_t>(got));
+  }
+  const int recvErrno = errno;
+  ::close(fd);
+  EXPECT_EQ(got, 0) << std::strerror(recvErrno);
+  ASSERT_FALSE(received.empty());
+  EXPECT_EQ(received.find('\n'), received.size() - 1) << received;
+  EXPECT_NE(received.find("\"status\":\"bad_request\""), std::string::npos)
+      << received;
+  EXPECT_NE(received.find("unrecognized protocol"), std::string::npos);
   EXPECT_EQ(server.protocolErrors(), 1u);
-  close(fd);
   server.stop();
 }
 
@@ -339,21 +308,22 @@ TEST(Server, SurvivesMidFrameCloseAndKeepsServing) {
 
   // A binary connection that declares a 100-byte frame, sends 10 bytes,
   // and vanishes: the partial frame is dropped with the connection.
-  const int fd = connectTo(server.port());
-  std::string wire(kMagic, sizeof kMagic);
+  Client c;
+  ASSERT_TRUE(c.open("127.0.0.1", server.port(), kBinary, &error)) << error;
+  std::string wire;
   putVarint(wire, 100);
   wire += std::string(10, 'z');
-  sendAll(fd, wire);
+  ASSERT_TRUE(c.send(wire));
   EXPECT_TRUE(waitFor([&] { return server.openConnections() == 1; }));
-  close(fd);
+  c.close();
   EXPECT_TRUE(waitFor([&] { return server.openConnections() == 0; }));
 
   // The loop is still healthy: a fresh connection gets served.
-  const int fd2 = connectTo(server.port());
-  sendAll(fd2, "{\"a\":1}\n");
-  std::string buf;
-  EXPECT_EQ(recvLine(fd2, &buf), "{\"ok\":true}");
-  close(fd2);
+  Client c2;
+  ASSERT_TRUE(c2.open("127.0.0.1", server.port(), kJson, &error)) << error;
+  std::string reply;
+  ASSERT_TRUE(c2.roundTrip("{\"a\":1}", &reply));
+  EXPECT_EQ(reply, "{\"ok\":true}");
   server.stop();
 }
 
@@ -369,11 +339,12 @@ TEST(Server, PrivateRegistryScopesCountersPerServer) {
   ASSERT_TRUE(a.start(&error)) << error;
   ASSERT_TRUE(b.start(&error)) << error;
 
-  const int fd = connectTo(a.port());
-  sendAll(fd, "{\"a\":1}\n");
-  std::string buf;
-  EXPECT_EQ(recvLine(fd, &buf), "{\"ok\":true}");
-  close(fd);
+  Client c;
+  ASSERT_TRUE(c.open("127.0.0.1", a.port(), kJson, &error)) << error;
+  std::string reply;
+  ASSERT_TRUE(c.roundTrip("{\"a\":1}", &reply));
+  EXPECT_EQ(reply, "{\"ok\":true}");
+  c.close();
 
   // The served frame lands only in a's private registry; b's ep_net_*
   // family, same names, stays at zero.
@@ -387,6 +358,197 @@ TEST(Server, PrivateRegistryScopesCountersPerServer) {
   b.stop();
 }
 
+// --- net::Client ---
+
+// Answers every frame in kind: a line with its sequence number, or an
+// EPB1 frame echoing the opcode and payload.
+void echoHandler(Server& s, std::vector<InboundFrame>&& batch) {
+  for (const auto& f : batch) {
+    if (f.binary) {
+      std::string out;
+      appendFrame(out, f.opcode, f.payload);
+      s.respond(f.conn, f.seq, makeBuffer(std::move(out)));
+    } else {
+      s.respond(f.conn, f.seq,
+                makeBuffer("{\"r\":" + std::to_string(f.seq) + "}\n"));
+    }
+  }
+}
+
+TEST(Client, RoundTripsLineJsonAndEpb1Frames) {
+  Server server(ServerOptions{}, echoHandler);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Client json;
+  ASSERT_TRUE(json.open("127.0.0.1", server.port(), kJson, &error)) << error;
+  std::string reply;
+  ASSERT_TRUE(json.roundTrip("{\"a\":1}", &reply));
+  EXPECT_EQ(reply, "{\"r\":0}");
+  ASSERT_TRUE(json.roundTrip("{\"a\":2}", &reply));
+  EXPECT_EQ(reply, "{\"r\":1}");
+  // read() follows the framing chosen at open: a line here.
+  ASSERT_TRUE(json.send("{\"a\":3}\n"));
+  std::uint8_t untouched = 0xEE;
+  ASSERT_TRUE(json.read(&reply, /*wait=*/true, &untouched));
+  EXPECT_EQ(reply, "{\"r\":2}");
+  EXPECT_EQ(untouched, 0xEE);
+
+  // Binary mode sends the magic on open; frames then go both ways.
+  Client binary;
+  ASSERT_TRUE(binary.open("127.0.0.1", server.port(), kBinary, &error))
+      << error;
+  std::string wire;
+  appendFrame(wire, kOpTune, "tune-bytes");
+  appendFrame(wire, kOpJson, "{\"op\":\"metrics\"}");
+  ASSERT_TRUE(binary.send(wire));
+  std::uint8_t opcode = 0xFF;
+  std::string body;
+  ASSERT_TRUE(binary.readFrame(&opcode, &body));
+  EXPECT_EQ(opcode, kOpTune);
+  EXPECT_EQ(body, "tune-bytes");
+  // ... and a frame here.
+  ASSERT_TRUE(binary.read(&body, /*wait=*/true, &opcode));
+  EXPECT_EQ(opcode, kOpJson);
+  EXPECT_EQ(body, "{\"op\":\"metrics\"}");
+  // Nothing else was sent: a non-waiting read returns at once, empty.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(binary.readFrame(&opcode, &body, /*wait=*/false));
+  EXPECT_FALSE(binary.read(&body, /*wait=*/false));
+  EXPECT_FALSE(json.readLine(&reply, /*wait=*/false));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  server.stop();
+}
+
+TEST(Client, PipelinedWindowIsAnsweredInRequestOrder) {
+  // One send() carries 64 requests; the handler answers each batch in
+  // reverse.  The client reads the first response blocking and drains
+  // the rest as they are buffered, in request order.
+  constexpr int kWindow = 64;
+  Server server(ServerOptions{},
+                [](Server& s, std::vector<InboundFrame>&& batch) {
+                  for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
+                    s.respond(it->conn, it->seq,
+                              makeBuffer("{\"r\":" + std::to_string(it->seq) +
+                                         "}\n"));
+                  }
+                });
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  Client c;
+  ASSERT_TRUE(c.open("127.0.0.1", server.port(), kJson, &error)) << error;
+  std::string window;
+  for (int i = 0; i < kWindow; ++i) window += "{\"a\":1}\n";
+  ASSERT_TRUE(c.send(window));
+  std::string line;
+  int received = 0;
+  while (received < kWindow) {
+    ASSERT_TRUE(c.readLine(&line));
+    do {
+      EXPECT_EQ(line, "{\"r\":" + std::to_string(received) + "}");
+      ++received;
+    } while (received < kWindow && c.readLine(&line, /*wait=*/false));
+  }
+  EXPECT_FALSE(c.readLine(&line, /*wait=*/false));
+  server.stop();
+}
+
+TEST(Client, ConnectToAClosedPortFailsWithAnError) {
+  // A port the kernel just released: nothing listens on it any more.
+  Server server(ServerOptions{}, echoHandler);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const std::uint16_t port = server.port();
+  server.stop();
+
+  Client c;
+  error.clear();
+  EXPECT_FALSE(c.open("127.0.0.1", port, kJson, &error));
+  EXPECT_FALSE(c.connected());
+  EXPECT_NE(error.find("connect"), std::string::npos) << error;
+  EXPECT_FALSE(c.open("not-an-address", port, kJson, &error));
+  EXPECT_NE(error.find("not-an-address"), std::string::npos) << error;
+}
+
+TEST(Client, RejectsAZeroLengthFrame) {
+  Server server(ServerOptions{},
+                [](Server& s, std::vector<InboundFrame>&& batch) {
+                  for (const auto& f : batch) {
+                    s.respond(f.conn, f.seq, makeBuffer(std::string(1, '\0')));
+                  }
+                });
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  Client c;
+  ASSERT_TRUE(c.open("127.0.0.1", server.port(), kBinary, &error)) << error;
+  std::string wire;
+  appendFrame(wire, kOpJson, "{}");
+  ASSERT_TRUE(c.send(wire));
+  std::uint8_t opcode = 0;
+  std::string body;
+  EXPECT_FALSE(c.readFrame(&opcode, &body));
+  server.stop();
+}
+
+// The server answers the first request with the first half of a
+// response, then goes away: the read must fail rather than hang, and
+// sending on the dead connection must fail rather than raise SIGPIPE
+// (whose default action would kill this test process).
+void expectPeerCloseMidResponse(bool binary) {
+  std::string partial;
+  if (binary) {
+    putVarint(partial, 100);  // a 100-byte frame cut off after 10
+    partial += std::string(10, 'z');
+  } else {
+    partial = "{\"status\":\"o";
+  }
+  Server server(ServerOptions{},
+                [partial](Server& s, std::vector<InboundFrame>&& batch) {
+                  for (const auto& f : batch) {
+                    s.respond(f.conn, f.seq, makeBuffer(partial));
+                  }
+                });
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  Client c;
+  ASSERT_TRUE(c.open("127.0.0.1", server.port(), binary ? kBinary : kJson,
+                     &error))
+      << error;
+  std::string request;
+  if (binary) {
+    appendFrame(request, kOpJson, "{}");
+  } else {
+    request = "{}\n";
+  }
+  ASSERT_TRUE(c.send(request));
+  obs::Counter& written =
+      server.registry().counter("ep_net_bytes_written_total", "");
+  ASSERT_TRUE(waitFor([&] { return written.value() >= partial.size(); }));
+  server.stop();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string body;
+  std::uint8_t opcode = 0;
+  EXPECT_FALSE(binary ? c.readFrame(&opcode, &body) : c.readLine(&body));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  bool sendFailed = false;
+  for (int i = 0; i < 100 && !sendFailed; ++i) {
+    sendFailed = !c.send(request);
+    if (!sendFailed) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(sendFailed);
+}
+
+TEST(Client, PeerClosingMidLineFailsTheReadAndLaterSends) {
+  std::signal(SIGPIPE, SIG_DFL);
+  expectPeerCloseMidResponse(/*binary=*/false);
+}
+
+TEST(Client, PeerClosingMidFrameFailsTheReadAndLaterSends) {
+  std::signal(SIGPIPE, SIG_DFL);
+  expectPeerCloseMidResponse(/*binary=*/true);
+}
+
 // --- Broker + NetService end to end ---
 
 class NetServiceEndToEnd : public ::testing::Test {
@@ -398,29 +560,7 @@ class NetServiceEndToEnd : public ::testing::Test {
     bopts.queueCapacity = 256;
     broker_ = std::make_unique<serve::Broker>(engine_, bopts);
 
-    serve::NetServiceHooks hooks;
-    hooks.tuneBatch =
-        [this](std::vector<serve::ServiceTuneItem>&& items) {
-          std::vector<serve::Broker::TuneBatchItem> batch;
-          for (auto& item : items) {
-            if (item.deviceAuto) {
-              serve::TuneResponse resp;
-              resp.status = serve::Status::Error;
-              resp.error = "\"auto\" device needs a fleet server";
-              item.done(std::move(resp));
-              continue;
-            }
-            serve::Broker::TuneBatchItem member;
-            member.req = item.req;
-            member.ctx = item.ctx;
-            member.done = std::move(item.done);
-            batch.push_back(std::move(member));
-          }
-          broker_->submitTuneBatch(std::move(batch));
-        };
-    hooks.study = [this](const serve::StudyRequest& r) {
-      return broker_->study(r);
-    };
+    serve::NetServiceHooks hooks = serve::brokerHooks(*broker_);
     // The control plane mirrors epserved's op switch so reachability
     // of the observability ops over both framings stays regression-
     // tested here: tsdb reads a fixture-ingested store, slo a no-burn
@@ -483,41 +623,42 @@ class NetServiceEndToEnd : public ::testing::Test {
 };
 
 TEST_F(NetServiceEndToEnd, ServesJsonTunesAndControlOps) {
-  const int fd = connectTo(server_->port());
-  sendAll(fd,
-          "{\"op\":\"tune\",\"device\":\"p100\",\"n\":1024,"
-          "\"maxDegradation\":0.11}\n");
-  std::string buf;
-  std::string reply = recvLine(fd, &buf);
+  Client c;
+  std::string error;
+  ASSERT_TRUE(c.open("127.0.0.1", server_->port(), kJson, &error)) << error;
+  std::string reply;
+  ASSERT_TRUE(c.roundTrip(
+      "{\"op\":\"tune\",\"device\":\"p100\",\"n\":1024,"
+      "\"maxDegradation\":0.11}",
+      &reply));
   EXPECT_NE(reply.find("\"status\":\"ok\""), std::string::npos) << reply;
   EXPECT_NE(reply.find("\"recommended\""), std::string::npos);
 
-  sendAll(fd, "{\"op\":\"metrics\"}\n");
-  reply = recvLine(fd, &buf);
+  ASSERT_TRUE(c.roundTrip("{\"op\":\"metrics\"}", &reply));
   EXPECT_NE(reply.find("\"status\":\"ok\""), std::string::npos) << reply;
 
   // device:auto is a fleet-only feature here — inline error, same conn.
-  sendAll(fd, "{\"op\":\"tune\",\"device\":\"auto\",\"n\":1024}\n");
-  reply = recvLine(fd, &buf);
+  ASSERT_TRUE(c.roundTrip(
+      "{\"op\":\"tune\",\"device\":\"auto\",\"n\":1024}", &reply));
   EXPECT_NE(reply.find("\"status\":\"error\""), std::string::npos) << reply;
-  close(fd);
 }
 
 TEST_F(NetServiceEndToEnd, ServesBinaryTunesAndTunneledJson) {
-  const int fd = connectTo(server_->port());
-  std::string wire(kMagic, sizeof kMagic);
+  Client c;
+  std::string error;
+  ASSERT_TRUE(c.open("127.0.0.1", server_->port(), kBinary, &error)) << error;
+  std::string wire;
   serve::wire_binary::BinaryTuneRequest breq;
   breq.tune.n = 2048;
   breq.tune.maxDegradation = 0.11;
   breq.traceId = "deadbeef";
   appendFrame(wire, kOpTune, serve::wire_binary::encodeTuneRequest(breq));
   appendFrame(wire, kOpJson, "{\"op\":\"metrics\"}");
-  sendAll(fd, wire);
+  ASSERT_TRUE(c.send(wire));
 
-  std::string buf;
   std::uint8_t opcode = 0;
   std::string payload;
-  ASSERT_TRUE(recvFrame(fd, &buf, &opcode, &payload));
+  ASSERT_TRUE(c.readFrame(&opcode, &payload));
   EXPECT_EQ(opcode, kOpTune);
   std::string derr;
   const auto resp = serve::wire_binary::decodeTuneResponse(payload, &derr);
@@ -527,33 +668,33 @@ TEST_F(NetServiceEndToEnd, ServesBinaryTunesAndTunneledJson) {
   EXPECT_FALSE(resp->recommended.empty());
 
   // Tunneled JSON comes back as a kOpJson frame, not a bare line.
-  ASSERT_TRUE(recvFrame(fd, &buf, &opcode, &payload));
+  ASSERT_TRUE(c.readFrame(&opcode, &payload));
   EXPECT_EQ(opcode, kOpJson);
   EXPECT_NE(payload.find("\"status\":\"ok\""), std::string::npos) << payload;
-  close(fd);
 }
 
 // Regression for the observability control plane over EPB1: every op
 // the line-JSON frontend answers must also be reachable through
 // kOpJson tunneling on a binary connection, in pipelined order.
 TEST_F(NetServiceEndToEnd, ObservabilityOpsTunnelOverBinaryFraming) {
-  const int fd = connectTo(server_->port());
-  std::string wire(kMagic, sizeof kMagic);
+  Client c;
+  std::string error;
+  ASSERT_TRUE(c.open("127.0.0.1", server_->port(), kBinary, &error)) << error;
+  std::string wire;
   appendFrame(wire, kOpJson, "{\"op\":\"events\",\"since\":0}");
   appendFrame(wire, kOpJson,
               "{\"op\":\"tsdb\",\"series\":\"tun_total\",\"agg\":\"all\","
               "\"windowMs\":60000}");
   appendFrame(wire, kOpJson, "{\"op\":\"slo\"}");
   appendFrame(wire, kOpJson, "{\"op\":\"profile\"}");
-  sendAll(fd, wire);
+  ASSERT_TRUE(c.send(wire));
 
-  std::string buf;
   std::uint8_t opcode = 0;
   std::string payload;
   std::string perr;
 
   // events: totals present, no alerts from the quiet SLO engine.
-  ASSERT_TRUE(recvFrame(fd, &buf, &opcode, &payload));
+  ASSERT_TRUE(c.readFrame(&opcode, &payload));
   EXPECT_EQ(opcode, kOpJson);
   auto obj = serve::wire::parseObject(payload, &perr);
   ASSERT_TRUE(obj.has_value()) << payload << ": " << perr;
@@ -563,7 +704,7 @@ TEST_F(NetServiceEndToEnd, ObservabilityOpsTunnelOverBinaryFraming) {
   ASSERT_NE(obj->find("body"), obj->end());
 
   // tsdb: the fixture ingested two scrapes of tun_total (5 then 10).
-  ASSERT_TRUE(recvFrame(fd, &buf, &opcode, &payload));
+  ASSERT_TRUE(c.readFrame(&opcode, &payload));
   EXPECT_EQ(opcode, kOpJson);
   obj = serve::wire::parseObject(payload, &perr);
   ASSERT_TRUE(obj.has_value()) << payload << ": " << perr;
@@ -574,7 +715,7 @@ TEST_F(NetServiceEndToEnd, ObservabilityOpsTunnelOverBinaryFraming) {
   EXPECT_EQ(obj->at("max").number, 10.0);
 
   // slo: one declared SLO, not burning without error history.
-  ASSERT_TRUE(recvFrame(fd, &buf, &opcode, &payload));
+  ASSERT_TRUE(c.readFrame(&opcode, &payload));
   EXPECT_EQ(opcode, kOpJson);
   obj = serve::wire::parseObject(payload, &perr);
   ASSERT_TRUE(obj.has_value()) << payload << ": " << perr;
@@ -584,32 +725,93 @@ TEST_F(NetServiceEndToEnd, ObservabilityOpsTunnelOverBinaryFraming) {
   EXPECT_FALSE(obj->at("slo.api.burning").boolean);
 
   // profile: the status op answers even with the profiler disarmed.
-  ASSERT_TRUE(recvFrame(fd, &buf, &opcode, &payload));
+  ASSERT_TRUE(c.readFrame(&opcode, &payload));
   EXPECT_EQ(opcode, kOpJson);
   obj = serve::wire::parseObject(payload, &perr);
   ASSERT_TRUE(obj.has_value()) << payload << ": " << perr;
   EXPECT_EQ(obj->at("status").string, "ok");
   EXPECT_EQ(obj->at("action").string, "status");
   ASSERT_NE(obj->find("running"), obj->end());
-  close(fd);
 }
 
 TEST_F(NetServiceEndToEnd, MalformedBinaryTuneGetsABinaryError) {
-  const int fd = connectTo(server_->port());
-  std::string wire(kMagic, sizeof kMagic);
+  Client c;
+  std::string error;
+  ASSERT_TRUE(c.open("127.0.0.1", server_->port(), kBinary, &error)) << error;
+  std::string wire;
   appendFrame(wire, kOpTune, "\x01");  // truncated codec payload
-  sendAll(fd, wire);
-  std::string buf;
+  ASSERT_TRUE(c.send(wire));
   std::uint8_t opcode = 0;
   std::string payload;
-  ASSERT_TRUE(recvFrame(fd, &buf, &opcode, &payload));
+  ASSERT_TRUE(c.readFrame(&opcode, &payload));
   EXPECT_EQ(opcode, kOpTune);
   std::string derr;
   const auto resp = serve::wire_binary::decodeTuneResponse(payload, &derr);
   ASSERT_TRUE(resp.has_value()) << derr;
   EXPECT_EQ(resp->status, serve::Status::Error);
   EXPECT_NE(resp->error.find("truncated"), std::string::npos);
-  close(fd);
+}
+
+// The fleet backend behind the same transport (epserved --shards N):
+// fleet::routerHooks accepts the "device":"auto" tunes the broker
+// hooks reject, in both framings, and routes study sweeps.
+TEST(NetServiceFleet, RouterHooksServeAutoTunesAndStudies) {
+  std::vector<fleet::FleetShardConfig> shards(2);
+  const auto engine = std::make_shared<serve::EpStudyEngine>();
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    shards[i].id = i == 0 ? "s0" : "s1";
+    shards[i].engine = engine;
+    shards[i].broker.threads = 2;
+  }
+  fleet::FleetRouter router(std::move(shards));
+  serve::NetServiceHooks hooks = fleet::routerHooks(router);
+  hooks.control = [&router](const serve::wire::WireRequest&) {
+    return router.renderWireSnapshot();
+  };
+  serve::NetService service(std::move(hooks));
+  Server server(ServerOptions{}, service.handler());
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Client json;
+  ASSERT_TRUE(json.open("127.0.0.1", server.port(), kJson, &error)) << error;
+  std::string reply;
+  ASSERT_TRUE(json.roundTrip(
+      "{\"op\":\"tune\",\"device\":\"auto\",\"n\":1024,"
+      "\"maxDegradation\":0.11}",
+      &reply));
+  EXPECT_NE(reply.find("\"status\":\"ok\""), std::string::npos) << reply;
+  ASSERT_TRUE(json.roundTrip(
+      "{\"op\":\"study\",\"device\":\"k40c\",\"nBegin\":1024,"
+      "\"nEnd\":2048,\"nStep\":512}",
+      &reply));
+  EXPECT_NE(reply.find("\"status\":\"ok\""), std::string::npos) << reply;
+
+  Client binary;
+  ASSERT_TRUE(binary.open("127.0.0.1", server.port(), kBinary, &error))
+      << error;
+  serve::wire_binary::BinaryTuneRequest breq;
+  breq.tune.n = 2048;
+  breq.tune.maxDegradation = 0.11;
+  breq.deviceAuto = true;
+  std::string wire;
+  appendFrame(wire, kOpTune, serve::wire_binary::encodeTuneRequest(breq));
+  ASSERT_TRUE(binary.send(wire));
+  std::uint8_t opcode = 0;
+  std::string payload;
+  ASSERT_TRUE(binary.readFrame(&opcode, &payload));
+  const auto resp = serve::wire_binary::decodeTuneResponse(payload, &error);
+  ASSERT_TRUE(resp.has_value()) << error;
+  EXPECT_EQ(resp->status, serve::Status::Ok) << resp->error;
+
+  // Both tunes and the sweep went through the router.
+  ASSERT_TRUE(json.roundTrip("{\"op\":\"fleet\"}", &reply));
+  const auto snap = serve::wire::parseObject(reply, &error);
+  ASSERT_TRUE(snap.has_value()) << error;
+  EXPECT_EQ(serve::wire::getNumber(*snap, "requests"), 3.0) << reply;
+  server.stop();
+  service.stop();
+  router.shutdown();
 }
 
 }  // namespace

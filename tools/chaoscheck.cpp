@@ -28,9 +28,11 @@
 // campaign seed (--seed), which is what makes phase A's double run a
 // bitwise assertion rather than a flake.
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -78,7 +80,7 @@ double elapsedMsSince(std::chrono::steady_clock::time_point t0) {
 }
 
 // A 3-shard fleet behind a real net::Server, wired exactly like
-// epfleetd (tune batches -> router.submitTuneBatch).
+// epserved --shards 3 (tune batches -> router.submitTuneBatch).
 struct WiredFleet {
   std::shared_ptr<ep::serve::EpStudyEngine> engine;
   std::unique_ptr<FleetRouter> router;
@@ -106,26 +108,7 @@ std::unique_ptr<WiredFleet> wireFleet(
   }
   wf->router = std::make_unique<FleetRouter>(std::move(cfgs), FleetOptions{});
 
-  ep::serve::NetServiceHooks hooks;
-  FleetRouter* router = wf->router.get();
-  hooks.tuneBatch = [router](std::vector<ep::serve::ServiceTuneItem>&& items) {
-    std::vector<FleetRouter::FleetTuneBatchItem> batch;
-    batch.reserve(items.size());
-    for (auto& item : items) {
-      FleetRouter::FleetTuneBatchItem member;
-      if (!item.deviceAuto) member.req.device = item.req.device;
-      member.req.n = item.req.n;
-      member.req.maxDegradation = item.req.maxDegradation;
-      member.req.deadlineMs = item.req.deadlineMs;
-      member.ctx = item.ctx;
-      member.done = std::move(item.done);
-      batch.push_back(std::move(member));
-    }
-    router->submitTuneBatch(std::move(batch));
-  };
-  hooks.study = [router](const ep::serve::StudyRequest& req) {
-    return router->study(req);
-  };
+  ep::serve::NetServiceHooks hooks = ep::fleet::routerHooks(*wf->router);
   hooks.control = [](const ep::serve::wire::WireRequest&) {
     return std::string("{\"status\":\"ok\"}");
   };
@@ -651,9 +634,11 @@ void phaseEnergyDominance() {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--seed" && i + 1 < argc) {
-      gSeed = std::strtoull(argv[++i], nullptr, 0);
-    } else {
+    const char* v = i + 1 < argc ? argv[++i] : "";
+    char* end = nullptr;
+    errno = 0;
+    gSeed = std::strtoull(v, &end, 0);  // base 0: hex seeds too
+    if (a != "--seed" || *v == '\0' || *end != '\0' || errno != 0) {
       std::fprintf(stderr, "usage: chaoscheck [--seed S]\n");
       return 2;
     }

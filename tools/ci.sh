@@ -20,6 +20,31 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
+# Start "./<build dir>/tools/epserved --port 0 <flags...>", wait until it
+# listens, and set SERVED_PID and PORT; the EXIT trap kills it if the
+# script stops early.  stop_daemon kills and reaps it.
+start_daemon() {
+  local BUILD_DIR="$1"
+  shift
+  DAEMON_LOG="$(mktemp)"
+  "./${BUILD_DIR}/tools/epserved" --port 0 "$@" >"${DAEMON_LOG}" 2>&1 &
+  SERVED_PID=$!
+  trap 'kill "${SERVED_PID}" 2>/dev/null || true' EXIT
+  for _ in $(seq 1 100); do
+    grep -q "listening on" "${DAEMON_LOG}" && break
+    sleep 0.1
+  done
+  PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "${DAEMON_LOG}")"
+  [[ -n "${PORT}" ]] || { echo "epserved $* did not start"; cat "${DAEMON_LOG}"; exit 1; }
+}
+
+stop_daemon() {
+  kill "${SERVED_PID}" 2>/dev/null || true
+  wait "${SERVED_PID}" 2>/dev/null || true
+  trap - EXIT
+  rm -f "${DAEMON_LOG}"
+}
+
 # Profiler smoke drill, parameterised on the build flavour.  Arms the
 # always-on profiler over the wire on a *metered* daemon, pushes a
 # cold tune spread (every request executes a metered study sweep — the
@@ -33,18 +58,7 @@ FAST=0
 profiler_drill() {
   local BUILD_DIR="$1"
   echo "== epprof drill (${BUILD_DIR}): kernel-dominant profile vs ledger =="
-  local DRILL_LOG
-  DRILL_LOG="$(mktemp)"
-  "./${BUILD_DIR}/tools/epserved" --port 0 --threads 2 --meter \
-    >"${DRILL_LOG}" 2>&1 &
-  SERVED_PID=$!
-  trap 'kill "${SERVED_PID}" 2>/dev/null || true' EXIT
-  for _ in $(seq 1 100); do
-    grep -q "listening on" "${DRILL_LOG}" && break
-    sleep 0.1
-  done
-  PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "${DRILL_LOG}")"
-  [[ -n "${PORT}" ]] || { echo "epserved (epprof drill) did not start"; cat "${DRILL_LOG}"; exit 1; }
+  start_daemon "${BUILD_DIR}" --threads 2 --meter
   # 1 kHz so even a fast metered sweep yields a solid CPU sample set.
   "./${BUILD_DIR}/tools/epprof" --port "${PORT}" --start --period-us 1000
   REPORT="$("./${BUILD_DIR}/tools/epserve_client" --port "${PORT}" \
@@ -60,10 +74,7 @@ profiler_drill() {
   "./${BUILD_DIR}/tools/epprof" --port "${PORT}" --kind energy \
     --check-total "${JOULES}" --tol 0.05
   "./${BUILD_DIR}/tools/epprof" --port "${PORT}" --stop
-  kill "${SERVED_PID}" 2>/dev/null || true
-  wait "${SERVED_PID}" 2>/dev/null || true
-  trap - EXIT
-  rm -f "${DRILL_LOG}"
+  stop_daemon
 }
 
 echo "== tier-1: configure + build (-Wall -Wextra) + ctest =="
@@ -79,17 +90,7 @@ echo "== epwatch smoke: watchdog catches an injected 58 W offset =="
 # that sample sanitization cannot see.  One metered request later the
 # watchdog must hold an active constant_component alert, which epwatch
 # --check reports as exit 2.
-SMOKE_LOG="$(mktemp)"
-./build/tools/epserved --port 0 --threads 2 --watchdog --fault-offset 58 \
-  >"${SMOKE_LOG}" 2>&1 &
-SERVED_PID=$!
-trap 'kill "${SERVED_PID}" 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-  grep -q "listening on" "${SMOKE_LOG}" && break
-  sleep 0.1
-done
-PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "${SMOKE_LOG}")"
-[[ -n "${PORT}" ]] || { echo "epserved (anomalous) did not start"; cat "${SMOKE_LOG}"; exit 1; }
+start_daemon build --threads 2 --watchdog --fault-offset 58
 ./build/tools/epserve_client --port "${PORT}" --requests 1 --n 256 \
   --trace-id cafe01 --report
 set +e
@@ -97,67 +98,38 @@ set +e
 WATCH_RC=$?
 set -e
 [[ "${WATCH_RC}" == "2" ]] || { echo "epwatch --check: expected exit 2 (active alert), got ${WATCH_RC}"; exit 1; }
-kill "${SERVED_PID}" 2>/dev/null || true
-wait "${SERVED_PID}" 2>/dev/null || true
+stop_daemon
 
 # Healthy server: same pipeline without the fault, no alerts, exit 0.
-./build/tools/epserved --port 0 --threads 2 --watchdog >"${SMOKE_LOG}" 2>&1 &
-SERVED_PID=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on" "${SMOKE_LOG}" && break
-  sleep 0.1
-done
-PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "${SMOKE_LOG}")"
-[[ -n "${PORT}" ]] || { echo "epserved (healthy) did not start"; cat "${SMOKE_LOG}"; exit 1; }
+start_daemon build --threads 2 --watchdog
 ./build/tools/epserve_client --port "${PORT}" --requests 1 --n 256 >/dev/null
 ./build/tools/epwatch --port "${PORT}" --check
-kill "${SERVED_PID}" 2>/dev/null || true
-wait "${SERVED_PID}" 2>/dev/null || true
-trap - EXIT
+stop_daemon
 
 echo "== net smoke: epoll event loop serves line-JSON and EPB1 binary =="
 # The same daemon, two wire protocols negotiated per connection by the
 # first byte: a plain line-JSON client (the pre-event-loop wire format,
 # unchanged) and an EPB1 binary client with batched pipelining.  Both
 # must complete with zero errors against a multi-threaded event loop.
-./build/tools/epserved --port 0 --threads 2 --event-threads 2 \
-  >"${SMOKE_LOG}" 2>&1 &
-SERVED_PID=$!
-trap 'kill "${SERVED_PID}" 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-  grep -q "listening on" "${SMOKE_LOG}" && break
-  sleep 0.1
-done
-PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "${SMOKE_LOG}")"
-[[ -n "${PORT}" ]] || { echo "epserved (net smoke) did not start"; cat "${SMOKE_LOG}"; exit 1; }
+start_daemon build --threads 2 --event-threads 2
 ./build/tools/epserve_client --port "${PORT}" --requests 64 --n 256 \
   --connections 2 >/dev/null
 ./build/tools/epserve_client --port "${PORT}" --requests 512 --n 256 \
   --binary --pipeline 32 --connections 2
-kill "${SERVED_PID}" 2>/dev/null || true
-wait "${SERVED_PID}" 2>/dev/null || true
-trap - EXIT
+stop_daemon
 
-echo "== epfleetd smoke: shard kill -> stale serve -> clean recovery =="
-# Three in-process shards behind the energy-aware router.  Warm a key
-# spread, kill one shard, and require at least one wire response served
-# from the replica (flagged "stale":true); after revival fleetcheck
-# --check must see every shard alive and the cluster fronts consistent.
+echo "== fleet smoke: shard kill -> stale serve -> clean recovery =="
+# Three in-process shards behind the energy-aware router (epserved
+# --shards 3, two broker workers per shard).  Warm a key spread, kill
+# one shard, and require at least one wire response served from the
+# replica (flagged "stale":true); after revival fleetcheck --check must
+# see every shard alive and the cluster fronts consistent.
 ./build/tools/fleetcheck
 # --health-probe-ms arms the background health monitor; the manual
 # kill below must stay killed (the monitor never resurrects an
 # operator decision) and the final fleetcheck --check must still see
 # every shard alive after the explicit revive.
-./build/tools/epfleetd --port 0 --shards 3 --health-probe-ms 25 \
-  >"${SMOKE_LOG}" 2>&1 &
-FLEETD_PID=$!
-trap 'kill "${FLEETD_PID}" 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-  grep -q "listening on" "${SMOKE_LOG}" && break
-  sleep 0.1
-done
-PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "${SMOKE_LOG}")"
-[[ -n "${PORT}" ]] || { echo "epfleetd did not start"; cat "${SMOKE_LOG}"; exit 1; }
+start_daemon build --shards 3 --threads 2 --health-probe-ms 25
 FLEET_NS="256 320 384 448 512 576 640 704"
 for N in ${FLEET_NS}; do
   ./build/tools/epserve_client --port "${PORT}" \
@@ -181,9 +153,7 @@ echo "stale-served responses after kill: ${STALE}"
 ./build/tools/epserve_client --port "${PORT}" --requests 256 --n 256 \
   --binary --pipeline 16 >/dev/null
 ./build/tools/fleetcheck --port "${PORT}" --check
-kill "${FLEETD_PID}" 2>/dev/null || true
-wait "${FLEETD_PID}" 2>/dev/null || true
-trap - EXIT
+stop_daemon
 
 echo "== chaoscheck drill: fault campaign -> self-heal -> overload =="
 # The epchaos end-to-end drill: a seeded 5% transport-fault campaign
@@ -205,16 +175,8 @@ echo "== eptop drill: healthy fleet -> shard kill -> latency SLO burn =="
 # request blow the threshold, so the burn rate crosses 2x in both
 # windows and eptop --check must exit 2, with the slow requests' trace
 # ids attached as exemplars to the burning cluster buckets.
-./build/tools/epfleetd --port 0 --shards 3 --watchdog --scrape-ms 100 \
-  --slo latency:2:0.9 --slo-window 3000:1000:2 >"${SMOKE_LOG}" 2>&1 &
-FLEETD_PID=$!
-trap 'kill "${FLEETD_PID}" 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-  grep -q "listening on" "${SMOKE_LOG}" && break
-  sleep 0.1
-done
-PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "${SMOKE_LOG}")"
-[[ -n "${PORT}" ]] || { echo "epfleetd (slo) did not start"; cat "${SMOKE_LOG}"; exit 1; }
+start_daemon build --shards 3 --threads 2 --watchdog --scrape-ms 100 \
+  --slo latency:2:0.9 --slo-window 3000:1000:2
 for N in ${FLEET_NS}; do
   ./build/tools/epserve_client --port "${PORT}" \
     --raw "{\"op\":\"tune\",\"device\":\"p100\",\"n\":${N},\"maxDegradation\":0.11}" \
@@ -258,10 +220,7 @@ echo "latency SLO burn caught by eptop --check (round ${ROUND})"
   | grep -qE 'ep_serve_request_latency_ms_bucket\{[^}]*\} [0-9]+ # \{trace_id=' \
   || { echo "no exemplar trace id on the cluster latency buckets"; exit 1; }
 echo "exemplar trace id present on cluster latency buckets"
-kill "${FLEETD_PID}" 2>/dev/null || true
-wait "${FLEETD_PID}" 2>/dev/null || true
-trap - EXIT
-rm -f "${SMOKE_LOG}"
+stop_daemon
 
 profiler_drill build
 

@@ -1,4 +1,4 @@
-// epprof — client for the continuous profiler on epserved / epfleetd.
+// epprof — client for the continuous profiler on epserved.
 //
 // Usage:
 //   epprof [--host H] [--port P] [--kind cpu|energy] [--scope cluster]
@@ -22,11 +22,6 @@
 //
 // Exit status: 0 ok / checks passed; 1 transport or server error;
 // 2 a check failed.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -35,10 +30,13 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
 
+#include "common/cli.hpp"
+#include "net/client.hpp"
 #include "serve/wire.hpp"
 
 namespace {
@@ -68,141 +66,84 @@ struct Args {
 };
 
 bool parseArgs(int argc, char** argv, Args* a) {
+  using ep::cli::parseNumber;
+  constexpr double kMax = std::numeric_limits<double>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--host" && (v = next())) {
-      a->host = v;
-    } else if (arg == "--port" && (v = next())) {
-      a->port = static_cast<std::uint16_t>(std::stoi(v));
-    } else if (arg == "--kind" && (v = next())) {
-      a->kind = v;
-      if (a->kind != "cpu" && a->kind != "energy") return false;
-    } else if (arg == "--scope" && (v = next())) {
-      if (std::string(v) == "cluster") {
-        a->cluster = true;
-      } else if (std::string(v) != "process") {
-        return false;
-      }
-    } else if (arg == "--top" && (v = next())) {
-      a->top = static_cast<std::size_t>(std::stoul(v));
-    } else if (arg == "--interval-ms" && (v = next())) {
-      a->intervalMs = std::stoll(v);
-    } else if (arg == "--once") {
+    if (arg == "--once") {
       a->once = true;
-    } else if (arg == "--start") {
+      continue;
+    }
+    if (arg == "--start") {
       a->start = true;
-    } else if (arg == "--period-us" && (v = next())) {
-      a->periodUs = std::stoull(v);
-    } else if (arg == "--energy-only") {
+      continue;
+    }
+    if (arg == "--energy-only") {
       a->energyOnly = true;
-    } else if (arg == "--stop") {
+      continue;
+    }
+    if (arg == "--stop") {
       a->stop = true;
-    } else if (arg == "--clear") {
+      continue;
+    }
+    if (arg == "--clear") {
       a->clear = true;
-    } else if (arg == "--collapse" && (v = next())) {
+      continue;
+    }
+    // Every other flag takes a value.
+    const char* v = ++i < argc ? argv[i] : nullptr;
+    if (v == nullptr) return false;
+    bool ok = true;
+    if (arg == "--host") {
+      a->host = v;
+    } else if (arg == "--port") {
+      ok = parseNumber<std::uint16_t>(v, 1, 65535, &a->port);
+    } else if (arg == "--kind") {
+      a->kind = v;
+      ok = a->kind == "cpu" || a->kind == "energy";
+    } else if (arg == "--scope") {
+      a->cluster = std::string(v) == "cluster";
+      ok = a->cluster || std::string(v) == "process";
+    } else if (arg == "--top") {
+      ok = parseNumber<std::size_t>(v, 0, 1 << 20, &a->top);
+    } else if (arg == "--interval-ms") {
+      ok = parseNumber<std::int64_t>(v, 1, 86400000, &a->intervalMs);
+    } else if (arg == "--period-us") {
+      ok = parseNumber<std::uint64_t>(v, 1, 60000000, &a->periodUs);
+    } else if (arg == "--collapse") {
       a->collapseFile = v;
-    } else if (arg == "--speedscope" && (v = next())) {
+    } else if (arg == "--speedscope") {
       a->speedscopeFile = v;
-    } else if (arg == "--check" && (v = next())) {
+    } else if (arg == "--check") {
       a->checkFrame = v;
-    } else if (arg == "--min-share" && (v = next())) {
-      a->minShare = std::stod(v);
-    } else if (arg == "--check-total" && (v = next())) {
-      a->checkTotal = std::stod(v);
-    } else if (arg == "--tol" && (v = next())) {
-      a->tol = std::stod(v);
+    } else if (arg == "--min-share") {
+      ok = parseNumber(v, 0.0, 1.0, &a->minShare);
+    } else if (arg == "--check-total") {
+      ok = parseNumber(v, 0.0, kMax, &a->checkTotal);
+    } else if (arg == "--tol") {
+      ok = parseNumber(v, 0.0, kMax, &a->tol);
     } else {
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }
 
-class Connection {
- public:
-  bool open(const std::string& host, std::uint16_t port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return false;
-    return connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
-  }
+namespace wire = ep::serve::wire;
+using Object = wire::Object;
 
-  ~Connection() {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  bool roundTrip(const std::string& request, std::string* response) {
-    std::string line = request + "\n";
-    std::size_t sent = 0;
-    while (sent < line.size()) {
-      const ssize_t n = send(fd_, line.data() + sent, line.size() - sent, 0);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    std::size_t nl;
-    while ((nl = buffer_.find('\n')) == std::string::npos) {
-      char chunk[65536];
-      const ssize_t got = recv(fd_, chunk, sizeof chunk, 0);
-      if (got <= 0) return false;
-      buffer_.append(chunk, static_cast<std::size_t>(got));
-    }
-    *response = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
-    return true;
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-using Object = ep::serve::wire::Object;
-
-bool boolOr(const Object& obj, const std::string& key, bool fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end() ||
-      it->second.kind != ep::serve::wire::Value::Kind::Bool) {
-    return fallback;
-  }
-  return it->second.boolean;
-}
-
-double numberOr(const Object& obj, const std::string& key, double fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end() ||
-      it->second.kind != ep::serve::wire::Value::Kind::Number) {
-    return fallback;
-  }
-  return it->second.number;
-}
-
-std::string stringOr(const Object& obj, const std::string& key,
-                     const std::string& fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end() ||
-      it->second.kind != ep::serve::wire::Value::Kind::String) {
-    return fallback;
-  }
-  return it->second.string;
-}
-
-std::optional<Object> query(Connection& conn, const std::string& request) {
+std::optional<Object> query(ep::net::Client& conn,
+                            const std::string& request) {
   std::string response;
   if (!conn.roundTrip(request, &response)) return std::nullopt;
   std::string error;
-  return ep::serve::wire::parseObject(response, &error);
+  return wire::parseObject(response, &error);
 }
 
 std::string snapshotRequest(const Args& args, std::size_t topN,
                             const std::string& format) {
-  ep::serve::wire::ObjectWriter w;
+  wire::ObjectWriter w;
   w.add("op", "profile")
       .add("action", "snapshot")
       .add("kind", args.kind)
@@ -217,28 +158,32 @@ const char* weightUnit(const std::string& kind) {
 }
 
 // One live-top frame; false on transport/server failure.
-bool renderTop(Connection& conn, const Args& args) {
+bool renderTop(ep::net::Client& conn, const Args& args) {
   const auto snap = query(conn, snapshotRequest(args, args.top, "collapsed"));
-  if (!snap || stringOr(*snap, "status", "") != "ok") return false;
+  if (!snap || wire::getString(*snap, "status") != "ok") return false;
   std::printf("epprof @ %s:%u — kind=%s%s samples=%.0f total=%.4g%s "
               "stacks=%.0f dropped=%.0f truncated=%.0f\n\n",
               args.host.c_str(), static_cast<unsigned>(args.port),
-              stringOr(*snap, "kind", "?").c_str(),
+              wire::getString(*snap, "kind").value_or("?").c_str(),
               args.cluster ? " scope=cluster" : "",
-              numberOr(*snap, "samples", 0),
-              numberOr(*snap, "totalWeight", 0), weightUnit(args.kind),
-              numberOr(*snap, "stacks", 0), numberOr(*snap, "dropped", 0),
-              numberOr(*snap, "truncated", 0));
-  const auto top = static_cast<std::size_t>(numberOr(*snap, "top", 0));
+              wire::getNumber(*snap, "samples").value_or(0),
+              wire::getNumber(*snap, "totalWeight").value_or(0),
+              weightUnit(args.kind),
+              wire::getNumber(*snap, "stacks").value_or(0),
+              wire::getNumber(*snap, "dropped").value_or(0),
+              wire::getNumber(*snap, "truncated").value_or(0));
+  const auto top =
+      static_cast<std::size_t>(wire::getNumber(*snap, "top").value_or(0));
   std::printf("  %-44s %10s %12s %8s\n", "frame (inclusive)", "samples",
               "weight", "share");
   for (std::size_t i = 0; i < top; ++i) {
     const std::string p = "top." + std::to_string(i);
     std::printf("  %-44s %10.0f %10.4g %s %7.1f%%\n",
-                stringOr(*snap, p + ".frame", "?").c_str(),
-                numberOr(*snap, p + ".samples", 0),
-                numberOr(*snap, p + ".weight", 0), weightUnit(args.kind),
-                numberOr(*snap, p + ".share", 0) * 100.0);
+                wire::getString(*snap, p + ".frame").value_or("?").c_str(),
+                wire::getNumber(*snap, p + ".samples").value_or(0),
+                wire::getNumber(*snap, p + ".weight").value_or(0),
+                weightUnit(args.kind),
+                wire::getNumber(*snap, p + ".share").value_or(0) * 100.0);
   }
   std::fflush(stdout);
   return true;
@@ -260,10 +205,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Connection conn;
-  if (!conn.open(args.host, args.port)) {
-    std::cerr << "epprof: cannot connect to " << args.host << ":" << args.port
-              << "\n";
+  ep::net::Client conn;
+  std::string error;
+  if (!conn.open(args.host, args.port, {}, &error)) {
+    std::cerr << "epprof: " << error << "\n";
     return 1;
   }
 
@@ -272,20 +217,21 @@ int main(int argc, char** argv) {
     int rc = 0;
     auto act = [&](const std::string& request, const char* what) {
       const auto resp = query(conn, request);
-      if (!resp || stringOr(*resp, "status", "") != "ok") {
+      if (!resp || wire::getString(*resp, "status") != "ok") {
         std::cerr << "epprof: " << what << " failed\n";
         rc = 1;
         return;
       }
       std::printf("%s: running=%s threads=%.0f\n",
-                  stringOr(*resp, "action", what).c_str(),
-                  boolOr(*resp, "running", false) ? "yes" : "no",
-                  numberOr(*resp, "threads", 0));
+                  wire::getString(*resp, "action").value_or(what).c_str(),
+                  wire::getBool(*resp, "running").value_or(false) ? "yes"
+                                                                  : "no",
+                  wire::getNumber(*resp, "threads").value_or(0));
     };
     if (args.clear) act("{\"op\":\"profile\",\"action\":\"clear\"}", "clear");
     if (args.stop) act("{\"op\":\"profile\",\"action\":\"stop\"}", "stop");
     if (args.start) {
-      ep::serve::wire::ObjectWriter w;
+      wire::ObjectWriter w;
       w.add("op", "profile")
           .add("action", "start")
           .add("periodUs", static_cast<std::uint64_t>(args.periodUs));
@@ -302,13 +248,13 @@ int main(int argc, char** argv) {
   if (exporting || checking) {
     // topN=0 = every frame (the checks must see non-top frames too).
     const auto snap = query(conn, snapshotRequest(args, 0, "collapsed"));
-    if (!snap || stringOr(*snap, "status", "") != "ok") {
+    if (!snap || wire::getString(*snap, "status") != "ok") {
       std::cerr << "epprof: snapshot failed\n";
       return 1;
     }
     if (!args.collapseFile.empty()) {
       std::ofstream out(args.collapseFile);
-      out << stringOr(*snap, "body", "");
+      out << wire::getString(*snap, "body").value_or("");
       if (!out) {
         std::cerr << "epprof: cannot write " << args.collapseFile << "\n";
         return 1;
@@ -317,12 +263,12 @@ int main(int argc, char** argv) {
     }
     if (!args.speedscopeFile.empty()) {
       const auto ss = query(conn, snapshotRequest(args, 0, "speedscope"));
-      if (!ss || stringOr(*ss, "status", "") != "ok") {
+      if (!ss || wire::getString(*ss, "status") != "ok") {
         std::cerr << "epprof: speedscope snapshot failed\n";
         return 1;
       }
       std::ofstream out(args.speedscopeFile);
-      out << stringOr(*ss, "body", "");
+      out << wire::getString(*ss, "body").value_or("");
       if (!out) {
         std::cerr << "epprof: cannot write " << args.speedscopeFile << "\n";
         return 1;
@@ -331,12 +277,13 @@ int main(int argc, char** argv) {
     }
     int rc = 0;
     if (!args.checkFrame.empty()) {
-      const auto n = static_cast<std::size_t>(numberOr(*snap, "top", 0));
+      const auto n =
+          static_cast<std::size_t>(wire::getNumber(*snap, "top").value_or(0));
       double share = -1.0;
       for (std::size_t i = 0; i < n; ++i) {
         const std::string p = "top." + std::to_string(i);
-        if (stringOr(*snap, p + ".frame", "") == args.checkFrame) {
-          share = numberOr(*snap, p + ".share", 0);
+        if (wire::getString(*snap, p + ".frame") == args.checkFrame) {
+          share = wire::getNumber(*snap, p + ".share").value_or(0);
           break;
         }
       }
@@ -351,7 +298,7 @@ int main(int argc, char** argv) {
       }
     }
     if (args.checkTotal >= 0.0) {
-      const double total = numberOr(*snap, "totalWeight", 0);
+      const double total = wire::getNumber(*snap, "totalWeight").value_or(0);
       const double scale = std::max(args.checkTotal, 1e-12);
       const double rel = std::fabs(total - args.checkTotal) / scale;
       if (rel <= args.tol) {

@@ -35,26 +35,23 @@
 // same seeded schedule the chaos tests pin.
 //
 // --raw sends one verbatim request line and prints the response line —
-// the escape hatch for ops the flag surface doesn't cover (epfleetd's
+// the escape hatch for ops the flag surface doesn't cover (the fleet's
 // {"op":"fleet",...} drill actions, "device":"auto" tunes).  Exits 0
 // iff the response says status ok.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <cstdio>
 #include <deque>
 #include <iostream>
-#include <numeric>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "chaos/retry.hpp"
+#include "common/cli.hpp"
+#include "net/client.hpp"
 #include "net/frame.hpp"
 #include "serve/wire.hpp"
 #include "serve/wire_binary.hpp"
@@ -84,112 +81,83 @@ struct Args {
   bool backoff = false;  // exponential backoff + jitter between retries
 };
 
-std::vector<int> parseIntList(const std::string& s) {
-  std::vector<int> out;
+bool parseIntList(const std::string& s, std::vector<int>* out) {
+  out->clear();
   std::stringstream ss(s);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stoi(item));
+    if (item.empty()) continue;
+    int n = 0;
+    if (!ep::cli::parseNumber(item.c_str(), 1,
+                              std::numeric_limits<int>::max(), &n)) {
+      return false;
+    }
+    out->push_back(n);
   }
-  return out;
+  return !out->empty();
 }
 
 bool parseArgs(int argc, char** argv, Args* a) {
+  using ep::cli::parseNumber;
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--host" && (v = next())) {
-      a->host = v;
-    } else if (arg == "--port" && (v = next())) {
-      a->port = static_cast<std::uint16_t>(std::stoi(v));
-    } else if (arg == "--requests" && (v = next())) {
-      a->requests = std::stoi(v);
-    } else if (arg == "--connections" && (v = next())) {
-      a->connections = std::stoi(v);
-    } else if (arg == "--device" && (v = next())) {
-      a->device = v;
-    } else if (arg == "--n" && (v = next())) {
-      a->ns = parseIntList(v);
-    } else if (arg == "--budget" && (v = next())) {
-      a->budget = std::stod(v);
-    } else if (arg == "--deadline-ms" && (v = next())) {
-      a->deadlineMs = std::stod(v);
-    } else if (arg == "--study" && (v = next())) {
-      a->study = true;
-      if (std::sscanf(v, "%d:%d:%d", &a->studyBegin, &a->studyEnd,
-                      &a->studyStep) < 2) {
-        return false;
-      }
-    } else if (arg == "--metrics") {
+    if (arg == "--metrics") {
       a->metrics = true;
-    } else if (arg == "--trace-id" && (v = next())) {
-      a->traceId = v;
-    } else if (arg == "--report") {
+      continue;
+    }
+    if (arg == "--report") {
       a->report = true;
-    } else if (arg == "--raw" && (v = next())) {
-      a->raw = v;
-    } else if (arg == "--binary") {
+      continue;
+    }
+    if (arg == "--binary") {
       a->binary = true;
-    } else if (arg == "--pipeline" && (v = next())) {
-      a->pipeline = std::stoi(v);
-    } else if (arg == "--retry" && (v = next())) {
-      a->retry = std::stoi(v);
-    } else if (arg == "--backoff") {
+      continue;
+    }
+    if (arg == "--backoff") {
       a->backoff = true;
+      continue;
+    }
+    // Every other flag takes a value.
+    const char* v = ++i < argc ? argv[i] : nullptr;
+    if (v == nullptr) return false;
+    bool ok = true;
+    if (arg == "--host") {
+      a->host = v;
+    } else if (arg == "--port") {
+      ok = parseNumber<std::uint16_t>(v, 1, 65535, &a->port);
+    } else if (arg == "--requests") {
+      ok = parseNumber(v, 1, kMaxInt, &a->requests);
+    } else if (arg == "--connections") {
+      ok = parseNumber(v, 1, 4096, &a->connections);
+    } else if (arg == "--device") {
+      a->device = v;
+    } else if (arg == "--n") {
+      ok = parseIntList(v, &a->ns);
+    } else if (arg == "--budget") {
+      ok = parseNumber(v, 0.0, kMax, &a->budget);
+    } else if (arg == "--deadline-ms") {
+      ok = parseNumber(v, 0.0, kMax, &a->deadlineMs);
+    } else if (arg == "--study") {
+      a->study = true;
+      ok = std::sscanf(v, "%d:%d:%d", &a->studyBegin, &a->studyEnd,
+                       &a->studyStep) >= 2;
+    } else if (arg == "--trace-id") {
+      a->traceId = v;
+    } else if (arg == "--raw") {
+      a->raw = v;
+    } else if (arg == "--pipeline") {
+      ok = parseNumber(v, 1, 1 << 16, &a->pipeline);
+    } else if (arg == "--retry") {
+      ok = parseNumber(v, 0, 1 << 16, &a->retry);
     } else {
       return false;
     }
+    if (!ok) return false;
   }
-  return !a->ns.empty() && a->requests > 0 && a->connections > 0 &&
-         a->pipeline > 0 && a->retry >= 0;
+  return true;
 }
-
-class Connection {
- public:
-  bool open(const std::string& host, std::uint16_t port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return false;
-    return connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
-  }
-
-  ~Connection() {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  [[nodiscard]] int fd() const { return fd_; }
-
-  // One request line out, one response line back.
-  bool roundTrip(const std::string& request, std::string* response) {
-    std::string line = request + "\n";
-    std::size_t sent = 0;
-    while (sent < line.size()) {
-      const ssize_t n = send(fd_, line.data() + sent, line.size() - sent, 0);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    std::size_t nl;
-    while ((nl = buffer_.find('\n')) == std::string::npos) {
-      char chunk[4096];
-      const ssize_t got = recv(fd_, chunk, sizeof chunk, 0);
-      if (got <= 0) return false;
-      buffer_.append(chunk, static_cast<std::size_t>(got));
-    }
-    *response = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
-    return true;
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
 
 struct WorkerResult {
   std::vector<double> latenciesMs;
@@ -230,17 +198,15 @@ bool tallyJson(const std::string& line, double ms, bool mayRetry,
     ++out->errors;
     return false;
   }
-  const auto st = obj->find("status");
-  const std::string status = st != obj->end() ? st->second.string : "";
+  const std::string status =
+      ep::serve::wire::getString(*obj, "status").value_or("");
   if (status == "ok") {
     ++out->ok;
     out->latenciesMs.push_back(ms);
-    if (const auto j = obj->find("attributedJoules"); j != obj->end()) {
-      out->attributedJoules += j->second.number;
-    }
-    if (const auto s = obj->find("studiesExecuted"); s != obj->end()) {
-      out->studiesExecuted += static_cast<std::uint64_t>(s->second.number);
-    }
+    out->attributedJoules +=
+        ep::serve::wire::getNumber(*obj, "attributedJoules").value_or(0.0);
+    out->studiesExecuted += static_cast<std::uint64_t>(
+        ep::serve::wire::getNumber(*obj, "studiesExecuted").value_or(0.0));
   } else if (mayRetry && retryableStatus(status)) {
     return true;
   } else {
@@ -281,18 +247,15 @@ bool tallyBinary(const std::string& payload, double ms, bool mayRetry,
 // so a FIFO of start times matches them up.
 void runWorker(const Args& a, std::uint64_t stream,
                ep::chaos::RetryBudget* budget, WorkerResult* out) {
-  Connection conn;
-  if (!conn.open(a.host, a.port)) {
-    std::cerr << "connect failed\n";
+  ep::net::Client conn;
+  std::string error;
+  if (!conn.open(a.host, a.port, {.binary = a.binary}, &error)) {
+    std::cerr << error << "\n";
     out->errors = a.requests;
     return;
   }
-  const int fd = conn.fd();
   out->latenciesMs.reserve(static_cast<std::size_t>(a.requests));
 
-  std::string outBuf;
-  if (a.binary) outBuf.append(ep::net::kMagic, sizeof ep::net::kMagic);
-  std::string inBuf;
   struct Pending {
     Clock::time_point start;
     int n = 0;
@@ -311,139 +274,53 @@ void runWorker(const Args& a, std::uint64_t stream,
   breq.tune.deadlineMs = a.deadlineMs > 0.0 ? a.deadlineMs : 0.0;
   breq.report = a.report;
   breq.traceId = a.traceId;
+  const auto encode = [&](int n, std::string* buf) {
+    if (a.binary) {
+      breq.tune.n = n;
+      ep::net::appendFrame(*buf, ep::net::kOpTune,
+                           ep::serve::wire_binary::encodeTuneRequest(breq));
+    } else {
+      *buf += tuneLine(a, n);
+      *buf += '\n';
+    }
+  };
+  std::string payload;
+  const auto tally = [&](Clock::time_point start, bool mayRetry) {
+    const double ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+    return a.binary ? tallyBinary(payload, ms, mayRetry, out)
+                    : tallyJson(payload, ms, mayRetry, out);
+  };
 
+  std::string outBuf;
   while (received < a.requests) {
+    outBuf.clear();
     while (queued < a.requests && queued - received < a.pipeline) {
       const int n = a.ns[static_cast<std::size_t>(queued) % a.ns.size()];
       if (a.retry > 0) budget->onAttempt();
       starts.push_back(Pending{Clock::now(), n, queued});
-      if (a.binary) {
-        breq.tune.n = n;
-        ep::net::appendFrame(outBuf, ep::net::kOpTune,
-                             ep::serve::wire_binary::encodeTuneRequest(breq));
-      } else {
-        outBuf += tuneLine(a, n);
-        outBuf += '\n';
-      }
+      encode(n, &outBuf);
       ++queued;
     }
-    std::size_t sent = 0;
-    while (sent < outBuf.size()) {
-      const ssize_t k = send(fd, outBuf.data() + sent, outBuf.size() - sent, 0);
-      if (k <= 0) {
-        out->errors += a.requests - received;
-        return;
-      }
-      sent += static_cast<std::size_t>(k);
+    if (!conn.send(outBuf) || !conn.read(&payload)) {
+      out->errors += a.requests - received;
+      return;
     }
-    outBuf.clear();
-
-    // Read until at least one full response is available, then drain
-    // everything already buffered.
-    bool madeProgress = false;
-    while (!madeProgress || received < queued) {
-      if (a.binary) {
-        std::uint64_t len = 0;
-        const int used =
-            ep::net::readVarint(inBuf.data(), inBuf.size(), &len);
-        if (used < 0 || (used > 0 && len == 0)) {
-          out->errors += a.requests - received;
-          return;
-        }
-        if (used > 0 && inBuf.size() >= static_cast<std::size_t>(used) + len) {
-          const std::string payload =
-              inBuf.substr(static_cast<std::size_t>(used) + 1,
-                           static_cast<std::size_t>(len) - 1);
-          inBuf.erase(0, static_cast<std::size_t>(used) +
-                             static_cast<std::size_t>(len));
-          const Pending p = starts.front();
-          starts.pop_front();
-          const double ms = std::chrono::duration<double, std::milli>(
-                                Clock::now() - p.start)
-                                .count();
-          if (tallyBinary(payload, ms, a.retry > 0, out)) toRetry.push_back(p);
-          ++received;
-          madeProgress = true;
-          continue;
-        }
-      } else {
-        const std::size_t nl = inBuf.find('\n');
-        if (nl != std::string::npos) {
-          std::string line = inBuf.substr(0, nl);
-          inBuf.erase(0, nl + 1);
-          const Pending p = starts.front();
-          starts.pop_front();
-          const double ms = std::chrono::duration<double, std::milli>(
-                                Clock::now() - p.start)
-                                .count();
-          if (tallyJson(line, ms, a.retry > 0, out)) toRetry.push_back(p);
-          ++received;
-          madeProgress = true;
-          continue;
-        }
-      }
-      if (madeProgress) break;  // buffer drained; go refill the window
-      char chunk[65536];
-      const ssize_t got = recv(fd, chunk, sizeof chunk, 0);
-      if (got <= 0) {
-        out->errors += a.requests - received;
-        return;
-      }
-      inBuf.append(chunk, static_cast<std::size_t>(got));
-    }
+    // Tally that response and every one already buffered, then go
+    // refill the window.
+    do {
+      const Pending p = starts.front();
+      starts.pop_front();
+      if (tally(p.start, a.retry > 0)) toRetry.push_back(p);
+      ++received;
+    } while (received < queued && conn.read(&payload, /*wait=*/false));
   }
-
-  if (toRetry.empty()) return;
 
   // Retry pass: re-send shed requests serially on the same connection
   // once the burst has drained, each under the shared retry budget and
   // (with --backoff) the deterministic seeded backoff schedule.
   const ep::chaos::RetryPolicy policy{};
-  auto sendOne = [&](int n) -> bool {
-    std::string req;
-    if (a.binary) {
-      breq.tune.n = n;
-      ep::net::appendFrame(req, ep::net::kOpTune,
-                           ep::serve::wire_binary::encodeTuneRequest(breq));
-    } else {
-      req = tuneLine(a, n) + "\n";
-    }
-    std::size_t sent = 0;
-    while (sent < req.size()) {
-      const ssize_t k = send(fd, req.data() + sent, req.size() - sent, 0);
-      if (k <= 0) return false;
-      sent += static_cast<std::size_t>(k);
-    }
-    return true;
-  };
-  auto recvOne = [&](std::string* payload) -> bool {
-    for (;;) {
-      if (a.binary) {
-        std::uint64_t len = 0;
-        const int used = ep::net::readVarint(inBuf.data(), inBuf.size(), &len);
-        if (used < 0 || (used > 0 && len == 0)) return false;
-        if (used > 0 && inBuf.size() >= static_cast<std::size_t>(used) + len) {
-          payload->assign(inBuf, static_cast<std::size_t>(used) + 1,
-                          static_cast<std::size_t>(len) - 1);
-          inBuf.erase(0, static_cast<std::size_t>(used) +
-                             static_cast<std::size_t>(len));
-          return true;
-        }
-      } else {
-        const std::size_t nl = inBuf.find('\n');
-        if (nl != std::string::npos) {
-          payload->assign(inBuf, 0, nl);
-          inBuf.erase(0, nl + 1);
-          return true;
-        }
-      }
-      char chunk[65536];
-      const ssize_t got = recv(fd, chunk, sizeof chunk, 0);
-      if (got <= 0) return false;
-      inBuf.append(chunk, static_cast<std::size_t>(got));
-    }
-  };
-
   const int okBefore = out->ok;
   for (const Pending& p : toRetry) {
     bool resolved = false;
@@ -460,19 +337,14 @@ void runWorker(const Args& a, std::uint64_t stream,
             std::chrono::duration<double, std::milli>(delayMs));
       }
       const auto t0 = Clock::now();
-      std::string payload;
-      if (!sendOne(p.n) || !recvOne(&payload)) {
+      outBuf.clear();
+      encode(p.n, &outBuf);
+      if (!conn.send(outBuf) || !conn.read(&payload)) {
         ++out->errors;
         resolved = true;
         break;
       }
-      const double ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-      const bool mayRetryAgain = attempt < a.retry;
-      const bool shedAgain =
-          a.binary ? tallyBinary(payload, ms, mayRetryAgain, out)
-                   : tallyJson(payload, ms, mayRetryAgain, out);
-      if (!shedAgain) resolved = true;
+      if (!tally(t0, attempt < a.retry)) resolved = true;
     }
     // Budget denied before any attempt could be counted: the original
     // shed response becomes the request's final outcome.
@@ -504,34 +376,25 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  ep::net::Client conn;
+  std::string error;
+  if ((!args.raw.empty() || args.study) &&
+      !conn.open(args.host, args.port, {}, &error)) {
+    std::cerr << error << "\n";
+    return 1;
+  }
   if (!args.raw.empty()) {
-    Connection conn;
-    if (!conn.open(args.host, args.port)) {
-      std::cerr << "connect failed\n";
-      return 1;
-    }
     std::string response;
     if (!conn.roundTrip(args.raw, &response)) {
       std::cerr << "raw request failed\n";
       return 1;
     }
     std::cout << response << "\n";
-    std::string err;
-    const auto obj = ep::serve::wire::parseObject(response, &err);
-    bool ok = false;
-    if (obj) {
-      const auto st = obj->find("status");
-      ok = st != obj->end() && st->second.string == "ok";
-    }
-    return ok ? 0 : 1;
+    const auto obj = ep::serve::wire::parseObject(response, &error);
+    return obj && ep::serve::wire::getString(*obj, "status") == "ok" ? 0 : 1;
   }
 
   if (args.study) {
-    Connection conn;
-    if (!conn.open(args.host, args.port)) {
-      std::cerr << "connect failed\n";
-      return 1;
-    }
     ep::serve::wire::ObjectWriter w;
     w.add("op", "study")
         .add("device", args.device)
@@ -604,7 +467,6 @@ int main(int argc, char** argv) {
   }
 
   if (args.metrics) {
-    Connection conn;
     if (conn.open(args.host, args.port)) {
       std::string response;
       if (conn.roundTrip("{\"op\":\"metrics\"}", &response)) {

@@ -3,8 +3,7 @@
 // Usage:
 //   eptop [--host H] [--port P] [--interval-ms MS] [--once] [--check]
 //
-// Polls an epfleetd (or epserved) endpoint and renders one screen per
-// interval:
+// Polls an epserved endpoint and renders one screen per interval:
 //   * per-shard serving state from {"op":"fleet"}: q50/q99 latency,
 //     queue depth, completed / stale-served counts and J/request
 //     (attributed joules over completed),
@@ -15,8 +14,8 @@
 //   * active flight-recorder alerts from {"op":"events"} when any
 //     recorder is armed.
 //
-// Single-shard epserved endpoints simply have no shard rows; the tsdb
-// and SLO panes work the same against either daemon.
+// A single-broker epserved (--shards 1) simply has no shard rows; the
+// tsdb and SLO panes work the same in either mode.
 //
 // Exit status (script/CI-friendly):
 //   0 — connected, and (with --check) no SLO is burning
@@ -26,11 +25,6 @@
 // --once renders a single frame without clearing the screen (the mode
 // the ci.sh burn drill uses with --check); the interactive loop
 // repaints with ANSI home+clear until interrupted.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -43,6 +37,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "net/client.hpp"
 #include "serve/wire.hpp"
 
 namespace {
@@ -52,7 +48,7 @@ void handleStopSignal(int) { gStop = 1; }
 
 struct Args {
   std::string host = "127.0.0.1";
-  std::uint16_t port = 7071;
+  std::uint16_t port = 7070;
   std::int64_t intervalMs = 1000;
   bool once = false;
   bool check = false;
@@ -62,110 +58,43 @@ struct Args {
 bool parseArgs(int argc, char** argv, Args* a) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--host" && (v = next())) {
-      a->host = v;
-    } else if (arg == "--port" && (v = next())) {
-      a->port = static_cast<std::uint16_t>(std::stoi(v));
-    } else if (arg == "--interval-ms" && (v = next())) {
-      a->intervalMs = std::stoll(v);
-    } else if (arg == "--once") {
+    const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
+    bool ok = true;
+    if (arg == "--once") {
       a->once = true;
     } else if (arg == "--check") {
       a->check = true;
     } else if (arg == "--json") {
       a->json = true;
       a->once = true;  // one snapshot, no repaint loop
+    } else if (arg == "--host" && v != nullptr) {
+      a->host = argv[++i];
+    } else if (arg == "--port") {
+      ok = ep::cli::parseNumber<std::uint16_t>(argv[++i], 1, 65535, &a->port);
+    } else if (arg == "--interval-ms") {
+      ok = ep::cli::parseNumber<std::int64_t>(argv[++i], 1, 86400000,
+                                              &a->intervalMs);
     } else {
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }
 
-class Connection {
- public:
-  bool open(const std::string& host, std::uint16_t port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return false;
-    return connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
-  }
-
-  ~Connection() {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  bool roundTrip(const std::string& request, std::string* response) {
-    std::string line = request + "\n";
-    std::size_t sent = 0;
-    while (sent < line.size()) {
-      const ssize_t n = send(fd_, line.data() + sent, line.size() - sent, 0);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    std::size_t nl;
-    while ((nl = buffer_.find('\n')) == std::string::npos) {
-      char chunk[4096];
-      const ssize_t got = recv(fd_, chunk, sizeof chunk, 0);
-      if (got <= 0) return false;
-      buffer_.append(chunk, static_cast<std::size_t>(got));
-    }
-    *response = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
-    return true;
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-using Object = ep::serve::wire::Object;
-
-double numberOr(const Object& obj, const std::string& key, double fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end() ||
-      it->second.kind != ep::serve::wire::Value::Kind::Number) {
-    return fallback;
-  }
-  return it->second.number;
-}
-
-bool boolOr(const Object& obj, const std::string& key, bool fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end() ||
-      it->second.kind != ep::serve::wire::Value::Kind::Bool) {
-    return fallback;
-  }
-  return it->second.boolean;
-}
-
-std::string stringOr(const Object& obj, const std::string& key,
-                     const std::string& fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end() ||
-      it->second.kind != ep::serve::wire::Value::Kind::String) {
-    return fallback;
-  }
-  return it->second.string;
-}
+namespace wire = ep::serve::wire;
+using Object = wire::Object;
 
 // Ask one op; nullopt when the transport fails or the line is not a
 // JSON object.  A {"status":"error"} answer still parses — callers
 // check "status" when they care (some ops are legitimately absent,
 // e.g. {"op":"slo"} on a daemon with no --slo).
-std::optional<Object> query(Connection& conn, const std::string& request) {
+std::optional<Object> query(ep::net::Client& conn,
+                            const std::string& request) {
   std::string response;
   if (!conn.roundTrip(request, &response)) return std::nullopt;
   std::string error;
-  return ep::serve::wire::parseObject(response, &error);
+  return wire::parseObject(response, &error);
 }
 
 // The shard ids present in a fleet snapshot's flat "shard.<id>.<k>"
@@ -203,22 +132,22 @@ struct Frame {
 // Re-emit every key of `src` into `w` under `prefix` with its original
 // JSON kind (the op responses are flat, so this is lossless); `skip`
 // names one key to drop (bulky text bodies).
-void copyInto(ep::serve::wire::ObjectWriter& w, const Object& src,
+void copyInto(wire::ObjectWriter& w, const Object& src,
               const std::string& prefix, const std::string& skip = "") {
   for (const auto& [key, value] : src) {
     if (key == "status" || (!skip.empty() && key == skip)) continue;
     const std::string out = prefix + key;
     switch (value.kind) {
-      case ep::serve::wire::Value::Kind::String:
+      case wire::Value::Kind::String:
         w.add(out, value.string);
         break;
-      case ep::serve::wire::Value::Kind::Number:
+      case wire::Value::Kind::Number:
         w.add(out, value.number);
         break;
-      case ep::serve::wire::Value::Kind::Bool:
+      case wire::Value::Kind::Bool:
         w.add(out, value.boolean);
         break;
-      case ep::serve::wire::Value::Kind::Null:
+      case wire::Value::Kind::Null:
         break;
     }
   }
@@ -229,16 +158,16 @@ void copyInto(ep::serve::wire::ObjectWriter& w, const Object& src,
 // top frames, each family under its own key prefix.  This is the
 // machine-readable face ci drills consume instead of scraping the
 // human screen.
-Frame renderJson(Connection& conn, const Args& args) {
+Frame renderJson(ep::net::Client& conn, const Args& args) {
   Frame frame;
   const auto fleet = query(conn, "{\"op\":\"fleet\"}");
   if (!fleet) return frame;
   frame.ok = true;
 
-  ep::serve::wire::ObjectWriter w;
+  wire::ObjectWriter w;
   w.add("status", "ok").add("host", args.host).add("port",
                                                    static_cast<int>(args.port));
-  if (stringOr(*fleet, "status", "") == "ok") {
+  if (wire::getString(*fleet, "status") == "ok") {
     copyInto(w, *fleet, "fleet.");
   }
   for (const double q : {0.50, 0.99}) {
@@ -248,23 +177,24 @@ Frame renderJson(Connection& conn, const Args& args) {
                   ",\"agg\":\"quantile\",\"q\":%.2f,\"windowMs\":60000}",
                   q);
     const auto tq = query(conn, reqLine);
-    if (!tq || stringOr(*tq, "status", "") != "ok") continue;
+    if (!tq || wire::getString(*tq, "status") != "ok") continue;
     char prefix[32];
     std::snprintf(prefix, sizeof prefix, "tsdb.p%.0f.", q * 100);
     copyInto(w, *tq, prefix);
   }
   const auto slo = query(conn, "{\"op\":\"slo\"}");
-  if (slo && stringOr(*slo, "status", "") == "ok") {
-    frame.burning = static_cast<std::uint64_t>(numberOr(*slo, "burning", 0));
+  if (slo && wire::getString(*slo, "status") == "ok") {
+    frame.burning = static_cast<std::uint64_t>(
+        wire::getNumber(*slo, "burning").value_or(0));
     copyInto(w, *slo, "");  // keeps the natural "slo.<name>.*" keys
   }
   const auto events = query(conn, "{\"op\":\"events\"}");
-  if (events && stringOr(*events, "status", "") == "ok") {
-    w.add("alerts", numberOr(*events, "alerts", 0));
+  if (events && wire::getString(*events, "status") == "ok") {
+    w.add("alerts", wire::getNumber(*events, "alerts").value_or(0));
   }
   const auto prof =
       query(conn, "{\"op\":\"profile\",\"action\":\"snapshot\",\"topN\":5}");
-  if (prof && stringOr(*prof, "status", "") == "ok") {
+  if (prof && wire::getString(*prof, "status") == "ok") {
     copyInto(w, *prof, "profile.", "body");
   }
   std::printf("%s\n", w.str().c_str());
@@ -272,14 +202,14 @@ Frame renderJson(Connection& conn, const Args& args) {
   return frame;
 }
 
-Frame renderFrame(Connection& conn, const Args& args) {
+Frame renderFrame(ep::net::Client& conn, const Args& args) {
   Frame frame;
 
   const auto fleet = query(conn, "{\"op\":\"fleet\"}");
   const auto slo = query(conn, "{\"op\":\"slo\"}");
   const auto events = query(conn, "{\"op\":\"events\"}");
   if (!fleet) return frame;
-  const bool isFleet = stringOr(*fleet, "status", "") == "ok";
+  const bool isFleet = wire::getString(*fleet, "status") == "ok";
   frame.ok = true;
 
   std::printf("eptop @ %s:%u", args.host.c_str(),
@@ -287,13 +217,14 @@ Frame renderFrame(Connection& conn, const Args& args) {
   if (isFleet) {
     std::printf(" — policy=%s shards=%g alive=%g requests=%g "
                 "staleFallbacks=%g",
-                stringOr(*fleet, "policy", "?").c_str(),
-                numberOr(*fleet, "shards", 0), numberOr(*fleet, "aliveShards", 0),
-                numberOr(*fleet, "requests", 0),
-                numberOr(*fleet, "staleFallbacks", 0));
+                wire::getString(*fleet, "policy").value_or("?").c_str(),
+                wire::getNumber(*fleet, "shards").value_or(0),
+                wire::getNumber(*fleet, "aliveShards").value_or(0),
+                wire::getNumber(*fleet, "requests").value_or(0),
+                wire::getNumber(*fleet, "staleFallbacks").value_or(0));
   }
-  if (events && stringOr(*events, "status", "") == "ok") {
-    std::printf("  alerts=%g", numberOr(*events, "alerts", 0));
+  if (events && wire::getString(*events, "status") == "ok") {
+    std::printf("  alerts=%g", wire::getNumber(*events, "alerts").value_or(0));
   }
   std::printf("\n\n");
 
@@ -303,16 +234,19 @@ Frame renderFrame(Connection& conn, const Args& args) {
                 "J/request");
     for (const std::string& id : shardIdsIn(*fleet)) {
       const std::string p = "shard." + id + ".";
-      const bool alive = boolOr(*fleet, p + "alive", true);
-      const double completed = numberOr(*fleet, p + "completed", 0);
-      const double joules = numberOr(*fleet, p + "attributedJoules", 0);
+      const bool alive = wire::getBool(*fleet, p + "alive").value_or(true);
+      const double completed =
+          wire::getNumber(*fleet, p + "completed").value_or(0);
+      const double joules =
+          wire::getNumber(*fleet, p + "attributedJoules").value_or(0);
       const double jpr = completed > 0 ? joules / completed : 0.0;
       std::printf("  %-6s %-5s %9.3f %9.3f %7.0f %10.0f %8.0f %10.4g\n",
                   id.c_str(), alive ? "up" : "DOWN",
-                  numberOr(*fleet, p + "q50Ms", 0),
-                  numberOr(*fleet, p + "q99Ms", 0),
-                  numberOr(*fleet, p + "queueDepth", 0), completed,
-                  numberOr(*fleet, p + "staleServed", 0), jpr);
+                  wire::getNumber(*fleet, p + "q50Ms").value_or(0),
+                  wire::getNumber(*fleet, p + "q99Ms").value_or(0),
+                  wire::getNumber(*fleet, p + "queueDepth").value_or(0),
+                  completed,
+                  wire::getNumber(*fleet, p + "staleServed").value_or(0), jpr);
     }
     std::printf("\n");
   }
@@ -326,18 +260,19 @@ Frame renderFrame(Connection& conn, const Args& args) {
                   ",\"agg\":\"quantile\",\"q\":%.2f,\"windowMs\":60000}",
                   q);
     const auto tq = query(conn, reqLine);
-    if (!tq || stringOr(*tq, "status", "") != "ok") continue;
-    if (!boolOr(*tq, "defined", false)) continue;
-    if (boolOr(*tq, "unbounded", false)) {
+    if (!tq || wire::getString(*tq, "status") != "ok") continue;
+    if (!wire::getBool(*tq, "defined").value_or(false)) continue;
+    if (wire::getBool(*tq, "unbounded").value_or(false)) {
       std::printf("  tsdb p%.0f (60s) : beyond last bucket bound\n", q * 100);
     } else {
       std::printf("  tsdb p%.0f (60s) : <= %.3f ms\n", q * 100,
-                  numberOr(*tq, "value", 0));
+                  wire::getNumber(*tq, "value").value_or(0));
     }
   }
 
-  if (slo && stringOr(*slo, "status", "") == "ok") {
-    frame.burning = static_cast<std::uint64_t>(numberOr(*slo, "burning", 0));
+  if (slo && wire::getString(*slo, "status") == "ok") {
+    frame.burning = static_cast<std::uint64_t>(
+        wire::getNumber(*slo, "burning").value_or(0));
     std::printf("\n  %-14s %-8s %-8s %12s %8s\n", "slo", "kind", "state",
                 "burn gauge", "raised");
     // Flat keys "slo.<name>.<field>" — collect the names first.
@@ -354,15 +289,17 @@ Frame renderFrame(Connection& conn, const Args& args) {
     }
     for (const std::string& name : names) {
       const std::string p = "slo." + name + ".";
-      const bool burning = boolOr(*slo, p + "burning", false);
+      const bool burning = wire::getBool(*slo, p + "burning").value_or(false);
       // The tightest (first) window's threshold anchors the gauge.
-      const double threshold = numberOr(*slo, p + "w0.threshold", 1.0);
+      const double threshold =
+          wire::getNumber(*slo, p + "w0.threshold").value_or(1.0);
       std::printf("  %-14s %-8s %-8s %12s %8.0f\n", name.c_str(),
-                  stringOr(*slo, p + "kind", "?").c_str(),
+                  wire::getString(*slo, p + "kind").value_or("?").c_str(),
                   burning ? "BURNING" : "ok",
-                  burnGauge(numberOr(*slo, p + "worstBurn", 0), threshold)
+                  burnGauge(wire::getNumber(*slo, p + "worstBurn").value_or(0),
+                            threshold)
                       .c_str(),
-                  numberOr(*slo, p + "raised", 0));
+                  wire::getNumber(*slo, p + "raised").value_or(0));
     }
   } else {
     std::printf("\n  (no SLOs declared on this endpoint)\n");
@@ -381,10 +318,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Connection conn;
-  if (!conn.open(args.host, args.port)) {
-    std::cerr << "eptop: cannot connect to " << args.host << ":" << args.port
-              << "\n";
+  ep::net::Client conn;
+  std::string error;
+  if (!conn.open(args.host, args.port, {}, &error)) {
+    std::cerr << "eptop: " << error << "\n";
     return 1;
   }
 

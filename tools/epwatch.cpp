@@ -2,7 +2,6 @@
 //
 // Usage:
 //   epwatch [--host H] [--port P] [--since SEQ] [--check] [--raw]
-//           [--fleet]
 //
 // Fetches {"op":"events"} (the watchdog flight recorder) plus the
 // Prometheus exposition, and renders:
@@ -21,16 +20,11 @@
 // feed the highest seq you have seen back in).  --raw dumps the event
 // lines verbatim (one flat JSON object per line) for jq-style piping.
 //
-// --fleet points the drain at an epfleetd endpoint (default port 7071
-// unless --port says otherwise): the fleet daemon merges every shard
-// watchdog's recorder plus the SLO engine's burn transitions into one
-// stream, each event tagged with the shard it came from — the tag is
-// rendered as a [shard] column.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
+// Against epserved --shards N the drain merges every shard watchdog's
+// recorder, the SLO engine's burn transitions and the health monitor's
+// shard transitions into one stream, each event tagged with where it
+// came from; an event line that carries a "shard" tag gets a [shard]
+// column.
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -38,128 +32,66 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "net/client.hpp"
 #include "serve/wire.hpp"
 
 namespace {
 
+namespace wire = ep::serve::wire;
+
 struct Args {
   std::string host = "127.0.0.1";
   std::uint16_t port = 7070;
-  bool portSet = false;
   std::uint64_t since = 0;
   bool check = false;
   bool raw = false;
-  bool fleet = false;
 };
 
 bool parseArgs(int argc, char** argv, Args* a) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--host" && (v = next())) {
-      a->host = v;
-    } else if (arg == "--port" && (v = next())) {
-      a->port = static_cast<std::uint16_t>(std::stoi(v));
-      a->portSet = true;
-    } else if (arg == "--since" && (v = next())) {
-      a->since = std::stoull(v);
-    } else if (arg == "--check") {
+    const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
+    bool ok = true;
+    if (arg == "--check") {
       a->check = true;
     } else if (arg == "--raw") {
       a->raw = true;
-    } else if (arg == "--fleet") {
-      a->fleet = true;
+    } else if (arg == "--host" && v != nullptr) {
+      a->host = argv[++i];
+    } else if (arg == "--port") {
+      ok = ep::cli::parseNumber<std::uint16_t>(argv[++i], 1, 65535, &a->port);
+    } else if (arg == "--since") {
+      ok = ep::cli::parseNumber<std::uint64_t>(
+          argv[++i], 0, ~std::uint64_t{0}, &a->since);
     } else {
       return false;
     }
+    if (!ok) return false;
   }
-  if (a->fleet && !a->portSet) a->port = 7071;  // epfleetd's default
   return true;
 }
 
-class Connection {
- public:
-  bool open(const std::string& host, std::uint16_t port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return false;
-    return connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
-  }
-
-  ~Connection() {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  bool roundTrip(const std::string& request, std::string* response) {
-    std::string line = request + "\n";
-    std::size_t sent = 0;
-    while (sent < line.size()) {
-      const ssize_t n = send(fd_, line.data() + sent, line.size() - sent, 0);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    std::size_t nl;
-    while ((nl = buffer_.find('\n')) == std::string::npos) {
-      char chunk[4096];
-      const ssize_t got = recv(fd_, chunk, sizeof chunk, 0);
-      if (got <= 0) return false;
-      buffer_.append(chunk, static_cast<std::size_t>(got));
-    }
-    *response = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
-    return true;
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-double numberOr(const ep::serve::wire::Object& obj, const std::string& key,
-                double fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end() ||
-      it->second.kind != ep::serve::wire::Value::Kind::Number) {
-    return fallback;
-  }
-  return it->second.number;
-}
-
-std::string stringOr(const ep::serve::wire::Object& obj,
-                     const std::string& key, const std::string& fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end() ||
-      it->second.kind != ep::serve::wire::Value::Kind::String) {
-    return fallback;
-  }
-  return it->second.string;
-}
-
-void printEvent(const ep::serve::wire::Object& e, bool fleet) {
-  const std::string kind = stringOr(e, "kind", "?");
-  const auto seq = static_cast<std::uint64_t>(numberOr(e, "seq", 0.0));
-  const std::string scope = stringOr(e, "scope", "");
-  const double value = numberOr(e, "value", 0.0);
-  const double threshold = numberOr(e, "threshold", 0.0);
-  const std::string trace = stringOr(e, "trace", "0");
-  const std::string message = stringOr(e, "message", "");
-  const std::string shard = stringOr(e, "shard", "-");
+void printEvent(const wire::Object& e) {
+  const std::string kind = wire::getString(e, "kind").value_or("?");
+  const auto seq =
+      static_cast<unsigned long long>(wire::getNumber(e, "seq").value_or(0));
+  const std::string scope = wire::getString(e, "scope").value_or("");
+  const double value = wire::getNumber(e, "value").value_or(0);
+  const double threshold = wire::getNumber(e, "threshold").value_or(0);
+  const std::string trace = wire::getString(e, "trace").value_or("0");
+  const std::string message = wire::getString(e, "message").value_or("");
+  const auto shard = wire::getString(e, "shard");
   const char* marker =
       (kind == "cleared" || kind == "slo_cleared") ? " ok  " : "ALERT";
-  if (fleet) {
+  if (shard) {
     std::printf("  [%s] #%-4llu [%-7s] %-18s %-14s %9.3g / %-9.3g trace=%s\n",
-                marker, static_cast<unsigned long long>(seq), shard.c_str(),
-                kind.c_str(), scope.c_str(), value, threshold, trace.c_str());
+                marker, seq, shard->c_str(), kind.c_str(), scope.c_str(),
+                value, threshold, trace.c_str());
   } else {
     std::printf("  [%s] #%-4llu %-18s %-14s %9.3g / %-9.3g trace=%s\n",
-                marker, static_cast<unsigned long long>(seq), kind.c_str(),
-                scope.c_str(), value, threshold, trace.c_str());
+                marker, seq, kind.c_str(), scope.c_str(), value, threshold,
+                trace.c_str());
   }
   if (!message.empty()) std::printf("          %s\n", message.c_str());
 }
@@ -187,18 +119,18 @@ int main(int argc, char** argv) {
   Args args;
   if (!parseArgs(argc, argv, &args)) {
     std::cerr << "usage: epwatch [--host H] [--port P] [--since SEQ]"
-                 " [--check] [--raw] [--fleet]\n";
+                 " [--check] [--raw]\n";
     return 2;
   }
 
-  Connection conn;
-  if (!conn.open(args.host, args.port)) {
-    std::cerr << "epwatch: cannot connect to " << args.host << ":"
-              << args.port << "\n";
+  ep::net::Client conn;
+  std::string error;
+  if (!conn.open(args.host, args.port, {}, &error)) {
+    std::cerr << "epwatch: " << error << "\n";
     return 1;
   }
 
-  ep::serve::wire::ObjectWriter req;
+  wire::ObjectWriter req;
   req.add("op", "events");
   if (args.since > 0) req.add("since", args.since);
   std::string response;
@@ -206,42 +138,41 @@ int main(int argc, char** argv) {
     std::cerr << "epwatch: events request failed\n";
     return 1;
   }
-  std::string error;
-  const auto obj = ep::serve::wire::parseObject(response, &error);
+  const auto obj = wire::parseObject(response, &error);
   if (!obj) {
     std::cerr << "epwatch: bad response: " << error << "\n";
     return 1;
   }
-  if (stringOr(*obj, "status", "") != "ok") {
+  if (wire::getString(*obj, "status") != "ok") {
     std::cerr << "epwatch: server error: "
-              << stringOr(*obj, "error", "unknown") << "\n";
+              << wire::getString(*obj, "error").value_or("unknown") << "\n";
     return 1;
   }
 
-  const auto alerts = static_cast<std::uint64_t>(numberOr(*obj, "alerts", 0));
-  const auto recorded =
-      static_cast<std::uint64_t>(numberOr(*obj, "recorded", 0));
-  const auto dropped = static_cast<std::uint64_t>(numberOr(*obj, "dropped", 0));
-  const std::string body = stringOr(*obj, "body", "");
+  const auto alerts = static_cast<unsigned long long>(
+      wire::getNumber(*obj, "alerts").value_or(0));
+  const auto recorded = static_cast<unsigned long long>(
+      wire::getNumber(*obj, "recorded").value_or(0));
+  const auto dropped = static_cast<unsigned long long>(
+      wire::getNumber(*obj, "dropped").value_or(0));
+  const std::string body = wire::getString(*obj, "body").value_or("");
 
   if (args.raw) {
     std::cout << body;
   } else {
     std::printf("epwatch @ %s:%u — %llu active alert(s), %llu event(s)"
                 " recorded, %llu dropped\n",
-                args.host.c_str(), static_cast<unsigned>(args.port),
-                static_cast<unsigned long long>(alerts),
-                static_cast<unsigned long long>(recorded),
-                static_cast<unsigned long long>(dropped));
+                args.host.c_str(), static_cast<unsigned>(args.port), alerts,
+                recorded, dropped);
     std::istringstream lines(body);
     std::string line;
     bool any = false;
     while (std::getline(lines, line)) {
       if (line.empty()) continue;
-      const auto e = ep::serve::wire::parseObject(line, &error);
+      const auto e = wire::parseObject(line, &error);
       if (!e) continue;
       any = true;
-      printEvent(*e, args.fleet);
+      printEvent(*e);
     }
     if (!any) std::printf("  (no events%s)\n",
                           args.since > 0 ? " past --since" : "");
@@ -249,8 +180,8 @@ int main(int argc, char** argv) {
     std::string metricsResp;
     if (conn.roundTrip("{\"op\":\"metrics\",\"format\":\"prometheus\"}",
                        &metricsResp)) {
-      if (const auto m = ep::serve::wire::parseObject(metricsResp, &error)) {
-        printEnergyLedger(stringOr(*m, "body", ""));
+      if (const auto m = wire::parseObject(metricsResp, &error)) {
+        printEnergyLedger(wire::getString(*m, "body").value_or(""));
       }
     }
   }

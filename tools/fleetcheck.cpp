@@ -19,22 +19,20 @@
 //      the resolved device, and replica stale-serving keeps working
 //      across the asymmetric shard set.
 //
-// With --port P --check it instead connects to a running epfleetd,
-// fetches {"op":"fleet"} and asserts a clean recovered state: status
-// ok, every shard alive, and frontsConsistent true.  tools/ci.sh runs
+// With --port P --check it instead connects to a running
+// epserved --shards N, fetches {"op":"fleet"} and asserts a clean
+// recovered state: status ok, every shard alive, and frontsConsistent
+// true.  tools/ci.sh runs
 // the drill both ways (in-process, and over the wire after a scripted
 // kill/revive).
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "fleet/router.hpp"
+#include "net/client.hpp"
 #include "serve/engine.hpp"
 #include "serve/wire.hpp"
 
@@ -46,6 +44,7 @@ using ep::fleet::FleetRouter;
 using ep::fleet::FleetShardConfig;
 using ep::fleet::RouteDecision;
 using ep::serve::Device;
+namespace wire = ep::serve::wire;
 
 int gFailures = 0;
 
@@ -241,61 +240,31 @@ int runHeteroDrill() {
   return gFailures == 0 ? 0 : 1;
 }
 
-// --check mode: assert a running epfleetd reports a clean state.
+// --check mode: assert a running fleet reports a clean state.
 int runRemoteCheck(const std::string& host, std::uint16_t port) {
   std::printf("== fleetcheck --check against %s:%u ==\n", host.c_str(), port);
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::perror("socket");
+  ep::net::Client conn;
+  std::string error;
+  std::string response;
+  if (!conn.open(host, port, {}, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    std::perror("connect");
-    close(fd);
-    return 1;
-  }
-  const std::string request = "{\"op\":\"fleet\"}\n";
-  if (send(fd, request.data(), request.size(), 0) <= 0) {
-    std::perror("send");
-    close(fd);
-    return 1;
-  }
-  std::string buffer;
-  char chunk[4096];
-  std::size_t nl;
-  while ((nl = buffer.find('\n')) == std::string::npos) {
-    const ssize_t got = recv(fd, chunk, sizeof chunk, 0);
-    if (got <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(got));
-  }
-  close(fd);
-  nl = buffer.find('\n');
-  if (nl == std::string::npos) {
+  if (!conn.roundTrip("{\"op\":\"fleet\"}", &response)) {
     std::fprintf(stderr, "no response line\n");
     return 1;
   }
-  std::string error;
-  const auto obj =
-      ep::serve::wire::parseObject(buffer.substr(0, nl), &error);
+  const auto obj = wire::parseObject(response, &error);
   if (!obj) {
     std::fprintf(stderr, "bad snapshot: %s\n", error.c_str());
     return 1;
   }
-  auto num = [&](const std::string& key) {
-    const auto it = obj->find(key);
-    return it == obj->end() ? -1.0 : it->second.number;
-  };
-  const auto status = obj->find("status");
-  check(status != obj->end() && status->second.string == "ok",
-        "snapshot status ok");
-  check(num("shards") > 0, "snapshot lists shards");
-  check(num("aliveShards") == num("shards"), "every shard alive");
-  const auto consistent = obj->find("frontsConsistent");
-  check(consistent != obj->end() && consistent->second.boolean,
+  const double shards = wire::getNumber(*obj, "shards").value_or(-1.0);
+  check(wire::getString(*obj, "status") == "ok", "snapshot status ok");
+  check(shards > 0, "snapshot lists shards");
+  check(wire::getNumber(*obj, "aliveShards").value_or(-1.0) == shards,
+        "every shard alive");
+  check(wire::getBool(*obj, "frontsConsistent").value_or(false),
         "cluster fronts consistent");
   std::printf("== fleetcheck --check: %s ==\n",
               gFailures == 0 ? "clean" : "FAILURES");
@@ -308,35 +277,29 @@ int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   bool remoteCheck = false;
-  for (int i = 1; i < argc; ++i) {
+  bool ok = true;
+  for (int i = 1; i < argc && ok; ++i) {
     const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    if (a == "--host") {
-      const char* v = next();
-      if (!v) return 2;
+    const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (a == "--host" && v != nullptr) {
       host = v;
+      ++i;
     } else if (a == "--port") {
-      const char* v = next();
-      if (!v) return 2;
-      port = static_cast<std::uint16_t>(std::stoi(v));
+      ok = ep::cli::parseNumber<std::uint16_t>(v, 1, 65535, &port);
+      ++i;
     } else if (a == "--check") {
       remoteCheck = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: fleetcheck            (in-process drill)\n"
-                   "       fleetcheck --port P [--host H] --check\n");
-      return 2;
+      ok = false;
     }
   }
-  if (remoteCheck) {
-    if (port == 0) {
-      std::fprintf(stderr, "--check needs --port\n");
-      return 2;
-    }
-    return runRemoteCheck(host, port);
+  if (!ok || (remoteCheck && port == 0)) {
+    std::fprintf(stderr,
+                 "usage: fleetcheck            (in-process drill)\n"
+                 "       fleetcheck --port P [--host H] --check\n");
+    return 2;
   }
+  if (remoteCheck) return runRemoteCheck(host, port);
   const int rc = runDrill();
   const int heteroRc = runHeteroDrill();
   return rc != 0 ? rc : heteroRc;
