@@ -127,7 +127,7 @@ double measureThroughput(const std::vector<int>& sizes, std::size_t threads,
 // ---------------------------------------------------------------------
 // TCP section: the same broker mounted on the net::Server event loop,
 // driven by loopback client threads (one net::Client connection each,
-// epserve_client style sliding window with batched writes).
+// the `epctl load` sliding window with batched writes).
 
 struct TcpWorkerOut {
   std::vector<double> latenciesMs;

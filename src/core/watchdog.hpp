@@ -22,9 +22,9 @@
 //     budget, the scope is flagged.
 //
 // Events land in an obs::FlightRecorder (lock-free ring), drainable
-// via epserved's {"op":"events"} and rendered by tools/epwatch.
+// via epserved's {"op":"events"} and rendered by `epctl watch`.
 // Raised anomalies stay "active" until the signal clears (hysteresis),
-// so `epwatch --check` can gate deploys/scripts on a calm system.
+// so `epctl watch --check` can gate deploys/scripts on a calm system.
 #pragma once
 
 #include <cstdint>

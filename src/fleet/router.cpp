@@ -168,7 +168,7 @@ std::vector<std::string> FleetRouter::shardIds() const {
 
 double FleetRouter::ewmaColdJoules(serve::Device device, int n) const {
   return bitsToDouble(
-      ewmaBits_[deviceIndex(device) * kClasses + workloadClass(n)].load(
+      ewmaBits_[serve::deviceIndex(device) * kClasses + workloadClass(n)].load(
           std::memory_order_relaxed));
 }
 
@@ -178,23 +178,26 @@ std::string FleetRouter::homeShard(serve::Device device, int n) const {
 
 void FleetRouter::updateEwma(serve::Device device, int n, double coldJoules) {
   if (coldJoules <= 0.0) return;
-  atomicEwma(ewmaBits_[deviceIndex(device) * kClasses + workloadClass(n)],
+  atomicEwma(ewmaBits_[serve::deviceIndex(device) * kClasses + workloadClass(n)],
              coldJoules, options_.ewmaAlpha);
 }
 
 serve::Device FleetRouter::pickDevice(int n) const {
-  const double p = ewmaColdJoules(serve::Device::P100, n);
-  const double k = ewmaColdJoules(serve::Device::K40c, n);
-  if (p == 0.0 && k == 0.0) {
-    // No price signal yet for this class: alternate so both devices
-    // get sampled, after which the cheaper one wins below.
-    return rotation_.load(std::memory_order_relaxed) % 2 == 0
-               ? serve::Device::P100
-               : serve::Device::K40c;
+  const auto price = serve::perDevice(
+      [&](const serve::DeviceInfo& d) { return ewmaColdJoules(d.device, n); });
+  // Explore first: with no price signal yet for this class, rotate so
+  // every device gets sampled; otherwise try a device still without a
+  // price (optimistic exploration).  Once every device is priced the
+  // cheapest wins, a tie going to the earlier table row.
+  auto pick = std::find(price.begin(), price.end(), 0.0);
+  if (pick == price.end()) {
+    pick = std::min_element(price.begin(), price.end());
+  } else if (std::count(price.begin(), price.end(), 0.0) == std::ssize(price)) {
+    pick = price.begin() +
+           rotation_.load(std::memory_order_relaxed) % price.size();
   }
-  if (p == 0.0) return serve::Device::P100;  // optimistic exploration
-  if (k == 0.0) return serve::Device::K40c;
-  return k < p ? serve::Device::K40c : serve::Device::P100;
+  return serve::kDevices[static_cast<std::size_t>(pick - price.begin())]
+      .device;
 }
 
 FleetRouter::RoutedTune FleetRouter::routeTune(const FleetRequest& freq,
@@ -241,7 +244,7 @@ FleetRouter::RoutedTune FleetRouter::routeTune(const FleetRequest& freq,
     c.inFlight = s.inFlight.load(std::memory_order_relaxed);
     c.expectedJoules = c.preference == 0 ? 0.0 : coldPrice;
     c.breakerOpen =
-        s.breakerOpenUntilNs[deviceIndex(req.device)].load(
+        s.breakerOpenUntilNs[serve::deviceIndex(req.device)].load(
             std::memory_order_relaxed) > now;
     c.alive = s.alive.load(std::memory_order_relaxed) && s.serves(req.device);
   }
@@ -346,7 +349,7 @@ serve::StudyResponse FleetRouter::study(const serve::StudyRequest& req,
     cands[i].index = i;
     cands[i].inFlight = s.inFlight.load(std::memory_order_relaxed);
     cands[i].breakerOpen =
-        s.breakerOpenUntilNs[deviceIndex(req.device)].load(
+        s.breakerOpenUntilNs[serve::deviceIndex(req.device)].load(
             std::memory_order_relaxed) > now;
     cands[i].alive =
         s.alive.load(std::memory_order_relaxed) && s.serves(req.device);
@@ -387,7 +390,7 @@ void FleetRouter::onTuneComplete(std::size_t shardIndex,
                                  const serve::TuneResponse& resp) {
   Shard& s = *shards_[shardIndex];
   s.inFlight.fetch_sub(1, std::memory_order_relaxed);
-  const std::size_t di = deviceIndex(req.device);
+  const std::size_t di = serve::deviceIndex(req.device);
   if (resp.status == serve::Status::Ok) {
     s.completed.fetch_add(1, std::memory_order_relaxed);
     if (resp.stale) s.staleServed.fetch_add(1, std::memory_order_relaxed);
@@ -477,8 +480,7 @@ bool FleetRouter::probeShard(Shard& s) {
   // engine that started failing.  Open on any served device = sick.
   const serve::ServeMetrics m = s.broker->metrics();
   for (const serve::Device d : s.devices) {
-    const char* state =
-        deviceIndex(d) == 0 ? m.breakerStateP100 : m.breakerStateK40c;
+    const char* state = m.breakerState[serve::deviceIndex(d)];
     if (std::string_view(state) == "open") return false;
   }
   serve::TuneRequest req;

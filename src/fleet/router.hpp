@@ -50,6 +50,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -68,9 +69,10 @@ struct FleetShardConfig {
   std::string id;
   std::shared_ptr<const serve::TuningEngine> engine;
   serve::BrokerOptions broker{};
-  // The modeled devices this shard serves.
-  std::vector<serve::Device> devices = {serve::Device::P100,
-                                        serve::Device::K40c};
+  // The modeled devices this shard serves (default: every table row).
+  std::vector<serve::Device> devices = std::apply(
+      [](const auto&... d) { return std::vector<serve::Device>{d.device...}; },
+      serve::kDevices);
 };
 
 // Self-healing shard health (the epchaos tentpole's fleet half).
@@ -291,7 +293,6 @@ class FleetRouter {
   void shutdown();
 
  private:
-  static constexpr std::size_t kDevices = 2;
   static constexpr std::size_t kClasses = 32;  // bit-width buckets of n
 
   struct Shard {
@@ -312,15 +313,13 @@ class FleetRouter {
     std::atomic<std::uint64_t> joulesBits{0};  // double, bit-cast
     // Relaxed mirror of the shard's per-device breaker: steady-clock
     // ns until which the scorer treats the device circuit as open.
-    std::array<std::atomic<std::uint64_t>, kDevices> breakerOpenUntilNs{};
+    std::array<std::atomic<std::uint64_t>, serve::kDeviceCount>
+        breakerOpenUntilNs{};
     std::unique_ptr<serve::Broker> broker;
 
     [[nodiscard]] bool serves(serve::Device d) const;
   };
 
-  static std::size_t deviceIndex(serve::Device d) {
-    return d == serve::Device::K40c ? 1 : 0;
-  }
   static std::size_t workloadClass(int n);
   static std::uint64_t nowNs();
 
@@ -365,7 +364,8 @@ class FleetRouter {
   FleetOptions options_;
 
   // Cluster EWMA cold-study price table, indexed [device][class].
-  std::array<std::atomic<std::uint64_t>, kDevices * kClasses> ewmaBits_{};
+  std::array<std::atomic<std::uint64_t>, serve::kDeviceCount * kClasses>
+      ewmaBits_{};
 
   std::atomic<std::uint64_t> rotation_{0};  // round-robin / tie rotation
   std::atomic<std::uint64_t> requests_{0};

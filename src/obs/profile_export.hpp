@@ -6,7 +6,7 @@
 //     "evented"-free sampled profile loadable in speedscope and
 //     chrome-adjacent viewers.
 // Plus the small analysis helpers the CLI and ci drills build on:
-// inclusive per-frame shares (for `epprof --check`) and cross-shard
+// inclusive per-frame shares (for `epctl prof --check`) and cross-shard
 // snapshot merging (for FleetRouter::clusterProfile).
 #pragma once
 

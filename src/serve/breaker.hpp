@@ -45,7 +45,9 @@ struct CircuitBreakerOptions {
 
 class CircuitBreaker {
  public:
-  enum class State { Closed, Open, HalfOpen };
+  // Enumerator values are the exported gauge (0 closed, 1 half-open,
+  // 2 open).
+  enum class State { Closed, HalfOpen, Open };
 
   explicit CircuitBreaker(CircuitBreakerOptions options = {});
 

@@ -89,49 +89,39 @@ Broker::Broker(std::shared_ptr<const TuningEngine> engine,
                                   "Result-cache entries resident")),
       gCacheCapacity_(registry_.gauge("ep_serve_cache_capacity",
                                       "Result-cache capacity")),
-      gBreakerStateP100_(registry_.gauge(
-          "ep_serve_breaker_state_p100",
-          "P100 breaker state (0 closed, 1 half-open, 2 open)")),
-      gBreakerStateK40c_(registry_.gauge(
-          "ep_serve_breaker_state_k40c",
-          "K40c breaker state (0 closed, 1 half-open, 2 open)")),
+      gBreakerState_(perDevice([&](const DeviceInfo& d) {
+        return &registry_.gauge(
+            std::string("ep_serve_breaker_state_") + d.name,
+            std::string(d.label) +
+                " breaker state (0 closed, 1 half-open, 2 open)");
+      })),
       hLatencyMs_(registry_.histogram(
           "ep_serve_request_latency_ms",
           "Completed-request latency, submit to response (ms)",
           std::vector<double>(LatencyHistogram::kUpperBoundsMs.begin(),
                               LatencyHistogram::kUpperBoundsMs.end()))),
-      cEnergyJoulesP100_(registry_.doubleCounter(
-          "ep_request_energy_joules",
-          "Dynamic energy attributed to the requests that measured it",
-          {{"device", "P100"}})),
-      cEnergyJoulesK40c_(registry_.doubleCounter(
-          "ep_request_energy_joules",
-          "Dynamic energy attributed to the requests that measured it",
-          {{"device", "K40c"}})),
-      cWindowsP100_(registry_.counter(
-          "ep_request_windows_total",
-          "Accepted measurement windows attributed to requests",
-          {{"device", "P100"}})),
-      cWindowsK40c_(registry_.counter(
-          "ep_request_windows_total",
-          "Accepted measurement windows attributed to requests",
-          {{"device", "K40c"}})),
-      hEnergyJoulesP100_(registry_.histogram(
-          "ep_request_energy_hist_joules",
-          "Attributed joules per executed cold study",
-          {0.1, 1.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0, 10000.0,
-           50000.0},
-          {{"device", "P100"}})),
-      hEnergyJoulesK40c_(registry_.histogram(
-          "ep_request_energy_hist_joules",
-          "Attributed joules per executed cold study",
-          {0.1, 1.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0, 10000.0,
-           50000.0},
-          {{"device", "K40c"}})),
+      // Row by row, so each family's children follow table order.
+      ledger_(perDevice([&](const DeviceInfo& d) {
+        const obs::Labels device{{"device", d.label}};
+        return DeviceLedger{
+            registry_.doubleCounter(
+                "ep_request_energy_joules",
+                "Dynamic energy attributed to the requests that measured it",
+                device),
+            registry_.counter(
+                "ep_request_windows_total",
+                "Accepted measurement windows attributed to requests", device),
+            registry_.histogram("ep_request_energy_hist_joules",
+                                "Attributed joules per executed cold study",
+                                {0.1, 1.0, 10.0, 50.0, 100.0, 500.0, 1000.0,
+                                 5000.0, 10000.0, 50000.0},
+                                device)};
+      })),
       cache_(options.cacheCapacity),
       staleStore_(std::max<std::size_t>(1, options.staleCapacity)),
-      breakerP100_(options.breaker),
-      breakerK40c_(options.breaker),
+      breakers_(perDevice([&](const DeviceInfo&) {
+        return CircuitBreaker(options.breaker);
+      })),
       admission_(options.admission),
       pool_(std::make_unique<ThreadPool>(options.threads,
                                          options.profileLabel)) {
@@ -146,14 +136,6 @@ Broker::~Broker() { shutdown(); }
 
 StudyKey Broker::keyFor(Device device, int n) const {
   return StudyKey{device, n, engine_->tuningHash(device)};
-}
-
-CircuitBreaker& Broker::breakerFor(Device device) {
-  return device == Device::K40c ? breakerK40c_ : breakerP100_;
-}
-
-const CircuitBreaker& Broker::breakerFor(Device device) const {
-  return device == Device::K40c ? breakerK40c_ : breakerP100_;
 }
 
 Clock::time_point Broker::deadlineFor(double deadlineMs,
@@ -191,7 +173,7 @@ Broker::TuneAdmission Broker::admitTuneLocked(const TuneJobPtr& job) {
     a.act = TuneAdmission::Act::Coalesced;
     return a;
   }
-  if (breakerFor(job->req.device).wouldReject(now())) {
+  if (breakers_[deviceIndex(job->req.device)].wouldReject(now())) {
     // Fail fast while the breaker is open: serve a stale result
     // synchronously when one exists, reject otherwise — either way no
     // queue slot or worker time is spent on a broken engine.
@@ -598,7 +580,7 @@ Broker::StudyOutcome Broker::obtainStudy(Device device, int n, bool* cacheHit,
   // every allow() == true is balanced by exactly one onSuccess()/
   // onFailure() below (cache hits and coalesced joins never consume
   // half-open probes).
-  CircuitBreaker& breaker = breakerFor(device);
+  CircuitBreaker& breaker = breakers_[deviceIndex(device)];
   if (!breaker.allow(now())) {
     if (options_.staleCapacity > 0) {
       if (auto st = staleStore_.get(key)) {
@@ -815,16 +797,10 @@ void Broker::accountStudyEnergy(Device device,
   // Runs on the executing owner's worker, whose trace context is the
   // paying request's — so the energy histogram's exemplar links the
   // bucket straight to that request's span tree.
-  const std::uint64_t traceId = obs::currentContext().traceId;
-  if (device == Device::K40c) {
-    cEnergyJoulesK40c_.add(a.joules);
-    cWindowsK40c_.inc(a.windows);
-    hEnergyJoulesK40c_.observe(a.joules, traceId);
-  } else {
-    cEnergyJoulesP100_.add(a.joules);
-    cWindowsP100_.inc(a.windows);
-    hEnergyJoulesP100_.observe(a.joules, traceId);
-  }
+  const DeviceLedger& ledger = ledger_[deviceIndex(device)];
+  ledger.joules.add(a.joules);
+  ledger.windows.inc(a.windows);
+  ledger.joulesHist.observe(a.joules, obs::currentContext().traceId);
 }
 
 void Broker::feedWatchdog(Device device, bool error, bool stale) {
@@ -855,11 +831,12 @@ ServeMetrics Broker::metrics() const {
   out.rejectedOverload = cRejectedOverload_.value();
   out.shedDeadline = cShedDeadline_.value();
   out.accepted = cAccepted_.value();
-  out.breakerOpens = breakerP100_.opens() + breakerK40c_.opens();
   out.admissionLimit = admission_.enabled() ? admission_.limit() : 0;
   const Clock::time_point now = this->now();
-  out.breakerStateP100 = breakerStateName(breakerP100_.state(now));
-  out.breakerStateK40c = breakerStateName(breakerK40c_.state(now));
+  for (std::size_t i = 0; i < kDeviceCount; ++i) {
+    out.breakerOpens += breakers_[i].opens();
+    out.breakerState[i] = breakerStateName(breakers_[i].state(now));
+  }
   for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
     out.latency.counts[i] = hLatencyMs_.bucketValue(i);
   }
@@ -892,19 +869,9 @@ void Broker::syncInstantaneous() const {
                            ? static_cast<std::int64_t>(admission_.limit())
                            : 0);
   const Clock::time_point now = this->now();
-  const auto stateValue = [&](const CircuitBreaker& b) -> std::int64_t {
-    switch (b.state(now)) {
-      case CircuitBreaker::State::Closed:
-        return 0;
-      case CircuitBreaker::State::HalfOpen:
-        return 1;
-      case CircuitBreaker::State::Open:
-        return 2;
-    }
-    return 0;
-  };
-  gBreakerStateP100_.set(stateValue(breakerP100_));
-  gBreakerStateK40c_.set(stateValue(breakerK40c_));
+  for (std::size_t i = 0; i < kDeviceCount; ++i) {
+    gBreakerState_[i]->set(static_cast<std::int64_t>(breakers_[i].state(now)));
+  }
 }
 
 std::string Broker::renderPrometheus() const {

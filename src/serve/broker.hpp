@@ -26,6 +26,7 @@
 // therefore waits on a *running* computation, never on queued work.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -230,8 +231,6 @@ class Broker {
   }
   [[nodiscard]] Clock::time_point deadlineFor(double deadlineMs,
                                               Clock::time_point now) const;
-  [[nodiscard]] CircuitBreaker& breakerFor(Device device);
-  [[nodiscard]] const CircuitBreaker& breakerFor(Device device) const;
 
   // Worker bodies.
   void runTuneJob(const TuneJobPtr& job);
@@ -296,18 +295,17 @@ class Broker {
   obs::Gauge& gInFlightStudies_;
   obs::Gauge& gCacheSize_;
   obs::Gauge& gCacheCapacity_;
-  obs::Gauge& gBreakerStateP100_;
-  obs::Gauge& gBreakerStateK40c_;
+  std::array<obs::Gauge*, kDeviceCount> gBreakerState_;
   obs::Histogram& hLatencyMs_;
   // Request-attributed energy ledger, one child series per device.
-  obs::DoubleCounter& cEnergyJoulesP100_;
-  obs::DoubleCounter& cEnergyJoulesK40c_;
-  obs::Counter& cWindowsP100_;
-  obs::Counter& cWindowsK40c_;
-  // Attributed-energy distribution per cold study, exemplar-linked to
-  // the paying request's trace id.
-  obs::Histogram& hEnergyJoulesP100_;
-  obs::Histogram& hEnergyJoulesK40c_;
+  struct DeviceLedger {
+    obs::DoubleCounter& joules;
+    obs::Counter& windows;
+    // Attributed-energy distribution per cold study, exemplar-linked
+    // to the paying request's trace id.
+    obs::Histogram& joulesHist;
+  };
+  std::array<DeviceLedger, kDeviceCount> ledger_;
 
   mutable std::mutex mu_;
   std::condition_variable drained_;
@@ -322,8 +320,7 @@ class Broker {
       inFlight_;
   // One breaker per device: a broken K40c engine must not open the
   // circuit for P100 traffic.  Own leaf mutex; safe to call under mu_.
-  CircuitBreaker breakerP100_;
-  CircuitBreaker breakerK40c_;
+  std::array<CircuitBreaker, kDeviceCount> breakers_;
   // Adaptive concurrency + deadline shedding.  Leaf mutex like the
   // breakers; consulted under mu_ at admission, released unlocked.
   AdmissionController admission_;

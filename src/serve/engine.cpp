@@ -86,22 +86,21 @@ core::GpuEpStudy makeStudy(const hw::GpuSpec& spec,
 
 EpStudyEngine::EpStudyEngine(EpStudyEngineOptions options)
     : options_(options),
-      p100_(std::make_unique<core::GpuEpStudy>(
-          makeStudy(hw::nvidiaP100Pcie(), options))),
-      k40c_(std::make_unique<core::GpuEpStudy>(
-          makeStudy(hw::nvidiaK40c(), options))) {
-  p100Hash_ = hashStudyConstants(p100_->app().model(), options_);
-  k40cHash_ = hashStudyConstants(k40c_->app().model(), options_);
-}
+      studies_(perDevice([&](const DeviceInfo& d) {
+        return makeStudy(d.spec(), options_);
+      })),
+      hashes_(perDevice([&](const DeviceInfo& d) {
+        return hashStudyConstants(
+            studies_[deviceIndex(d.device)].app().model(), options_);
+      })) {}
 
 std::uint64_t EpStudyEngine::tuningHash(Device device) const {
-  return device == Device::P100 ? p100Hash_ : k40cHash_;
+  return hashes_[deviceIndex(device)];
 }
 
 core::WorkloadResult EpStudyEngine::evaluate(Device device, int n,
                                              ThreadPool* pool) const {
-  const core::GpuEpStudy& study =
-      device == Device::P100 ? *p100_ : *k40c_;
+  const core::GpuEpStudy& study = studies_[deviceIndex(device)];
   // Per-(device, n) stream: results are independent of request order,
   // which is what makes them cacheable and coalescable.  The parallel
   // path is bitwise-identical to serial, so the pool (or its size)

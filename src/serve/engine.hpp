@@ -13,8 +13,8 @@
 // interleaving — which is what makes its result cacheable.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <memory>
 
 #include "core/study.hpp"
 #include "fault/fault.hpp"
@@ -70,10 +70,9 @@ class EpStudyEngine : public TuningEngine {
 
  private:
   EpStudyEngineOptions options_;
-  std::unique_ptr<core::GpuEpStudy> p100_;
-  std::unique_ptr<core::GpuEpStudy> k40c_;
-  std::uint64_t p100Hash_ = 0;
-  std::uint64_t k40cHash_ = 0;
+  // One study and one tuning hash per kDevices row.
+  std::array<core::GpuEpStudy, kDeviceCount> studies_;
+  std::array<std::uint64_t, kDeviceCount> hashes_;
 };
 
 }  // namespace ep::serve

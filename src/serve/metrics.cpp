@@ -35,9 +35,11 @@ std::string formatMetrics(const ServeMetrics& m) {
      << "sharing:  coalesced=" << m.coalesced
      << " studies_executed=" << m.studiesExecuted << "\n"
      << "breaker:  opens=" << m.breakerOpens
-     << " stale_served=" << m.staleServed
-     << " p100=" << m.breakerStateP100
-     << " k40c=" << m.breakerStateK40c << "\n"
+     << " stale_served=" << m.staleServed;
+  for (const DeviceInfo& d : kDevices) {
+    os << " " << d.name << "=" << m.breakerState[deviceIndex(d.device)];
+  }
+  os << "\n"
      << "cache:    hits=" << m.cacheHits << " misses=" << m.cacheMisses
      << " evictions=" << m.cacheEvictions << " size=" << m.cacheSize << "/"
      << m.cacheCapacity << "\n"

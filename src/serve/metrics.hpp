@@ -14,6 +14,7 @@
 #include <string>
 
 #include "serve/lru_cache.hpp"
+#include "serve/request.hpp"
 
 namespace ep::serve {
 
@@ -71,8 +72,8 @@ struct ServeMetrics {
   // Resilience.
   std::uint64_t breakerOpens = 0;      // breaker open transitions (all devices)
   std::uint64_t staleServed = 0;       // responses from the stale store
-  const char* breakerStateP100 = "closed";
-  const char* breakerStateK40c = "closed";
+  // Indexed by deviceIndex().
+  std::array<const char*, kDeviceCount> breakerState{"closed", "closed"};
   std::uint64_t cacheHits = 0;         // cache lookups that hit
   std::uint64_t cacheMisses = 0;       // cache lookups that missed
   std::uint64_t cacheEvictions = 0;

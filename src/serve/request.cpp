@@ -1,22 +1,26 @@
 #include "serve/request.hpp"
 
+#include <algorithm>
+#include <cctype>
+
 #include "common/rng.hpp"
 
 namespace ep::serve {
 
-const char* deviceName(Device d) {
-  switch (d) {
-    case Device::P100:
-      return "p100";
-    case Device::K40c:
-      return "k40c";
-  }
-  return "unknown";
-}
+const char* deviceName(Device d) { return kDevices[deviceIndex(d)].name; }
 
 std::optional<Device> parseDevice(std::string_view name) {
-  if (name == "p100" || name == "P100") return Device::P100;
-  if (name == "k40c" || name == "K40c" || name == "K40C") return Device::K40c;
+  const auto upperOf = [](char a, char b) {
+    return a == std::toupper(static_cast<unsigned char>(b));
+  };
+  for (const DeviceInfo& row : kDevices) {
+    const std::string_view wireName = row.name;
+    if (name == wireName || name == row.label ||
+        std::equal(name.begin(), name.end(), wireName.begin(),
+                   wireName.end(), upperOf)) {
+      return row.device;
+    }
+  }
   return std::nullopt;
 }
 

@@ -16,22 +16,66 @@
 // missed deadline, shutdown) rather than failing.
 #pragma once
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
 #include "core/study.hpp"
 #include "core/tuner.hpp"
+#include "hw/spec.hpp"
 
 namespace ep::serve {
 
-// The simulated GPUs the service can study (Table I parts).
+// The simulated GPUs the service can study (Table I parts).  The
+// enumerator values are load-bearing: they index kDevices and every
+// per-device array, are the EPB1 device byte, and seed cache keys,
+// ring keys and per-study RNG streams.
 enum class Device { P100, K40c };
 
+// One row per Device, in enumerator order.  Serve and fleet iterate
+// this table instead of naming devices.
+struct DeviceInfo {
+  Device device;
+  const char* name;        // wire name and metric-name suffix
+  const char* label;       // exposition label and wire-key suffix
+  hw::GpuSpec (*spec)();   // the Table I part the engine models
+};
+inline constexpr std::array<DeviceInfo, 2> kDevices = {{
+    {Device::P100, "p100", "P100", &hw::nvidiaP100Pcie},
+    {Device::K40c, "k40c", "K40c", &hw::nvidiaK40c},
+}};
+inline constexpr std::size_t kDeviceCount = kDevices.size();
+
+[[nodiscard]] constexpr std::size_t deviceIndex(Device d) {
+  return static_cast<std::size_t>(d);
+}
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kDeviceCount; ++i) {
+        if (deviceIndex(kDevices[i].device) != i) return false;
+      }
+      return true;
+    }(),
+    "kDevices rows must follow the Device enumerators");
+
+// A per-device array: element i is f(kDevices[i]), built in place and
+// in table order (so f may return a type that cannot be copied, and
+// registrations made by f happen row by row).
+template <typename F>
+[[nodiscard]] auto perDevice(F&& f) {
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array{f(kDevices[I])...};
+  }(std::make_index_sequence<kDeviceCount>{});
+}
+
 [[nodiscard]] const char* deviceName(Device d);
+// The wire name, the label or the upper-cased wire name ("K40C").
 [[nodiscard]] std::optional<Device> parseDevice(std::string_view name);
 
 using Clock = std::chrono::steady_clock;

@@ -450,16 +450,18 @@ std::optional<WireRequest> decodeRequest(const std::string& line,
     return req;
   }
 
-  const auto deviceStr = getString(*obj, "device").value_or("p100");
+  const auto deviceStr = getString(*obj, "device");
   if (deviceStr == "auto") {
     // Placement left to the fleet router's policy; only meaningful for
     // tune (a study names one device's engine).
     if (*op != "tune") return fail("\"auto\" device is tune-only");
     req.deviceAuto = true;
   }
-  const auto device =
-      req.deviceAuto ? std::optional<Device>{Device::P100}
-                     : parseDevice(deviceStr);
+  // No device (or "auto", a placeholder until the fleet router places
+  // the request) means the request structs' default device.
+  const auto device = req.deviceAuto || !deviceStr
+                          ? std::optional<Device>{TuneRequest{}.device}
+                          : parseDevice(*deviceStr);
   if (!device) return fail("unknown device");
   req.traceId = getString(*obj, "trace_id").value_or("");
   req.report = getBool(*obj, "report").value_or(false);
@@ -557,10 +559,12 @@ std::string encodeMetrics(const ServeMetrics& m) {
       .add("coalesced", m.coalesced)
       .add("studiesExecuted", m.studiesExecuted)
       .add("breakerOpens", m.breakerOpens)
-      .add("staleServed", m.staleServed)
-      .add("breakerStateP100", m.breakerStateP100)
-      .add("breakerStateK40c", m.breakerStateK40c)
-      .add("cacheHits", m.cacheHits)
+      .add("staleServed", m.staleServed);
+  for (const DeviceInfo& d : kDevices) {
+    w.add(std::string("breakerState") + d.label,
+          m.breakerState[deviceIndex(d.device)]);
+  }
+  w.add("cacheHits", m.cacheHits)
       .add("cacheMisses", m.cacheMisses)
       .add("cacheEvictions", m.cacheEvictions)
       .add("cacheSize", static_cast<std::uint64_t>(m.cacheSize))

@@ -65,7 +65,7 @@ constexpr std::uint8_t kRespHasReport = 1u << 3;
 std::string encodeTuneRequest(const BinaryTuneRequest& req) {
   std::string out;
   out.reserve(32 + req.traceId.size());
-  out += static_cast<char>(req.tune.device == Device::K40c ? 1 : 0);
+  out += static_cast<char>(deviceIndex(req.tune.device));
   std::uint8_t flags = 0;
   if (req.report) flags |= kReqReport;
   if (req.deviceAuto) flags |= kReqDeviceAuto;
@@ -91,7 +91,7 @@ std::optional<BinaryTuneRequest> decodeTuneRequest(std::string_view body,
     if (error != nullptr) *error = "truncated tune request";
     return std::nullopt;
   }
-  if (device > 1) {
+  if (device >= kDeviceCount) {
     if (error != nullptr) *error = "unknown device";
     return std::nullopt;
   }
@@ -99,7 +99,7 @@ std::optional<BinaryTuneRequest> decodeTuneRequest(std::string_view body,
     if (error != nullptr) *error = "workload out of range";
     return std::nullopt;
   }
-  req.tune.device = device == 1 ? Device::K40c : Device::P100;
+  req.tune.device = kDevices[device].device;
   req.tune.n = static_cast<int>(n);
   req.report = (flags & kReqReport) != 0;
   req.deviceAuto = (flags & kReqDeviceAuto) != 0;

@@ -10,7 +10,7 @@
 // Layout (all varints LEB128, all f64 little-endian IEEE 754):
 //
 //   TuneRequest body:
-//     u8      device            (0 = P100, 1 = K40c)
+//     u8      device            (deviceIndex: 0 = P100, 1 = K40c)
 //     u8      flags             (bit0 report, bit1 device=auto)
 //     varint  n
 //     f64     maxDegradation

@@ -383,33 +383,37 @@ TEST(Router, EwmaTracksColdStudyPrice) {
 }
 
 TEST(Router, AutoDeviceExploresThenPicksCheaper) {
-  // K40c is 3x more expensive per study under this engine.
-  auto engine = std::make_shared<FleetFakeEngine>(3.0);
-  FleetRouter router(shardConfigs(engine, 2));
-  // Exploration phase: with no price signal the router alternates, so
-  // two distinct fresh keys sample both devices.
-  std::set<Device> explored;
-  for (int n : {900, 901}) {
-    FleetRequest r;
-    r.device.reset();  // "auto"
-    r.n = n;
-    r.maxDegradation = 0.5;
-    RouteDecision d;
-    ASSERT_EQ(router.tune(r, &d).status, serve::Status::Ok);
-    explored.insert(d.device);
-  }
-  EXPECT_EQ(explored.size(), 2u);
-  EXPECT_GT(router.ewmaColdJoules(Device::P100, 900), 0.0);
-  EXPECT_GT(router.ewmaColdJoules(Device::K40c, 900), 0.0);
-  // Exploitation: both sampled, P100 is cheaper, auto picks it.
-  for (int n : {902, 903, 904}) {
-    FleetRequest r;
-    r.device.reset();
-    r.n = n;
-    r.maxDegradation = 0.5;
-    RouteDecision d;
-    ASSERT_EQ(router.tune(r, &d).status, serve::Status::Ok);
-    EXPECT_EQ(d.device, Device::P100) << n;
+  // K40c's per-study price relative to P100's, and the device "auto"
+  // must settle on: the cheaper one, and P100 on a tie.
+  const std::pair<double, Device> cases[] = {
+      {3.0, Device::P100}, {1.0 / 3.0, Device::K40c}, {1.0, Device::P100}};
+  for (const auto& [k40cMultiplier, cheaper] : cases) {
+    SCOPED_TRACE(k40cMultiplier);
+    auto engine = std::make_shared<FleetFakeEngine>(k40cMultiplier);
+    FleetRouter router(shardConfigs(engine, 2));
+    const auto autoTune = [&](int n) {
+      FleetRequest r;
+      r.device.reset();  // "auto"
+      r.n = n;
+      r.maxDegradation = 0.5;
+      RouteDecision d;
+      EXPECT_EQ(router.tune(r, &d).status, serve::Status::Ok);
+      return d.device;
+    };
+    // Exploration: with no price signal the router rotates, then tries
+    // the device still without a price, so one fresh key prices both.
+    std::set<Device> explored;
+    for (int i = 0; i < 2; ++i) explored.insert(autoTune(900));
+    EXPECT_EQ(explored.size(), 2u);
+    const double p100 = router.ewmaColdJoules(Device::P100, 900);
+    const double k40c = router.ewmaColdJoules(Device::K40c, 900);
+    EXPECT_GT(p100, 0.0);
+    EXPECT_DOUBLE_EQ(k40c, p100 * k40cMultiplier);
+    // Exploitation: both priced, the cheaper device wins every time.
+    // The priced key answers from cache, so the prices stay put.
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(autoTune(900), cheaper) << i;
+    EXPECT_EQ(router.ewmaColdJoules(Device::P100, 900), p100);
+    EXPECT_EQ(router.ewmaColdJoules(Device::K40c, 900), k40c);
   }
 }
 
@@ -1156,15 +1160,15 @@ TEST(Health, DisabledHealthIsInvisibleInEverySurface) {
   router.shutdown();
 }
 
-// --- heterogeneous fleets (GPU-only and mixed shards) ---
+// --- heterogeneous fleets (single-device and mixed shards) ---
 
 TEST(Hetero, AutoDeviceRespectsShardCapabilities) {
   auto engine = std::make_shared<FleetFakeEngine>();
   std::vector<FleetShardConfig> cfgs;
   const std::vector<std::vector<Device>> caps = {
-      {Device::K40c},                 // g0: CPU-only shard
+      {Device::K40c},                 // g0: K40c-only shard
       {Device::P100, Device::K40c},   // g1: mixed
-      {Device::P100},                 // g2: GPU-only shard
+      {Device::P100},                 // g2: P100-only shard
   };
   for (int i = 0; i < 3; ++i) {
     FleetShardConfig c;
@@ -1224,7 +1228,7 @@ TEST(Hetero, StaleServingCrossesOnlyCapableShards) {
   FleetRouter router(cfgs);
 
   // Warm K40c keys, remembering who actually executed each one (the
-  // ring home of a K40c key may be the GPU-only shard, in which case
+  // ring home of a K40c key may be the P100-only shard, in which case
   // the router already diverted it).
   std::vector<int> keys;
   std::vector<std::string> servedBy;
@@ -1240,7 +1244,7 @@ TEST(Hetero, StaleServingCrossesOnlyCapableShards) {
 
   // Replicas of an executed K40c study can only live on the *other*
   // K40c-capable shard, so after the executor dies every one of its
-  // keys stale-serves from that survivor — never from the GPU-only g2.
+  // keys stale-serves from that survivor — never from the P100-only g2.
   ASSERT_TRUE(router.killShard(victim));
   const int callsBefore = engine->calls();
   int staleHits = 0;

@@ -1269,8 +1269,8 @@ ServeMetrics wireMetrics() {
   m.studiesExecuted = 9;
   m.breakerOpens = 10;
   m.staleServed = 11;
-  m.breakerStateP100 = "open";
-  m.breakerStateK40c = "half_open";
+  m.breakerState[deviceIndex(Device::P100)] = "open";
+  m.breakerState[deviceIndex(Device::K40c)] = "half_open";
   m.cacheHits = 12;
   m.cacheMisses = 13;
   m.cacheEvictions = 14;
@@ -2176,6 +2176,176 @@ TEST(Admission, DisabledAdmissionNeverRejectsOverloaded) {
   EXPECT_EQ(m.shedDeadline, 0u);
   EXPECT_EQ(m.admissionLimit, 0u);  // gauge reads 0 when disabled
   broker.shutdown();
+}
+
+// --- the device table must not move the exposition ---
+
+// The exposition the test below pins (see its comment).
+constexpr const char* kPinnedExposition = R"prom(# HELP ep_serve_accepted_total Requests admitted into the service
+# TYPE ep_serve_accepted_total counter
+ep_serve_accepted_total 7
+# HELP ep_serve_completed_total Requests answered with Status::Ok
+# TYPE ep_serve_completed_total counter
+ep_serve_completed_total 6
+# HELP ep_serve_failed_total Requests that failed (engine or input)
+# TYPE ep_serve_failed_total counter
+ep_serve_failed_total 1
+# HELP ep_serve_rejected_queue_full_total Submissions rejected by backpressure
+# TYPE ep_serve_rejected_queue_full_total counter
+ep_serve_rejected_queue_full_total 0
+# HELP ep_serve_rejected_deadline_total Requests expired before completion
+# TYPE ep_serve_rejected_deadline_total counter
+ep_serve_rejected_deadline_total 0
+# HELP ep_serve_rejected_shutdown_total Submissions rejected during shutdown
+# TYPE ep_serve_rejected_shutdown_total counter
+ep_serve_rejected_shutdown_total 0
+# HELP ep_serve_coalesced_total Requests that joined an in-flight identical study
+# TYPE ep_serve_coalesced_total counter
+ep_serve_coalesced_total 0
+# HELP ep_serve_studies_executed_total Cold engine evaluations
+# TYPE ep_serve_studies_executed_total counter
+ep_serve_studies_executed_total 7
+# HELP ep_serve_cache_hits_total Result-cache lookups that hit
+# TYPE ep_serve_cache_hits_total counter
+ep_serve_cache_hits_total 2
+# HELP ep_serve_cache_misses_total Result-cache lookups that missed
+# TYPE ep_serve_cache_misses_total counter
+ep_serve_cache_misses_total 15
+# HELP ep_serve_cache_evictions_total Result-cache LRU evictions
+# TYPE ep_serve_cache_evictions_total counter
+ep_serve_cache_evictions_total 0
+# HELP ep_serve_rejected_circuit_open_total Requests rejected by an open circuit breaker
+# TYPE ep_serve_rejected_circuit_open_total counter
+ep_serve_rejected_circuit_open_total 0
+# HELP ep_serve_breaker_opens_total Circuit-breaker open transitions
+# TYPE ep_serve_breaker_opens_total counter
+ep_serve_breaker_opens_total 1
+# HELP ep_serve_stale_served_total Responses served from the stale-while-error store
+# TYPE ep_serve_stale_served_total counter
+ep_serve_stale_served_total 0
+# HELP ep_serve_rejected_overload_total Submissions shed by the adaptive admission limit
+# TYPE ep_serve_rejected_overload_total counter
+ep_serve_rejected_overload_total 0
+# HELP ep_serve_shed_deadline_total Uncached submissions shed as deadline-infeasible at admission
+# TYPE ep_serve_shed_deadline_total counter
+ep_serve_shed_deadline_total 0
+# HELP ep_serve_admission_limit Adaptive concurrency limit (0 = admission control disabled)
+# TYPE ep_serve_admission_limit gauge
+ep_serve_admission_limit 0
+# HELP ep_serve_queue_depth Admitted, not yet started jobs
+# TYPE ep_serve_queue_depth gauge
+ep_serve_queue_depth 0
+# HELP ep_serve_in_flight_studies Engine evaluations running now
+# TYPE ep_serve_in_flight_studies gauge
+ep_serve_in_flight_studies 0
+# HELP ep_serve_cache_size Result-cache entries resident
+# TYPE ep_serve_cache_size gauge
+ep_serve_cache_size 6
+# HELP ep_serve_cache_capacity Result-cache capacity
+# TYPE ep_serve_cache_capacity gauge
+ep_serve_cache_capacity 128
+# HELP ep_serve_breaker_state_p100 P100 breaker state (0 closed, 1 half-open, 2 open)
+# TYPE ep_serve_breaker_state_p100 gauge
+ep_serve_breaker_state_p100 0
+# HELP ep_serve_breaker_state_k40c K40c breaker state (0 closed, 1 half-open, 2 open)
+# TYPE ep_serve_breaker_state_k40c gauge
+ep_serve_breaker_state_k40c 2
+# HELP ep_serve_request_latency_ms Completed-request latency, submit to response (ms)
+# TYPE ep_serve_request_latency_ms histogram
+ep_serve_request_latency_ms_bucket{le="0.05"} 6
+ep_serve_request_latency_ms_bucket{le="0.1"} 6
+ep_serve_request_latency_ms_bucket{le="0.25"} 6
+ep_serve_request_latency_ms_bucket{le="0.5"} 6
+ep_serve_request_latency_ms_bucket{le="1"} 6
+ep_serve_request_latency_ms_bucket{le="2.5"} 6
+ep_serve_request_latency_ms_bucket{le="5"} 6
+ep_serve_request_latency_ms_bucket{le="10"} 6
+ep_serve_request_latency_ms_bucket{le="25"} 6
+ep_serve_request_latency_ms_bucket{le="100"} 6
+ep_serve_request_latency_ms_bucket{le="500"} 6
+ep_serve_request_latency_ms_bucket{le="2000"} 6
+ep_serve_request_latency_ms_bucket{le="+Inf"} 6
+ep_serve_request_latency_ms_sum 0
+ep_serve_request_latency_ms_count 6
+# HELP ep_request_energy_joules Dynamic energy attributed to the requests that measured it
+# TYPE ep_request_energy_joules counter
+ep_request_energy_joules{device="P100"} 24
+ep_request_energy_joules{device="K40c"} 8
+# HELP ep_request_windows_total Accepted measurement windows attributed to requests
+# TYPE ep_request_windows_total counter
+ep_request_windows_total{device="P100"} 20
+ep_request_windows_total{device="K40c"} 10
+# HELP ep_request_energy_hist_joules Attributed joules per executed cold study
+# TYPE ep_request_energy_hist_joules histogram
+ep_request_energy_hist_joules_bucket{device="P100",le="0.1"} 0
+ep_request_energy_hist_joules_bucket{device="P100",le="1"} 0
+ep_request_energy_hist_joules_bucket{device="P100",le="10"} 4
+ep_request_energy_hist_joules_bucket{device="P100",le="50"} 4
+ep_request_energy_hist_joules_bucket{device="P100",le="100"} 4
+ep_request_energy_hist_joules_bucket{device="P100",le="500"} 4
+ep_request_energy_hist_joules_bucket{device="P100",le="1000"} 4
+ep_request_energy_hist_joules_bucket{device="P100",le="5000"} 4
+ep_request_energy_hist_joules_bucket{device="P100",le="10000"} 4
+ep_request_energy_hist_joules_bucket{device="P100",le="50000"} 4
+ep_request_energy_hist_joules_bucket{device="P100",le="+Inf"} 4
+ep_request_energy_hist_joules_sum{device="P100"} 24
+ep_request_energy_hist_joules_count{device="P100"} 4
+ep_request_energy_hist_joules_bucket{device="K40c",le="0.1"} 0
+ep_request_energy_hist_joules_bucket{device="K40c",le="1"} 0
+ep_request_energy_hist_joules_bucket{device="K40c",le="10"} 2
+ep_request_energy_hist_joules_bucket{device="K40c",le="50"} 2
+ep_request_energy_hist_joules_bucket{device="K40c",le="100"} 2
+ep_request_energy_hist_joules_bucket{device="K40c",le="500"} 2
+ep_request_energy_hist_joules_bucket{device="K40c",le="1000"} 2
+ep_request_energy_hist_joules_bucket{device="K40c",le="5000"} 2
+ep_request_energy_hist_joules_bucket{device="K40c",le="10000"} 2
+ep_request_energy_hist_joules_bucket{device="K40c",le="50000"} 2
+ep_request_energy_hist_joules_bucket{device="K40c",le="+Inf"} 2
+ep_request_energy_hist_joules_sum{device="K40c"} 8
+ep_request_energy_hist_joules_count{device="K40c"} 2
+# HELP ep_build_info Build identity (info-style: value always 1)
+# TYPE ep_build_info gauge
+ep_build_info{...} 1
+)prom";
+
+// A broker's Prometheus exposition after a fixed request mix on both
+// devices, byte for byte: family order, the per-device breaker gauges
+// (ep_serve_breaker_state_{p100,k40c}) and the device="P100"/"K40c"
+// labels of the energy ledger.  Registering the per-device series from
+// the device table must not move any of it.  The fake clock pins every
+// latency to 0 ms; ep_build_info (the build's identity) is masked.
+TEST(Broker, PrometheusExpositionPinnedOverBothDevices) {
+  auto engine = std::make_shared<FakeEngine>();
+  engine->failOn(700);
+  FakeClock clock;
+  BrokerOptions opts;
+  opts.threads = 1;
+  opts.clock = clock.fn();
+  opts.breaker.failureThreshold = 1;
+  opts.breaker.openMs = 60'000.0;
+  Broker broker(engine, opts);
+  for (const Device d : {Device::P100, Device::K40c}) {
+    ASSERT_EQ(broker.tune(tuneReq(100, 0.5, 0.0, d)).status, Status::Ok);
+    ASSERT_EQ(broker.tune(tuneReq(100, 0.5, 0.0, d)).status, Status::Ok);
+  }
+  ASSERT_EQ(broker.tune(tuneReq(300, 0.5, 0.0, Device::K40c)).status,
+            Status::Ok);
+  StudyRequest sweep;
+  sweep.device = Device::P100;
+  sweep.nBegin = 400;
+  sweep.nEnd = 600;
+  sweep.nStep = 100;
+  ASSERT_EQ(broker.study(sweep).status, Status::Ok);
+  // One engine failure opens the K40c breaker; P100's stays closed.
+  ASSERT_EQ(broker.tune(tuneReq(700, 0.5, 0.0, Device::K40c)).status,
+            Status::Error);
+
+  std::string text = broker.renderPrometheus();
+  const std::size_t info = text.find("\nep_build_info{");
+  ASSERT_NE(info, std::string::npos) << text;
+  text.replace(info + 1, text.find('\n', info + 1) - info - 1,
+               "ep_build_info{...} 1");
+  EXPECT_EQ(text, kPinnedExposition);
 }
 
 }  // namespace

@@ -57,23 +57,23 @@ stop_daemon() {
 # energy-sample fold under TSan and ASan+UBSan on a live daemon.
 profiler_drill() {
   local BUILD_DIR="$1"
-  echo "== epprof drill (${BUILD_DIR}): kernel-dominant profile vs ledger =="
+  echo "== epctl prof drill (${BUILD_DIR}): kernel-dominant profile vs ledger =="
   start_daemon "${BUILD_DIR}" --threads 2 --meter
   # 1 kHz so even a fast metered sweep yields a solid CPU sample set.
-  "./${BUILD_DIR}/tools/epprof" --port "${PORT}" --start --period-us 1000
-  REPORT="$("./${BUILD_DIR}/tools/epserve_client" --port "${PORT}" \
+  "./${BUILD_DIR}/tools/epctl" prof --port "${PORT}" --start --period-us 1000
+  REPORT="$("./${BUILD_DIR}/tools/epctl" load --port "${PORT}" \
     --requests 4 --device k40c --n 256,320,384,448 --report)"
   echo "${REPORT}" | grep "attributed energy"
   JOULES="$(echo "${REPORT}" \
     | sed -n 's/^attributed energy: \([0-9.eE+-]*\) J over.*/\1/p')"
   [[ -n "${JOULES}" ]] || { echo "no attributed-energy line in client report"; exit 1; }
-  "./${BUILD_DIR}/tools/epprof" --port "${PORT}" --kind cpu \
+  "./${BUILD_DIR}/tools/epctl" prof --port "${PORT}" --kind cpu \
     --check kernel/dgemm --min-share 0.5
-  "./${BUILD_DIR}/tools/epprof" --port "${PORT}" --kind energy \
+  "./${BUILD_DIR}/tools/epctl" prof --port "${PORT}" --kind energy \
     --check kernel/dgemm --min-share 0.9
-  "./${BUILD_DIR}/tools/epprof" --port "${PORT}" --kind energy \
+  "./${BUILD_DIR}/tools/epctl" prof --port "${PORT}" --kind energy \
     --check-total "${JOULES}" --tol 0.05
-  "./${BUILD_DIR}/tools/epprof" --port "${PORT}" --stop
+  "./${BUILD_DIR}/tools/epctl" prof --port "${PORT}" --stop
   stop_daemon
 }
 
@@ -85,25 +85,25 @@ cmake --build build -j "${JOBS}"
 # instead of passing by luck.
 (cd build && ctest --output-on-failure -j "${JOBS}" --repeat until-fail:3)
 
-echo "== epwatch smoke: watchdog catches an injected 58 W offset =="
+echo "== epctl watch smoke: watchdog catches an injected 58 W offset =="
 # Anomalous server: a constant +58 W meter offset (the Fig 6 signature)
 # that sample sanitization cannot see.  One metered request later the
-# watchdog must hold an active constant_component alert, which epwatch
-# --check reports as exit 2.
+# watchdog must hold an active constant_component alert, which epctl
+# watch --check reports as exit 2.
 start_daemon build --threads 2 --watchdog --fault-offset 58
-./build/tools/epserve_client --port "${PORT}" --requests 1 --n 256 \
+./build/tools/epctl load --port "${PORT}" --requests 1 --n 256 \
   --trace-id cafe01 --report
 set +e
-./build/tools/epwatch --port "${PORT}" --check
+./build/tools/epctl watch --port "${PORT}" --check
 WATCH_RC=$?
 set -e
-[[ "${WATCH_RC}" == "2" ]] || { echo "epwatch --check: expected exit 2 (active alert), got ${WATCH_RC}"; exit 1; }
+[[ "${WATCH_RC}" == "2" ]] || { echo "epctl watch --check: expected exit 2 (active alert), got ${WATCH_RC}"; exit 1; }
 stop_daemon
 
 # Healthy server: same pipeline without the fault, no alerts, exit 0.
 start_daemon build --threads 2 --watchdog
-./build/tools/epserve_client --port "${PORT}" --requests 1 --n 256 >/dev/null
-./build/tools/epwatch --port "${PORT}" --check
+./build/tools/epctl load --port "${PORT}" --requests 1 --n 256 >/dev/null
+./build/tools/epctl watch --port "${PORT}" --check
 stop_daemon
 
 echo "== net smoke: epoll event loop serves line-JSON and EPB1 binary =="
@@ -112,10 +112,18 @@ echo "== net smoke: epoll event loop serves line-JSON and EPB1 binary =="
 # unchanged) and an EPB1 binary client with batched pipelining.  Both
 # must complete with zero errors against a multi-threaded event loop.
 start_daemon build --threads 2 --event-threads 2
-./build/tools/epserve_client --port "${PORT}" --requests 64 --n 256 \
+./build/tools/epctl load --port "${PORT}" --requests 64 --n 256 \
   --connections 2 >/dev/null
-./build/tools/epserve_client --port "${PORT}" --requests 512 --n 256 \
+./build/tools/epctl load --port "${PORT}" --requests 512 --n 256 \
   --binary --pipeline 32 --connections 2
+# --device reaches the engine it names over EPB1 too: a binary K40c load
+# must move the K40c energy ledger, not P100's.
+./build/tools/epctl load --port "${PORT}" --requests 1 --n 512 \
+  --binary --device K40c >/dev/null
+./build/tools/epctl send --port "${PORT}" \
+  '{"op":"metrics","format":"prometheus"}' \
+  | grep -qE 'ep_request_windows_total\{device=\\"K40c\\"\} [1-9]' \
+  || { echo "binary --device K40c load did not reach the K40c engine"; exit 1; }
 stop_daemon
 
 echo "== fleet smoke: shard kill -> stale serve -> clean recovery =="
@@ -132,25 +140,25 @@ echo "== fleet smoke: shard kill -> stale serve -> clean recovery =="
 start_daemon build --shards 3 --threads 2 --health-probe-ms 25
 FLEET_NS="256 320 384 448 512 576 640 704"
 for N in ${FLEET_NS}; do
-  ./build/tools/epserve_client --port "${PORT}" \
-    --raw "{\"op\":\"tune\",\"device\":\"p100\",\"n\":${N},\"maxDegradation\":0.11}" \
+  ./build/tools/epctl send --port "${PORT}" \
+    "{\"op\":\"tune\",\"device\":\"p100\",\"n\":${N},\"maxDegradation\":0.11}" \
     >/dev/null
 done
-./build/tools/epserve_client --port "${PORT}" \
-  --raw '{"op":"fleet","action":"kill","shard":"s1"}' >/dev/null
+./build/tools/epctl send --port "${PORT}" \
+  '{"op":"fleet","action":"kill","shard":"s1"}' >/dev/null
 STALE=0
 for N in ${FLEET_NS}; do
-  ./build/tools/epserve_client --port "${PORT}" \
-    --raw "{\"op\":\"tune\",\"device\":\"p100\",\"n\":${N},\"maxDegradation\":0.11}" \
+  ./build/tools/epctl send --port "${PORT}" \
+    "{\"op\":\"tune\",\"device\":\"p100\",\"n\":${N},\"maxDegradation\":0.11}" \
     | grep -q '"stale":true' && STALE=$((STALE + 1))
 done
 [[ "${STALE}" -ge 1 ]] || { echo "expected stale-served responses after shard kill, got ${STALE}"; exit 1; }
 echo "stale-served responses after kill: ${STALE}"
-./build/tools/epserve_client --port "${PORT}" \
-  --raw '{"op":"fleet","action":"revive","shard":"s1"}' >/dev/null
+./build/tools/epctl send --port "${PORT}" \
+  '{"op":"fleet","action":"revive","shard":"s1"}' >/dev/null
 # Binary pipelined traffic through the router: the EPB1 path must route
 # and batch across shards without breaking the line-JSON fleet checks.
-./build/tools/epserve_client --port "${PORT}" --requests 256 --n 256 \
+./build/tools/epctl load --port "${PORT}" --requests 256 --n 256 \
   --binary --pipeline 16 >/dev/null
 ./build/tools/fleetcheck --port "${PORT}" --check
 stop_daemon
@@ -165,58 +173,58 @@ echo "== chaoscheck drill: fault campaign -> self-heal -> overload =="
 # seed; any assertion failure exits non-zero.
 ./build/tools/chaoscheck
 
-echo "== eptop drill: healthy fleet -> shard kill -> latency SLO burn =="
+echo "== epctl top drill: healthy fleet -> shard kill -> latency SLO burn =="
 # Fleet with the observability plane armed: 100 ms scrapes and a
 # latency SLO (90% of requests within 2 ms, second-scale burn windows
 # so the drill converges fast).  Single tunes — cold or cached — stay
 # well under 2 ms, so after the warm-up ages out of the 3 s window
-# eptop --check must report no burning SLO (exit 0).  Killing a shard
+# epctl top --check must report no burning SLO (exit 0).  Killing a shard
 # and pushing uncached 32-workload study sweeps makes every in-window
 # request blow the threshold, so the burn rate crosses 2x in both
-# windows and eptop --check must exit 2, with the slow requests' trace
+# windows and epctl top --check must exit 2, with the slow requests' trace
 # ids attached as exemplars to the burning cluster buckets.
 start_daemon build --shards 3 --threads 2 --watchdog --scrape-ms 100 \
   --slo latency:2:0.9 --slo-window 3000:1000:2
 for N in ${FLEET_NS}; do
-  ./build/tools/epserve_client --port "${PORT}" \
-    --raw "{\"op\":\"tune\",\"device\":\"p100\",\"n\":${N},\"maxDegradation\":0.11}" \
+  ./build/tools/epctl send --port "${PORT}" \
+    "{\"op\":\"tune\",\"device\":\"p100\",\"n\":${N},\"maxDegradation\":0.11}" \
     >/dev/null
 done
 sleep 4  # age the cold-study warm-up out of the 3 s long window
 for N in 256 320; do
-  ./build/tools/epserve_client --port "${PORT}" \
-    --raw "{\"op\":\"tune\",\"device\":\"p100\",\"n\":${N},\"maxDegradation\":0.11}" \
+  ./build/tools/epctl send --port "${PORT}" \
+    "{\"op\":\"tune\",\"device\":\"p100\",\"n\":${N},\"maxDegradation\":0.11}" \
     >/dev/null
 done
-./build/tools/eptop --port "${PORT}" --once --check >/dev/null \
-  || { echo "eptop --check: healthy fleet should exit 0"; exit 1; }
+./build/tools/epctl top --port "${PORT}" --once --check >/dev/null \
+  || { echo "epctl top --check: healthy fleet should exit 0"; exit 1; }
 
-./build/tools/epserve_client --port "${PORT}" \
-  --raw '{"op":"fleet","action":"kill","shard":"s1"}' >/dev/null
+./build/tools/epctl send --port "${PORT}" \
+  '{"op":"fleet","action":"kill","shard":"s1"}' >/dev/null
 BURN_RC=0
 COLD_N=1024
 for ROUND in $(seq 1 10); do
   for _ in 1 2 3 4; do
     # Sweeps routed to the killed shard are rejected -- that is the
     # point of the drill; the survivors still carry the burn load.
-    ./build/tools/epserve_client --port "${PORT}" \
-      --raw "{\"op\":\"study\",\"device\":\"p100\",\"nBegin\":${COLD_N},\"nEnd\":$((COLD_N + 7936)),\"nStep\":256,\"trace_id\":\"b0b${ROUND}\"}" \
+    ./build/tools/epctl send --port "${PORT}" \
+      "{\"op\":\"study\",\"device\":\"p100\",\"nBegin\":${COLD_N},\"nEnd\":$((COLD_N + 7936)),\"nStep\":256,\"trace_id\":\"b0b${ROUND}\"}" \
       >/dev/null 2>&1 || true
     COLD_N=$((COLD_N + 8192))
   done
   set +e
-  ./build/tools/eptop --port "${PORT}" --once --check >/dev/null
+  ./build/tools/epctl top --port "${PORT}" --once --check >/dev/null
   BURN_RC=$?
   set -e
   [[ "${BURN_RC}" == "2" ]] && break
   sleep 0.2
 done
-[[ "${BURN_RC}" == "2" ]] || { echo "eptop --check: expected exit 2 (burning latency SLO), got ${BURN_RC}"; exit 1; }
-echo "latency SLO burn caught by eptop --check (round ${ROUND})"
+[[ "${BURN_RC}" == "2" ]] || { echo "epctl top --check: expected exit 2 (burning latency SLO), got ${BURN_RC}"; exit 1; }
+echo "latency SLO burn caught by epctl top --check (round ${ROUND})"
 # The burning cluster histogram must link back to a request: an
 # exemplar trace id on a latency bucket of the OpenMetrics exposition.
-./build/tools/epserve_client --port "${PORT}" \
-  --raw '{"op":"metrics","scope":"cluster","format":"openmetrics"}' \
+./build/tools/epctl send --port "${PORT}" \
+  '{"op":"metrics","scope":"cluster","format":"openmetrics"}' \
   | grep -qE 'ep_serve_request_latency_ms_bucket\{[^}]*\} [0-9]+ # \{trace_id=' \
   || { echo "no exemplar trace id on the cluster latency buckets"; exit 1; }
 echo "exemplar trace id present on cluster latency buckets"
@@ -236,7 +244,7 @@ cmake -B build-tsan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -O1" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "${JOBS}" --target test_serve test_common test_obs \
-  test_apps test_fleet test_net test_chaos epserved epserve_client epprof
+  test_apps test_fleet test_net test_chaos epserved epctl
 # halt_on_error: any reported race fails the run, not just the exit
 # status of the last test.  test_apps covers the parallel study engine
 # (pool-backed runWorkload/runSweep, nested parallelFor); test_serve
@@ -269,7 +277,7 @@ cmake -B build-asan -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "${JOBS}" --target test_fault test_power \
   test_serve test_core test_obs test_fleet test_net test_chaos \
-  epserved epserve_client epprof
+  epserved epctl
 # detect_leaks flushes out meter/journal ownership bugs; the fault tests
 # exercise every injected-corruption branch, the serve tests the
 # malformed-frame corpus, test_core the checkpoint journal I/O, test_obs

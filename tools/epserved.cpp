@@ -23,7 +23,7 @@
 //     N > 1: [--policy rr|queue|energy] [--vnodes V] [--health-probe-ms MS]
 //
 // --port 0 picks an ephemeral port; the chosen one is printed either
-// way so scripts (and epserve_client) can parse it.  --threads counts
+// way so scripts (and epctl) can parse it.  --threads counts
 // broker workers, per shard when N > 1 (0 = one per hardware thread).
 // SIGINT/SIGTERM drain in-flight work before exiting and print the
 // final metrics (the fleet snapshot when N > 1).  A flag that would do
@@ -38,7 +38,7 @@
 // energy-attribution ledger.
 //
 // --watchdog arms the power-anomaly watchdog (one per shard when
-// N > 1); {"op":"events"} drains its flight recorder and tools/epwatch
+// N > 1); {"op":"events"} drains its flight recorder and `epctl watch`
 // renders it.  At N = 1 the watchdog also judges every measurement
 // window (pair with --meter for real windows); --fault-offset injects
 // the paper's Fig 6 constant component (default rate 1.0 when only
@@ -340,7 +340,7 @@ std::string handleControlOp(const wire::WireRequest& req,
       }
       // One drain over every armed recorder: watchdog power anomalies,
       // SLO burn transitions and shard eject/reinstate transitions
-      // share the wire format (epwatch renders them all).
+      // share the wire format (epctl watch renders them all).
       std::string body;
       std::uint64_t alerts = 0;
       std::uint64_t recorded = 0;

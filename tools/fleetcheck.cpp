@@ -14,8 +14,8 @@
 //      are still bitwise-identical to a fresh batch recompute;
 //   4. revive + re-add the shard and verify the partition returns to
 //      the original layout and fronts stay consistent;
-//   5. a heterogeneous-fleet drill (one GPU-only shard, one mixed, one
-//      CPU-only): "device":"auto" routing only lands on shards serving
+//   5. a heterogeneous-fleet drill (one K40c-only shard, one mixed, one
+//      P100-only): "device":"auto" routing only lands on shards serving
 //      the resolved device, and replica stale-serving keeps working
 //      across the asymmetric shard set.
 //
@@ -174,9 +174,9 @@ int runHeteroDrill() {
     c.broker.queueCapacity = 128;
     cfgs.push_back(std::move(c));
   }
-  cfgs[0].devices = {Device::K40c};                 // GPU-only shard
+  cfgs[0].devices = {Device::K40c};                 // K40c-only shard
   cfgs[1].devices = {Device::P100, Device::K40c};   // mixed shard
-  cfgs[2].devices = {Device::P100};                 // CPU-only shard
+  cfgs[2].devices = {Device::P100};                 // P100-only shard
   FleetRouter router(std::move(cfgs), ep::fleet::FleetOptions{});
 
   // "device":"auto": the router resolves the device first, then routes
@@ -191,9 +191,9 @@ int runHeteroDrill() {
     const auto resp = router.tune(r, &d);
     autoOk = autoOk && resp.status == ep::serve::Status::Ok;
     // The decision's shard must actually serve the decision's device.
-    const bool gpuShardOk = d.shardId != "g2" || d.device == Device::P100;
-    const bool cpuShardOk = d.shardId != "g0" || d.device == Device::K40c;
-    autoPlaced = autoPlaced && gpuShardOk && cpuShardOk;
+    const bool p100ShardOk = d.shardId != "g2" || d.device == Device::P100;
+    const bool k40cShardOk = d.shardId != "g0" || d.device == Device::K40c;
+    autoPlaced = autoPlaced && p100ShardOk && k40cShardOk;
   }
   check(autoOk, "auto-device requests all served");
   check(autoPlaced, "auto requests only landed on shards serving the device");
@@ -201,12 +201,12 @@ int runHeteroDrill() {
   // Warm explicit K40c keys (served by g0 or g1 only), then kill the
   // shard that served them and require the other K40c-capable shard to
   // answer from its replicated stale store.  (The ring home of a K40c
-  // key may be the CPU-only shard; what matters is who executed it.)
-  std::vector<int> gpuKeys;
+  // key may be the P100-only shard; what matters is who executed it.)
+  std::vector<int> k40cKeys;
   std::vector<std::string> servedBy;
-  for (int n = 2048; n < 2048 + 12 * 128; n += 128) gpuKeys.push_back(n);
+  for (int n = 2048; n < 2048 + 12 * 128; n += 128) k40cKeys.push_back(n);
   bool warmOk = true;
-  for (int n : gpuKeys) {
+  for (int n : k40cKeys) {
     RouteDecision d;
     const auto resp = router.tune(freq(n, Device::K40c), &d);
     warmOk = warmOk && resp.status == ep::serve::Status::Ok && !resp.stale &&
@@ -214,22 +214,22 @@ int runHeteroDrill() {
     servedBy.push_back(d.shardId);
   }
   check(warmOk, "explicit K40c keys served fresh by K40c-capable shards");
-  const std::string gpuVictim = servedBy.front();
-  check(router.killShard(gpuVictim), "killShard(" + gpuVictim + ")");
-  const std::string gpuSurvivor = gpuVictim == "g0" ? "g1" : "g0";
+  const std::string k40cVictim = servedBy.front();
+  check(router.killShard(k40cVictim), "killShard(" + k40cVictim + ")");
+  const std::string k40cSurvivor = k40cVictim == "g0" ? "g1" : "g0";
   int staleServed = 0;
   bool staleOk = true;
-  for (std::size_t i = 0; i < gpuKeys.size(); ++i) {
-    if (servedBy[i] != gpuVictim) continue;
+  for (std::size_t i = 0; i < k40cKeys.size(); ++i) {
+    if (servedBy[i] != k40cVictim) continue;
     RouteDecision d;
-    const auto resp = router.tune(freq(gpuKeys[i], Device::K40c), &d);
+    const auto resp = router.tune(freq(k40cKeys[i], Device::K40c), &d);
     staleOk = staleOk && resp.status == ep::serve::Status::Ok && resp.stale &&
-              d.staleFallback && d.shardId == gpuSurvivor;
+              d.staleFallback && d.shardId == k40cSurvivor;
     ++staleServed;
   }
   check(staleServed > 0, "victim served at least one warm K40c key");
   check(staleOk, "K40c keys stale-served by the other K40c-capable shard");
-  check(router.reviveShard(gpuVictim), "reviveShard(" + gpuVictim + ")");
+  check(router.reviveShard(k40cVictim), "reviveShard(" + k40cVictim + ")");
   check(router.frontsConsistent(), "cluster fronts consistent (hetero)");
   auto m = router.metrics();
   check(m.noCandidate == 0, "no request ever lacked a capable shard");
