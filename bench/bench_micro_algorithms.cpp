@@ -1,9 +1,12 @@
 // google-benchmark microbenchmarks for the library's core algorithms:
-// Pareto fronts, FFTs, DGEMM, the statistics stack, the meter
-// simulation and a cold model-direct study.  Guards against performance regressions in the pieces the
-// experiment harnesses iterate millions of times.
+// Pareto fronts, FFTs, DGEMM, the statistics stack, the noise generator,
+// the meter simulation and a cold model-direct study.  Guards against
+// performance regressions in the pieces the experiment harnesses iterate
+// millions of times.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "apps/gpu_matmul_app.hpp"
@@ -149,6 +152,78 @@ void BM_MeterRecord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MeterRecord);
+
+// The metered sample path's parts.  Each simulated sample draws two
+// polar normals, and each normal pays at least one glibc log: with
+// BM_LogThroughput that is the per-sample floor bit-identity pins.
+
+void BM_StandardNormals(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> z(n);
+  Rng rng(10);
+  for (auto _ : state) {
+    rng.standardNormals(z.data(), n);
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_StandardNormals)->Arg(1)->Arg(256);
+
+// glibc log back to back over r^2 values as the polar method sees them.
+void BM_LogThroughput(benchmark::State& state) {
+  constexpr std::size_t kValues = 4096;
+  Rng rng(11);
+  std::vector<double> r2(kValues);
+  for (double& v : r2) v = 1.0 - rng.uniform(0.0, 1.0);  // (0, 1]
+  std::vector<double> out(kValues);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kValues; ++i) out[i] = std::log(r2[i]);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kValues));
+}
+BENCHMARK(BM_LogThroughput);
+
+// A ~1,000 s metered window: kernel, then a 2 s uncore tail.
+power::ProfilePowerSource meteredWindowProfile() {
+  power::ProfilePowerSource profile(Watts{100.0});
+  profile.addSegment({Seconds{0.0}, Seconds{998.0}, Watts{80.0}});
+  profile.addSegment({Seconds{0.0}, Seconds{1000.0}, Watts{58.0}});
+  return profile;
+}
+
+void BM_MeterRecordInto(benchmark::State& state) {
+  const power::ProfilePowerSource profile = meteredWindowProfile();
+  const power::WattsUpMeter meter;
+  Rng rng(12);
+  power::PowerTrace trace;
+  std::int64_t samples = 0;
+  for (auto _ : state) {
+    meter.recordInto(profile, Seconds{1000.0}, rng, trace);
+    benchmark::DoNotOptimize(trace.samples().data());
+    samples += static_cast<std::int64_t>(trace.size());
+  }
+  state.SetItemsProcessed(samples);
+}
+BENCHMARK(BM_MeterRecordInto);
+
+void BM_MeterRecordEnergy(benchmark::State& state) {
+  const power::ProfilePowerSource profile = meteredWindowProfile();
+  const power::WattsUpMeter meter;
+  Rng rng(12);
+  power::PowerTrace scratch;
+  meter.recordInto(profile, Seconds{1000.0}, rng, scratch);
+  const auto samples = static_cast<std::int64_t>(scratch.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        meter.recordEnergy(profile, Seconds{1000.0}, rng, scratch));
+  }
+  state.SetItemsProcessed(state.iterations() * samples);
+}
+BENCHMARK(BM_MeterRecordEnergy);
 
 void BM_GpuModelMatMul(benchmark::State& state) {
   const hw::GpuModel model(hw::nvidiaP100Pcie());

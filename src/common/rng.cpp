@@ -1,6 +1,7 @@
 #include "common/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <random>
 
@@ -49,25 +50,52 @@ void Rng::Engine::refill() {
   next_ = 0;
 }
 
-Rng::Engine::result_type Rng::Engine::operator()() {
-  if (next_ >= kWords) refill();
-  std::uint64_t z = state_[next_++];
+namespace {
+
+inline std::uint64_t temper(std::uint64_t z) {
   z ^= (z >> 29) & 0x5555555555555555ULL;
   z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
   z ^= (z << 37) & 0xFFF7EEE000000000ULL;
   return z ^ (z >> 43);
 }
 
+// v * 2^(e - 52), exactly, without a conversion instruction: `base` is
+// 2^e, whose mantissa ulp is 2^(e - 52), so v in its low mantissa bits
+// reads as 2^e + v * 2^(e - 52), and subtracting 2^e is exact.  Plain
+// SSE2 integer and double lanes, so the loop vectorizes.
+inline double exactScaled(std::uint32_t v, double base) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(base) | v) - base;
+}
+
 // libstdc++ computes generate_canonical<double, 53> from one 64-bit
 // output as double(w) * 2^-64, replaced by the largest double below 1
-// when it rounds up to 1.  The two 32-bit halves convert exactly and
-// their sum rounds once, which is the correctly rounded double(w)
-// without the sign-bit branch of an unsigned 64-bit conversion.
-double Rng::canonical() {
-  const std::uint64_t w = engine_();
-  const double hi = static_cast<double>(static_cast<std::uint32_t>(w >> 32));
-  const double lo = static_cast<double>(static_cast<std::uint32_t>(w));
-  return std::min((hi * 0x1p32 + lo) * 0x1p-64, 0x1.fffffffffffffp-1);
+// when it rounds up to 1.  hi * 2^-32 and lo * 2^-64 are exact and their
+// sum rounds once, which is the correctly rounded double(w) * 2^-64.
+inline double canonicalOf(std::uint64_t w) {
+  const double hi = exactScaled(static_cast<std::uint32_t>(w >> 32), 0x1p20);
+  const double lo = exactScaled(static_cast<std::uint32_t>(w), 0x1p-12);
+  return std::min(hi + lo, 0x1.fffffffffffffp-1);
+}
+
+}  // namespace
+
+Rng::Engine::result_type Rng::Engine::operator()() {
+  if (next_ >= kWords) refill();
+  return temper(state_[next_++]);
+}
+
+void Rng::Engine::canonicals(double* out, std::size_t n) {
+  while (n > 0) {
+    if (next_ >= kWords) refill();
+    const std::size_t take = std::min(n, kWords - next_);
+    const result_type* words = state_ + next_;
+    for (std::size_t i = 0; i < take; ++i) {
+      out[i] = canonicalOf(temper(words[i]));
+    }
+    next_ += take;
+    out += take;
+    n -= take;
+  }
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -82,18 +110,46 @@ double Rng::normal(double mean, double sigma) {
 }
 
 // The polar (Marsaglia) method exactly as std::normal_distribution runs
-// it in libstdc++, keeping only the y variate of each accepted pair.
+// it in libstdc++, keeping only the y variate of each accepted pair:
+//
+//   do { x = 2u - 1; y = 2u - 1; r2 = x*x + y*y; }
+//   while (r2 > 1 || r2 == 0);
+//   z = y * sqrt(-2 * log(r2) / r2);
+//
+// run in stages over a chunk of owed values.  Each round draws one pair
+// per value still owed: the one-at-a-time loop needs at least that many
+// more pairs, so a round never draws a pair it would not, and the
+// accepted pairs come out in its order.  The log and scale passes then
+// run back to back over the accepted r2.
 void Rng::standardNormals(double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    double x = 0.0;
-    double y = 0.0;
-    double r2 = 0.0;
-    do {
-      x = 2.0 * canonical() - 1.0;
-      y = 2.0 * canonical() - 1.0;
-      r2 = x * x + y * y;
-    } while (r2 > 1.0 || r2 == 0.0);
-    out[i] = y * std::sqrt(-2 * std::log(r2) / r2);
+  // Scratch for one chunk, left uninitialized: normal() runs this for
+  // n = 1, and every element read below is written first.
+  double u[2 * kNormalsChunk];
+  double r2[kNormalsChunk];
+  double lg[kNormalsChunk];
+  while (n > 0) {
+    const std::size_t want = std::min(n, kNormalsChunk);
+    std::size_t have = 0;  // accepted: y in out[0, have), r2 in r2[0, have)
+    while (have < want) {
+      const std::size_t owed = want - have;
+      engine_.canonicals(u, 2 * owed);
+      for (std::size_t j = 0; j < owed; ++j) {
+        const double x = 2.0 * u[2 * j] - 1.0;
+        const double y = 2.0 * u[2 * j + 1] - 1.0;
+        const double s = x * x + y * y;
+        // Branch-free compaction: write every pair, keep the accepted.
+        // have <= (have at round start) + j < want, so it stays in bounds.
+        out[have] = y;
+        r2[have] = s;
+        have += static_cast<std::size_t>(!(s > 1.0 || s == 0.0));
+      }
+    }
+    for (std::size_t j = 0; j < want; ++j) lg[j] = std::log(r2[j]);
+    for (std::size_t j = 0; j < want; ++j) {
+      out[j] *= std::sqrt(-2.0 * lg[j] / r2[j]);
+    }
+    out += want;
+    n -= want;
   }
 }
 

@@ -17,8 +17,13 @@
 //   * normal() and standardNormals() are libstdc++'s polar method as a
 //     fresh std::normal_distribution runs it: each value takes a new
 //     (x, y) pair and the spare is discarded.  normal(m, s) is z * s + m.
-//   * The noise path is compiled without FMA (no -march, target attribute
-//     or fma()): contracting x*x + y*y or z * s + m changes the bits.
+//     standardNormals() runs it in stages over chunks of pairs, but draws
+//     exactly the pairs the one-at-a-time loop draws, so the values and
+//     the stream position after the call are the same.
+//   * Nothing on the noise path may be fused into an FMA: x*x + y*y or
+//     z * s + m rounded once instead of twice changes the bits.  The
+//     build compiles everything with -ffp-contract=off, so this holds
+//     under -march=native too, and the code calls no fma().
 #pragma once
 
 #include <cstddef>
@@ -37,8 +42,12 @@ class Rng {
   [[nodiscard]] double normal(double mean, double sigma);
 
   // Fill out[0, n) with N(0,1) draws: bit-identical to n consecutive
-  // normal(0, 1) calls, without their per-call overhead.
+  // normal(0, 1) calls, without their per-call overhead.  Each chunk of
+  // up to kNormalsChunk values is drawn, accepted, logged and scaled in
+  // separate passes, so the engine, the rejection test and glibc's log
+  // run at throughput.
   void standardNormals(double* out, std::size_t n);
+  static constexpr std::size_t kNormalsChunk = 128;
 
   // Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::uint64_t uniformInt(std::uint64_t lo, std::uint64_t hi);
@@ -63,6 +72,10 @@ class Rng {
     static constexpr result_type max() { return ~result_type{0}; }
     result_type operator()();
 
+    // out[0, n) = std::generate_canonical<double, 53> of the next n
+    // outputs, tempered and converted in one pass over the state.
+    void canonicals(double* out, std::size_t n);
+
     [[nodiscard]] result_type seed() const { return seed_; }
 
    private:
@@ -75,9 +88,6 @@ class Rng {
     std::size_t next_ = kUnseeded;  // next word of state_ to temper
     result_type seed_;
   };
-
-  // std::generate_canonical<double, 53> on the engine.
-  double canonical();
 
   Engine engine_;
 };

@@ -198,33 +198,36 @@ EnergyReading EnergyMeasurer::measureOnce(const ProfilePowerSource& profile,
   return measureOnceInto(profile, executionTime, rng, tailWindow, scratch);
 }
 
-EnergyReading EnergyMeasurer::measureOnceInto(const ProfilePowerSource& profile,
-                                              Seconds executionTime, Rng& rng,
-                                              Seconds tailWindow,
-                                              PowerTrace& trace, bool sanitize,
-                                              double maxPlausibleWatts,
-                                              std::uint64_t* sanitized) const {
+EnergyReading EnergyMeasurer::measureOnceInto(
+    const ProfilePowerSource& profile, Seconds executionTime, Rng& rng,
+    Seconds tailWindow, PowerTrace& trace, const RobustnessOptions& robustness,
+    std::uint64_t* sanitized) const {
   EP_REQUIRE(executionTime.value() > 0.0, "execution time must be positive");
   EP_REQUIRE(tailWindow.value() >= 0.0, "tail window must be >= 0");
   // The measurement window covers the execution plus any power tail; the
   // meter keeps recording until node power has returned to base, exactly
   // as HCLWattsUp does when it waits for the meter to settle.
   const Seconds window = executionTime + tailWindow;
-  meter_->recordInto(profile, window, rng, trace);
-  if (sanitize) {
-    const std::size_t dropped = sanitizeTrace(trace, maxPlausibleWatts);
-    if (dropped > 0) {
-      if (sanitized != nullptr) *sanitized += dropped;
-      measureCounters().samplesSanitized.inc(dropped);
-    }
-  }
-  EP_REQUIRE(!trace.empty(), "meter delivered an empty trace");
   EnergyReading r;
+  if (robustness.sanitizeSamples || robustness.validation.enabled) {
+    meter_->recordInto(profile, window, rng, trace);
+    if (robustness.sanitizeSamples) {
+      const std::size_t dropped =
+          sanitizeTrace(trace, robustness.maxPlausibleWatts);
+      if (dropped > 0) {
+        if (sanitized != nullptr) *sanitized += dropped;
+        measureCounters().samplesSanitized.inc(dropped);
+      }
+    }
+    EP_REQUIRE(!trace.empty(), "meter delivered an empty trace");
+    r.totalEnergy = trace.energyBetween(Seconds{0.0}, window);
+  } else {
+    r.totalEnergy = meter_->recordEnergy(profile, window, rng, trace);
+  }
   // Execution time is timed on-device (cudaEvent-style), not by the
   // meter; model its sub-millisecond jitter.
   const double tJitter = 1.0 + rng.normal(0.0, 5e-4);
   r.executionTime = Seconds{executionTime.value() * tJitter};
-  r.totalEnergy = trace.energyBetween(Seconds{0.0}, window);
   r.staticEnergy = basePower_ * window;
   r.dynamicEnergy = r.totalEnergy - r.staticEnergy;
   if (r.dynamicEnergy.value() < 0.0) r.dynamicEnergy = Joules{0.0};
@@ -274,11 +277,9 @@ MeasuredEnergy EnergyMeasurer::measure(
       EnergyReading reading;
       for (std::size_t attempt = 0;;) {
         try {
-          reading =
-              measureOnceInto(profile, executionTime, rng, tailWindow,
-                              scratch, robustness.sanitizeSamples,
-                              robustness.maxPlausibleWatts,
-                              &report.samplesSanitized);
+          reading = measureOnceInto(profile, executionTime, rng, tailWindow,
+                                    scratch, robustness,
+                                    &report.samplesSanitized);
           break;
         } catch (const MeterTimeoutError& e) {
           ++report.timeouts;

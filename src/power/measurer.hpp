@@ -178,15 +178,16 @@ class EnergyMeasurer {
   [[nodiscard]] const Meter& meter() const { return *meter_; }
 
  private:
-  // measureOnce with a caller-owned scratch trace so the CI repetition
-  // loop reuses one sample buffer instead of allocating per repetition.
-  // With sanitize, impossible samples are dropped (and counted into
-  // *sanitized) between recording and integration; sanitize=false keeps
-  // the draw sequence and arithmetic bit-identical to the clean path.
+  // measureOnce with a caller-owned scratch trace, reused across the CI
+  // repetitions.  When robustness sanitizes or validates, the window is
+  // recorded into `scratch`; with sanitizeSamples, impossible samples are
+  // dropped (and counted into *sanitized) before integration.  Otherwise
+  // the meter integrates while sampling (Meter::recordEnergy) and keeps
+  // no trace; both paths draw and add the same numbers.
   [[nodiscard]] EnergyReading measureOnceInto(
       const ProfilePowerSource& profile, Seconds executionTime, Rng& rng,
-      Seconds tailWindow, PowerTrace& scratch, bool sanitize = false,
-      double maxPlausibleWatts = std::numeric_limits<double>::infinity(),
+      Seconds tailWindow, PowerTrace& scratch,
+      const RobustnessOptions& robustness = {},
       std::uint64_t* sanitized = nullptr) const;
 
   std::shared_ptr<const Meter> meter_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <optional>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -15,45 +17,58 @@ WattsUpMeter::WattsUpMeter(MeterOptions options) : options_(options) {
              "quantization must be non-negative");
 }
 
-void WattsUpMeter::recordInto(const PowerSource& source, Seconds duration,
-                              Rng& rng, PowerTrace& trace) const {
+namespace {
+
+void requireWindow(Seconds duration) {
   EP_REQUIRE(duration.value() > 0.0, "record duration must be positive");
   EP_REQUIRE(std::isfinite(duration.value()), "record duration must be finite");
-  const double dt = options_.sampleInterval.value();
+}
+
+// The one sampling loop of WattsUpMeter: sample times, power, noise and
+// quantization, handed to `sink` a block of up to kBlock samples at a
+// time.  Each block evaluates the source once and draws its noise in one
+// standardNormals call: gain then additive for each sample in turn, the
+// order of two normal() calls per sample, so every sample is
+// bit-identical to drawing them one at a time.  normal(0, s) is
+// z * s + 0.0; the 0.0 only turns -0 into +0, which neither 1 + g nor
+// the final max(0, p) can tell apart.
+template <class Sink>
+void sampleWindow(const MeterOptions& options, const PowerSource& source,
+                  Seconds duration, Rng& rng, Sink&& sink) {
+  const double dt = options.sampleInterval.value();
   const double end = duration.value();
-  double t = options_.randomPhase ? rng.uniform(0.0, dt) : 0.0;
-  trace.clear();
-  trace.reserve(static_cast<std::size_t>(end / dt) + 2);
-  // Sample times are queued a block at a time, and each block draws its
-  // noise in one standardNormals call: gain then additive for each
-  // sample in turn, the order of two normal() calls per sample, so every
-  // trace is bit-identical to drawing them one at a time.  normal(0, s)
-  // is z * s + 0.0; the 0.0 only turns -0 into +0, which neither 1 + g
-  // nor the final max(0, p) can tell apart.
+  const double gain = options.gainNoiseSigma;
+  const double additive = options.additiveNoiseSigma.value();
+  const double q = options.quantization.value();
+  double t = options.randomPhase ? rng.uniform(0.0, dt) : 0.0;
   constexpr std::size_t kBlock = 128;
-  double times[kBlock]{};
+  PowerSample block[kBlock];
+  Seconds mids[kBlock];
+  Watts power[kBlock];
   double noise[2 * kBlock]{};
   std::size_t queued = 0;
   const auto flush = [&] {
+    if (queued == 0) return;
+    // The instrument internally averages over its sampling window; we
+    // approximate with the midpoint of the trailing interval.
+    for (std::size_t i = 0; i < queued; ++i) {
+      mids[i] = Seconds{std::max(0.0, block[i].time.value() - 0.5 * dt)};
+    }
+    source.powerAtEach({mids, queued}, {power, queued});
     rng.standardNormals(noise, 2 * queued);
     for (std::size_t i = 0; i < queued; ++i) {
-      // The instrument internally averages over its sampling window; we
-      // approximate with the midpoint of the trailing interval.
-      const double mid = std::max(0.0, times[i] - 0.5 * dt);
-      double p = source.powerAt(Seconds{mid}).value();
-      p *= 1.0 + noise[2 * i] * options_.gainNoiseSigma;
-      p += noise[2 * i + 1] * options_.additiveNoiseSigma.value();
-      if (options_.quantization.value() > 0.0) {
-        const double q = options_.quantization.value();
-        p = std::round(p / q) * q;
-      }
-      trace.append({Seconds{times[i]}, Watts{std::max(0.0, p)}});
+      double p = power[i].value();
+      p *= 1.0 + noise[2 * i] * gain;
+      p += noise[2 * i + 1] * additive;
+      if (q > 0.0) p = std::round(p / q) * q;
+      block[i].power = Watts{std::max(0.0, p)};
     }
+    sink(std::span<const PowerSample>{block, queued});
     queued = 0;
   };
-  double last = 0.0;  // end > 0, so an empty trace still gets the end sample
+  double last = 0.0;  // end > 0, so an empty window still gets the end sample
   const auto sampleAt = [&](double time) {
-    times[queued++] = time;
+    block[queued++].time = Seconds{time};
     last = time;
     if (queued == kBlock) flush();
   };
@@ -66,6 +81,42 @@ void WattsUpMeter::recordInto(const PowerSource& source, Seconds duration,
   }
   if (last < end) sampleAt(end);
   flush();
+}
+
+}  // namespace
+
+Joules Meter::recordEnergy(const PowerSource& source, Seconds duration,
+                           Rng& rng, PowerTrace& scratch) const {
+  recordInto(source, duration, rng, scratch);
+  return scratch.energyBetween(Seconds{0.0}, duration);
+}
+
+void WattsUpMeter::recordInto(const PowerSource& source, Seconds duration,
+                              Rng& rng, PowerTrace& trace) const {
+  requireWindow(duration);
+  trace.clear();
+  trace.reserve(
+      static_cast<std::size_t>(duration.value() /
+                               options_.sampleInterval.value()) +
+      2);
+  sampleWindow(options_, source, duration, rng,
+               [&](std::span<const PowerSample> b) { trace.append(b); });
+}
+
+// The window's first sample is at 0 and its last at `duration`, so the
+// running trapezoid over the samples adds the terms energyBetween(0,
+// duration) adds over recordInto's trace, in the same order.
+Joules WattsUpMeter::recordEnergy(const PowerSource& source, Seconds duration,
+                                  Rng& rng, PowerTrace& /*scratch*/) const {
+  requireWindow(duration);
+  std::optional<TrapezoidIntegral> integral;
+  sampleWindow(options_, source, duration, rng,
+               [&](std::span<const PowerSample> b) {
+                 std::size_t i = 0;
+                 if (!integral) integral.emplace(b[i++]);
+                 for (; i < b.size(); ++i) integral->add(b[i]);
+               });
+  return integral->energy();
 }
 
 }  // namespace ep::power

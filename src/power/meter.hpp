@@ -39,11 +39,20 @@ class Meter {
 
   // Record `source` from t=0 until `duration` into a caller-owned trace
   // (cleared first, its sample buffer reused).  Allocation-free once
-  // the buffer has grown to the window size — the CI repetition loop
-  // calls this hundreds of times per configuration.  May throw
+  // the buffer has grown to the window size.  May throw
   // MeterTimeoutError when the instrument loses a whole window.
   virtual void recordInto(const PowerSource& source, Seconds duration,
                           Rng& rng, PowerTrace& out) const = 0;
+
+  // The energy of one recording over [0, duration]: bit-identical to
+  // recordInto followed by energyBetween(0, duration), with the same
+  // draws from `rng`.  The default does exactly that through `scratch`;
+  // an instrument that can integrate while it samples overrides it and
+  // keeps no trace.  The CI repetition loop calls this hundreds of
+  // times per configuration when nothing needs the samples.
+  [[nodiscard]] virtual Joules recordEnergy(const PowerSource& source,
+                                            Seconds duration, Rng& rng,
+                                            PowerTrace& scratch) const;
 
   // Convenience: record into a fresh trace.
   [[nodiscard]] PowerTrace record(const PowerSource& source, Seconds duration,
@@ -70,6 +79,10 @@ class WattsUpMeter final : public Meter {
 
   void recordInto(const PowerSource& source, Seconds duration, Rng& rng,
                   PowerTrace& out) const override;
+  // Integrates each sample as it is drawn; `scratch` is not touched.
+  [[nodiscard]] Joules recordEnergy(const PowerSource& source,
+                                    Seconds duration, Rng& rng,
+                                    PowerTrace& scratch) const override;
 
   [[nodiscard]] const MeterOptions& options() const { return options_; }
 

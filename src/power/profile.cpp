@@ -19,6 +19,12 @@ Joules PowerSource::exactEnergy(Seconds t0, Seconds t1) const {
   return Joules{e};
 }
 
+void PowerSource::powerAtEach(std::span<const Seconds> times,
+                              std::span<Watts> out) const {
+  EP_REQUIRE(times.size() == out.size(), "one output per time");
+  for (std::size_t i = 0; i < times.size(); ++i) out[i] = powerAt(times[i]);
+}
+
 ProfilePowerSource::ProfilePowerSource(Watts idlePower) : idle_(idlePower) {
   EP_REQUIRE(idlePower.value() >= 0.0, "idle power must be non-negative");
 }
@@ -44,6 +50,25 @@ Watts ProfilePowerSource::powerAt(Seconds t) const {
     if (t >= s.start && t < s.start + s.duration) p += s.power.value();
   }
   return Watts{p};
+}
+
+void ProfilePowerSource::powerAtEach(std::span<const Seconds> times,
+                                     std::span<Watts> out) const {
+  EP_REQUIRE(times.size() == out.size(), "one output per time");
+  std::fill(out.begin(), out.end(), idle_);
+  for (const auto& s : segments_) {
+    const double start = s.start.value();
+    const double stop = (s.start + s.duration).value();
+    const double p = s.power.value();
+    // x + -0.0 == x for every double x, so an inactive sample keeps its
+    // bits; selecting the addend, unlike branching, vectorizes.
+    const double none = -0.0;
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      const double t = times[i].value();
+      const double add = (t >= start) & (t < stop) ? p : none;
+      out[i] += Watts{add};
+    }
+  }
 }
 
 Joules ProfilePowerSource::exactEnergy(Seconds t0, Seconds t1) const {

@@ -6,6 +6,7 @@
 // the "physics", the meter is the "instrument".
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -17,6 +18,11 @@ class PowerSource {
  public:
   virtual ~PowerSource() = default;
   [[nodiscard]] virtual Watts powerAt(Seconds t) const = 0;
+  // powerAt at each of `times`, into `out` (same size).  The meter
+  // evaluates a block of samples per call; the default calls powerAt
+  // per element, and an override must return the same bits.
+  virtual void powerAtEach(std::span<const Seconds> times,
+                           std::span<Watts> out) const;
   // Exact integral over [t0, t1]; default implementations may override
   // with closed forms.  Used for ground-truth validation in tests.
   [[nodiscard]] virtual Joules exactEnergy(Seconds t0, Seconds t1) const;
@@ -46,6 +52,10 @@ class ProfilePowerSource final : public PowerSource {
   [[nodiscard]] Seconds activityEnd() const;
 
   [[nodiscard]] Watts powerAt(Seconds t) const override;
+  // The additions of powerAt in its order (idle, then each active
+  // segment), one segment at a time over the whole block.
+  void powerAtEach(std::span<const Seconds> times,
+                   std::span<Watts> out) const override;
   [[nodiscard]] Joules exactEnergy(Seconds t0, Seconds t1) const override;
 
  private:

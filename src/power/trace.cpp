@@ -15,9 +15,17 @@ PowerTrace::PowerTrace(std::vector<PowerSample> samples)
 }
 
 void PowerTrace::append(PowerSample s) {
-  EP_REQUIRE(samples_.empty() || samples_.back().time < s.time,
-             "trace timestamps must be strictly increasing");
-  samples_.push_back(s);
+  append(std::span<const PowerSample>(&s, 1));
+}
+
+void PowerTrace::append(std::span<const PowerSample> block) {
+  const PowerSample* prev = samples_.empty() ? nullptr : &samples_.back();
+  for (const PowerSample& s : block) {
+    EP_REQUIRE(prev == nullptr || prev->time < s.time,
+               "trace timestamps must be strictly increasing");
+    prev = &s;
+  }
+  samples_.insert(samples_.end(), block.begin(), block.end());
 }
 
 Seconds PowerTrace::startTime() const {
@@ -59,20 +67,14 @@ Joules PowerTrace::energyBetween(Seconds t0, Seconds t1) const {
   EP_REQUIRE(t0 >= startTime() && t1 <= endTime(), "window outside trace");
   if (t0 == t1) return Joules{0.0};
 
-  double energy = 0.0;
-  Seconds prevT = t0;
-  Watts prevP = powerAt(t0);
+  TrapezoidIntegral integral({t0, powerAt(t0)});
   for (const auto& s : samples_) {
     if (s.time <= t0) continue;
     if (s.time >= t1) break;
-    energy += 0.5 * (prevP.value() + s.power.value()) *
-              (s.time - prevT).value();
-    prevT = s.time;
-    prevP = s.power;
+    integral.add(s);
   }
-  const Watts endP = powerAt(t1);
-  energy += 0.5 * (prevP.value() + endP.value()) * (t1 - prevT).value();
-  return Joules{energy};
+  integral.add({t1, powerAt(t1)});
+  return integral.energy();
 }
 
 Watts PowerTrace::meanPower() const {

@@ -5,6 +5,7 @@
 // integration, exactly as wall-meter tooling (HCLWattsUp) does.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -16,12 +17,35 @@ struct PowerSample {
   Watts power{0.0};
 };
 
+// Trapezoidal integration over samples fed in time order, starting at a
+// first sample.  The one copy of the integration arithmetic: energyBetween
+// runs it over a stored trace, WattsUpMeter::recordEnergy over the
+// samples as the meter draws them.
+class TrapezoidIntegral {
+ public:
+  explicit TrapezoidIntegral(PowerSample first) : prev_(first) {}
+
+  void add(PowerSample s) {
+    energy_ += 0.5 * (prev_.power.value() + s.power.value()) *
+               (s.time - prev_.time).value();
+    prev_ = s;
+  }
+
+  [[nodiscard]] Joules energy() const { return Joules{energy_}; }
+
+ private:
+  PowerSample prev_;
+  double energy_ = 0.0;
+};
+
 class PowerTrace {
  public:
   PowerTrace() = default;
   explicit PowerTrace(std::vector<PowerSample> samples);
 
   void append(PowerSample s);
+  // Append a block in order; every timestamp must exceed the one before.
+  void append(std::span<const PowerSample> block);
 
   // Drop all samples but keep the capacity: lets the measurement loop
   // reuse one trace buffer across CI repetitions instead of allocating

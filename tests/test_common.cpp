@@ -253,9 +253,18 @@ TEST(Rng, InterleavedDrawsMatchStdBitForBit) {
 }
 
 TEST(Rng, StandardNormalsEqualRepeatedNormalCalls) {
-  // Block sizes around the engine's 312-word refill and its 156-word
-  // twist split, after 0-3 draws that shift where the block starts.
-  for (const std::size_t n : {1u, 2u, 155u, 156u, 311u, 312u, 313u, 1000u}) {
+  // Every n through two chunks and a remainder (every chunk edge and
+  // every remainder round), then sizes past two full 312-word refills,
+  // after 0-3 draws that shift where the refill falls, so pairs
+  // straddle it with x and y in different blocks.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 2 * Rng::kNormalsChunk + 3; ++n) {
+    sizes.push_back(n);
+  }
+  for (const std::size_t n : {311u, 312u, 313u, 624u, 625u, 1000u, 1999u}) {
+    sizes.push_back(n);
+  }
+  for (const std::size_t n : sizes) {
     for (int prior = 0; prior < 4; ++prior) {
       Rng batched(0xC0FFEE + n);
       Rng single(0xC0FFEE + n);

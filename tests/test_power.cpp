@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,28 @@ TEST(Trace, RejectsNonMonotonicTimestamps) {
   EXPECT_THROW(t.append({0.5_s, 2.0_W}), PreconditionError);
 }
 
+TEST(Trace, BlockAppendRejectsNonIncreasingTimestamps) {
+  PowerTrace t;
+  const PowerSample first[] = {{0.0_s, 1.0_W}, {1.0_s, 2.0_W}};
+  t.append(first);
+  const PowerSample repeatsLast[] = {{1.0_s, 3.0_W}};
+  const PowerSample goesBack[] = {{0.5_s, 3.0_W}};
+  const PowerSample repeatsInside[] = {{2.0_s, 3.0_W}, {2.0_s, 4.0_W}};
+  EXPECT_THROW(t.append(repeatsLast), PreconditionError);
+  EXPECT_THROW(t.append(goesBack), PreconditionError);
+  EXPECT_THROW(t.append(repeatsInside), PreconditionError);
+  EXPECT_EQ(t.size(), 2u);  // a rejected block appends nothing
+  const PowerSample next[] = {{2.0_s, 3.0_W}, {3.0_s, 4.0_W}};
+  t.append(next);
+  t.append(std::span<const PowerSample>{});
+  ASSERT_EQ(t.size(), 4u);
+  EXPECT_EQ(t.endTime(), 3.0_s);
+  EXPECT_DOUBLE_EQ(t.totalEnergy().value(), 1.5 + 2.5 + 3.5);
+  PowerTrace empty;
+  EXPECT_THROW(empty.append(repeatsInside), PreconditionError);
+  EXPECT_TRUE(empty.empty());
+}
+
 TEST(Trace, RejectsWindowOutsideTrace) {
   PowerTrace t;
   t.append({0.0_s, 1.0_W});
@@ -142,21 +165,63 @@ TEST(Profile, RejectsNegativeInputs) {
                PreconditionError);
 }
 
+// A source that overrides only powerAt, so the base-class defaults run.
+class PowerAtOnly final : public PowerSource {
+ public:
+  explicit PowerAtOnly(const ProfilePowerSource& p) : p_(p) {}
+  [[nodiscard]] Watts powerAt(Seconds t) const override {
+    return p_.powerAt(t);
+  }
+
+ private:
+  const ProfilePowerSource& p_;
+};
+
 TEST(Profile, GenericExactEnergyFallbackAgreesWithClosedForm) {
   // Exercise the base-class midpoint integration against the closed form.
-  class Wrapper final : public PowerSource {
-   public:
-    explicit Wrapper(const ProfilePowerSource& p) : p_(p) {}
-    [[nodiscard]] Watts powerAt(Seconds t) const override {
-      return p_.powerAt(t);
-    }
-    const ProfilePowerSource& p_;
-  };
   ProfilePowerSource p(50.0_W);
   p.addSegment({1.0_s, 3.0_s, 30.0_W});
-  const Wrapper w(p);
+  const PowerAtOnly w(p);
   EXPECT_NEAR(w.PowerSource::exactEnergy(0.0_s, 5.0_s).value(),
               p.exactEnergy(0.0_s, 5.0_s).value(), 1.0);
+}
+
+TEST(Profile, PowerAtEachEqualsPowerAtBitForBit) {
+  // Overlapping segments, an empty one and one starting at 0, probed on
+  // every segment edge, one ulp either side of it, and in between; and a
+  // -0 W idle, which an inactive segment must leave as -0.
+  ProfilePowerSource p(Watts{90.125});
+  p.addSegment({Seconds{0.4}, Seconds{7.3}, 61.0_W});
+  p.addSegment({Seconds{0.0}, Seconds{9.9}, Watts{17.25}});
+  p.addSegment({Seconds{3.1}, Seconds{2.2}, Watts{0.3}});
+  p.addSegment({Seconds{5.0}, Seconds{0.0}, Watts{1000.0}});
+  ProfilePowerSource negativeZero(Watts{-0.0});
+  negativeZero.addSegment({Seconds{2.0}, Seconds{1.0}, 5.0_W});
+  std::vector<Seconds> times;
+  for (const PowerSegment& s : p.segments()) {
+    for (const double edge : {s.start.value(), (s.start + s.duration).value()}) {
+      times.push_back(Seconds{edge});
+      times.push_back(Seconds{std::nextafter(edge, -1.0)});
+      times.push_back(Seconds{std::nextafter(edge, 100.0)});
+    }
+  }
+  for (int i = 0; i <= 25; ++i) times.push_back(Seconds{0.43 * i});
+  for (const ProfilePowerSource* source : {&p, &negativeZero}) {
+    std::vector<Watts> got(times.size());
+    source->powerAtEach(times, got);
+    std::vector<Watts> viaDefault(times.size());
+    PowerAtOnly(*source).powerAtEach(times, viaDefault);
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      const Watts want = source->powerAt(times[i]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].value()),
+                std::bit_cast<std::uint64_t>(want.value()))
+          << "t = " << times[i].value();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(viaDefault[i].value()),
+                std::bit_cast<std::uint64_t>(want.value()));
+    }
+  }
+  std::vector<Watts> one(1);
+  EXPECT_THROW(p.powerAtEach(times, one), PreconditionError);
 }
 
 // --- meter ---
@@ -256,8 +321,14 @@ ProfilePowerSource steppedProfile() {
   return p;
 }
 
-TEST(Meter, TracesEqualThePerSampleAlgorithmBitForBit) {
-  const ProfilePowerSource source = steppedProfile();
+// The windows the bit-for-bit meter tests sweep, each with and without
+// random phase and quantization.
+struct MeterCase {
+  MeterOptions options;
+  Seconds duration;
+};
+
+std::vector<MeterCase> meterGrid() {
   struct Window {
     double interval;
     double duration;
@@ -270,41 +341,78 @@ TEST(Meter, TracesEqualThePerSampleAlgorithmBitForBit) {
       {1.0, 61.7},
       {1.0, 127.0},   // 128 samples without phase: one full block
   };
+  std::vector<MeterCase> grid;
   for (const bool phase : {true, false}) {
     for (const double quantum : {0.0, 0.1}) {
       for (const Window& w : windows) {
-        MeterOptions opts;
-        opts.randomPhase = phase;
-        opts.quantization = Watts{quantum};
-        opts.sampleInterval = Seconds{w.interval};
-        const WattsUpMeter meter(opts);
-        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-          Rng rng(seed);
-          Rng ref(seed);
-          PowerTrace got;
-          PowerTrace want;
-          // Consecutive windows on one stream, reusing the buffers, as
-          // the measurer's CI loop records them.
-          for (int rep = 0; rep < 3; ++rep) {
-            meter.recordInto(source, Seconds{w.duration}, rng, got);
-            referenceRecord(opts, source, Seconds{w.duration}, ref, want);
-            ASSERT_EQ(got.size(), want.size());
-            for (std::size_t i = 0; i < got.size(); ++i) {
-              const PowerSample& a = got.samples()[i];
-              const PowerSample& b = want.samples()[i];
-              ASSERT_EQ(bitsOf(a.time.value()), bitsOf(b.time.value()))
-                  << "sample " << i;
-              ASSERT_EQ(bitsOf(a.power.value()), bitsOf(b.power.value()))
-                  << "sample " << i << " of " << got.size() << ", phase "
-                  << phase << ", quantum " << quantum << ", window "
-                  << w.duration;
-            }
-          }
-          // The meter left its stream where the per-sample loop did.
-          EXPECT_EQ(rng.uniformInt(0, ~std::uint64_t{0}),
-                    ref.uniformInt(0, ~std::uint64_t{0}));
+        MeterCase c;
+        c.options.randomPhase = phase;
+        c.options.quantization = Watts{quantum};
+        c.options.sampleInterval = Seconds{w.interval};
+        c.duration = Seconds{w.duration};
+        grid.push_back(c);
+      }
+    }
+  }
+  return grid;
+}
+
+TEST(Meter, TracesEqualThePerSampleAlgorithmBitForBit) {
+  const ProfilePowerSource source = steppedProfile();
+  for (const MeterCase& c : meterGrid()) {
+    const WattsUpMeter meter(c.options);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed);
+      Rng ref(seed);
+      PowerTrace got;
+      PowerTrace want;
+      // Consecutive windows on one stream, reusing the buffers, as
+      // the measurer's CI loop records them.
+      for (int rep = 0; rep < 3; ++rep) {
+        meter.recordInto(source, c.duration, rng, got);
+        referenceRecord(c.options, source, c.duration, ref, want);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          const PowerSample& a = got.samples()[i];
+          const PowerSample& b = want.samples()[i];
+          ASSERT_EQ(bitsOf(a.time.value()), bitsOf(b.time.value()))
+              << "sample " << i;
+          ASSERT_EQ(bitsOf(a.power.value()), bitsOf(b.power.value()))
+              << "sample " << i << " of " << got.size() << ", phase "
+              << c.options.randomPhase << ", quantum "
+              << c.options.quantization.value() << ", window "
+              << c.duration.value();
         }
       }
+      // The meter left its stream where the per-sample loop did.
+      EXPECT_EQ(rng.uniformInt(0, ~std::uint64_t{0}),
+                ref.uniformInt(0, ~std::uint64_t{0}));
+    }
+  }
+}
+
+TEST(Meter, RecordEnergyEqualsTheIntegratedTraceBitForBit) {
+  const ProfilePowerSource source = steppedProfile();
+  for (const MeterCase& c : meterGrid()) {
+    const WattsUpMeter meter(c.options);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng direct(seed);
+      Rng traced(seed);
+      PowerTrace untouched;
+      PowerTrace trace;
+      for (int rep = 0; rep < 3; ++rep) {
+        const Joules got =
+            meter.recordEnergy(source, c.duration, direct, untouched);
+        meter.recordInto(source, c.duration, traced, trace);
+        const Joules want = trace.energyBetween(Seconds{0.0}, c.duration);
+        ASSERT_EQ(bitsOf(got.value()), bitsOf(want.value()))
+            << "rep " << rep << ", phase " << c.options.randomPhase
+            << ", quantum " << c.options.quantization.value()
+            << ", window " << c.duration.value();
+      }
+      EXPECT_TRUE(untouched.empty());  // no trace on the trace-free path
+      EXPECT_EQ(direct.uniformInt(0, ~std::uint64_t{0}),
+                traced.uniformInt(0, ~std::uint64_t{0}));
     }
   }
 }
@@ -449,6 +557,59 @@ TEST(Measurer, RejectsInvalidWindows) {
                PreconditionError);
   EXPECT_THROW((void)measurer.measure(profile, 0.0_s, rng),
                PreconditionError);
+}
+
+TEST(Measurer, ValidationAloneStillValidatesTheRecordedTrace) {
+  // Validation is the only reader of the trace here, so each window must
+  // still be recorded for it.  A clean meter passes every window and
+  // measures the same bits as the trace-free path; a meter that loses a
+  // run of samples in every window fails every one.
+  ProfilePowerSource profile(90.0_W);
+  profile.addSegment({0.0_s, 20.0_s, 80.0_W});
+  RobustnessOptions validateOnly;
+  validateOnly.validation.enabled = true;
+
+  const EnergyMeasurer clean(WattsUpMeter{}, 90.0_W);
+  Rng plainRng(9);
+  Rng validatedRng(9);
+  const MeasuredEnergy plain = clean.measure(profile, 20.0_s, plainRng);
+  const MeasuredEnergy validated =
+      clean.measure(profile, 20.0_s, validatedRng, 0.0_s, {}, validateOnly);
+  EXPECT_EQ(validated.faults.invalidTraces, 0u);
+  EXPECT_EQ(bitsOf(validated.mean.dynamicEnergy.value()),
+            bitsOf(plain.mean.dynamicEnergy.value()));
+  EXPECT_EQ(validated.dynamicEnergyStats.samples,
+            plain.dynamicEnergyStats.samples);
+  EXPECT_EQ(validatedRng.uniformInt(0, ~std::uint64_t{0}),
+            plainRng.uniformInt(0, ~std::uint64_t{0}));
+
+  class GappyMeter final : public Meter {
+   public:
+    void recordInto(const PowerSource& source, Seconds duration, Rng& rng,
+                    PowerTrace& out) const override {
+      PowerTrace full;
+      inner_.recordInto(source, duration, rng, full);
+      out.clear();
+      for (std::size_t i = 0; i < full.size(); ++i) {
+        if (i < 5 || i >= 10) out.append(full.samples()[i]);
+      }
+    }
+
+   private:
+    WattsUpMeter inner_;
+  };
+  const EnergyMeasurer gappy(std::make_shared<const GappyMeter>(), 90.0_W);
+  RobustnessOptions budget = validateOnly;
+  budget.remeasureBudget = 3;
+  Rng rng(9);
+  try {
+    (void)gappy.measure(profile, 20.0_s, rng, 0.0_s, {}, budget);
+    ADD_FAILURE() << "every window has a sampling gap";
+  } catch (const MeasurementError& e) {
+    EXPECT_EQ(e.report().invalidTraces, 4u);
+  }
+  Rng unvalidated(9);
+  EXPECT_NO_THROW((void)gappy.measure(profile, 20.0_s, unvalidated));
 }
 
 // --- trace validation ---

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify plus sanitizer checks of the concurrent
-# and fault-handling components — a ThreadSanitizer race pass (epserve
+# CI entry point: tier-1 verify, a -march=native build of the suites that
+# pin numbers bit for bit, plus sanitizer checks of the concurrent and
+# fault-handling components — a ThreadSanitizer race pass (epserve
 # broker, epcommon thread pool, epobs metrics/tracing) and an
-# AddressSanitizer+UBSan pass over the fault-injection and serve paths
-# (the code that deliberately corrupts traces and parses hostile
-# frames).
+# AddressSanitizer+UBSan pass over the noise, fault-injection and serve
+# paths (the code that indexes stack blocks, deliberately corrupts
+# traces and parses hostile frames).
 #
-#   tools/ci.sh          # full: tier-1 build + ctest, TSan, ASan+UBSan
+#   tools/ci.sh          # full: tier-1 build + ctest, native, TSan, ASan+UBSan
 #   tools/ci.sh --fast   # skip the sanitizer configurations
 #
 # The primary build already compiles everything with -Wall -Wextra via
@@ -232,6 +233,23 @@ stop_daemon
 
 profiler_drill build
 
+# The noise path, the meter and the models are pinned bit for bit; a
+# host with FMA lets -march=native fuse a*b + c, which the build's
+# -ffp-contract=off must keep out.
+if grep -qw fma /proc/cpuinfo; then
+  echo "== -march=native: bit-for-bit suites with FMA available =="
+  cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS="-march=native"
+  cmake --build build-native -j "${JOBS}" --target test_common test_power \
+    test_apps test_reproduction
+  ./build-native/tests/test_common
+  ./build-native/tests/test_power
+  ./build-native/tests/test_apps
+  ./build-native/tests/test_reproduction
+else
+  echo "== skipping -march=native stage: this CPU lists no fma =="
+fi
+
 if [[ "${FAST}" == "1" ]]; then
   echo "== skipping sanitizer configurations (--fast) =="
   exit 0
@@ -275,16 +293,21 @@ cmake -B build-asan -S . \
   -DEPSIM_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build build-asan -j "${JOBS}" --target test_fault test_power \
-  test_serve test_core test_obs test_fleet test_net test_chaos \
-  epserved epctl
-# detect_leaks flushes out meter/journal ownership bugs; the fault tests
-# exercise every injected-corruption branch, the serve tests the
-# malformed-frame corpus, test_core the checkpoint journal I/O, test_obs
-# the byte-copied flight-recorder ring and the trace/metrics encoders,
-# test_fleet the ring copy-on-write swaps and stale-replica ownership.
+cmake --build build-asan -j "${JOBS}" --target test_common test_fault \
+  test_power test_apps test_serve test_core test_obs test_fleet test_net \
+  test_chaos epserved epctl
+# detect_leaks flushes out meter/journal ownership bugs; test_common,
+# test_power and test_apps run the staged polar normals' stack-chunk
+# indexing and the meter's block sampler at every chunk and block edge,
+# the fault tests exercise every injected-corruption branch, the serve
+# tests the malformed-frame corpus, test_core the checkpoint journal
+# I/O, test_obs the byte-copied flight-recorder ring and the
+# trace/metrics encoders, test_fleet the ring copy-on-write swaps and
+# stale-replica ownership.
+ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_common
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_fault
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_power
+ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_apps
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_serve
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_core
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_obs
