@@ -235,8 +235,51 @@ void BM_GpuModelMatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_GpuModelMatMul);
 
-// A cold model-direct study's two parts.  The ceiling for the whole
-// study is 128 x BM_GpuModelMatMul: the model evaluations alone.
+// glibc pow back to back over the kernel times the roofline combination
+// raises to the 12th power.  A staged model-direct configuration pays
+// two of these (the compute time's and the p-norm's root), and its
+// (n, BS) run one more: a 128-configuration study makes ~290 pow calls,
+// which is the floor bit-identity pins.
+void BM_PowThroughput(benchmark::State& state) {
+  constexpr std::size_t kValues = 4096;
+  Rng rng(13);
+  std::vector<double> t(kValues);
+  for (double& v : t) v = rng.uniform(1e-4, 10.0);
+  std::vector<double> out(kValues);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kValues; ++i) out[i] = std::pow(t[i], 12.0);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kValues));
+}
+BENCHMARK(BM_PowThroughput);
+
+// One 128-configuration P100 workload (n = 10240) through the staged
+// model: one hw::MatMulBatch in enumeration order, per-BS and per-G
+// rows from the model, per-(n, BS) terms once per run of four G.
+void BM_ModelDirectGrid(benchmark::State& state) {
+  apps::GpuMatMulOptions opts;
+  opts.useMeter = false;
+  const apps::GpuMatMulApp app(hw::GpuModel(hw::nvidiaP100Pcie()), opts);
+  const std::vector<hw::MatMulConfig> configs = app.enumerateConfigs(10240);
+  std::vector<hw::KernelModel> out(configs.size());
+  for (auto _ : state) {
+    hw::MatMulBatch batch(app.model());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      batch.evaluate(configs[i], out[i]);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(configs.size()));
+}
+BENCHMARK(BM_ModelDirectGrid);
+
+// A cold model-direct study's two parts: BM_ModelDirectGrid above, and
+// the fronts below.
 
 // Rebuilding the points, both fronts and the trade-offs of a
 // 128-configuration P100 study (n = 10240).

@@ -41,27 +41,29 @@ namespace ep::apps {
 
 pareto::BiPoint GpuDataPoint::toPoint(std::uint64_t id) const {
   pareto::BiPoint p;
-  p.time = time;
-  p.energy = dynamicEnergy;
-  p.configId = id;
-  p.label = label();
+  writePoint(id, p);
   return p;
 }
 
-std::string GpuDataPoint::label() const {
+void GpuDataPoint::writePoint(std::uint64_t id, pareto::BiPoint& p) const {
+  p.time = time;
+  p.energy = dynamicEnergy;
+  p.configId = id;
   // "BS=<bs> G=<g> R=<r>", written into one stack buffer.
   constexpr std::ptrdiff_t kIntChars = 11;  // "-2147483648"
   char buf[3 * (3 + kIntChars)];
-  char* p = buf;
+  char* end = buf;
   const auto field = [&](std::string_view name, int v) {
-    p = std::copy(name.begin(), name.end(), p);
-    p = std::to_chars(p, p + kIntChars, v).ptr;
+    end = std::copy(name.begin(), name.end(), end);
+    end = std::to_chars(end, end + kIntChars, v).ptr;
   };
   field("BS=", config.bs);
   field(" G=", config.g);
   field(" R=", config.r);
-  return std::string(buf, p);
+  p.label.assign(buf, end);
 }
+
+std::string GpuDataPoint::label() const { return toPoint(0).label; }
 
 GpuMatMulApp::GpuMatMulApp(hw::GpuModel model, GpuMatMulOptions options)
     : model_(std::move(model)), options_(options) {
@@ -105,13 +107,14 @@ std::vector<hw::MatMulConfig> GpuMatMulApp::additivityConfigs(int n, int bs,
   return out;
 }
 
-GpuDataPoint GpuMatMulApp::modelPoint(const hw::MatMulConfig& cfg) const {
-  GpuDataPoint out;
+void GpuMatMulApp::modelPoint(const hw::MatMulConfig& cfg,
+                              hw::MatMulBatch& batch, GpuDataPoint& out) {
+  batch.evaluate(cfg, out.model);
   out.config = cfg;
-  out.model = model_.modelMatMul(cfg);
   out.time = out.model.time;
   out.dynamicEnergy = out.model.dynamicEnergy();
   out.repetitions = 1;
+  out.remeasures = 0;
   // epprof energy profile, model-direct mode: the ledger attributes
   // these model joules per config, so the flamegraph folds the same
   // quantity under the kernel frame to stay reconcilable.
@@ -120,12 +123,16 @@ GpuDataPoint GpuMatMulApp::modelPoint(const hw::MatMulConfig& cfg) const {
     obs::Profiler::global().recordEnergySample(
         out.dynamicEnergy.value(), obs::currentContext().traceId);
   }
-  return out;
 }
 
 GpuDataPoint GpuMatMulApp::runConfig(const hw::MatMulConfig& cfg,
                                      Rng& rng) const {
-  if (!options_.useMeter) return modelPoint(cfg);
+  if (!options_.useMeter) {
+    GpuDataPoint out;
+    hw::MatMulBatch batch(model_);
+    modelPoint(cfg, batch, out);
+    return out;
+  }
 
   GpuDataPoint out;
   out.config = cfg;
@@ -182,33 +189,36 @@ std::vector<GpuDataPoint> GpuMatMulApp::runWorkload(
     errs.resize(configs.size());
     failed.assign(configs.size(), 0);
   }
-  const auto settle = [&](std::size_t i, const auto& eval) {
+  // `write` fills out[i] in place.
+  const auto settle = [&](std::size_t i, const auto& write) {
     if (!skip) {
-      out[i] = eval();
+      write(out[i]);
       return;
     }
     try {
-      out[i] = eval();
+      write(out[i]);
     } catch (const EpError& e) {
       failed[i] = 1;
       errs[i] = e.what();
     }
   };
   if (!options_.useMeter) {
-    // Model-direct configs cost ~0.3 us each and draw no randomness:
+    // Model-direct configs cost ~0.2 us each and draw no randomness:
     // evaluated inline on the calling thread, with no forked stream and
-    // no pool hand-off (either would cost more than the config).
+    // no pool hand-off (either would cost more than the config), by one
+    // batch that shares each (n, BS) run's terms across its G and R.
+    hw::MatMulBatch batch(model_);
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      settle(i, [&] { return modelPoint(configs[i]); });
+      settle(i, [&](GpuDataPoint& p) { modelPoint(configs[i], batch, p); });
     }
   } else {
     // Each slot is owned by exactly one index and each config draws
     // only from its own forked stream (fork() is const and reads just
     // the seed), so execution order cannot affect the result.
     const auto evalOne = [&](std::size_t i) {
-      settle(i, [&] {
+      settle(i, [&](GpuDataPoint& p) {
         Rng configRng = rng.fork(forkSalt(configs[i]));
-        return runConfig(configs[i], configRng);
+        p = runConfig(configs[i], configRng);
       });
     };
     if (pool == nullptr || configs.size() < 2) {
@@ -241,11 +251,8 @@ std::vector<GpuDataPoint> GpuMatMulApp::runWorkload(
 
 std::vector<pareto::BiPoint> GpuMatMulApp::toPoints(
     const std::vector<GpuDataPoint>& data) {
-  std::vector<pareto::BiPoint> pts;
-  pts.reserve(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    pts.push_back(data[i].toPoint(i));
-  }
+  std::vector<pareto::BiPoint> pts(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) data[i].writePoint(i, pts[i]);
   return pts;
 }
 

@@ -34,6 +34,8 @@ struct GpuDataPoint {
   std::uint64_t remeasures = 0;
 
   [[nodiscard]] pareto::BiPoint toPoint(std::uint64_t id) const;
+  // toPoint written into `p` in place (its label's buffer is reused).
+  void writePoint(std::uint64_t id, pareto::BiPoint& p) const;
   [[nodiscard]] std::string label() const;
 };
 
@@ -97,8 +99,9 @@ class GpuMatMulApp {
   // bitwise-identical to the serial path for any pool size.  Safe to
   // call from inside a task on `pool`.  Model-direct configurations
   // (useMeter == false) draw nothing and cost well under a microsecond
-  // each, so they always run inline on the calling thread: no forked
-  // stream, and the pool is not used.
+  // each, so they always run inline on the calling thread through one
+  // hw::MatMulBatch, each written in place: no forked stream, and the
+  // pool is not used.
   //
   // Under FailPolicy::SkipAndRecord a configuration whose measurement
   // throws (budget exhausted, unlaunchable, ...) is dropped from the
@@ -113,8 +116,11 @@ class GpuMatMulApp {
       const std::vector<GpuDataPoint>& data);
 
  private:
-  // runConfig's model-direct path: the noise-free model point.
-  [[nodiscard]] GpuDataPoint modelPoint(const hw::MatMulConfig& cfg) const;
+  // runConfig's model-direct path: the noise-free model point of `cfg`
+  // through `batch`, written into `out`.  Throws what the model throws,
+  // before writing anything.
+  static void modelPoint(const hw::MatMulConfig& cfg, hw::MatMulBatch& batch,
+                         GpuDataPoint& out);
 
   hw::GpuModel model_;
   GpuMatMulOptions options_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -55,6 +56,36 @@ double boostRatioFor(const GpuSpec& spec, const GpuTuning& tuning,
   return 1.0;
 }
 
+// Resident blocks per SM for a bs x bs block with 2*8*bs^2 bytes of
+// shared memory, bound by thread slots, shared memory and block slots.
+// blocksPerSm < 1 means the block cannot be resident at all; nothing
+// else is filled in then.
+Occupancy residency(const GpuSpec& spec, int bs) {
+  const int threadsPerBlock = bs * bs;
+  const int sharedBytesPerBlock = 2 * 8 * bs * bs;
+  const int byThreads = spec.maxThreadsPerSM / threadsPerBlock;
+  const int byShared = sharedBytesPerBlock == 0
+                           ? spec.maxBlocksPerSM
+                           : spec.sharedMemPerSMKB * 1024 /
+                                 sharedBytesPerBlock;
+  const int bySlots = spec.maxBlocksPerSM;
+
+  Occupancy o;
+  o.blocksPerSm = std::min({byThreads, byShared, bySlots});
+  if (o.blocksPerSm < 1) return o;
+  if (o.blocksPerSm == byThreads) {
+    o.limitedBy = "threads";
+  } else if (o.blocksPerSm == byShared) {
+    o.limitedBy = "shared";
+  } else {
+    o.limitedBy = "blocks";
+  }
+  o.threadsPerSm = o.blocksPerSm * threadsPerBlock;
+  o.fraction = static_cast<double>(o.threadsPerSm) /
+               static_cast<double>(spec.maxThreadsPerSM);
+  return o;
+}
+
 // The shared-memory-bound inner loop: each FMA consumes two 8-byte
 // operands from shared memory, so the sustainable FP64 rate is limited by
 // shared bandwidth.  Fraction of FP64 peak sustainable by this kernel.
@@ -76,10 +107,14 @@ Joules KernelModel::dynamicEnergy() const {
 }
 
 GpuModel::GpuModel(GpuSpec spec)
-    : spec_(std::move(spec)), tuning_(defaultTuning(spec_)) {}
+    : spec_(std::move(spec)), tuning_(defaultTuning(spec_)) {
+  buildRows();
+}
 
 GpuModel::GpuModel(GpuSpec spec, GpuTuning tuning)
-    : spec_(std::move(spec)), tuning_(tuning) {}
+    : spec_(std::move(spec)), tuning_(tuning) {
+  buildRows();
+}
 
 GpuTuning GpuModel::defaultTuning(const GpuSpec& spec) {
   GpuTuning t;
@@ -132,34 +167,79 @@ Occupancy GpuModel::occupancyFor(int bs) const {
   if (sharedBytesPerBlock > spec_.sharedMemPerBlockKB * 1024) {
     throw ResourceError("shared memory per block exceeds device limit");
   }
-  const int byThreads = spec_.maxThreadsPerSM / threadsPerBlock;
-  const int byShared = sharedBytesPerBlock == 0
-                           ? spec_.maxBlocksPerSM
-                           : spec_.sharedMemPerSMKB * 1024 /
-                                 sharedBytesPerBlock;
-  const int bySlots = spec_.maxBlocksPerSM;
-
-  Occupancy o;
-  o.blocksPerSm = std::min({byThreads, byShared, bySlots});
+  const Occupancy o = residency(spec_, bs);
   EP_REQUIRE(o.blocksPerSm >= 1, "block cannot be resident at all");
-  if (o.blocksPerSm == byThreads) {
-    o.limitedBy = "threads";
-  } else if (o.blocksPerSm == byShared) {
-    o.limitedBy = "shared";
-  } else {
-    o.limitedBy = "blocks";
-  }
-  o.threadsPerSm = o.blocksPerSm * threadsPerBlock;
-  o.fraction = static_cast<double>(o.threadsPerSm) /
-               static_cast<double>(spec_.maxThreadsPerSM);
   return o;
+}
+
+GpuModel::BlockRow GpuModel::blockRow(int bs) const {
+  BlockRow row;
+  const Occupancy occ = residency(spec_, bs);
+  row.occupancy = occ;
+  if (occ.blocksPerSm < 1) return row;
+  const double warpEff = warpEfficiency(bs, spec_.warpSize);
+  const double occEffC = latencyHiding(occ.fraction, tuning_.occScaleCompute);
+  const double occEffM = latencyHiding(occ.fraction, tuning_.occScaleMemory);
+  row.boost = boostRatioFor(spec_, tuning_, occ);
+
+  // Compute roofline: the shared-memory-fed FP64 pipeline at the boosted
+  // clock, derated by warp fill and latency hiding (the icache stalls
+  // of G repetitions are per G: MatMulBatch derates by issue efficiency).
+  const double peakFlops = spec_.peakGflopsDouble * 1e9 *
+                           sharedMemoryPeakFraction(spec_) * row.boost;
+  row.computePeak = peakFlops * warpEff * occEffC;
+
+  // Memory roofline: DRAM traffic at coalescing-derated bandwidth.
+  row.memRate = spec_.memBandwidthGBs * 1e9 * tuning_.bandwidthEfficiency *
+                coalescingEfficiency(bs) * occEffM;
+
+  // Switching energy per flop scales with V^2 ~ boost^2; the voltage
+  // exponent is part of the boost power response.
+  row.boostEnergyScale =
+      std::pow(row.boost, tuning_.boostPowerExponent - 1.0);
+  row.residencyPower =
+      tuning_.residencyPower * occ.fraction * std::pow(row.boost, 3.0);
+
+  // The 58 W uncore component is tied to the top boost bin on autoboost
+  // parts (it is part of the boosted uncore clock domain) and engages
+  // on every launch below the size threshold on fixed-clock parts.
+  row.uncoreBin = !spec_.hasAutoBoost ||
+                  row.boost >= spec_.clockRatioBoost() - 1e-12;
+  return row;
+}
+
+GpuModel::GroupRow GpuModel::groupRow(int g) const {
+  GroupRow row;
+  row.icLevels = icacheLevels(g);
+  row.issueEff =
+      std::max(0.5, 1.0 - tuning_.icachePenaltyPerLevel * row.icLevels -
+                        tuning_.gLinearPenalty * (g - 1));
+  row.fetchPower = tuning_.fetchPowerPerLevel * row.icLevels;
+  return row;
+}
+
+void GpuModel::buildRows() {
+  // One row per block size that passes the per-block limits; both grow
+  // with BS, so the first failure ends the table.  The bounds are taken
+  // in 64 bits and capped at the int range the occupancy arithmetic
+  // uses, so no spec that constructs can overflow here.
+  const long long maxThreads = spec_.maxThreadsPerBlock;
+  const long long maxShared =
+      std::min(static_cast<long long>(spec_.sharedMemPerBlockKB) * 1024,
+               static_cast<long long>(std::numeric_limits<int>::max()));
+  for (long long bs = 1; bs * bs <= maxThreads && 16 * bs * bs <= maxShared;
+       ++bs) {
+    blockRows_.push_back(blockRow(static_cast<int>(bs)));
+  }
+  groupRows_.reserve(kGRows);
+  for (int g = 1; g <= kGRows; ++g) groupRows_.push_back(groupRow(g));
 }
 
 bool GpuModel::isLaunchable(const MatMulConfig& cfg) const {
   if (cfg.n < 1 || cfg.bs < 1 || cfg.g < 1 || cfg.r < 1) return false;
-  if (cfg.bs * cfg.bs > spec_.maxThreadsPerBlock) return false;
-  if (2 * 8 * cfg.bs * cfg.bs > spec_.sharedMemPerBlockKB * 1024)
-    return false;
+  // The block rows cover exactly the block sizes within the per-block
+  // thread and shared-memory limits.
+  if (static_cast<std::size_t>(cfg.bs) > blockRows_.size()) return false;
   // Three N x N double matrices must fit in board memory.
   const double bytes = 3.0 * 8.0 * static_cast<double>(cfg.n) * cfg.n;
   return bytes <= static_cast<double>(spec_.memoryGB) * 1024.0 * 1024.0 *
@@ -167,114 +247,104 @@ bool GpuModel::isLaunchable(const MatMulConfig& cfg) const {
 }
 
 KernelModel GpuModel::modelMatMul(const MatMulConfig& cfg) const {
-  if (!isLaunchable(cfg)) {
-    throw ResourceError("configuration is not launchable on " + spec_.name);
+  KernelModel m;
+  MatMulBatch(*this).evaluate(cfg, m);
+  return m;
+}
+
+void MatMulBatch::evaluate(const MatMulConfig& cfg, KernelModel& out) {
+  const GpuModel& model = *model_;
+  const GpuSpec& spec = model.spec_;
+  const GpuTuning& tuning = model.tuning_;
+  if (!model.isLaunchable(cfg)) {
+    throw ResourceError("configuration is not launchable on " + spec.name);
   }
-  const Occupancy occ = occupancyFor(cfg.bs);
+  // A launchable BS passes the per-block limits, so it has a row.
+  const GpuModel::BlockRow& row =
+      model.blockRows_[static_cast<std::size_t>(cfg.bs - 1)];
+  if (row.occupancy.blocksPerSm < 1) {
+    (void)model.occupancyFor(cfg.bs);  // throws: it cannot be resident
+  }
+  const GpuModel::GroupRow group =
+      cfg.g <= GpuModel::kGRows
+          ? model.groupRows_[static_cast<std::size_t>(cfg.g - 1)]
+          : model.groupRow(cfg.g);
   const double products = static_cast<double>(cfg.totalProducts());
-
-  // Tile padding: the grid covers ceil(N/BS) tiles per dimension and the
-  // kernel loops over full tiles (bounds-checked loads), so the executed
-  // volume corresponds to Nt = ceil(N/BS)*BS.
-  const auto tiles = static_cast<double>(ceilDiv(cfg.n, cfg.bs));
-  const double nt = tiles * cfg.bs;
-
-  const double flopsPerProduct = 2.0 * nt * nt * nt;
-  // Each A/B element is loaded Nt/BS times (once per consuming block);
-  // C is read and written once.
-  const double bytesPerProduct =
-      2.0 * 8.0 * nt * nt * tiles + 3.0 * 8.0 * nt * nt;
-
-  const double warpEff = warpEfficiency(cfg.bs, spec_.warpSize);
-  const double occEffC = latencyHiding(occ.fraction, tuning_.occScaleCompute);
-  const double occEffM = latencyHiding(occ.fraction, tuning_.occScaleMemory);
-  const double icLevels = icacheLevels(cfg.g);
-  const double issueEff =
-      std::max(0.5, 1.0 - tuning_.icachePenaltyPerLevel * icLevels -
-                        tuning_.gLinearPenalty * (cfg.g - 1));
-  const double boost = boostRatioFor(spec_, tuning_, occ);
-
-  // Compute roofline: the shared-memory-fed FP64 pipeline at the boosted
-  // clock, derated by warp fill, latency hiding and icache stalls.
-  const double peakFlops = spec_.peakGflopsDouble * 1e9 *
-                           sharedMemoryPeakFraction(spec_) * boost;
-  const double computeRate = peakFlops * warpEff * occEffC * issueEff;
-  const double tCompute = flopsPerProduct / computeRate;
-
-  // Memory roofline: DRAM traffic at coalescing-derated bandwidth.
-  const double memRate = spec_.memBandwidthGBs * 1e9 *
-                         tuning_.bandwidthEfficiency *
-                         coalescingEfficiency(cfg.bs) * occEffM;
-  const double tMemory = bytesPerProduct / memRate;
 
   // Smooth-max roofline combination (p-norm) — real kernels overlap the
   // two partially, so the transition is soft but close to max().
   constexpr double kRooflineSharpness = 12.0;
+  // The GigaThread engine dispatches each block once per launch.
+  constexpr double kBlockDispatchSec = 64e-9;
+  if (cfg.n != tile_.n || cfg.bs != tile_.bs) {
+    // Tile padding: the grid covers ceil(N/BS) tiles per dimension and
+    // the kernel loops over full tiles (bounds-checked loads), so the
+    // executed volume corresponds to Nt = ceil(N/BS)*BS.
+    const auto tiles = static_cast<double>(ceilDiv(cfg.n, cfg.bs));
+    const double nt = tiles * cfg.bs;
+    tile_.flopsPerProduct = 2.0 * nt * nt * nt;
+    // Each A/B element is loaded Nt/BS times (once per consuming
+    // block); C is read and written once.
+    tile_.bytesPerProduct = 2.0 * 8.0 * nt * nt * tiles + 3.0 * 8.0 * nt * nt;
+    const double tMemory = tile_.bytesPerProduct / row.memRate;
+    tile_.tMemoryPow = std::pow(tMemory, kRooflineSharpness);
+    tile_.dispatch = tiles * tiles * kBlockDispatchSec;
+    // Per k-tile each thread performs 2 shared stores (loading As/Bs)
+    // and 2*BS shared reads in the inner product loop.
+    tile_.sharedPerProduct = nt * nt * tiles * (2.0 + 2.0 * cfg.bs + 2.0);
+    tile_.n = cfg.n;
+    tile_.bs = cfg.bs;
+  }
+  const double flopsPerProduct = tile_.flopsPerProduct;
+  const double bytesPerProduct = tile_.bytesPerProduct;
+
+  // The compute roofline derated by the icache stalls of G repetitions.
+  const double computeRate = row.computePeak * group.issueEff;
+  const double tCompute = flopsPerProduct / computeRate;
   const double tProduct =
-      std::pow(std::pow(tCompute, kRooflineSharpness) +
-                   std::pow(tMemory, kRooflineSharpness),
+      std::pow(std::pow(tCompute, kRooflineSharpness) + tile_.tMemoryPow,
                1.0 / kRooflineSharpness);
 
   // Every run of a group starts with cold L2/TLB state for the streamed
   // matrices: a small warm-up cost per run (R of them per launch).
-  // The GigaThread engine dispatches each block once per launch.
   constexpr double kLaunchOverheadSec = 8e-6;
-  constexpr double kBlockDispatchSec = 64e-9;
-  const double warmup = tuning_.runWarmupFraction * tProduct;
+  const double warmup = tuning.runWarmupFraction * tProduct;
   const double tKernel = products * tProduct + cfg.r * warmup +
-                         tiles * tiles * kBlockDispatchSec +
-                         kLaunchOverheadSec;
+                         tile_.dispatch + kLaunchOverheadSec;
 
-  KernelModel m;
-  m.time = Seconds{tKernel};
-  m.occupancy = occ;
-  m.boostRatio = boost;
-  m.achievedGflops = products * flopsPerProduct / tKernel / 1e9;
-  m.achievedBandwidthGBs = products * bytesPerProduct / tKernel / 1e9;
+  out.time = Seconds{tKernel};
+  out.occupancy = row.occupancy;
+  out.boostRatio = row.boost;
+  out.achievedGflops = products * flopsPerProduct / tKernel / 1e9;
+  out.achievedBandwidthGBs = products * bytesPerProduct / tKernel / 1e9;
 
   // --- Energy decomposition (dynamic, above idle) ---
-  // Switching energy per flop scales with V^2 ~ boost^2; the voltage
-  // exponent is part of the boost power response.
-  const double boostEnergyScale =
-      std::pow(boost, tuning_.boostPowerExponent - 1.0);
   const double smEnergy = products * flopsPerProduct / 1e9 *
-                          tuning_.smEnergyPerGflop * boostEnergyScale;
+                          tuning.smEnergyPerGflop * row.boostEnergyScale;
   const double memEnergy =
-      products * bytesPerProduct / 1e9 * tuning_.memEnergyPerGB;
-  const double residencyEnergy = tuning_.residencyPower * occ.fraction *
-                                 std::pow(boost, 3.0) * tKernel;
-  const double fetchEnergy =
-      tuning_.fetchPowerPerLevel * icLevels * tKernel;
-  const double constEnergy = tuning_.constantActivePower * tKernel;
+      products * bytesPerProduct / 1e9 * tuning.memEnergyPerGB;
+  const double residencyEnergy = row.residencyPower * tKernel;
+  const double fetchEnergy = group.fetchPower * tKernel;
+  const double constEnergy = tuning.constantActivePower * tKernel;
   const double coreEnergy =
       smEnergy + memEnergy + residencyEnergy + fetchEnergy + constEnergy;
-  m.corePower = Watts{coreEnergy / tKernel};
+  out.corePower = Watts{coreEnergy / tKernel};
 
-  // The 58 W uncore component: engaged for small workloads; on autoboost
-  // parts it is tied to the top boost bin (it is part of the boosted
-  // uncore clock domain), on fixed-clock parts it engages for every
-  // launch below the threshold.
-  const bool sizeGated = cfg.n <= spec_.additivityThresholdN;
-  const bool binGated =
-      !spec_.hasAutoBoost || boost >= spec_.clockRatioBoost() - 1e-12;
-  m.uncoreActive = sizeGated && binGated;
-  m.uncorePower = spec_.uncorePower;
-  m.uncoreTail = tuning_.uncoreTailSec >= 0.0
-                     ? Seconds{tuning_.uncoreTailSec}
-                     : spec_.uncoreTail;
+  // The 58 W uncore component: engaged for small workloads, behind the
+  // row's boost-bin gate.
+  out.uncoreActive = cfg.n <= spec.additivityThresholdN && row.uncoreBin;
+  out.uncorePower = spec.uncorePower;
+  out.uncoreTail = tuning.uncoreTailSec >= 0.0
+                       ? Seconds{tuning.uncoreTailSec}
+                       : spec.uncoreTail;
 
   // --- CUPTI ground truth ---
-  m.flopCount = static_cast<std::uint64_t>(products * flopsPerProduct);
-  m.dramBytes = static_cast<std::uint64_t>(products * bytesPerProduct);
-  // Per k-tile each thread performs 2 shared stores (loading As/Bs) and
-  // 2*BS shared reads in the inner product loop.
-  const double sharedPerProduct =
-      nt * nt * tiles * (2.0 + 2.0 * cfg.bs + 2.0);
-  m.sharedLoadStore =
-      static_cast<std::uint64_t>(products * sharedPerProduct);
-  m.globalLoadTransactions =
+  out.flopCount = static_cast<std::uint64_t>(products * flopsPerProduct);
+  out.dramBytes = static_cast<std::uint64_t>(products * bytesPerProduct);
+  out.sharedLoadStore =
+      static_cast<std::uint64_t>(products * tile_.sharedPerProduct);
+  out.globalLoadTransactions =
       static_cast<std::uint64_t>(products * bytesPerProduct / 32.0);
-  return m;
 }
 
 KernelModel GpuModel::modelFft2d(int n) const {

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/units.hpp"
 #include "hw/spec.hpp"
@@ -108,6 +109,22 @@ struct GpuTuning {
   double uncoreTailSec = -1.0;
 };
 
+// The model is staged by what each term depends on, so a workload's
+// configurations pay only for the terms that vary between them:
+//   * per BS, one row built at construction for every block size that
+//     passes the per-block limits: occupancy, both latency-hiding exps,
+//     the boost ratio and its two pows, the compute peak, the memory
+//     rate and the uncore bin gate;
+//   * per G, one row built at construction for G <= kGRows (computed
+//     in place beyond): icache levels, issue efficiency, fetch power;
+//   * per (n, BS), computed by MatMulBatch once per run of equal
+//     (n, BS): tiles, flops, bytes, pow(tMemory, 12), block dispatch,
+//     shared traffic;
+//   * per configuration: the compute time and the two pows of the
+//     roofline combination, then time, energy and counts.
+// Every product keeps the operands and association of the one-pass
+// equations, so each output is bit-identical to evaluating them in one
+// go (the build's -ffp-contract=off keeps FMA out).
 class GpuModel {
  public:
   explicit GpuModel(GpuSpec spec);
@@ -124,8 +141,10 @@ class GpuModel {
   // memory for the three N x N matrices).
   [[nodiscard]] bool isLaunchable(const MatMulConfig& cfg) const;
 
-  // Model one kernel launch computing cfg.g * cfg.r matrix products.
-  // Throws ResourceError if !isLaunchable(cfg).
+  // Model one kernel launch computing cfg.g * cfg.r matrix products:
+  // MatMulBatch on one configuration.  Throws ResourceError if
+  // !isLaunchable(cfg), and what occupancyFor(cfg.bs) throws if the
+  // block cannot be resident.
   [[nodiscard]] KernelModel modelMatMul(const MatMulConfig& cfg) const;
 
   // Model of the 2D-FFT application of Fig 1 (CUFFT-like): returns the
@@ -133,10 +152,66 @@ class GpuModel {
   [[nodiscard]] KernelModel modelFft2d(int n) const;
 
  private:
+  friend class MatMulBatch;
+
+  // The terms of modelMatMul that depend on BS alone.
+  struct BlockRow {
+    Occupancy occupancy;  // blocksPerSm < 1: occupancyFor(bs) throws
+    double boost = 1.0;
+    double computePeak = 0.0;        // peakFlops * warpEff * occEffC
+    double memRate = 0.0;            // coalescing- and occupancy-derated
+    double boostEnergyScale = 0.0;   // boost^(boostPowerExponent - 1)
+    double residencyPower = 0.0;     // residencyPower * occ * boost^3
+    bool uncoreBin = false;          // the uncore's boost-bin gate
+  };
+  // The terms that depend on G alone.
+  struct GroupRow {
+    double icLevels = 0.0;
+    double issueEff = 0.0;
+    double fetchPower = 0.0;  // fetchPowerPerLevel * icLevels
+  };
+  static constexpr int kGRows = 16;
+
   [[nodiscard]] static GpuTuning defaultTuning(const GpuSpec& spec);
+  [[nodiscard]] BlockRow blockRow(int bs) const;
+  [[nodiscard]] GroupRow groupRow(int g) const;
+  void buildRows();
 
   GpuSpec spec_;
   GpuTuning tuning_;
+  std::vector<BlockRow> blockRows_;  // [bs - 1]
+  std::vector<GroupRow> groupRows_;  // [g - 1], g <= kGRows
+};
+
+// Evaluates the configurations of one workload in order.  The terms
+// that depend on (n, BS) alone are computed once per run of equal
+// (n, BS) and reused for every G and R of the run; the per-BS and
+// per-G terms come from the model's rows.  Each result is bit-identical
+// to GpuModel::modelMatMul(cfg) whatever the order of the
+// configurations, and each call throws what modelMatMul would, before
+// writing anything.  Holds a pointer to the model, which must outlive
+// it.
+class MatMulBatch {
+ public:
+  explicit MatMulBatch(const GpuModel& model) : model_(&model) {}
+
+  // Writes cfg's kernel model into `out` (every field).
+  void evaluate(const MatMulConfig& cfg, KernelModel& out);
+
+ private:
+  // The terms of modelMatMul that depend on (n, BS) alone.
+  struct TileTerms {
+    int n = 0;   // key; 0 = nothing cached yet
+    int bs = 0;
+    double flopsPerProduct = 0.0;
+    double bytesPerProduct = 0.0;
+    double tMemoryPow = 0.0;   // pow(tMemory, roofline sharpness)
+    double dispatch = 0.0;     // tiles^2 block dispatches
+    double sharedPerProduct = 0.0;
+  };
+
+  const GpuModel* model_;
+  TileTerms tile_;
 };
 
 }  // namespace ep::hw

@@ -108,9 +108,12 @@ struct Server::EventLoop {
           continue;
         }
         if (fd == wakeFd) {
+          // One read returns and clears the whole counter, and the next
+          // write raises a fresh edge, so a second read would only fail
+          // with EAGAIN.
           std::uint64_t tick = 0;
-          while (::read(wakeFd, &tick, sizeof tick) > 0) {
-          }
+          [[maybe_unused]] const ssize_t rc =
+              ::read(wakeFd, &tick, sizeof tick);
           continue;
         }
         auto it = connsByFd.find(fd);

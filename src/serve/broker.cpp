@@ -141,10 +141,15 @@ StudyKey Broker::keyFor(Device device, int n) const {
 Clock::time_point Broker::deadlineFor(double deadlineMs,
                                       Clock::time_point now) const {
   double ms = deadlineMs;
-  if (ms <= 0.0) ms = options_.defaultDeadlineMs;
-  if (ms <= 0.0) return Clock::time_point::max();
-  return now + std::chrono::duration_cast<Clock::duration>(
-                   std::chrono::duration<double, std::milli>(ms));
+  if (!(ms > 0.0)) ms = options_.defaultDeadlineMs;  // NaN too
+  if (!(ms > 0.0)) return Clock::time_point::max();
+  // A wait the clock cannot add to `now` (half its headroom leaves room
+  // for rounding) is no deadline: converting it would overflow.
+  const std::chrono::duration<double, std::milli> wait(ms);
+  if (!(wait < (Clock::time_point::max() - now) / 2)) {
+    return Clock::time_point::max();
+  }
+  return now + std::chrono::duration_cast<Clock::duration>(wait);
 }
 
 // Everything the admission mutex must witness for one tune job; the

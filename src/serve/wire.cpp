@@ -212,13 +212,47 @@ class Parser {
       v->kind = Value::Kind::Null;
       return true;
     }
+    // Only the JSON number grammar: strtod alone would also take nan,
+    // inf, hex floats and a leading '+'.
+    const std::size_t len = numberLength();
+    if (len == 0) return false;
+    const char* begin = s_.c_str() + pos_;
     char* end = nullptr;
-    const double num = std::strtod(s_.c_str() + pos_, &end);
-    if (end == s_.c_str() + pos_) return false;
-    pos_ = static_cast<std::size_t>(end - s_.c_str());
+    const double num = std::strtod(begin, &end);
+    if (end != begin + len) return false;  // e.g. "0x10", "01"
+    pos_ += len;
     v->kind = Value::Kind::Number;
     v->number = num;
     return true;
+  }
+
+  // Length of the JSON number -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  // at pos_, or 0 if there is none.  The scan needs no bounds checks:
+  // c_str() ends in '\0', which no test below accepts.
+  [[nodiscard]] std::size_t numberLength() const {
+    const char* const begin = s_.c_str() + pos_;
+    const char* p = begin;
+    const auto digits = [&p] {
+      const char* const from = p;
+      while (*p >= '0' && *p <= '9') ++p;
+      return p != from;
+    };
+    if (*p == '-') ++p;
+    if (*p == '0') {
+      ++p;  // no leading zeros: "01" is "0" followed by junk
+    } else if (!digits()) {
+      return 0;
+    }
+    if (*p == '.') {
+      ++p;
+      if (!digits()) return 0;
+    }
+    if (*p == 'e' || *p == 'E') {
+      ++p;
+      if (*p == '+' || *p == '-') ++p;
+      if (!digits()) return 0;
+    }
+    return static_cast<std::size_t>(p - begin);
   }
 
   bool failString(const char* msg) {
@@ -242,6 +276,20 @@ void appendReport(ObjectWriter& w, const RequestReport& r) {
       .add("reportCoalesced", r.coalesced)
       .add("reportStaleServed", r.staleServed)
       .add("skippedConfigs", r.skippedConfigs);
+}
+
+// A decoded number as an int, truncated toward zero like a cast, or
+// nullopt when that is out of int's range (NaN and +-inf included),
+// where the cast would be undefined.
+std::optional<int> toInt(double v) {
+  if (!(v > -2147483649.0 && v < 2147483648.0)) return std::nullopt;
+  return static_cast<int>(v);
+}
+
+// The same for a non-negative count: nullopt below 0 or from 2^64 up.
+std::optional<std::uint64_t> toCount(double v) {
+  if (!(v >= 0.0 && v < 18446744073709551616.0)) return std::nullopt;
+  return static_cast<std::uint64_t>(v);
 }
 
 }  // namespace
@@ -396,7 +444,9 @@ std::optional<WireRequest> decodeRequest(const std::string& line,
     req.op = WireRequest::Op::Events;
     const double since = getNumber(*obj, "since").value_or(0.0);
     if (since < 0.0) return fail("\"since\" must be >= 0");
-    req.eventsSince = static_cast<std::uint64_t>(since);
+    const auto sinceCount = toCount(since);
+    if (!sinceCount) return fail("\"since\" out of range");
+    req.eventsSince = *sinceCount;
     return req;
   }
 
@@ -418,12 +468,16 @@ std::optional<WireRequest> decodeRequest(const std::string& line,
     }
     const double topN = getNumber(*obj, "topN").value_or(10.0);
     if (topN < 0.0) return fail("profile \"topN\" must be >= 0");
-    req.profileTopN = static_cast<std::size_t>(topN);
+    const auto topCount = toCount(topN);
+    if (!topCount) return fail("profile \"topN\" out of range");
+    req.profileTopN = static_cast<std::size_t>(*topCount);
     const double periodUs = getNumber(*obj, "periodUs").value_or(10000.0);
     if (!(periodUs >= 100.0)) {
       return fail("profile \"periodUs\" must be >= 100");
     }
-    req.profilePeriodUs = static_cast<std::uint64_t>(periodUs);
+    const auto period = toCount(periodUs);
+    if (!period) return fail("profile \"periodUs\" out of range");
+    req.profilePeriodUs = *period;
     req.profileCpuSampling = getBool(*obj, "cpuSampling").value_or(true);
     const auto scope = getString(*obj, "scope");
     if (scope) {
@@ -469,7 +523,9 @@ std::optional<WireRequest> decodeRequest(const std::string& line,
   if (*op == "tune") {
     req.op = WireRequest::Op::Tune;
     req.tune.device = *device;
-    req.tune.n = static_cast<int>(getNumber(*obj, "n").value_or(0.0));
+    const auto n = toInt(getNumber(*obj, "n").value_or(0.0));
+    if (!n) return fail("\"n\" out of range");
+    req.tune.n = *n;
     req.tune.maxDegradation =
         getNumber(*obj, "maxDegradation").value_or(0.0);
     req.tune.deadlineMs = getNumber(*obj, "deadlineMs").value_or(0.0);
@@ -478,11 +534,15 @@ std::optional<WireRequest> decodeRequest(const std::string& line,
   if (*op == "study") {
     req.op = WireRequest::Op::Study;
     req.study.device = *device;
-    req.study.nBegin =
-        static_cast<int>(getNumber(*obj, "nBegin").value_or(0.0));
-    req.study.nEnd = static_cast<int>(getNumber(*obj, "nEnd").value_or(0.0));
-    req.study.nStep =
-        static_cast<int>(getNumber(*obj, "nStep").value_or(1.0));
+    const auto nBegin = toInt(getNumber(*obj, "nBegin").value_or(0.0));
+    if (!nBegin) return fail("\"nBegin\" out of range");
+    const auto nEnd = toInt(getNumber(*obj, "nEnd").value_or(0.0));
+    if (!nEnd) return fail("\"nEnd\" out of range");
+    const auto nStep = toInt(getNumber(*obj, "nStep").value_or(1.0));
+    if (!nStep) return fail("\"nStep\" out of range");
+    req.study.nBegin = *nBegin;
+    req.study.nEnd = *nEnd;
+    req.study.nStep = *nStep;
     req.study.deadlineMs = getNumber(*obj, "deadlineMs").value_or(0.0);
     return req;
   }

@@ -13,6 +13,7 @@
 #include "apps/gpu_matmul_app.hpp"
 #include "apps/matmul_kernel.hpp"
 #include "blas/dgemm.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/study.hpp"
@@ -595,6 +596,95 @@ TEST(GpuApp, LabelMatchesConcatenatedTextForEveryLaunchableConfig) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+// A P100 whose SMs hold only 800 threads: blocks of BS >= 29 (841+
+// threads) pass the per-block limits, so they enumerate as launchable,
+// but cannot be resident at all.
+hw::GpuSpec thinSmSpec() {
+  hw::GpuSpec spec = hw::nvidiaP100Pcie();
+  spec.maxThreadsPerSM = 800;
+  return spec;
+}
+
+std::string residencyError(const hw::GpuModel& model, int bs) {
+  try {
+    (void)model.occupancyFor(bs);
+  } catch (const EpError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(GpuApp, ModelDirectSkipAndRecordKeepsEveryResidentConfig) {
+  GpuMatMulOptions opts;
+  opts.useMeter = false;
+  opts.failPolicy = fault::FailPolicy::SkipAndRecord;
+  const GpuMatMulApp app(hw::GpuModel(thinSmSpec()), opts);
+  const auto configs = app.enumerateConfigs(10240);
+  ASSERT_EQ(configs.size(), 32u * 4u);
+  Rng rng(3);
+  std::vector<GpuConfigFailure> failures;
+  const auto points = app.runWorkload(10240, rng, nullptr, &failures);
+
+  std::vector<hw::MatMulConfig> wantFailed;
+  std::vector<hw::MatMulConfig> wantKept;
+  for (const auto& c : configs) (c.bs >= 29 ? wantFailed : wantKept).push_back(c);
+  ASSERT_EQ(failures.size(), wantFailed.size());
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    const auto& c = failures[i].config;
+    EXPECT_EQ(c.bs, wantFailed[i].bs) << i;
+    EXPECT_EQ(c.g, wantFailed[i].g) << i;
+    EXPECT_EQ(c.r, wantFailed[i].r) << i;
+    const std::string want = residencyError(app.model(), c.bs);
+    EXPECT_NE(want.find("block cannot be resident at all"),
+              std::string::npos);
+    EXPECT_EQ(failures[i].error, want) << i;
+  }
+  ASSERT_EQ(points.size(), wantKept.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto& p = points[i];
+    EXPECT_EQ(p.config.bs, wantKept[i].bs) << i;
+    EXPECT_EQ(p.config.g, wantKept[i].g) << i;
+    const hw::KernelModel m = app.model().modelMatMul(wantKept[i]);
+    EXPECT_EQ(p.time.value(), m.time.value()) << i;
+    EXPECT_EQ(p.dynamicEnergy.value(), m.dynamicEnergy().value()) << i;
+    EXPECT_EQ(p.repetitions, 1u);
+    EXPECT_EQ(p.remeasures, 0u);
+  }
+}
+
+TEST(GpuApp, ModelDirectFailFastThrowsTheResidencyError) {
+  GpuMatMulOptions opts;
+  opts.useMeter = false;
+  const GpuMatMulApp app(hw::GpuModel(thinSmSpec()), opts);
+  Rng rng(3);
+  try {
+    (void)app.runWorkload(10240, rng);
+    ADD_FAILURE() << "expected the first non-resident block to throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_EQ(std::string(e.what()), residencyError(app.model(), 29));
+  }
+}
+
+TEST(GpuApp, ModelConstructsForDegenerateSpecs) {
+  // Building the per-BS rows must not throw for any spec that
+  // constructs: a row that cannot be resident is recorded, not raised.
+  std::vector<hw::GpuSpec> specs(6, hw::nvidiaK40c());
+  specs[0] = hw::GpuSpec{};
+  specs[1].maxThreadsPerSM = 0;
+  specs[2].maxBlocksPerSM = 0;
+  specs[3].warpSize = 0;
+  specs[4].sharedMemPerSMKB = 0;
+  specs[5].baseClockMHz = 0.0;
+  specs[5].hasAutoBoost = true;
+  for (const auto& spec : specs) {
+    EXPECT_NO_THROW(hw::GpuModel{spec});
+    EXPECT_NO_THROW((hw::GpuModel{spec, hw::GpuTuning{}}));
+  }
+  EXPECT_FALSE(hw::GpuModel(specs[0]).isLaunchable({1024, 1, 1, 1}));
+  EXPECT_THROW((void)hw::GpuModel(specs[1]).modelMatMul({1024, 1, 1, 1}),
+               PreconditionError);
 }
 
 TEST(CpuApp, ParallelWorkloadBitwiseEqualsSerial) {

@@ -3,14 +3,51 @@
 // (BS, G, R), boost bins, and the 58 W uncore component gating.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "hw/gpu_model.hpp"
 #include "hw/spec.hpp"
 
 namespace ep::hw {
 namespace {
+
+std::uint64_t bitsOf(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every field of a kernel model, folded into h bit for bit.
+std::uint64_t hashModel(std::uint64_t h, const KernelModel& m) {
+  for (const double v :
+       {m.time.value(), m.corePower.value(), m.boostRatio,
+        m.uncorePower.value(), m.uncoreTail.value(), m.occupancy.fraction,
+        m.achievedGflops, m.achievedBandwidthGBs,
+        m.dynamicEnergy().value()}) {
+    h = mix64(h, bitsOf(v));
+  }
+  for (const std::uint64_t v :
+       {static_cast<std::uint64_t>(m.uncoreActive),
+        static_cast<std::uint64_t>(m.occupancy.blocksPerSm),
+        static_cast<std::uint64_t>(m.occupancy.threadsPerSm), m.flopCount,
+        m.dramBytes, m.sharedLoadStore, m.globalLoadTransactions}) {
+    h = mix64(h, v);
+  }
+  for (const char* c = m.occupancy.limitedBy; *c != '\0'; ++c) {
+    h = mix64(h, static_cast<unsigned char>(*c));
+  }
+  return h;
+}
+
+// Both Table I parts plus the autoboost-off ablation (a P100 on fixed
+// clocks with the P100's tuning).
+std::vector<GpuModel> pinnedModels() {
+  GpuSpec fixedClocks = nvidiaP100Pcie();
+  fixedClocks.hasAutoBoost = false;
+  return {GpuModel(nvidiaP100Pcie()), GpuModel(nvidiaK40c()),
+          GpuModel(fixedClocks, GpuModel(nvidiaP100Pcie()).tuning())};
+}
 
 // --- Table I specs ---
 
@@ -105,6 +142,40 @@ TEST(Launchable, RejectsDegenerateConfigs) {
   EXPECT_FALSE(m.isLaunchable({1024, 33, 1, 1}));
   EXPECT_FALSE(m.isLaunchable({1024, 32, 0, 1}));
   EXPECT_THROW((void)m.modelMatMul({1024, 33, 1, 1}), ResourceError);
+}
+
+// --- kernel model: the outputs, bit for bit ---
+
+TEST(MatMulModel, OutputsPinnedBitForBit) {
+  // Every field of every launchable (n, BS, G, R), at n values spanning
+  // tile steps, both additivity thresholds +- 1 and the 12 GB memory
+  // edge (23170 fits, 23171 does not); G reaches past the per-G rows.
+  // The expected digest was recorded from the one-pass equations the
+  // staged model replaced, so any change in an operand, an association
+  // or a libm call moves it.
+  std::uint64_t h = 0;
+  std::size_t launchable = 0;
+  for (const GpuModel& model : pinnedModels()) {
+    for (const int n : {1, 2, 7, 31, 32, 33, 63, 64, 65, 1000, 1023, 1024,
+                        1025, 4096, 8703, 8704, 10239, 10240, 10241, 14336,
+                        15359, 15360, 15361, 18432, 23170, 23171}) {
+      for (int bs = 1; bs <= 33; ++bs) {
+        for (const int g : {1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 32}) {
+          for (const int r : {1, 2, 3, 8}) {
+            const MatMulConfig cfg{n, bs, g, r};
+            if (!model.isLaunchable(cfg)) {
+              h = mix64(h, 0xDEAD);
+              continue;
+            }
+            h = hashModel(h, model.modelMatMul(cfg));
+            ++launchable;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(launchable, 3u * 25u * 32u * 11u * 4u);
+  EXPECT_EQ(h, 0x0854308F90FBEC8AULL);
 }
 
 // --- kernel model: work accounting ---
@@ -368,6 +439,82 @@ TEST(Ablation, DisablingAutoboostMakesP100BehaveLikeK40c) {
   const double savings =
       savingsWith(fixedClocks, GpuModel(nvidiaP100Pcie()).tuning());
   EXPECT_LT(savings, 0.10);
+}
+
+void expectSameModel(const KernelModel& a, const KernelModel& b) {
+  EXPECT_EQ(bitsOf(a.time.value()), bitsOf(b.time.value()));
+  EXPECT_EQ(bitsOf(a.corePower.value()), bitsOf(b.corePower.value()));
+  EXPECT_EQ(bitsOf(a.boostRatio), bitsOf(b.boostRatio));
+  EXPECT_EQ(a.uncoreActive, b.uncoreActive);
+  EXPECT_EQ(bitsOf(a.uncorePower.value()), bitsOf(b.uncorePower.value()));
+  EXPECT_EQ(bitsOf(a.uncoreTail.value()), bitsOf(b.uncoreTail.value()));
+  EXPECT_EQ(a.occupancy.blocksPerSm, b.occupancy.blocksPerSm);
+  EXPECT_EQ(a.occupancy.threadsPerSm, b.occupancy.threadsPerSm);
+  EXPECT_EQ(bitsOf(a.occupancy.fraction), bitsOf(b.occupancy.fraction));
+  EXPECT_STREQ(a.occupancy.limitedBy, b.occupancy.limitedBy);
+  EXPECT_EQ(bitsOf(a.achievedGflops), bitsOf(b.achievedGflops));
+  EXPECT_EQ(bitsOf(a.achievedBandwidthGBs), bitsOf(b.achievedBandwidthGBs));
+  EXPECT_EQ(a.flopCount, b.flopCount);
+  EXPECT_EQ(a.dramBytes, b.dramBytes);
+  EXPECT_EQ(a.sharedLoadStore, b.sharedLoadStore);
+  EXPECT_EQ(a.globalLoadTransactions, b.globalLoadTransactions);
+}
+
+TEST(MatMulModel, BatchEqualsOneConfigAtATime) {
+  // One batch fed configurations out of enumeration order: n and BS
+  // interleave, so most calls miss the cached (n, BS) terms, and G*R
+  // varies as additivityConfigs produces it (G = 1..gMax at fixed R).
+  // Unlaunchable configurations in between throw and leave the batch's
+  // later results untouched.
+  for (const GpuModel& model : pinnedModels()) {
+    const apps::GpuMatMulApp app(model);
+    std::vector<MatMulConfig> cfgs;
+    for (const int r : {1, 3}) {
+      for (const int bs : {32, 1, 17, 24, 8}) {
+        for (const int n : {10240, 1000, 15361, 23171}) {
+          for (const MatMulConfig& c : app.additivityConfigs(n, bs, 8, r)) {
+            cfgs.push_back(c);
+          }
+          cfgs.push_back({n, 33, 1, r});  // unlaunchable block
+        }
+      }
+    }
+    // Interleave with stride 7: neighbours mostly differ in (n, BS).
+    std::vector<MatMulConfig> order;
+    for (std::size_t stride = 0; stride < 7; ++stride) {
+      for (std::size_t i = stride; i < cfgs.size(); i += 7) {
+        order.push_back(cfgs[i]);
+      }
+    }
+    ASSERT_EQ(order.size(), cfgs.size());
+    // Then the enumeration order, whose runs reuse the cached terms.
+    for (const int n : {8704, 10240}) {
+      for (const MatMulConfig& c : app.enumerateConfigs(n)) {
+        order.push_back(c);
+      }
+    }
+
+    MatMulBatch batch(model);
+    std::size_t evaluated = 0;
+    std::size_t thrown = 0;
+    for (const MatMulConfig& cfg : order) {
+      SCOPED_TRACE(model.spec().name + " n=" + std::to_string(cfg.n) +
+                   " BS=" + std::to_string(cfg.bs) +
+                   " G=" + std::to_string(cfg.g) +
+                   " R=" + std::to_string(cfg.r));
+      KernelModel got;
+      if (!model.isLaunchable(cfg)) {
+        EXPECT_THROW(batch.evaluate(cfg, got), ResourceError);
+        ++thrown;
+        continue;
+      }
+      batch.evaluate(cfg, got);
+      expectSameModel(got, model.modelMatMul(cfg));
+      ++evaluated;
+    }
+    EXPECT_GT(evaluated, 2u * 128u);
+    EXPECT_GT(thrown, 0u);
+  }
 }
 
 TEST(Ablation, ResidencyPowerShapesTheFrontNotTheHeadline) {

@@ -649,6 +649,23 @@ TEST(Broker, ExpiredQueuedRequestIsRejected) {
   EXPECT_EQ(m.completed, 1u);
 }
 
+TEST(Broker, UnrepresentableDeadlineIsNoDeadline) {
+  // A wire deadline far past what the clock can hold (or not a number,
+  // as an EPB1 f64 may carry) must not overflow the time-point
+  // conversion; it waits like a request without one.
+  auto engine = std::make_shared<FakeEngine>();
+  BrokerOptions opts;
+  opts.threads = 1;
+  Broker broker(engine, opts);
+  int n = 100;
+  for (const double deadlineMs :
+       {1e300, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), 1e16}) {
+    EXPECT_EQ(broker.tune(tuneReq(++n, 0.5, deadlineMs)).status, Status::Ok)
+        << deadlineMs;
+  }
+}
+
 TEST(Broker, FullQueueRejectsWithBackpressure) {
   auto engine = std::make_shared<FakeEngine>(/*gated=*/true);
   BrokerOptions opts;
@@ -955,6 +972,90 @@ TEST(Wire, ParserRejectsBadEscapesAndNesting) {
   // The protocol is flat: nested containers are rejected, not parsed.
   EXPECT_FALSE(wire::parseObject(R"({"a":{"b":1}})", &error).has_value());
   EXPECT_FALSE(wire::parseObject(R"({"a":[1,2]})", &error).has_value());
+}
+
+TEST(Wire, ParserTakesOnlyJsonNumbers) {
+  // strtod alone would read each of these (0x1p4 as 16, "+4" as 4,
+  // "nan" and "inf" as themselves); JSON has none of them.
+  for (const char* value : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                            "0x1p4", "0x10", "+4", "01", "-01", "1.", ".5",
+                            "-", "1e", "1e+", "-.5"}) {
+    std::string error;
+    const std::string line = std::string(R"({"op":"tune","n":)") + value + "}";
+    EXPECT_FALSE(wire::parseObject(line, &error).has_value()) << line;
+    EXPECT_FALSE(error.empty()) << line;
+  }
+  // The JSON grammar itself parses as strtod reads it.
+  for (const char* value : {"0", "-0", "16", "-16", "0.5", "-0.25", "1e3",
+                            "1E+3", "2.5e-1", "1e-05", "0e0", "10240"}) {
+    std::string error;
+    const auto obj =
+        wire::parseObject(std::string(R"({"x":)") + value + "}", &error);
+    ASSERT_TRUE(obj) << value << ": " << error;
+    EXPECT_EQ(wire::getNumber(*obj, "x"), std::strtod(value, nullptr))
+        << value;
+  }
+}
+
+TEST(Wire, OutOfRangeNumbersAreBadRequestsNamingTheField) {
+  // Each used to reach a float-to-int cast that is undefined for it.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"op":"tune","n":1e300})", "\"n\" out of range"},
+      {R"({"op":"tune","n":-1e300})", "\"n\" out of range"},
+      {R"({"op":"tune","n":1e400})", "\"n\" out of range"},
+      {R"({"op":"tune","n":2147483648})", "\"n\" out of range"},
+      {R"({"op":"tune","n":-2147483649})", "\"n\" out of range"},
+      {R"({"op":"study","nBegin":1e10,"nEnd":1,"nStep":1})",
+       "\"nBegin\" out of range"},
+      {R"({"op":"study","nBegin":1,"nEnd":-1e10,"nStep":1})",
+       "\"nEnd\" out of range"},
+      {R"({"op":"study","nBegin":1,"nEnd":2,"nStep":1e10})",
+       "\"nStep\" out of range"},
+      {R"({"op":"events","since":1e30})", "\"since\" out of range"},
+      {R"({"op":"profile","topN":1e30})", "profile \"topN\" out of range"},
+      {R"({"op":"profile","periodUs":1e30})",
+       "profile \"periodUs\" out of range"},
+  };
+  for (const auto& [line, want] : cases) {
+    std::string error;
+    EXPECT_FALSE(wire::decodeRequest(line, &error).has_value()) << line;
+    EXPECT_EQ(error, want) << line;
+    // The daemon answers a decode failure with encodeError(error).
+    const auto answer = wire::parseObject(wire::encodeError(error), nullptr);
+    ASSERT_TRUE(answer) << line;
+    EXPECT_EQ(wire::getString(*answer, "status"), "bad_request") << line;
+    EXPECT_EQ(wire::getString(*answer, "error"), want) << line;
+  }
+}
+
+TEST(Wire, InRangeNumbersStillTruncateTowardZero) {
+  std::string error;
+  const std::pair<const char*, int> tunes[] = {
+      {R"({"op":"tune","n":10240.9})", 10240},
+      {R"({"op":"tune","n":-5.5})", -5},
+      {R"({"op":"tune","n":2147483647.5})", 2147483647},
+      {R"({"op":"tune","n":-2147483648.9})", -2147483647 - 1},
+  };
+  for (const auto& [line, n] : tunes) {
+    const auto req = wire::decodeRequest(line, &error);
+    ASSERT_TRUE(req) << line << ": " << error;
+    EXPECT_EQ(req->tune.n, n) << line;
+  }
+  const auto study = wire::decodeRequest(
+      R"({"op":"study","nBegin":256.7,"nEnd":1024.2,"nStep":64.9})", &error);
+  ASSERT_TRUE(study) << error;
+  EXPECT_EQ(study->study.nBegin, 256);
+  EXPECT_EQ(study->study.nEnd, 1024);
+  EXPECT_EQ(study->study.nStep, 64);
+  const auto events =
+      wire::decodeRequest(R"({"op":"events","since":7.9})", &error);
+  ASSERT_TRUE(events) << error;
+  EXPECT_EQ(events->eventsSince, 7u);
+  const auto profile = wire::decodeRequest(
+      R"({"op":"profile","topN":3.7,"periodUs":250.5})", &error);
+  ASSERT_TRUE(profile) << error;
+  EXPECT_EQ(profile->profileTopN, 3u);
+  EXPECT_EQ(profile->profilePeriodUs, 250u);
 }
 
 TEST(Wire, ResponsesCarryStalenessOnTheWire) {

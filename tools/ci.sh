@@ -241,10 +241,11 @@ if grep -qw fma /proc/cpuinfo; then
   cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS="-march=native"
   cmake --build build-native -j "${JOBS}" --target test_common test_power \
-    test_apps test_reproduction
+    test_apps test_hw_gpu test_reproduction
   ./build-native/tests/test_common
   ./build-native/tests/test_power
   ./build-native/tests/test_apps
+  ./build-native/tests/test_hw_gpu
   ./build-native/tests/test_reproduction
 else
   echo "== skipping -march=native stage: this CPU lists no fma =="
@@ -288,14 +289,17 @@ profiler_drill build-tsan
 unset TSAN_OPTIONS
 
 echo "== ASan+UBSan: fault injection + robust measurement + wire parser =="
+# GCC's "undefined" group leaves out float-cast-overflow, under which an
+# out-of-range double-to-int cast (a wire number such as "n":1e300) is
+# reported instead of silently producing INT_MIN.
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DEPSIM_WERROR=ON \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1" \
-  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -g -O1" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
 cmake --build build-asan -j "${JOBS}" --target test_common test_fault \
-  test_power test_apps test_serve test_core test_obs test_fleet test_net \
-  test_chaos epserved epctl
+  test_power test_apps test_hw_gpu test_serve test_core test_obs test_fleet \
+  test_net test_chaos epserved epctl
 # detect_leaks flushes out meter/journal ownership bugs; test_common,
 # test_power and test_apps run the staged polar normals' stack-chunk
 # indexing and the meter's block sampler at every chunk and block edge,
@@ -303,11 +307,15 @@ cmake --build build-asan -j "${JOBS}" --target test_common test_fault \
 # tests the malformed-frame corpus, test_core the checkpoint journal
 # I/O, test_obs the byte-copied flight-recorder ring and the
 # trace/metrics encoders, test_fleet the ring copy-on-write swaps and
-# stale-replica ownership.
+# stale-replica ownership; test_serve's Wire cases send numbers no int
+# or count can hold.
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_common
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_fault
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_power
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_apps
+# test_hw_gpu indexes the GPU model's per-BS and per-G rows at every
+# table edge (BS 1-33, G past the per-G rows).
+ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_hw_gpu
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_serve
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_core
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_obs
