@@ -1,12 +1,16 @@
 // google-benchmark microbenchmarks for the library's core algorithms:
 // Pareto fronts, FFTs, DGEMM, the statistics stack, the noise generator,
-// the meter simulation and a cold model-direct study.  Guards against
-// performance regressions in the pieces the experiment harnesses iterate
-// millions of times.
+// the meter simulation, a cold model-direct study, and the serving path's
+// line-JSON codec and cold tune.  Guards against performance regressions
+// in the pieces the experiment harnesses and the daemon iterate millions
+// of times.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/gpu_matmul_app.hpp"
@@ -17,7 +21,9 @@
 #include "hw/gpu_model.hpp"
 #include "pareto/front.hpp"
 #include "power/meter.hpp"
+#include "serve/broker.hpp"
 #include "serve/engine.hpp"
+#include "serve/wire.hpp"
 #include "stats/distributions.hpp"
 #include "stats/ttest.hpp"
 
@@ -307,6 +313,92 @@ void BM_ColdModelDirectEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ColdModelDirectEvaluate);
+
+// The line-JSON tune shapes e2ebench's miss_json sends: both devices,
+// sizes from its grid, its three budgets, report on, its trace ids.
+std::vector<std::string> tuneLines() {
+  constexpr const char* kBudgets[] = {"0.05", "0.11", "0.2"};
+  std::vector<std::string> lines;
+  for (int i = 0; i < 64; ++i) {
+    char line[256];
+    std::snprintf(line, sizeof line,
+                  "{\"op\":\"tune\",\"device\":\"%s\",\"n\":%d,"
+                  "\"maxDegradation\":%s,\"report\":true,"
+                  "\"trace_id\":\"c%d-%x\"}",
+                  i % 2 == 0 ? "p100" : "k40c", 1024 + 64 * ((i * 37) % 240),
+                  kBudgets[i % 3], i % 4, 0x1000 + 97 * i);
+    lines.emplace_back(line);
+  }
+  return lines;
+}
+
+// What the event thread pays to decode one tune line.
+void BM_DecodeTuneLine(benchmark::State& state) {
+  const std::vector<std::string> lines = tuneLines();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    std::string error;
+    benchmark::DoNotOptimize(serve::wire::decodeRequest(lines[next], &error));
+    next = (next + 1) % lines.size();
+  }
+}
+BENCHMARK(BM_DecodeTuneLine);
+
+// Rendering a tune answer with its ledger (report on) and trace id, as
+// a cold P100 and K40c study's recommendations under the three budgets.
+void BM_EncodeTuneResponse(benchmark::State& state) {
+  const serve::EpStudyEngine engine;
+  std::vector<serve::TuneResponse> responses;
+  for (const serve::Device device : {serve::Device::P100, serve::Device::K40c}) {
+    const core::WorkloadResult r = engine.evaluate(device, 10240);
+    const core::EnergyAttribution attr = core::attributeEnergy(r);
+    for (const double budget : {0.05, 0.11, 0.20}) {
+      serve::TuneResponse resp;
+      resp.recommendation = core::BiObjectiveTuner(budget).recommend(r.globalFront);
+      resp.report.attributedJoules = attr.joules;
+      resp.report.measurementWindows = attr.windows;
+      resp.report.studiesExecuted = 1;
+      resp.latency = Seconds{3.1e-4};
+      responses.push_back(std::move(resp));
+    }
+  }
+  const std::string traceId = "c2-1a2b";
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        serve::wire::encodeTuneResponse(responses[next], traceId, true));
+    next = (next + 1) % responses.size();
+  }
+}
+BENCHMARK(BM_EncodeTuneResponse);
+
+// Process CPU per cold tune through a Broker: admission, the pool hop,
+// the model-direct study, the ledger, the cache insert and eviction,
+// and the tuner step.  256 keys (e2ebench's grid, both devices) cycle
+// through a 64-entry cache, so every tune misses.
+void BM_BrokerColdTune(benchmark::State& state) {
+  serve::BrokerOptions opts;
+  opts.threads = 2;
+  opts.cacheCapacity = 64;
+  serve::Broker broker(std::make_shared<serve::EpStudyEngine>(), opts);
+  std::vector<serve::TuneRequest> keys;
+  for (int i = 0; i < 128; ++i) {
+    for (const serve::Device device :
+         {serve::Device::P100, serve::Device::K40c}) {
+      serve::TuneRequest req;
+      req.device = device;
+      req.n = 1024 + 64 * i;
+      req.maxDegradation = 0.11;
+      keys.push_back(req);
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(broker.tune(keys[next]));
+    next = (next + 1) % keys.size();
+  }
+}
+BENCHMARK(BM_BrokerColdTune)->MeasureProcessCPUTime()->UseRealTime();
 
 }  // namespace
 

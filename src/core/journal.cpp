@@ -78,6 +78,10 @@ std::map<int, WorkloadResult> StudyJournal::load(
   // Accumulate the workload in progress; commit only on its E record.
   // Any malformed or truncated line ends parsing — everything after a
   // torn append is unreachable by construction (appends are ordered).
+  // So does a record the app cannot honour: the counts in a W record
+  // reserve nothing (the E record checks them), and a C record whose
+  // configuration cannot launch, or a workload whose points admit no
+  // fronts, is as malformed as a torn append.
   bool open = false;
   WorkloadResult pending;
   std::size_t wantData = 0, wantFailures = 0;
@@ -90,8 +94,6 @@ std::map<int, WorkloadResult> StudyJournal::load(
       if (open || !(ls >> n >> wantData >> wantFailures)) break;
       pending = WorkloadResult{};
       pending.n = n;
-      pending.data.reserve(wantData);
-      pending.failures.reserve(wantFailures);
       open = true;
     } else if (tag == "C") {
       apps::GpuDataPoint d;
@@ -107,7 +109,11 @@ std::map<int, WorkloadResult> StudyJournal::load(
       d.config.n = pending.n;
       d.time = Seconds{bitsToDouble(timeBits)};
       d.dynamicEnergy = Joules{bitsToDouble(energyBits)};
-      d.model = app.model().modelMatMul(d.config);
+      try {
+        d.model = app.model().modelMatMul(d.config);
+      } catch (const EpError&) {
+        break;  // not launchable, or cannot be resident
+      }
       pending.data.push_back(std::move(d));
     } else if (tag == "F") {
       apps::GpuConfigFailure f;
@@ -126,7 +132,11 @@ std::map<int, WorkloadResult> StudyJournal::load(
           pending.failures.size() != wantFailures) {
         break;
       }
-      finalizeWorkload(pending);
+      try {
+        finalizeWorkload(pending);
+      } catch (const EpError&) {
+        break;  // no points, or objectives no measurement yields
+      }
       out[pending.n] = std::move(pending);
       open = false;
     } else {

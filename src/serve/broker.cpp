@@ -22,6 +22,17 @@ double elapsedMsSince(Clock::time_point start, Clock::time_point now) {
   return std::chrono::duration<double, std::milli>(now - start).count();
 }
 
+// A study as the broker holds it: n, the fronts, the trade-offs and
+// the failures.  The per-configuration data and points are released
+// with their capacity (assigning {} would keep it), so the cache, the
+// stale store and fleet replicas hold only what an answer reads.
+std::shared_ptr<const core::WorkloadResult> answersOnly(
+    core::WorkloadResult r) {
+  std::vector<apps::GpuDataPoint>().swap(r.data);
+  std::vector<pareto::BiPoint>().swap(r.points);
+  return std::make_shared<const core::WorkloadResult>(std::move(r));
+}
+
 std::string describe(const std::exception_ptr& err) {
   try {
     std::rethrow_exception(err);
@@ -606,6 +617,7 @@ Broker::StudyOutcome Broker::obtainStudy(Device device, int n, bool* cacheHit,
   lk.unlock();
 
   ResultPtr result;
+  core::EnergyAttribution attribution;
   std::exception_ptr err;
   // Cold-study wall time feeds the admission controller's deadline
   // shedding; only read the clock when that consumer exists.
@@ -619,8 +631,11 @@ Broker::StudyOutcome Broker::obtainStudy(Device device, int n, bool* cacheHit,
     // configuration loop (nested parallelFor — safe since the caller
     // participates).  A model-direct study ignores the pool and runs
     // on this worker alone.
-    result = std::make_shared<const core::WorkloadResult>(
-        engine_->evaluate(device, n, pool_.get()));
+    core::WorkloadResult evaluated = engine_->evaluate(device, n, pool_.get());
+    // The ledger entry is the only reader of the per-configuration
+    // data: take it, then keep just what answers read.
+    attribution = core::attributeEnergy(evaluated);
+    result = answersOnly(std::move(evaluated));
   } catch (...) {
     err = std::current_exception();
   }
@@ -663,8 +678,7 @@ Broker::StudyOutcome Broker::obtainStudy(Device device, int n, bool* cacheHit,
   breaker.onSuccess();
   // The executing caller owns the study's full energy ledger entry;
   // waiters and future joiners get the result with zero attribution.
-  StudyOutcome owned{result, false, /*executed=*/true,
-                     core::attributeEnergy(*result)};
+  StudyOutcome owned{result, false, /*executed=*/true, attribution};
   accountStudyEnergy(device, owned.attr);
   if (options_.onStudyExecuted) options_.onStudyExecuted(device, n, result);
   entry->promise.set_value(owned);

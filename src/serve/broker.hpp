@@ -7,7 +7,11 @@
 //     work happens on workers.
 //   * Result cache: completed studies are kept in an LRU keyed by
 //     (device, N, tuning-constants hash).  A cache hit is served
-//     synchronously at submission — no queue round trip.
+//     synchronously at submission — no queue round trip.  The broker
+//     keeps answers, not studies: a held result carries n, the fronts,
+//     the trade-offs and the failures.  The per-configuration data and
+//     points are read once, for the executing request's energy ledger,
+//     and released before the result is cached, stored or replicated.
 //   * Request coalescing: while a study for key K is being computed,
 //     further requests for K do not queue; they register as waiters on
 //     the in-flight entry and are all fulfilled by the one computing
@@ -63,9 +67,10 @@ struct BrokerOptions {
   // Per-device circuit breaker over engine evaluations; disabled by
   // default (failureThreshold == 0).
   CircuitBreakerOptions breaker{};
-  // Stale-while-error store: every successful study is also remembered
-  // here (independently of the LRU result cache), and served — flagged
-  // stale — when the engine fails or the breaker is open.  0 disables.
+  // Stale-while-error store: every successful study (as held: no data
+  // or points) is also remembered here, independently of the LRU
+  // result cache, and served — flagged stale — when the engine fails
+  // or the breaker is open.  0 disables.
   std::size_t staleCapacity = 128;
   // Optional anomaly watchdog fed one outcome per finished request
   // (error / stale / healthy), for the ErrorBudget detector.  Must
@@ -85,6 +90,7 @@ struct BrokerOptions {
   //   onStudyExecuted: fires once per cold engine evaluation that
   //     succeeded — the fleet router replicates the result to the key's
   //     ring successor and streams its front into the cluster fronts.
+  //     The result is the held one: no data or points.
   //   onTuneComplete: fires for every fulfilled tune promise (success
   //     or rejection) — the router's EWMA J/req price signal and
   //     latency accounting feed off it.
@@ -312,9 +318,11 @@ class Broker {
   bool accepting_ = true;
   std::size_t queueDepth_ = 0;   // admitted, not yet started
   std::size_t activeJobs_ = 0;   // started, not yet finished
+  // Held results (answers only; see the header comment).
   LruCache<StudyKey, ResultPtr, StudyKeyHash> cache_;
-  // Last-known-good results, kept past cache_ eviction so an engine
-  // failure (or an open breaker) can still answer — flagged stale.
+  // Last-known-good held results, kept past cache_ eviction so an
+  // engine failure (or an open breaker) can still answer — flagged
+  // stale.
   LruCache<StudyKey, ResultPtr, StudyKeyHash> staleStore_;
   std::unordered_map<StudyKey, std::shared_ptr<InFlightStudy>, StudyKeyHash>
       inFlight_;

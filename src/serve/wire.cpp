@@ -1,6 +1,7 @@
 #include "serve/wire.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -11,44 +12,37 @@ namespace ep::serve::wire {
 
 namespace {
 
+// For each byte a JSON string must escape, the character that follows
+// the backslash ('u' for the \u00XX form); 0 for a byte copied as is.
+constexpr std::array<char, 256> kEscapes = [] {
+  std::array<char, 256> t{};
+  for (int c = 0; c < 0x20; ++c) t[c] = 'u';
+  t['"'] = '"';
+  t['\\'] = '\\';
+  t['\n'] = 'n';
+  t['\r'] = 'r';
+  t['\t'] = 't';
+  return t;
+}();
+
 void appendEscaped(std::string& out, std::string_view s) {
   out += '"';
   // Plain characters are copied in runs; only escapes are written one
   // at a time.
   std::size_t run = 0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    const char* escape = nullptr;
-    switch (c) {
-      case '"':
-        escape = "\\\"";
-        break;
-      case '\\':
-        escape = "\\\\";
-        break;
-      case '\n':
-        escape = "\\n";
-        break;
-      case '\r':
-        escape = "\\r";
-        break;
-      case '\t':
-        escape = "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) continue;
+  for (std::size_t i = 0;; ++i) {
+    while (i < s.size() && kEscapes[static_cast<unsigned char>(s[i])] == 0) {
+      ++i;
     }
     out.append(s.data() + run, i - run);
+    if (i == s.size()) break;
+    const auto c = static_cast<unsigned char>(s[i]);
+    const char e = kEscapes[c];
+    constexpr const char* kHex = "0123456789abcdef";
+    const char escape[6] = {'\\', e, '0', '0', kHex[c >> 4], kHex[c & 15]};
+    out.append(escape, e == 'u' ? 6 : 2);
     run = i + 1;
-    if (escape != nullptr) {
-      out += escape;
-    } else {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    }
   }
-  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
@@ -95,7 +89,7 @@ class Parser {
       // A key that appears twice is always a client bug (or an attempt
       // to smuggle conflicting parameters past a logging layer that
       // records only one of them) — reject rather than pick a winner.
-      if (!obj.emplace(std::move(key), std::move(v)).second) {
+      if (!obj.try_emplace(std::move(key), std::move(v)).second) {
         return fail(error, "duplicate key");
       }
       skipWs();
@@ -114,9 +108,10 @@ class Parser {
     return std::nullopt;
   }
 
+  // isspace in the C locale, inlined.
   void skipWs() {
     while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
+           (s_[pos_] == ' ' || (s_[pos_] >= '\t' && s_[pos_] <= '\r'))) {
       ++pos_;
     }
   }
@@ -132,59 +127,68 @@ class Parser {
   bool parseString(std::string* out) {
     if (!consume('"')) return false;
     out->clear();
-    while (pos_ < s_.size()) {
-      char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return failString("unterminated string");
-        char e = s_[pos_++];
-        switch (e) {
-          case '"':
-            *out += '"';
-            break;
-          case '\\':
-            *out += '\\';
-            break;
-          case '/':
-            *out += '/';
-            break;
-          case 'n':
-            *out += '\n';
-            break;
-          case 'r':
-            *out += '\r';
-            break;
-          case 't':
-            *out += '\t';
-            break;
-          case 'b':
-            *out += '\b';
-            break;
-          case 'f':
-            *out += '\f';
-            break;
-          case 'u': {
-            // Only BMP escapes of ASCII are reproduced; others are
-            // replaced with '?' (the protocol never emits them).
-            if (pos_ + 4 > s_.size()) return failString("bad string escape");
-            const std::string hex = s_.substr(pos_, 4);
-            pos_ += 4;
-            char* end = nullptr;
-            const long code = std::strtol(hex.c_str(), &end, 16);
-            if (end != hex.c_str() + 4) return failString("bad string escape");
-            *out += (code >= 0x20 && code < 0x7F)
-                        ? static_cast<char>(code)
-                        : '?';
-            break;
+    for (;;) {
+      // The run up to the next quote or backslash goes in one append.
+      std::size_t stop = pos_;
+      while (stop < s_.size() && s_[stop] != '"' && s_[stop] != '\\') ++stop;
+      if (stop == s_.size()) return failString("unterminated string");
+      out->append(s_, pos_, stop - pos_);
+      pos_ = stop + 1;
+      if (s_[stop] == '"') return true;
+      if (pos_ >= s_.size()) return failString("unterminated string");
+      const char e = s_[pos_++];
+      switch (e) {
+        case '"':
+          *out += '"';
+          break;
+        case '\\':
+          *out += '\\';
+          break;
+        case '/':
+          *out += '/';
+          break;
+        case 'n':
+          *out += '\n';
+          break;
+        case 'r':
+          *out += '\r';
+          break;
+        case 't':
+          *out += '\t';
+          break;
+        case 'b':
+          *out += '\b';
+          break;
+        case 'f':
+          *out += '\f';
+          break;
+        case 'u': {
+          // Exactly four hex digits.  Only BMP escapes of ASCII are
+          // reproduced; others are replaced with '?' (the protocol
+          // never emits them).
+          if (pos_ + 4 > s_.size()) return failString("bad string escape");
+          int code = 0;
+          for (std::size_t k = 0; k < 4; ++k) {
+            const int digit = hexDigit(s_[pos_ + k]);
+            if (digit < 0) return failString("bad string escape");
+            code = code * 16 + digit;
           }
-          default:
-            return failString("bad string escape");
+          pos_ += 4;
+          *out += (code >= 0x20 && code < 0x7F) ? static_cast<char>(code)
+                                                : '?';
+          break;
         }
-      } else {
-        *out += c;
+        default:
+          return failString("bad string escape");
       }
     }
-    return failString("unterminated string");
+  }
+
+  static int hexDigit(char c) {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
   }
 
   bool parseValue(Value* v) {
@@ -217,12 +221,59 @@ class Parser {
     const std::size_t len = numberLength();
     if (len == 0) return false;
     const char* begin = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double num = std::strtod(begin, &end);
-    if (end != begin + len) return false;  // e.g. "0x10", "01"
+    double num = 0.0;
+    if (!exactDecimal(begin, len, &num)) {
+      char* end = nullptr;
+      num = std::strtod(begin, &end);
+      if (end != begin + len) return false;  // e.g. "0x10", "01"
+    }
     pos_ += len;
     v->kind = Value::Kind::Number;
     v->number = num;
+    return true;
+  }
+
+  // Clinger's fast path.  A number of at most 15 significant digits is
+  // an exact double once its decimal point is dropped, and so is 10^k
+  // for k <= 22: one correctly rounded multiply or divide of the two is
+  // the correctly rounded value strtod returns, without the call.  The
+  // text is JSON grammar (numberLength).  False for anything else, and
+  // for a bare 0 or -0, after which strtod reads on ("01", "0x10") and
+  // the line is rejected as a bad value.
+  static bool exactDecimal(const char* p, std::size_t len, double* out) {
+    static constexpr double kPow10[] = {
+        1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+        1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+    const char* const end = p + len;
+    const bool negative = *p == '-';
+    if (negative) ++p;
+    if (p + 1 == end && *p == '0') return false;
+    std::uint64_t digits = 0;  // wraps past 19 digits; rejected below
+    int significant = 0;
+    int exp10 = 0;
+    const auto take = [&](char c) {
+      if (digits != 0 || c != '0') ++significant;
+      digits = digits * 10 + static_cast<std::uint64_t>(c - '0');
+    };
+    for (; p != end && *p >= '0' && *p <= '9'; ++p) take(*p);
+    if (p != end && *p == '.') {
+      for (++p; p != end && *p >= '0' && *p <= '9'; ++p, --exp10) take(*p);
+    }
+    if (p != end) {  // the exponent
+      ++p;
+      const bool down = *p == '-';
+      if (*p == '+' || *p == '-') ++p;
+      int e = 0;
+      for (; p != end; ++p) e = std::min(e * 10 + (*p - '0'), 1000);
+      exp10 += down ? -e : e;
+    }
+    if (significant > 15) return false;
+    double v = static_cast<double>(digits);
+    if (digits != 0) {
+      if (exp10 < -22 || exp10 > 22) return false;
+      v = exp10 < 0 ? v / kPow10[-exp10] : v * kPow10[exp10];
+    }
+    *out = negative ? -v : v;
     return true;
   }
 
@@ -292,36 +343,46 @@ std::optional<std::uint64_t> toCount(double v) {
   return static_cast<std::uint64_t>(v);
 }
 
+// A field by reference: null when `key` is absent or holds another kind.
+const Value* field(const Object& obj, std::string_view key, Value::Kind kind) {
+  const auto it = obj.find(key);
+  return it == obj.end() || it->second.kind != kind ? nullptr : &it->second;
+}
+
+// A string field as a view of the parsed object, or `fallback`.
+std::string_view stringOr(const Object& obj, std::string_view key,
+                          std::string_view fallback) {
+  const Value* v = field(obj, key, Value::Kind::String);
+  return v ? std::string_view(v->string) : fallback;
+}
+
 }  // namespace
 
-std::optional<double> getNumber(const Object& obj, const std::string& key) {
-  auto it = obj.find(key);
-  if (it == obj.end() || it->second.kind != Value::Kind::Number) {
-    return std::nullopt;
-  }
-  return it->second.number;
+std::optional<double> getNumber(const Object& obj, std::string_view key) {
+  const Value* v = field(obj, key, Value::Kind::Number);
+  return v ? std::optional<double>(v->number) : std::nullopt;
 }
 
-std::optional<std::string> getString(const Object& obj,
-                                     const std::string& key) {
-  auto it = obj.find(key);
-  if (it == obj.end() || it->second.kind != Value::Kind::String) {
-    return std::nullopt;
-  }
-  return it->second.string;
+std::optional<std::string> getString(const Object& obj, std::string_view key) {
+  const Value* v = field(obj, key, Value::Kind::String);
+  return v ? std::optional<std::string>(v->string) : std::nullopt;
 }
 
-std::optional<bool> getBool(const Object& obj, const std::string& key) {
-  auto it = obj.find(key);
-  if (it == obj.end() || it->second.kind != Value::Kind::Bool) {
-    return std::nullopt;
-  }
-  return it->second.boolean;
+std::optional<bool> getBool(const Object& obj, std::string_view key) {
+  const Value* v = field(obj, key, Value::Kind::Bool);
+  return v ? std::optional<bool>(v->boolean) : std::nullopt;
 }
 
 std::optional<Object> parseObject(const std::string& line,
                                   std::string* error) {
   return Parser(line).parse(error);
+}
+
+ObjectWriter::ObjectWriter() {
+  // A tune or study response is 0.3-0.9 KiB; reserving for it up front
+  // renders it, and frameJson's newline, without a reallocation.
+  out_.reserve(1024);
+  out_ += '{';
 }
 
 void ObjectWriter::beginField(std::string_view key) {
@@ -378,30 +439,30 @@ std::optional<WireRequest> decodeRequest(const std::string& line,
   };
   const auto obj = parseObject(line, error);
   if (!obj) return std::nullopt;
-  const auto op = getString(*obj, "op");
-  if (!op) return fail("missing \"op\"");
+  // Fields are read in place; only what WireRequest keeps is copied.
+  const Value* opField = field(*obj, "op", Value::Kind::String);
+  if (opField == nullptr) return fail("missing \"op\"");
+  const std::string_view op = opField->string;
 
   WireRequest req;
-  if (*op == "metrics") {
+  if (op == "metrics") {
     req.op = WireRequest::Op::Metrics;
-    const auto format = getString(*obj, "format");
-    if (format) {
-      if (*format == "prometheus") {
+    if (const Value* format = field(*obj, "format", Value::Kind::String)) {
+      if (format->string == "prometheus") {
         req.metricsFormat = MetricsFormat::Prometheus;
-      } else if (*format == "openmetrics") {
+      } else if (format->string == "openmetrics") {
         req.metricsFormat = MetricsFormat::OpenMetrics;
-      } else if (*format == "json") {
+      } else if (format->string == "json") {
         req.metricsFormat = MetricsFormat::Json;
       } else {
         return fail("unknown metrics \"format\"");
       }
     }
-    const auto scope = getString(*obj, "scope");
-    if (scope) {
-      if (*scope != "cluster" && *scope != "process") {
+    if (const Value* scope = field(*obj, "scope", Value::Kind::String)) {
+      if (scope->string != "cluster" && scope->string != "process") {
         return fail("unknown metrics \"scope\"");
       }
-      req.clusterScope = (*scope == "cluster");
+      req.clusterScope = (scope->string == "cluster");
       // The cluster scope is an exposition of the federated registry;
       // the flat-JSON snapshot stays the plain {"op":"fleet"} answer.
       if (req.clusterScope && req.metricsFormat == MetricsFormat::Json) {
@@ -410,12 +471,12 @@ std::optional<WireRequest> decodeRequest(const std::string& line,
     }
     return req;
   }
-  if (*op == "tsdb") {
+  if (op == "tsdb") {
     req.op = WireRequest::Op::Tsdb;
-    const auto series = getString(*obj, "series");
-    if (!series || series->empty()) return fail("tsdb needs \"series\"");
-    req.tsdbSeries = *series;
-    req.tsdbAgg = getString(*obj, "agg").value_or("all");
+    const std::string_view series = stringOr(*obj, "series", "");
+    if (series.empty()) return fail("tsdb needs \"series\"");
+    req.tsdbSeries = series;
+    req.tsdbAgg = stringOr(*obj, "agg", "all");
     if (req.tsdbAgg != "all" && req.tsdbAgg != "min" && req.tsdbAgg != "max" &&
         req.tsdbAgg != "avg" && req.tsdbAgg != "rate" &&
         req.tsdbAgg != "last" && req.tsdbAgg != "quantile" &&
@@ -432,15 +493,15 @@ std::optional<WireRequest> decodeRequest(const std::string& line,
     }
     return req;
   }
-  if (*op == "slo") {
+  if (op == "slo") {
     req.op = WireRequest::Op::Slo;
     return req;
   }
-  if (*op == "trace") {
+  if (op == "trace") {
     req.op = WireRequest::Op::Trace;
     return req;
   }
-  if (*op == "events") {
+  if (op == "events") {
     req.op = WireRequest::Op::Events;
     const double since = getNumber(*obj, "since").value_or(0.0);
     if (since < 0.0) return fail("\"since\" must be >= 0");
@@ -450,19 +511,19 @@ std::optional<WireRequest> decodeRequest(const std::string& line,
     return req;
   }
 
-  if (*op == "profile") {
+  if (op == "profile") {
     req.op = WireRequest::Op::Profile;
-    req.profileAction = getString(*obj, "action").value_or("status");
+    req.profileAction = stringOr(*obj, "action", "status");
     if (req.profileAction != "status" && req.profileAction != "start" &&
         req.profileAction != "stop" && req.profileAction != "clear" &&
         req.profileAction != "snapshot") {
       return fail("unknown profile \"action\"");
     }
-    req.profileKind = getString(*obj, "kind").value_or("cpu");
+    req.profileKind = stringOr(*obj, "kind", "cpu");
     if (req.profileKind != "cpu" && req.profileKind != "energy") {
       return fail("unknown profile \"kind\"");
     }
-    req.profileFormat = getString(*obj, "format").value_or("collapsed");
+    req.profileFormat = stringOr(*obj, "format", "collapsed");
     if (req.profileFormat != "collapsed" && req.profileFormat != "speedscope") {
       return fail("unknown profile \"format\"");
     }
@@ -479,20 +540,19 @@ std::optional<WireRequest> decodeRequest(const std::string& line,
     if (!period) return fail("profile \"periodUs\" out of range");
     req.profilePeriodUs = *period;
     req.profileCpuSampling = getBool(*obj, "cpuSampling").value_or(true);
-    const auto scope = getString(*obj, "scope");
-    if (scope) {
-      if (*scope != "cluster" && *scope != "process") {
+    if (const Value* scope = field(*obj, "scope", Value::Kind::String)) {
+      if (scope->string != "cluster" && scope->string != "process") {
         return fail("unknown profile \"scope\"");
       }
-      req.clusterScope = (*scope == "cluster");
+      req.clusterScope = (scope->string == "cluster");
     }
     return req;
   }
 
-  if (*op == "fleet") {
+  if (op == "fleet") {
     req.op = WireRequest::Op::Fleet;
-    req.fleetAction = getString(*obj, "action").value_or("snapshot");
-    req.fleetShard = getString(*obj, "shard").value_or("");
+    req.fleetAction = stringOr(*obj, "action", "snapshot");
+    req.fleetShard = stringOr(*obj, "shard", "");
     if (req.fleetAction != "snapshot" && req.fleetAction != "kill" &&
         req.fleetAction != "revive" && req.fleetAction != "remove" &&
         req.fleetAction != "add") {
@@ -504,23 +564,23 @@ std::optional<WireRequest> decodeRequest(const std::string& line,
     return req;
   }
 
-  const auto deviceStr = getString(*obj, "device");
-  if (deviceStr == "auto") {
+  const Value* deviceField = field(*obj, "device", Value::Kind::String);
+  if (deviceField != nullptr && deviceField->string == "auto") {
     // Placement left to the fleet router's policy; only meaningful for
     // tune (a study names one device's engine).
-    if (*op != "tune") return fail("\"auto\" device is tune-only");
+    if (op != "tune") return fail("\"auto\" device is tune-only");
     req.deviceAuto = true;
   }
   // No device (or "auto", a placeholder until the fleet router places
   // the request) means the request structs' default device.
-  const auto device = req.deviceAuto || !deviceStr
+  const auto device = req.deviceAuto || deviceField == nullptr
                           ? std::optional<Device>{TuneRequest{}.device}
-                          : parseDevice(*deviceStr);
+                          : parseDevice(deviceField->string);
   if (!device) return fail("unknown device");
-  req.traceId = getString(*obj, "trace_id").value_or("");
+  req.traceId = stringOr(*obj, "trace_id", "");
   req.report = getBool(*obj, "report").value_or(false);
 
-  if (*op == "tune") {
+  if (op == "tune") {
     req.op = WireRequest::Op::Tune;
     req.tune.device = *device;
     const auto n = toInt(getNumber(*obj, "n").value_or(0.0));
@@ -531,7 +591,7 @@ std::optional<WireRequest> decodeRequest(const std::string& line,
     req.tune.deadlineMs = getNumber(*obj, "deadlineMs").value_or(0.0);
     return req;
   }
-  if (*op == "study") {
+  if (op == "study") {
     req.op = WireRequest::Op::Study;
     req.study.device = *device;
     const auto nBegin = toInt(getNumber(*obj, "nBegin").value_or(0.0));

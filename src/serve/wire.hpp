@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -63,7 +64,10 @@ struct Value {
   std::string string;
 };
 
-using Object = std::map<std::string, Value>;
+// Ordered, so a client can walk the keys under a prefix with
+// lower_bound; transparent, so lookups take a string_view without
+// building a key string.
+using Object = std::map<std::string, Value, std::less<>>;
 
 // Parse one flat JSON object; returns nullopt and sets *error on
 // malformed input (including nested arrays/objects).
@@ -73,17 +77,19 @@ using Object = std::map<std::string, Value>;
 // One field of a parsed object; nullopt when `key` is absent or holds
 // another kind.  Callers pick their default with .value_or(...).
 [[nodiscard]] std::optional<double> getNumber(const Object& obj,
-                                              const std::string& key);
+                                              std::string_view key);
 [[nodiscard]] std::optional<std::string> getString(const Object& obj,
-                                                   const std::string& key);
+                                                   std::string_view key);
 [[nodiscard]] std::optional<bool> getBool(const Object& obj,
-                                          const std::string& key);
+                                          std::string_view key);
 
 // Incremental writer for one flat JSON object (escapes strings).  Keys
-// and values go straight into one buffer; doubles are written as
-// printf("%.12g") text.
+// and values go straight into one buffer, reserved up front so a tune
+// or study response and its frame's newline fit; doubles are written
+// as printf("%.12g") text.
 class ObjectWriter {
  public:
+  ObjectWriter();
   ObjectWriter& add(std::string_view key, std::string_view value);
   ObjectWriter& add(std::string_view key, const char* value);
   ObjectWriter& add(std::string_view key, double value);
@@ -96,10 +102,9 @@ class ObjectWriter {
 
  private:
   void beginField(std::string_view key);  // separator, quoted key, colon
-  std::string out_ = "{";
+  std::string out_;
   bool first_ = true;
 };
-
 
 // {"op":"metrics"} body format.
 enum class MetricsFormat { Json, Prometheus, OpenMetrics };

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -478,6 +479,57 @@ TEST_F(JournalTest, TornTailIsIgnoredOnLoad) {
   // Only the complete workload was restored; the torn one re-measures.
   EXPECT_EQ(resumed.resumedWorkloads, 1u);
   EXPECT_EQ(resumed.results.size(), sweep_.size());
+}
+
+// A record the app cannot honour ends parsing like a torn tail, instead
+// of throwing out of load(): the complete workload before it is still
+// restored.
+class JournalUnhonourableTest : public JournalTest {
+ protected:
+  std::map<int, core::WorkloadResult> loadWithTail(const std::string& tail) {
+    core::SweepOptions ckpt;
+    ckpt.workloadPolicy = FailPolicy::SkipAndRecord;
+    ckpt.checkpointPath = path_;
+    Rng rng(55);
+    (void)study_.runSweepChecked({sweep_[0]}, rng, ckpt);
+    {
+      std::ofstream out(path_, std::ios::app);
+      out << tail;
+    }
+    return core::StudyJournal::load(path_, study_.checkpointHash(55), app_);
+  }
+
+  void expectOnlyTheCompleteWorkload(const std::string& tail) {
+    std::map<int, core::WorkloadResult> loaded;
+    ASSERT_NO_THROW(loaded = loadWithTail(tail)) << tail;
+    ASSERT_EQ(loaded.size(), 1u) << tail;
+    EXPECT_EQ(loaded.begin()->first, sweep_[0]);
+  }
+};
+
+TEST_F(JournalUnhonourableTest, CountNoReserveCanHoldEndsParsing) {
+  expectOnlyTheCompleteWorkload("W 2048 18446744073709551615 0\n");
+}
+
+TEST_F(JournalUnhonourableTest, CountNoAllocationCanHoldEndsParsing) {
+  expectOnlyTheCompleteWorkload("W 2048 100000000000 0\n");
+}
+
+TEST_F(JournalUnhonourableTest, UnlaunchableConfigurationEndsParsing) {
+  expectOnlyTheCompleteWorkload(
+      "W 2048 1 0\n"
+      "C 999 2 2 3f50624dd2f1a9fc 3ff0000000000000 5 0\n"
+      "E 2048\n");
+}
+
+TEST_F(JournalUnhonourableTest, WorkloadWithoutFrontsEndsParsing) {
+  // No points at all, and a point no measurement yields (zero time).
+  expectOnlyTheCompleteWorkload("W 2048 0 0\nE 2048\n");
+  std::remove(path_.c_str());
+  expectOnlyTheCompleteWorkload(
+      "W 2048 1 0\n"
+      "C 4 2 2 0000000000000000 3ff0000000000000 5 0\n"
+      "E 2048\n");
 }
 
 TEST_F(JournalTest, HashMismatchRefusesTheJournal) {

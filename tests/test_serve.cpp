@@ -5,18 +5,24 @@
 // real EpStudyEngine end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cctype>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <future>
 #include <limits>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/study.hpp"
+#include "core/tuner.hpp"
 #include "core/watchdog.hpp"
 #include "obs/trace.hpp"
 #include "pareto/front.hpp"
@@ -911,6 +917,140 @@ TEST(EpStudyEngine, FrontRecommendationMatchesFullPointSet) {
   }
 }
 
+void expectSamePoint(const pareto::BiPoint& got, const pareto::BiPoint& want) {
+  EXPECT_EQ(got.configId, want.configId);
+  EXPECT_EQ(got.label, want.label);
+  EXPECT_EQ(got.time.value(), want.time.value());
+  EXPECT_EQ(got.energy.value(), want.energy.value());
+}
+
+void expectSameRecommendation(const core::TunerRecommendation& got,
+                              const core::TunerRecommendation& want) {
+  expectSamePoint(got.recommended, want.recommended);
+  expectSamePoint(got.performanceOptimal, want.performanceOptimal);
+  expectSamePoint(got.energyOptimal, want.energyOptimal);
+  expectSamePoint(got.knee, want.knee);
+  EXPECT_EQ(got.energySavings, want.energySavings);
+  EXPECT_EQ(got.performanceDegradation, want.performanceDegradation);
+  ASSERT_EQ(got.globalFront.size(), want.globalFront.size());
+  for (std::size_t i = 0; i < got.globalFront.size(); ++i) {
+    expectSamePoint(got.globalFront[i], want.globalFront[i]);
+  }
+}
+
+// The broker keeps answers, not studies: the result a cold study puts
+// in the cache and the stale store is the one onStudyExecuted hands to
+// fleet replicas, and it has released its per-configuration data and
+// points, down to their capacity.  Every answer and ledger, from the
+// cache and from the stale store, still equals one computed from a
+// fresh evaluate().
+TEST(Broker, CachedResultsCarryOnlyAnswers) {
+  auto engine = std::make_shared<EpStudyEngine>();
+  std::mutex mu;
+  std::vector<std::shared_ptr<const core::WorkloadResult>> replicas;
+  BrokerOptions opts;
+  opts.threads = 2;
+  opts.onStudyExecuted = [&](Device, int,
+                             std::shared_ptr<const core::WorkloadResult> r) {
+    std::lock_guard lk(mu);
+    replicas.push_back(std::move(r));
+  };
+  Broker broker(engine, opts);
+  const auto expectAnswersOnly = [](const core::WorkloadResult& r) {
+    EXPECT_EQ(r.data.capacity(), 0u) << "n " << r.n;
+    EXPECT_EQ(r.points.capacity(), 0u) << "n " << r.n;
+    EXPECT_FALSE(r.globalFront.empty()) << "n " << r.n;
+  };
+  // The stale store holds the study: it answers a tune on its own.
+  const auto expectStaleAnswer = [&](Device device, int n, double budget,
+                                     const core::WorkloadResult& fresh) {
+    const std::optional<TuneResponse> stale =
+        broker.tuneFromStale(tuneReq(n, budget, 0.0, device));
+    ASSERT_TRUE(stale.has_value()) << "n " << n;
+    ASSERT_EQ(stale->status, Status::Ok) << stale->error;
+    EXPECT_TRUE(stale->stale);
+    expectSameRecommendation(
+        stale->recommendation,
+        core::BiObjectiveTuner(budget).recommend(fresh.globalFront));
+  };
+
+  for (const auto& [device, n] : {std::pair{Device::P100, 1024},
+                                  std::pair{Device::K40c, 2048},
+                                  std::pair{Device::P100, 3072}}) {
+    const core::WorkloadResult fresh = engine->evaluate(device, n);
+    const core::EnergyAttribution attr = core::attributeEnergy(fresh);
+    ASSERT_GT(attr.joules, 0.0);
+    for (const double budget : {0.05, 0.11}) {
+      const TuneResponse resp = broker.tune(tuneReq(n, budget, 0.0, device));
+      ASSERT_EQ(resp.status, Status::Ok) << resp.error;
+      expectSameRecommendation(
+          resp.recommendation,
+          core::BiObjectiveTuner(budget).recommend(fresh.globalFront));
+      // The first tune paid for the study; the second is a cache hit,
+      // answered from the held result.
+      const bool cold = budget == 0.05;
+      EXPECT_EQ(resp.cacheHit, !cold);
+      EXPECT_EQ(resp.report.attributedJoules, cold ? attr.joules : 0.0);
+      EXPECT_EQ(resp.report.measurementWindows, cold ? attr.windows : 0u);
+      EXPECT_EQ(resp.report.remeasures, cold ? attr.remeasures : 0u);
+      EXPECT_EQ(resp.report.skippedConfigs, cold ? attr.skippedConfigs : 0u);
+    }
+    expectStaleAnswer(device, n, 0.11, fresh);
+  }
+
+  // A sweep over three cold sizes and one the tunes above cached.
+  StudyRequest sweep;
+  sweep.device = Device::K40c;
+  sweep.nBegin = 1536;
+  sweep.nEnd = 2304;
+  sweep.nStep = 256;
+  const StudyResponse study = broker.study(sweep);
+  ASSERT_EQ(study.status, Status::Ok) << study.error;
+  std::vector<core::WorkloadResult> fresh;
+  RequestReport want;
+  for (const int n : sweep.sizes()) {
+    fresh.push_back(engine->evaluate(sweep.device, n));
+    if (n == 2048) continue;
+    const core::EnergyAttribution attr = core::attributeEnergy(fresh.back());
+    want.attributedJoules += attr.joules;
+    want.measurementWindows += attr.windows;
+    want.remeasures += attr.remeasures;
+    want.skippedConfigs += attr.skippedConfigs;
+  }
+  const core::FrontStatistics stats = core::GpuEpStudy::summarize(fresh);
+  EXPECT_EQ(study.statistics.workloads, stats.workloads);
+  EXPECT_EQ(study.statistics.avgGlobalFrontSize, stats.avgGlobalFrontSize);
+  EXPECT_EQ(study.statistics.maxGlobalFrontSize, stats.maxGlobalFrontSize);
+  EXPECT_EQ(study.statistics.avgLocalFrontSize, stats.avgLocalFrontSize);
+  EXPECT_EQ(study.statistics.maxLocalFrontSize, stats.maxLocalFrontSize);
+  EXPECT_EQ(study.statistics.maxGlobalSavings, stats.maxGlobalSavings);
+  EXPECT_EQ(study.statistics.degradationAtMaxGlobalSavings,
+            stats.degradationAtMaxGlobalSavings);
+  EXPECT_EQ(study.statistics.maxLocalSavings, stats.maxLocalSavings);
+  EXPECT_EQ(study.statistics.degradationAtMaxLocalSavings,
+            stats.degradationAtMaxLocalSavings);
+  EXPECT_EQ(study.workloadCacheHits, 1u);
+  EXPECT_EQ(study.report.studiesExecuted, 3u);
+  EXPECT_EQ(study.report.attributedJoules, want.attributedJoules);
+  EXPECT_EQ(study.report.measurementWindows, want.measurementWindows);
+  EXPECT_EQ(study.report.remeasures, want.remeasures);
+  EXPECT_EQ(study.report.skippedConfigs, want.skippedConfigs);
+  for (const core::WorkloadResult& r : fresh) {
+    expectStaleAnswer(sweep.device, r.n, 0.05, r);
+  }
+  // A second sweep is answered from the cache alone.
+  const StudyResponse again = broker.study(sweep);
+  ASSERT_EQ(again.status, Status::Ok) << again.error;
+  EXPECT_EQ(again.workloadCacheHits, fresh.size());
+  EXPECT_EQ(again.statistics.avgGlobalFrontSize, stats.avgGlobalFrontSize);
+  EXPECT_EQ(again.statistics.maxGlobalSavings, stats.maxGlobalSavings);
+  EXPECT_EQ(again.statistics.maxLocalSavings, stats.maxLocalSavings);
+
+  std::lock_guard lk(mu);
+  ASSERT_EQ(replicas.size(), 6u);
+  for (const auto& r : replicas) expectAnswersOnly(*r);
+}
+
 TEST(EpStudyEngine, TuningHashSeparatesDevicesAndOptions) {
   const EpStudyEngine a;
   EXPECT_NE(a.tuningHash(Device::P100), a.tuningHash(Device::K40c));
@@ -969,6 +1109,16 @@ TEST(Wire, ParserRejectsBadEscapesAndNesting) {
   EXPECT_EQ(error, "bad string escape");
   EXPECT_FALSE(wire::parseObject(R"({"op":"\u12"})", &error).has_value());
   EXPECT_EQ(error, "bad string escape");
+  // Exactly four hex digits: no 0x prefix, sign or leading blanks.
+  for (const char* escape :
+       {R"(\u0x41)", R"(\u+041)", R"(\u  41)", R"(\u-041)", "\\u\t041"}) {
+    const std::string line = std::string(R"({"op":")") + escape + "\"}";
+    EXPECT_FALSE(wire::parseObject(line, &error).has_value()) << line;
+    EXPECT_EQ(error, "bad string escape") << line;
+  }
+  const auto upper = wire::parseObject(R"({"op":"\u004A\u004a"})", &error);
+  ASSERT_TRUE(upper) << error;
+  EXPECT_EQ(wire::getString(*upper, "op"), "JJ");
   // The protocol is flat: nested containers are rejected, not parsed.
   EXPECT_FALSE(wire::parseObject(R"({"a":{"b":1}})", &error).has_value());
   EXPECT_FALSE(wire::parseObject(R"({"a":[1,2]})", &error).has_value());
@@ -995,6 +1145,59 @@ TEST(Wire, ParserTakesOnlyJsonNumbers) {
     EXPECT_EQ(wire::getNumber(*obj, "x"), std::strtod(value, nullptr))
         << value;
   }
+}
+
+// Every JSON number on the wire must read exactly as strtod reads it,
+// whichever path the parser takes.  Seeded draws cover integers and
+// decimals from 1 to 20 digits, leading and trailing zeros, exponents
+// far past the exact powers of ten, and both signs.
+TEST(Wire, NumbersParseAsStrtodReadsThem) {
+  std::vector<std::string> numbers = {
+      "0.1", "0.3", "-0.0", "0.0", "0e5", "1e22", "1e23", "1e-22", "1e-23",
+      "123456789012345", "1234567890123456", "9007199254740993",
+      "0.000000000000000000001", "4.9e-324", "2.2250738585072011e-308",
+      "1.7976931348623157e308", "1e400", "-1e-400", "10240", "0.11"};
+  std::uint64_t state = 20261019;
+  const auto digitsOf = [&state](int count, bool leadingNonZero) {
+    std::string out;
+    for (int i = 0; i < count; ++i) {
+      const std::uint64_t bits = splitmix64(state++);
+      out += static_cast<char>(
+          '0' + (i == 0 && leadingNonZero ? 1 + bits % 9 : bits % 10));
+    }
+    return out;
+  };
+  while (numbers.size() < 400000) {
+    const std::uint64_t bits = splitmix64(state++);
+    std::string num = (bits & 1) != 0 ? "-" : "";
+    num += (bits >> 1) % 5 == 0
+               ? "0"
+               : digitsOf(1 + static_cast<int>((bits >> 4) % 20), true);
+    if ((bits >> 9) % 2 == 0) {
+      num += '.' + digitsOf(1 + static_cast<int>((bits >> 10) % 20), false);
+    }
+    if ((bits >> 15) % 5 < 2) {
+      num += (bits >> 18) % 2 == 0 ? 'e' : 'E';
+      num += std::string("+-").substr((bits >> 19) % 3, 1);
+      num += std::to_string((bits >> 21) % 400);
+    }
+    numbers.push_back(std::move(num));
+  }
+  std::size_t mismatches = 0;
+  for (const std::string& num : numbers) {
+    std::string error;
+    const auto obj = wire::parseObject("{\"x\":" + num + "}", &error);
+    const double want = std::strtod(num.c_str(), nullptr);
+    const auto got = obj ? wire::getNumber(*obj, "x") : std::nullopt;
+    if ((!got || std::bit_cast<std::uint64_t>(*got) !=
+                     std::bit_cast<std::uint64_t>(want)) &&
+        ++mismatches <= 5) {
+      ADD_FAILURE() << num << ": parsed "
+                    << (got ? std::to_string(*got) : "nothing (" + error + ")")
+                    << ", strtod " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << numbers.size() << " numbers";
 }
 
 TEST(Wire, OutOfRangeNumbersAreBadRequestsNamingTheField) {
@@ -1423,6 +1626,17 @@ TEST(WireBytes, TuneErrorNeedingEscapes) {
       R"json("latencyMs":1500})json");
 }
 
+// Computed keys (SLO names, profile frames) take the same escape path
+// as string values; DEL and bytes from 0x80 up are copied as is.
+TEST(WireBytes, KeysAreEscapedLikeValues) {
+  EXPECT_EQ(wire::ObjectWriter()
+                .add("slo.a\"b\\c\n\x01.burning", true)
+                .add(std::string("k\t\x7f\xc3\xa9"), "v")
+                .str(),
+            R"json({"slo.a\"b\\c\n\u0001.burning":true,"k\t)json"
+            "\x7f\xc3\xa9" R"json(":"v"})json");
+}
+
 TEST(WireBytes, StudyResponse) {
   EXPECT_EQ(wire::encodeStudyResponse(wireStudyResponse()),
       R"json({"status":"ok","workloads":17,)json"
@@ -1515,6 +1729,248 @@ TEST(WireBytes, NumbersMatchPrintfPercent12g) {
     }
   }
   EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " doubles";
+}
+
+// --- line-JSON corpus, pinned by a digest ---
+
+// True when a "\u" in the line is followed by four characters that are
+// not all hex digits.  The codec once read those with strtol, which also
+// takes a 0x prefix, a sign and leading blanks; they are rejected now
+// (Wire.ParserRejectsBadEscapesAndNesting), so the corpus leaves them out.
+bool hasNonHexUnicodeEscape(const std::string& line) {
+  for (std::size_t i = line.find("\\u"); i != std::string::npos;
+       i = line.find("\\u", i + 1)) {
+    const std::string_view code = std::string_view(line).substr(i + 2, 4);
+    if (code.size() == 4 &&
+        !std::all_of(code.begin(), code.end(), [](char c) {
+          return std::isxdigit(static_cast<unsigned char>(c)) != 0;
+        })) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Every op and field of the vocabulary, e2ebench-shaped tune lines,
+// escapes and duplicate keys; then every truncation of each, and seeded
+// byte flips.
+std::vector<std::string> wireCorpus() {
+  std::vector<std::string> base = {
+      R"({"op":"tune","device":"p100","n":10240,"maxDegradation":0.11})",
+      R"({"op":"tune","device":"k40c","n":4096,"maxDegradation":0.05,)"
+      R"("deadlineMs":250.5,"report":true,"trace_id":"cafe01"})",
+      R"({"op":"tune","device":"auto","n":2048,"maxDegradation":0.2})",
+      R"({"op":"tune","device":"P100","n":-7,"maxDegradation":-1})",
+      R"({"op":"tune","n":1e300})",
+      R"({"op":"tune","device":"gpu9","n":1})",
+      R"({"op":"study","device":"k40c","nBegin":8192,"nEnd":10240,)"
+      R"("nStep":1024,"deadlineMs":5000,"report":false,"trace_id":"b0b1"})",
+      R"({"op":"study","device":"auto","nBegin":1,"nEnd":2})",
+      R"({"op":"study","nBegin":-2147483649,"nEnd":10,"nStep":0})",
+      R"({"op":"metrics"})",
+      R"({"op":"metrics","format":"prometheus"})",
+      R"({"op":"metrics","format":"openmetrics","scope":"cluster"})",
+      R"({"op":"metrics","format":"json","scope":"process"})",
+      R"({"op":"metrics","scope":"cluster"})",
+      R"({"op":"metrics","format":"xml"})",
+      R"({"op":"metrics","scope":"galaxy"})",
+      R"({"op":"trace"})",
+      R"({"op":"events","since":42})",
+      R"({"op":"events","since":-1})",
+      R"({"op":"events","since":1e30})",
+      R"({"op":"tsdb","series":"ep_serve_completed_total","agg":"rate",)"
+      R"("q":0.5,"windowMs":1000})",
+      R"({"op":"tsdb","series":"ep_serve_request_latency_ms",)"
+      R"("agg":"quantile","q":0.99})",
+      R"({"op":"tsdb","series":"x","agg":"median"})",
+      R"({"op":"tsdb","series":"","agg":"raw"})",
+      R"({"op":"tsdb","series":"x","q":2})",
+      R"({"op":"tsdb","series":"x","windowMs":0})",
+      R"({"op":"slo"})",
+      R"({"op":"fleet"})",
+      R"({"op":"fleet","action":"kill","shard":"s1"})",
+      R"({"op":"fleet","action":"add"})",
+      R"({"op":"fleet","action":"explode","shard":"s2"})",
+      R"({"op":"profile"})",
+      R"({"op":"profile","action":"snapshot","kind":"energy",)"
+      R"("format":"speedscope","topN":5,"periodUs":1000,)"
+      R"("cpuSampling":false,"scope":"cluster"})",
+      R"({"op":"profile","action":"start","periodUs":99})",
+      R"({"op":"profile","kind":"heat"})",
+      R"({"op":"profile","topN":-1})",
+      R"({"op":"dance"})",
+      R"({"device":"p100"})",
+      R"({"op":7})",
+      R"({})",
+      R"( { "op" : "tune" , "n" : 512 , "report" : null } )",
+      R"({"op":"tune","n":64,"trace_id":)"
+      R"("q\"b\\s\/n\nr\rt\tb\bf\fA\u0041e\u00E9c\u0001"})",
+      R"({"op\u0020x":"tune","n":1})",
+      R"({"o\u0070":"tune","n":3})",
+      R"({"op":"tune","n":1,"n":2})",
+      R"({"op":"tune","op":"study"})",
+      R"({"op":"tune","n":[1]})",
+      R"({"op":"tune","n":{"a":1}})",
+      R"({"op":"tune","n":01})",
+      R"({"op":"tune","n":0x10})",
+      R"({"op":"tune","n":10240.75,"maxDegradation":1.5e-3})",
+      R"({"op":"tune","n":123456789012345678,"deadlineMs":1E+2})",
+      R"({"op":"tune","n":-0,"maxDegradation":-0.0})",
+      R"({"op":"tune"} trailing)",
+      R"({"op":"tune",})",
+  };
+  // e2ebench's tune lines: report on, trace ids "c<conn>-<hex index>".
+  constexpr const char* kBudgets[] = {"0.05", "0.11", "0.2"};
+  std::uint64_t state = 20261018;
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t bits = splitmix64(state++);
+    char line[256];
+    std::snprintf(line, sizeof line,
+                  "{\"op\":\"tune\",\"device\":\"%s\",\"n\":%d,"
+                  "\"maxDegradation\":%s,\"report\":true,"
+                  "\"trace_id\":\"c%d-%x\"}",
+                  (bits & 1) != 0 ? "k40c" : "p100",
+                  1024 + 64 * static_cast<int>((bits >> 1) % 240),
+                  kBudgets[(bits >> 9) % 3], static_cast<int>((bits >> 11) % 4),
+                  static_cast<unsigned>((bits >> 13) % 16384));
+    base.push_back(line);
+  }
+  std::vector<std::string> corpus;
+  for (const std::string& line : base) {
+    corpus.push_back(line);
+    for (std::size_t len = 0; len < line.size(); ++len) {
+      corpus.push_back(line.substr(0, len));
+    }
+    for (int flip = 0; flip < 8; ++flip) {
+      const std::uint64_t bits = splitmix64(state++);
+      std::string mutated = line;
+      mutated[bits % mutated.size()] = static_cast<char>(bits >> 56);
+      corpus.push_back(std::move(mutated));
+    }
+  }
+  std::erase_if(corpus, hasNonHexUnicodeEscape);
+  return corpus;
+}
+
+std::string bitsOf(double v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  return buf;
+}
+
+// A response for a decoded tune or study request whose every field
+// follows from the request, so the encoders see its strings and numbers.
+TuneResponse corpusTuneResponse(const wire::WireRequest& req) {
+  TuneResponse r = wireTuneResponse();
+  const int n = req.tune.n;
+  r.recommendation.recommended.label =
+      "BS=" + std::to_string(n % 33) + " G=" + std::to_string(n % 7);
+  r.recommendation.energySavings = req.tune.maxDegradation / 3.0;
+  r.recommendation.recommended.time = Seconds{n * 1e-6};
+  r.cacheHit = n % 2 == 0;
+  r.stale = req.deviceAuto;
+  r.report.measurementWindows = static_cast<std::uint64_t>(n) * 5;
+  r.latency = Seconds{req.tune.deadlineMs * 1e-3};
+  if (n <= 0) {
+    r.status = Status::Error;
+    r.error = "bad n for " + req.traceId;
+  }
+  return r;
+}
+
+StudyResponse corpusStudyResponse(const wire::WireRequest& req) {
+  StudyResponse r = wireStudyResponse();
+  r.statistics.avgGlobalFrontSize = req.study.nBegin / 7.0;
+  r.statistics.maxLocalFrontSize = static_cast<std::size_t>(req.study.nStep);
+  r.workloadCacheHits = static_cast<std::size_t>(req.study.nEnd);
+  r.latency = Seconds{req.study.deadlineMs * 1e-3};
+  if (req.study.nBegin <= 0) {
+    r.status = Status::Error;
+    r.error = "bad range for " + req.traceId;
+  }
+  return r;
+}
+
+// What the codec makes of one line: the parsed object, the decoded
+// request (or its error), and the re-encoded response.
+std::string corpusRecord(const std::string& line) {
+  std::string out;
+  std::string error;
+  if (const auto obj = wire::parseObject(line, &error)) {
+    for (const auto& [key, v] : *obj) {
+      out += key + '=';
+      switch (v.kind) {
+        case wire::Value::Kind::Null:
+          out += "null";
+          break;
+        case wire::Value::Kind::Bool:
+          out += v.boolean ? "true" : "false";
+          break;
+        case wire::Value::Kind::Number:
+          out += bitsOf(v.number);
+          break;
+        case wire::Value::Kind::String:
+          out += '"' + v.string + '"';
+          break;
+      }
+      out += ';';
+    }
+  } else {
+    out += "parse error: " + error;
+  }
+  out += '|';
+  error.clear();
+  const auto req = wire::decodeRequest(line, &error);
+  if (!req) return out + "error: " + error + '|' + wire::encodeError(error);
+  out += std::to_string(static_cast<int>(req->op)) + ' ' +
+         std::to_string(static_cast<int>(req->metricsFormat)) + ' ' +
+         std::to_string(req->clusterScope) + ' ' + req->tsdbSeries + ' ' +
+         req->tsdbAgg + ' ' + bitsOf(req->tsdbQ) + ' ' +
+         bitsOf(req->tsdbWindowMs) + ' ' + std::to_string(req->eventsSince) +
+         ' ' + req->traceId + ' ' + std::to_string(req->report) + ' ' +
+         std::to_string(req->deviceAuto) + ' ' + req->fleetAction + ' ' +
+         req->fleetShard + ' ' + req->profileAction + ' ' + req->profileKind +
+         ' ' + req->profileFormat + ' ' + std::to_string(req->profileTopN) +
+         ' ' + std::to_string(req->profilePeriodUs) + ' ' +
+         std::to_string(req->profileCpuSampling) + ' ' +
+         std::to_string(static_cast<int>(req->tune.device)) + ' ' +
+         std::to_string(req->tune.n) + ' ' +
+         bitsOf(req->tune.maxDegradation) + ' ' + bitsOf(req->tune.deadlineMs) +
+         ' ' + std::to_string(static_cast<int>(req->study.device)) + ' ' +
+         std::to_string(req->study.nBegin) + ' ' +
+         std::to_string(req->study.nEnd) + ' ' +
+         std::to_string(req->study.nStep) + ' ' +
+         bitsOf(req->study.deadlineMs);
+  if (req->op == wire::WireRequest::Op::Tune) {
+    out += '|' + wire::encodeTuneResponse(corpusTuneResponse(*req),
+                                          req->traceId, req->report);
+  } else if (req->op == wire::WireRequest::Op::Study) {
+    out += '|' + wire::encodeStudyResponse(corpusStudyResponse(*req),
+                                           req->traceId, req->report);
+  }
+  return out;
+}
+
+// Decoding and re-encoding the corpus is pinned by one FNV-1a digest.
+// It was recorded by running this body against the codec that built a
+// key string per lookup, copied every field it read, appended strings a
+// character at a time and grew its output as it wrote; the codec must
+// keep answering every line of the corpus the same way.
+TEST(WireCorpus, DecodeAndEncodeArePinnedByDigest) {
+  const std::vector<std::string> corpus = wireCorpus();
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t decoded = 0;
+  for (const std::string& line : corpus) {
+    const std::string record = corpusRecord(line) + '\n';
+    if (record.find("|error: ") == std::string::npos) ++decoded;
+    for (const char c : record) {
+      digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(corpus.size(), 9307u);
+  EXPECT_EQ(decoded, 383u);
+  EXPECT_EQ(digest, 0x4b03862053e32f93ULL) << std::hex << digest;
 }
 
 // --- EPB1 binary framing corpus (net/frame.hpp + serve/wire_binary) ---

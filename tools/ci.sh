@@ -86,6 +86,14 @@ cmake --build build -j "${JOBS}"
 # instead of passing by luck.
 (cd build && ctest --output-on-failure -j "${JOBS}" --repeat until-fail:3)
 
+echo "== bench smoke: line-JSON codec and cold-tune microbenches =="
+# One short pass, so the benches that reproduce the serving path's
+# codec and cold-tune figures keep building and running; their timings
+# are not checked here.
+./build/bench/bench_micro_algorithms \
+  --benchmark_filter='^(BM_DecodeTuneLine|BM_EncodeTuneResponse|BM_BrokerColdTune)' \
+  --benchmark_min_time=0.01
+
 echo "== epctl watch smoke: watchdog catches an injected 58 W offset =="
 # Anomalous server: a constant +58 W meter offset (the Fig 6 signature)
 # that sample sanitization cannot see.  One metered request later the
@@ -180,10 +188,15 @@ echo "== epctl top drill: healthy fleet -> shard kill -> latency SLO burn =="
 # so the drill converges fast).  Single tunes — cold or cached — stay
 # well under 2 ms, so after the warm-up ages out of the 3 s window
 # epctl top --check must report no burning SLO (exit 0).  Killing a shard
-# and pushing uncached 32-workload study sweeps makes every in-window
+# and pushing uncached 249-workload study sweeps makes every in-window
 # request blow the threshold, so the burn rate crosses 2x in both
 # windows and epctl top --check must exit 2, with the slow requests' trace
-# ids attached as exemplars to the burning cluster buckets.
+# ids attached as exemplars to the burning cluster buckets.  A
+# model-direct sweep costs ~40 us per workload, so the sweeps take
+# ~10 ms, well past the 2 ms threshold.  Every sweep stays within the
+# sizes a P100 can hold (three N x N doubles in 12 GB: N <= 23170; a
+# sweep past it fails) and every size is new, so each round adds slow
+# in-window requests.
 start_daemon build --shards 3 --threads 2 --watchdog --scrape-ms 100 \
   --slo latency:2:0.9 --slo-window 3000:1000:2
 for N in ${FLEET_NS}; do
@@ -209,9 +222,12 @@ for ROUND in $(seq 1 10); do
     # Sweeps routed to the killed shard are rejected -- that is the
     # point of the drill; the survivors still carry the burn load.
     ./build/tools/epctl send --port "${PORT}" \
-      "{\"op\":\"study\",\"device\":\"p100\",\"nBegin\":${COLD_N},\"nEnd\":$((COLD_N + 7936)),\"nStep\":256,\"trace_id\":\"b0b${ROUND}\"}" \
+      "{\"op\":\"study\",\"device\":\"p100\",\"nBegin\":${COLD_N},\"nEnd\":$((COLD_N + 7936)),\"nStep\":32,\"trace_id\":\"b0b${ROUND}\"}" \
       >/dev/null 2>&1 || true
     COLD_N=$((COLD_N + 8192))
+    if (( COLD_N + 7936 > 23170 )); then
+      COLD_N=$((COLD_N % 8192 + 1))  # back to the bottom, one size up
+    fi
   done
   set +e
   ./build/tools/epctl top --port "${PORT}" --once --check >/dev/null

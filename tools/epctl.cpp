@@ -311,7 +311,7 @@ std::optional<Object> query(ep::net::Client& conn, std::string_view request,
 // profile ranks under "top.".
 std::vector<std::string> idsUnder(const Object& obj, std::string_view prefix) {
   std::vector<std::string> ids;
-  for (auto it = obj.lower_bound(std::string(prefix));
+  for (auto it = obj.lower_bound(prefix);
        it != obj.end() && it->first.starts_with(prefix); ++it) {
     const std::size_t dot = it->first.find('.', prefix.size());
     if (dot == std::string::npos) continue;
