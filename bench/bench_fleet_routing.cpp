@@ -75,7 +75,7 @@ PolicyResult runPolicy(PolicyKind policy) {
   std::vector<FleetShardConfig> cfgs;
   for (int i = 0; i < kShards; ++i) {
     FleetShardConfig c;
-    c.id = "s" + std::to_string(i);
+    c.id.append("s").append(std::to_string(i));
     c.engine = engine;
     c.broker.threads = 2;
     c.broker.queueCapacity = 256;

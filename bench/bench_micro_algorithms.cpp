@@ -372,9 +372,10 @@ void BM_EncodeTuneResponse(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeTuneResponse);
 
-// Process CPU per cold tune through a Broker: admission, the pool hop,
-// the model-direct study, the ledger, the cache insert and eviction,
-// and the tuner step.  256 keys (e2ebench's grid, both devices) cycle
+// Process CPU per cold tune through a Broker over the model-direct
+// engine, which runs inline: admission, the study on the calling
+// thread (no pool hop), the ledger, the cache insert and eviction, and
+// the tuner step.  256 keys (e2ebench's grid, both devices) cycle
 // through a 64-entry cache, so every tune misses.
 void BM_BrokerColdTune(benchmark::State& state) {
   serve::BrokerOptions opts;

@@ -111,8 +111,9 @@ FleetRouter::FleetRouter(std::vector<FleetShardConfig> shards,
     shard->id = cfg.id;
     shard->devices = cfg.devices;
     serve::BrokerOptions bopts = cfg.broker;
-    // epprof: each shard's worker threads carry a "shard/<id>" root
-    // frame, so cluster CPU/energy profiles partition by shard (the
+    // epprof: each shard's work carries a "shard/<id>" frame — the root
+    // of its pool workers, or pushed around inline studies on the event
+    // threads — so cluster CPU/energy profiles partition by shard (the
     // profile analogue of metric federation's shard labels).
     if (bopts.profileLabel.empty()) bopts.profileLabel = "shard/" + cfg.id;
     bopts.onTuneComplete = [this, i](const serve::TuneRequest& req,
@@ -309,7 +310,7 @@ serve::TuneResponse FleetRouter::tune(const FleetRequest& freq,
 
 void FleetRouter::submitTuneBatch(std::vector<FleetTuneBatchItem> items) {
   // Route every item first (lock-free), then one Broker batch per
-  // shard so admission locks and pool hops amortize across the batch.
+  // shard so admission locks (and pool hops) amortize across the batch.
   std::unordered_map<std::size_t, std::vector<serve::Broker::TuneBatchItem>>
       perShard;
   for (auto& item : items) {
@@ -719,10 +720,24 @@ std::string FleetRouter::renderClusterMetrics(
   return obs::renderExposition(clusterSnapshot(), format);
 }
 
+namespace {
+
+// The first "shard/<id>" frame of a stack: the root of a shard pool
+// worker's stacks, or the frame an inline broker pushes under
+// "net/event_loop".  end() when the stack has none.
+std::vector<std::string>::const_iterator shardFrame(
+    const std::vector<std::string>& stack) {
+  return std::find_if(stack.begin(), stack.end(), [](const std::string& f) {
+    return f.rfind("shard/", 0) == 0;
+  });
+}
+
+}  // namespace
+
 std::vector<std::pair<std::string, obs::ProfileSnapshot>>
 FleetRouter::shardProfiles(obs::ProfileKind kind) const {
   // All shards share one process (and therefore one Profiler); the
-  // partition key is the "shard/<id>" root frame the shard pools push.
+  // partition key is the first "shard/<id>" frame of a stack.
   const obs::ProfileSnapshot global = obs::Profiler::global().snapshot(kind);
   std::vector<std::pair<std::string, obs::ProfileSnapshot>> out;
   out.reserve(shards_.size());
@@ -732,13 +747,16 @@ FleetRouter::shardProfiles(obs::ProfileKind kind) const {
     snap.samplePeriodUs = global.samplePeriodUs;
     const std::string root = "shard/" + s->id;
     for (const obs::ProfileEntry& e : global.entries) {
-      if (e.stack.empty() || e.stack.front() != root) continue;
+      const auto frame = shardFrame(e.stack);
+      if (frame == e.stack.end() || *frame != root) continue;
       obs::ProfileEntry stripped;
       if (e.stack.size() == 1) {
         // CPU at the root itself: the worker's own dispatch loop.
         stripped.stack = {"(worker)"};
       } else {
-        stripped.stack.assign(e.stack.begin() + 1, e.stack.end());
+        // The shard frame goes; the frames around it stay in order.
+        stripped.stack.assign(e.stack.begin(), frame);
+        stripped.stack.insert(stripped.stack.end(), frame + 1, e.stack.end());
       }
       stripped.samples = e.samples;
       stripped.weight = e.weight;
@@ -763,8 +781,8 @@ obs::ProfileSnapshot FleetRouter::clusterProfile(obs::ProfileKind kind) const {
   merged.dropped = global.dropped;
   merged.truncated = global.truncated;
   for (const obs::ProfileEntry& e : global.entries) {
-    if (!e.stack.empty() && e.stack.front().rfind("shard/", 0) == 0 &&
-        shardIndex_.count(e.stack.front().substr(6)) != 0) {
+    const auto frame = shardFrame(e.stack);
+    if (frame != e.stack.end() && shardIndex_.count(frame->substr(6)) != 0) {
       continue;  // already federated through its shard
     }
     merged.samples += e.samples;

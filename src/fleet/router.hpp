@@ -204,9 +204,10 @@ class FleetRouter {
   // the inline outcomes (invalid request, stale fallback, no live
   // candidate) immediately, then hand each shard its members through
   // ONE serve::Broker::submitTuneBatch call — the event-loop frontend
-  // amortizes one lock acquisition and one pool hop per shard per
-  // epoll round instead of paying them per request.  Every `done` runs
-  // exactly once, under its item's trace context.
+  // amortizes one lock acquisition (and, for a pooled engine, one pool
+  // hop) per shard per epoll round instead of paying them per request;
+  // an inline engine's cold studies run in that call.  Every `done`
+  // runs exactly once, under its item's trace context.
   void submitTuneBatch(std::vector<FleetTuneBatchItem> items);
 
   // Route a study sweep to the least-loaded live shard serving the
@@ -261,9 +262,11 @@ class FleetRouter {
       obs::ExpositionFormat format) const;
 
   // Profile federation, mirroring metric federation: shardProfiles()
-  // partitions the process profiler's aggregated stacks on the
-  // "shard/<id>" root frames each shard pool pushes (per-shard stacks
-  // with the root stripped; trace slices stay cluster-global), and
+  // partitions the process profiler's aggregated stacks on their first
+  // "shard/<id>" frame — the root frame of a shard pool's workers, or
+  // the frame a shard broker pushes around an inline study on an event
+  // thread (net/event_loop;shard/<id>;...).  Per-shard stacks drop that
+  // frame and keep the rest; trace slices stay cluster-global.
   // clusterProfile() merges them back — shard-rooted — together with
   // router-side stacks and the global per-trace slices.
   [[nodiscard]] std::vector<std::pair<std::string, obs::ProfileSnapshot>>

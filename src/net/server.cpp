@@ -34,7 +34,7 @@ struct Server::EventLoop {
   Server* server = nullptr;
   std::size_t index = 0;
   int epollFd = -1;
-  int listenFd = -1;
+  int listenFd = -1;  // loop 0 only: the server's one listener
   int wakeFd = -1;
   std::thread thread;
   std::atomic<bool> quit{false};
@@ -63,18 +63,25 @@ struct Server::EventLoop {
 
   std::unordered_map<int, std::unique_ptr<Conn>> connsByFd;
   std::unordered_map<std::uint64_t, Conn*> connsById;
-  std::uint64_t nextConnSerial = 0;
+  std::uint64_t nextConnSerial = 0;  // loop 0: connections accepted so far
 
   struct Completion {
     std::uint64_t conn = 0;
     std::uint64_t seq = 0;
     ResponseBuffer buf;
   };
-  // Cross-thread respond() deliveries; wakeSignaled avoids writing the
-  // eventfd more than once per drain.
+  // A connection the acceptor dealt to this loop, not yet registered.
+  struct Adoption {
+    int fd = -1;
+    std::uint64_t id = 0;
+  };
+  // Cross-thread deliveries: respond() completions and dealt
+  // connections.  wakeSignaled avoids writing the eventfd more than
+  // once per drain.
   std::mutex inboxMu;
   std::vector<Completion> inbox;
-  bool wakeSignaled = false;  // guarded by inboxMu
+  std::vector<Adoption> adoptions;  // guarded by inboxMu
+  bool wakeSignaled = false;        // guarded by inboxMu
 
   // Per-iteration scratch.
   std::vector<InboundFrame> batch;
@@ -149,7 +156,11 @@ struct Server::EventLoop {
     tlsLoop = nullptr;
   }
 
+  // Loop 0 only: accept every pending connection and deal the k-th
+  // (counting from 1) to loop (k - 1) mod N, so the split over the
+  // loops is a pure function of accept order.
   void acceptAll() {
+    const auto& loops = server->loops_;
     for (;;) {
       const int fd =
           ::accept4(listenFd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -159,30 +170,63 @@ struct Server::EventLoop {
       }
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      auto conn = std::make_unique<Conn>(server->options_.maxFrameBytes);
-      conn->fd = fd;
-      conn->id = (static_cast<std::uint64_t>(index) << kConnLoopShift) |
-                 ++nextConnSerial;
+      const std::uint64_t serial = ++nextConnSerial;
+      EventLoop& owner = *loops[(serial - 1) % loops.size()];
+      const std::uint64_t id =
+          (static_cast<std::uint64_t>(owner.index) << kConnLoopShift) | serial;
       const ServerChaosHooks* chaos = server->options_.chaos;
-      if (chaos != nullptr && chaos->dropOnAccept &&
-          chaos->dropOnAccept(conn->id)) {
+      if (chaos != nullptr && chaos->dropOnAccept && chaos->dropOnAccept(id)) {
         // Injected accept fault: the peer sees a reset on its next I/O.
-        // The connection serial is consumed either way, so a campaign's
-        // ids are a pure function of accept order.
+        // The connection serial (and its turn in the deal) is consumed
+        // either way, so a campaign's ids are a pure function of accept
+        // order.
         ::close(fd);
         continue;
       }
-      epoll_event ev{};
-      ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
-      ev.data.fd = fd;
-      if (::epoll_ctl(epollFd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-        ::close(fd);
-        continue;
+      if (&owner == this) {
+        adopt(fd, id);
+      } else {
+        owner.post([&] { owner.adoptions.push_back(Adoption{fd, id}); });
       }
-      connsById[conn->id] = conn.get();
-      connsByFd[fd] = std::move(conn);
-      server->cConnections_.inc();
-      server->gOpen_.add(1);
+    }
+  }
+
+  // Register a dealt connection with this loop's epoll set.  A socket
+  // that already holds bytes (or a FIN) reports ready on the ADD, so
+  // nothing sent before adoption is missed.
+  void adopt(int fd, std::uint64_t id) {
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
+    ev.data.fd = fd;
+    if (::epoll_ctl(epollFd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      ::close(fd);
+      return;
+    }
+    auto conn = std::make_unique<Conn>(server->options_.maxFrameBytes);
+    conn->fd = fd;
+    conn->id = id;
+    connsById[id] = conn.get();
+    connsByFd[fd] = std::move(conn);
+    server->cConnections_.inc();
+    server->gOpen_.add(1);
+  }
+
+  // Queue cross-thread work for this loop (`push` runs under inboxMu)
+  // and wake it, once per drain.  Callable from any thread.
+  template <typename Push>
+  void post(Push&& push) {
+    bool needWake = false;
+    {
+      std::lock_guard<std::mutex> lk(inboxMu);
+      push();
+      if (!wakeSignaled) {
+        wakeSignaled = true;
+        needWake = true;
+      }
+    }
+    if (needWake && wakeFd >= 0) {
+      std::uint64_t tick = 1;
+      [[maybe_unused]] ssize_t rc = ::write(wakeFd, &tick, sizeof tick);
     }
   }
 
@@ -297,15 +341,15 @@ struct Server::EventLoop {
 
   void drainInbox() {
     std::vector<Completion> local;
+    std::vector<Adoption> dealt;
     {
       std::lock_guard<std::mutex> lk(inboxMu);
-      if (inbox.empty()) {
-        wakeSignaled = false;
-        return;
-      }
-      local.swap(inbox);
       wakeSignaled = false;
+      if (inbox.empty() && adoptions.empty()) return;
+      local.swap(inbox);
+      dealt.swap(adoptions);
     }
+    for (const Adoption& a : dealt) adopt(a.fd, a.id);
     for (auto& comp : local) deliver(comp.conn, comp.seq, std::move(comp.buf));
   }
 
@@ -391,6 +435,8 @@ struct Server::EventLoop {
     server->gOpen_.sub(1);
   }
 
+  // After the thread has exited: close every registered connection and
+  // every dealt one it never adopted.
   void closeAllConns() {
     for (auto& [fd, conn] : connsByFd) {
       ::close(fd);
@@ -398,6 +444,9 @@ struct Server::EventLoop {
     }
     connsByFd.clear();
     connsById.clear();
+    std::lock_guard<std::mutex> lk(inboxMu);
+    for (const Adoption& a : adoptions) ::close(a.fd);
+    adoptions.clear();
   }
 
   static thread_local EventLoop* tlsLoop;
@@ -460,60 +509,47 @@ bool Server::start(std::string* error) {
     return false;
   }
 
-  const std::size_t nThreads = options_.eventThreads;
-  for (std::size_t i = 0; i < nThreads; ++i) {
+  for (std::size_t i = 0; i < options_.eventThreads; ++i) {
     auto loop = std::make_unique<EventLoop>();
     loop->server = this;
     loop->index = i;
-
-    loop->listenFd =
-        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (loop->listenFd < 0) {
-      loops_.push_back(std::move(loop));
-      return failWith("socket");
-    }
-    int one = 1;
-    ::setsockopt(loop->listenFd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    if (nThreads > 1) {
-      // Shard accepts across the event threads in the kernel.
-      ::setsockopt(loop->listenFd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one);
-    }
-    if (::bind(loop->listenFd, reinterpret_cast<sockaddr*>(&addr),
-               sizeof addr) != 0) {
-      loops_.push_back(std::move(loop));
-      return failWith("bind");
-    }
-    if (::listen(loop->listenFd, options_.backlog) != 0) {
-      loops_.push_back(std::move(loop));
-      return failWith("listen");
-    }
-    if (i == 0) {
-      // Ephemeral port: learn the kernel's pick so the remaining
-      // listeners (and port()) bind the same one.
-      socklen_t len = sizeof addr;
-      if (::getsockname(loop->listenFd, reinterpret_cast<sockaddr*>(&addr),
-                        &len) != 0) {
-        loops_.push_back(std::move(loop));
-        return failWith("getsockname");
-      }
-      port_ = ntohs(addr.sin_port);
-    }
-
     loop->epollFd = ::epoll_create1(EPOLL_CLOEXEC);
     loop->wakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (loop->epollFd < 0 || loop->wakeFd < 0) {
-      loops_.push_back(std::move(loop));
-      return failWith("epoll/eventfd");
-    }
+    loops_.push_back(std::move(loop));
+    EventLoop& l = *loops_.back();
+    if (l.epollFd < 0 || l.wakeFd < 0) return failWith("epoll/eventfd");
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLET;
-    ev.data.fd = loop->listenFd;
-    ::epoll_ctl(loop->epollFd, EPOLL_CTL_ADD, loop->listenFd, &ev);
-    ev.data.fd = loop->wakeFd;
-    ::epoll_ctl(loop->epollFd, EPOLL_CTL_ADD, loop->wakeFd, &ev);
-
-    loops_.push_back(std::move(loop));
+    ev.data.fd = l.wakeFd;
+    ::epoll_ctl(l.epollFd, EPOLL_CTL_ADD, l.wakeFd, &ev);
   }
+
+  // One listener, on loop 0, which deals accepted connections to every
+  // loop in turn.
+  EventLoop& acceptor = *loops_.front();
+  acceptor.listenFd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (acceptor.listenFd < 0) return failWith("socket");
+  int one = 1;
+  ::setsockopt(acceptor.listenFd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  if (::bind(acceptor.listenFd, reinterpret_cast<sockaddr*>(&addr),
+             sizeof addr) != 0) {
+    return failWith("bind");
+  }
+  if (::listen(acceptor.listenFd, options_.backlog) != 0) {
+    return failWith("listen");
+  }
+  // Ephemeral port: learn the kernel's pick for port().
+  socklen_t len = sizeof addr;
+  if (::getsockname(acceptor.listenFd, reinterpret_cast<sockaddr*>(&addr),
+                    &len) != 0) {
+    return failWith("getsockname");
+  }
+  port_ = ntohs(addr.sin_port);
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLET;
+  ev.data.fd = acceptor.listenFd;
+  ::epoll_ctl(acceptor.epollFd, EPOLL_CTL_ADD, acceptor.listenFd, &ev);
 
   running_.store(true, std::memory_order_release);
   for (auto& loop : loops_) {
@@ -530,8 +566,12 @@ void Server::stop() {
     std::uint64_t tick = 1;
     [[maybe_unused]] ssize_t rc = ::write(loop->wakeFd, &tick, sizeof tick);
   }
+  // Join every loop before closing anything: until the acceptor has
+  // exited it may still deal connections to the others.
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
+  }
+  for (auto& loop : loops_) {
     loop->closeAllConns();
     if (loop->listenFd >= 0) {
       ::close(loop->listenFd);
@@ -555,19 +595,9 @@ void Server::respond(std::uint64_t conn, std::uint64_t seq,
     loop->deliver(conn, seq, std::move(buf));
     return;
   }
-  bool needWake = false;
-  {
-    std::lock_guard<std::mutex> lk(loop->inboxMu);
+  loop->post([&] {
     loop->inbox.push_back(EventLoop::Completion{conn, seq, std::move(buf)});
-    if (!loop->wakeSignaled) {
-      loop->wakeSignaled = true;
-      needWake = true;
-    }
-  }
-  if (needWake && loop->wakeFd >= 0) {
-    std::uint64_t tick = 1;
-    [[maybe_unused]] ssize_t rc = ::write(loop->wakeFd, &tick, sizeof tick);
-  }
+  });
 }
 
 }  // namespace ep::net

@@ -9,24 +9,28 @@
 //
 // Architecture
 //   * N event threads (ServerOptions::eventThreads), each owning its
-//     own epoll instance, its own listener (SO_REUSEPORT sharding when
-//     N > 1, so the kernel spreads accepts without a shared accept
-//     lock), an eventfd for cross-thread wakeups, and every connection
-//     the kernel handed it.  No connection state is ever touched by
-//     two event threads.
+//     own epoll instance, an eventfd for cross-thread wakeups, and the
+//     connections dealt to it.  Loop 0 also owns the one listener: it
+//     accepts, and deals the k-th accepted connection to loop
+//     (k - 1) mod N, so the split is a pure function of accept order
+//     (four connections over two loops are always 2:2).  Another loop
+//     adopts its connection through its inbox and eventfd, the same
+//     path cross-thread responses take.  No connection state is ever
+//     touched by two event threads.
 //   * Edge-triggered reads: one EPOLLIN wakeup drains a socket to
 //     EAGAIN, the FrameDecoder splits the bytes into frames, and all
 //     frames from all ready sockets of one epoll_wait round are
 //     accumulated into a single batch handed to the BatchHandler — the
 //     cross-connection batching that lets the broker amortize one lock
-//     acquisition and one pool hop over the whole round.
+//     acquisition over the whole round, and run the round's cold
+//     model-direct studies right here, on the event thread.
 //   * Responses: the handler answers each frame via respond() exactly
 //     once, from any thread.  Buffers are refcounted
 //     (shared_ptr<const string>): rendered once, enqueued per
 //     connection without copying, written with writev().  Per-frame
 //     sequence numbers restore pipelined response order — a fast
 //     cache hit answered inline never overtakes a slow cold study
-//     answered from a worker thread on the same connection.
+//     answered later from another thread on the same connection.
 //   * Slow readers: each connection's pending write queue is bounded
 //     by writeHighWaterBytes; a peer that stalls past it is evicted
 //     (connection closed, ep_net_evicted_total incremented) instead of
@@ -58,8 +62,9 @@ inline ResponseBuffer makeBuffer(std::string s) {
 // A null hook pointer costs one pointer compare per accept/read — the
 // chaos-off hot path is byte-for-byte the PR 8 behaviour.
 struct ServerChaosHooks {
-  // Consulted once per accepted connection; true = close it immediately
-  // (the peer sees a reset on its next I/O).
+  // Consulted once per accepted connection, on loop 0 before it is
+  // dealt; true = close it immediately (the peer sees a reset on its
+  // next I/O).
   std::function<bool(std::uint64_t conn)> dropOnAccept;
   // Consulted with every inbound chunk before it reaches the frame
   // decoder; may mutate the bytes (corruption).  Returning true
@@ -118,9 +123,10 @@ class Server {
   // on socket failure.
   bool start(std::string* error);
 
-  // Close listeners and every connection, join the event threads.
-  // Pending unanswered frames are dropped (their late respond() calls
-  // are ignored).  Idempotent.
+  // Join the event threads, then close the listener and every
+  // connection, including those dealt but not yet adopted.  Pending
+  // unanswered frames are dropped (their late respond() calls are
+  // ignored).  Idempotent.
   void stop();
 
   [[nodiscard]] std::uint16_t port() const { return port_; }

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "obs/profile_frames.hpp"
 #include "obs/trace.hpp"
 
 namespace ep::serve {
@@ -133,10 +134,12 @@ Broker::Broker(std::shared_ptr<const TuningEngine> engine,
       breakers_(perDevice([&](const DeviceInfo&) {
         return CircuitBreaker(options.breaker);
       })),
-      admission_(options.admission),
-      pool_(std::make_unique<ThreadPool>(options.threads,
-                                         options.profileLabel)) {
+      admission_(options.admission) {
   EP_REQUIRE(engine_ != nullptr, "broker needs an engine");
+  if (!engine_->runsInline()) {
+    pool_ = std::make_unique<ThreadPool>(options_.threads,
+                                         options_.profileLabel);
+  }
   EP_REQUIRE(options_.queueCapacity >= 1, "queue capacity must be >= 1");
   // Every broker exposition (including federated cluster views)
   // carries build identity.
@@ -269,6 +272,17 @@ void Broker::settleAdmission(const TuneJobPtr& job, const TuneAdmission& a) {
   }
 }
 
+template <typename Work>
+void Broker::execute(Work&& work) {
+  if (pool_ != nullptr) {
+    pool_->submit(std::forward<Work>(work));
+    return;
+  }
+  obs::ProfileFrame frame(
+      options_.profileLabel.empty() ? nullptr : options_.profileLabel.c_str());
+  work();
+}
+
 namespace {
 
 // Shared by submitTune and submitTuneBatch so a batch of one is
@@ -312,7 +326,7 @@ std::future<TuneResponse> Broker::submitTune(const TuneRequest& req) {
   lk.unlock();
   settleAdmission(job, a);
   if (a.act == TuneAdmission::Act::Queued) {
-    pool_->submit([this, job] { runTuneJob(job); });
+    execute([this, job] { runTuneJob(job); });
   }
   return future;
 }
@@ -369,15 +383,14 @@ void Broker::submitTuneBatch(std::vector<TuneBatchItem> items) {
     settleAdmission(valid[i], admissions[i]);
   }
 
-  // Phase 3 — ONE pool hop for every queued member.  The jobs run
-  // sequentially on that worker, and so do the batch's cold studies: a
-  // model-direct study evaluates its configurations inline (they are
-  // cheaper than a pool hand-off), while a metered one still fans out
-  // across the whole pool via the engine's nested parallelFor.
-  // Duplicate keys inside the batch resolve to cache hits / coalesced
-  // joins exactly as queued siblings always have.
+  // Phase 3 — the queued members, in order, in ONE execution: in place
+  // on this thread for an inline engine (a model-direct study costs
+  // less than a pool hand-off), else as one pool task, where a metered
+  // study still fans out across the whole pool via the engine's nested
+  // parallelFor.  Duplicate keys inside the batch resolve to cache hits
+  // / coalesced joins exactly as queued siblings always have.
   if (!queued.empty()) {
-    pool_->submit([this, queued = std::move(queued)] {
+    execute([this, queued = std::move(queued)] {
       for (const auto& job : queued) runTuneJob(job);
     });
   }
@@ -426,7 +439,7 @@ std::future<StudyResponse> Broker::submitStudy(const StudyRequest& req) {
   // does) so the sweep's latency exemplar and energy attribution land
   // on the paying request's trace.
   const obs::TraceContext ctx = obs::currentContext();
-  pool_->submit([this, reqCopy, submitted, deadline, promise, ctx] {
+  execute([this, reqCopy, submitted, deadline, promise, ctx] {
     obs::ScopedTraceContext tctx(ctx);
     runStudyJob(reqCopy, submitted, deadline, promise);
   });
@@ -457,25 +470,30 @@ void Broker::runTuneJob(const TuneJobPtr& job) {
     return;
   }
   if (auto it = inFlight_.find(key); it != inFlight_.end()) {
-    // A sibling queued before either of us started now owns the study;
-    // hand our promise to it rather than blocking this worker.
+    // Another thread owns the study (a sibling queued before either of
+    // us started, or another event thread's inline run); hand our
+    // promise to it rather than blocking this thread.
     cCoalesced_.inc();
     it->second->waiters.push_back(job);
     finishJobLocked();
     return;
   }
-  lk.unlock();
 
+  // Still under the acquisition that saw the key neither cached nor in
+  // flight: obtainStudy claims it (or answers from the breaker path)
+  // and never block-joins, so a submitting event thread never waits on
+  // a study that another thread owns.
   bool cacheHit = false;
   bool coalesced = false;
   try {
     const StudyOutcome outcome =
-        obtainStudy(job->req.device, job->req.n, &cacheHit, &coalesced);
+        obtainStudy(lk, job->req.device, job->req.n, &cacheHit, &coalesced);
     completeTune(job, outcome.result, cacheHit, coalesced, outcome.stale,
                  outcome.attr, outcome.executed);
   } catch (const BreakerOpenError& e) {
     rejectTune(job, Status::CircuitOpen, e.what());
   } catch (...) {
+    if (lk.owns_lock()) lk.unlock();  // thrown before obtainStudy let go
     rejectTune(job, Status::Error, describe(std::current_exception()));
   }
   lk.lock();
@@ -505,7 +523,9 @@ void Broker::runStudyJob(
     bool cacheHit = false;
     bool coalesced = false;
     try {
-      const StudyOutcome o = obtainStudy(req->device, n, &cacheHit, &coalesced);
+      std::unique_lock lk(mu_);
+      const StudyOutcome o =
+          obtainStudy(lk, req->device, n, &cacheHit, &coalesced);
       results.push_back(*o.result);
       if (o.stale) {
         ++resp.staleWorkloads;
@@ -569,17 +589,18 @@ void Broker::runStudyJob(
   promise->set_value(std::move(resp));
 }
 
-Broker::StudyOutcome Broker::obtainStudy(Device device, int n, bool* cacheHit,
+Broker::StudyOutcome Broker::obtainStudy(std::unique_lock<std::mutex>& lk,
+                                         Device device, int n, bool* cacheHit,
                                          bool* coalesced) {
   const StudyKey key = keyFor(device, n);
-  std::unique_lock lk(mu_);
   if (auto hit = cache_.get(key)) {
     *cacheHit = true;
+    lk.unlock();
     return {*hit, false};
   }
   if (auto it = inFlight_.find(key); it != inFlight_.end()) {
     // Blocking join: safe because in-flight entries only exist while
-    // their owner is actively computing on another worker.
+    // their owner is actively computing on another thread.
     cCoalesced_.inc();
     *coalesced = true;
     auto future = it->second->future;
@@ -601,6 +622,7 @@ Broker::StudyOutcome Broker::obtainStudy(Device device, int n, bool* cacheHit,
     if (options_.staleCapacity > 0) {
       if (auto st = staleStore_.get(key)) {
         cStaleServed_.inc();
+        lk.unlock();
         return {*st, true};
       }
     }
@@ -626,11 +648,10 @@ Broker::StudyOutcome Broker::obtainStudy(Device device, int n, bool* cacheHit,
       timeStudy ? now() : Clock::time_point{};
   try {
     obs::Span span("serve/engine_evaluate");
-    // This thread is itself a pool worker; handing the pool to the
-    // engine lets idle workers help with a metered study's
-    // configuration loop (nested parallelFor — safe since the caller
-    // participates).  A model-direct study ignores the pool and runs
-    // on this worker alone.
+    // On a pooled engine this thread is itself a pool worker; handing
+    // the pool to the engine lets idle workers help with a metered
+    // study's configuration loop (nested parallelFor — safe since the
+    // caller participates).  An inline engine gets no pool.
     core::WorkloadResult evaluated = engine_->evaluate(device, n, pool_.get());
     // The ledger entry is the only reader of the per-configuration
     // data: take it, then keep just what answers read.
@@ -692,7 +713,7 @@ void Broker::completeTune(const TuneJobPtr& job, const ResultPtr& result,
                           bool cacheHit, bool coalesced, bool stale,
                           const core::EnergyAttribution& attribution,
                           bool executed) {
-  // Completion may run on a foreign thread (the study owner's worker
+  // Completion may run on a foreign thread (the study owner's thread
   // fulfilling coalesced followers): re-install the follower's own
   // context so its completion span joins its trace, not the owner's.
   obs::ScopedTraceContext tctx(job->ctx);

@@ -2,9 +2,17 @@
 // door to the bi-objective tuning stack.
 //
 // Execution model
-//   * Requests are validated and admitted under a single mutex, then
-//     executed on an ep::ThreadPool.  Admission is O(1); all expensive
-//     work happens on workers.
+//   * Requests are validated and admitted under a single mutex.
+//     Admission is O(1).  What runs a queued cold study depends on the
+//     engine (TuningEngine::runsInline):
+//       - an inline engine (model-direct EpStudyEngine: tens of µs, no
+//         pool) runs it to completion on the submitting thread — in
+//         epserved, the net event thread that decoded the request, so a
+//         cold miss pays no cross-thread hand-off.  Such a broker owns
+//         no pool, and pushes its profileLabel as a profiler frame
+//         around the run instead of making it its workers' root frame;
+//       - any other engine (metered, chaos decorators, test fakes) runs
+//         on the broker's ep::ThreadPool, as one task per batch.
 //   * Result cache: completed studies are kept in an LRU keyed by
 //     (device, N, tuning-constants hash).  A cache hit is served
 //     synchronously at submission — no queue round trip.  The broker
@@ -15,7 +23,7 @@
 //   * Request coalescing: while a study for key K is being computed,
 //     further requests for K do not queue; they register as waiters on
 //     the in-flight entry and are all fulfilled by the one computing
-//     worker (each with its own degradation budget — the tuner step is
+//     thread (each with its own degradation budget — the tuner step is
 //     cheap, only the study is shared).
 //   * Backpressure: at most `queueCapacity` admitted-but-not-started
 //     jobs; beyond that submissions are rejected with QueueFull.
@@ -25,9 +33,13 @@
 //     and in-flight job before returning — no future is ever abandoned.
 //
 // Invariant that keeps the blocking paths deadlock-free: an in-flight
-// map entry exists only while its owning worker is actively inside
+// map entry exists only while its owning thread is actively inside
 // TuningEngine::evaluate().  Anyone who blocks on an in-flight future
 // therefore waits on a *running* computation, never on queued work.
+// Tune jobs never block at all: one lock acquisition sees a key neither
+// cached nor in flight and claims it, or registers the job as a waiter
+// that the owner completes.  Only study sweeps (off the event threads)
+// block-join another thread's study.
 #pragma once
 
 #include <array>
@@ -54,11 +66,15 @@
 namespace ep::serve {
 
 struct BrokerOptions {
-  std::size_t threads = 0;        // 0 = hardware concurrency
+  // Pool workers, for an engine that does not run inline (an inline
+  // engine's broker has no pool); 0 = hardware concurrency.
+  std::size_t threads = 0;
   std::size_t queueCapacity = 64; // admitted-but-not-started jobs
-  // epprof root frame for this broker's worker threads (empty keeps the
-  // pool default "pool/worker"); the fleet router sets "shard/<id>" so
-  // cluster CPU/energy profiles partition by shard.
+  // epprof frame for this broker's work: the root frame of its worker
+  // threads (empty keeps the pool default "pool/worker"), or, for an
+  // inline engine, a frame pushed on the submitting thread around each
+  // cold study (empty pushes none).  The fleet router sets "shard/<id>"
+  // so cluster CPU/energy profiles partition by shard.
   std::string profileLabel;
   std::size_t cacheCapacity = 128;
   // Applied to requests that carry no deadline; <= 0 keeps them
@@ -122,13 +138,14 @@ class Broker {
     std::function<void(TuneResponse&&)> done;
   };
 
-  // Admit a whole batch under ONE mutex acquisition and hand every
-  // queued member to the pool as ONE task (the event-loop frontend
-  // drains all ready sockets per epoll round and submits here, so lock
-  // and pool-hop costs amortize across connections).  Semantics per
-  // item are identical to submitTune: same validation, cache-hit,
-  // coalescing, breaker, deadline and backpressure behavior — a batch
-  // of one is indistinguishable from a lone submitTune.
+  // Admit a whole batch under ONE mutex acquisition, then run every
+  // queued member in order: in place for an inline engine, as ONE pool
+  // task otherwise (the event-loop frontend drains all ready sockets
+  // per epoll round and submits here, so lock and pool-hop costs
+  // amortize across connections).  Semantics per item are identical to
+  // submitTune: same validation, cache-hit, coalescing, breaker,
+  // deadline and backpressure behavior — a batch of one is
+  // indistinguishable from a lone submitTune.
   void submitTuneBatch(std::vector<TuneBatchItem> items);
 
   // Blocking conveniences.
@@ -197,7 +214,7 @@ class Broker {
   // caller so a batch can make every decision under one acquisition.
   struct TuneAdmission {
     enum class Act {
-      Queued,        // admitted: run runTuneJob on the pool
+      Queued,        // admitted: run runTuneJob (in place or pooled)
       Coalesced,     // joined an in-flight study; nothing more to do
       CompleteHit,   // serve `result` as a cache hit (unlocked)
       CompleteStale, // serve `result` stale, breaker open (unlocked)
@@ -210,8 +227,13 @@ class Broker {
   };
   [[nodiscard]] TuneAdmission admitTuneLocked(const TuneJobPtr& job);
   // The unlocked half: perform what admitTuneLocked decided (except
-  // Queued, whose pool hop the caller owns so batches share one).
+  // Queued, whose execution the caller owns so batches share one).
   void settleAdmission(const TuneJobPtr& job, const TuneAdmission& a);
+
+  // Run admitted work: to completion on this thread when the engine
+  // runs inline, else as one pool task.
+  template <typename Work>
+  void execute(Work&& work);
 
   // How a study was resolved: the result plus whether it came from the
   // stale-while-error store (the owner's engine failed but an old good
@@ -238,18 +260,21 @@ class Broker {
   [[nodiscard]] Clock::time_point deadlineFor(double deadlineMs,
                                               Clock::time_point now) const;
 
-  // Worker bodies.
+  // Job bodies (on a worker, or inline on the submitting thread).
   void runTuneJob(const TuneJobPtr& job);
   void runStudyJob(const std::shared_ptr<StudyRequest>& req,
                    Clock::time_point submitted, Clock::time_point deadline,
                    const std::shared_ptr<std::promise<StudyResponse>>& promise);
 
-  // Compute (or join) the study for one key.  Called from worker
-  // threads only.  May block on another worker's in-flight computation.
-  // Counts hits/coalescing into the metrics; throws on engine failure
-  // with no stale fallback, BreakerOpenError when the breaker rejects
-  // and nothing stale is available.
-  [[nodiscard]] StudyOutcome obtainStudy(Device device, int n, bool* cacheHit,
+  // Compute (or join) the study for one key.  Called with `lk` holding
+  // mu_; returns (or throws) with it released.  Blocks on another
+  // thread's in-flight computation only if the caller has not already
+  // ruled that out under the same `lk`, as runTuneJob does.  Counts
+  // hits/coalescing into the metrics; throws on engine failure with no
+  // stale fallback, BreakerOpenError when the breaker rejects and
+  // nothing stale is available.
+  [[nodiscard]] StudyOutcome obtainStudy(std::unique_lock<std::mutex>& lk,
+                                         Device device, int n, bool* cacheHit,
                                          bool* coalesced);
 
   // Fulfill a tune job from a completed study (cheap tuner step).
@@ -337,7 +362,7 @@ class Broker {
   mutable LruCacheStats syncedCache_;
 
   // Last member: destroyed first, joining workers while the rest of the
-  // broker state is still alive.
+  // broker state is still alive.  Null when the engine runs inline.
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -7,10 +7,13 @@
 // touching the real model stack.  EpStudyEngine is the production
 // implementation: epcore::GpuEpStudy over the Table I GPU models.
 //
-// Engines must be usable from several broker workers at once:
-// evaluate() is const and every call derives its own Rng stream, so a
-// given (device, n) study is deterministic regardless of request
-// interleaving — which is what makes its result cacheable.
+// Engines must be usable from several threads at once: evaluate() is
+// const and every call derives its own Rng stream, so a given
+// (device, n) study is deterministic regardless of request
+// interleaving — which is what makes its result cacheable.  An engine
+// whose runsInline() is true has evaluate() called on the thread that
+// submitted the request — in epserved, a net event thread — so it must
+// be a short computation that never waits.
 #pragma once
 
 #include <array>
@@ -34,12 +37,20 @@ class TuningEngine {
   // Run the full configuration-space study for one workload.  Expensive
   // (the service hot path); must be thread-safe and deterministic per
   // (device, n) — including pool == nullptr vs any pool size, so the
-  // cache cannot observe how a result was computed.  The broker passes
-  // its own pool: evaluate() runs inside a pool task, which is exactly
-  // the nested shape ThreadPool::parallelFor is built to survive.
-  // Throws ep::EpError on unlaunchable workloads.
+  // cache cannot observe how a result was computed.  A pooled engine
+  // gets the broker's pool: evaluate() runs inside a pool task, which is
+  // exactly the nested shape ThreadPool::parallelFor is built to
+  // survive.  An inline engine runs on the submitting thread with
+  // pool == nullptr.  Throws ep::EpError on unlaunchable workloads.
   [[nodiscard]] virtual core::WorkloadResult evaluate(
       Device device, int n, ThreadPool* pool = nullptr) const = 0;
+
+  // True when evaluate() is a short computation that uses no pool, so
+  // the broker runs it to completion on the submitting thread instead
+  // of handing it to a worker.  Derived from the engine's own
+  // configuration, never set from outside.  Decorators that may block
+  // (injected hangs, test gates) keep the default.
+  [[nodiscard]] virtual bool runsInline() const { return false; }
 };
 
 struct EpStudyEngineOptions {
@@ -63,6 +74,10 @@ class EpStudyEngine : public TuningEngine {
   [[nodiscard]] std::uint64_t tuningHash(Device device) const override;
   [[nodiscard]] core::WorkloadResult evaluate(
       Device device, int n, ThreadPool* pool = nullptr) const override;
+  // A model-direct study (tens of µs, no pool) runs inline; the metered
+  // protocol (hundreds of ms, nested parallelFor) keeps the pool.  Fault
+  // campaigns require the meter, so they stay pooled too.
+  [[nodiscard]] bool runsInline() const override { return !options_.useMeter; }
 
   [[nodiscard]] const EpStudyEngineOptions& options() const {
     return options_;

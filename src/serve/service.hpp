@@ -8,7 +8,9 @@
 //   * Partition by cost.  Tune requests across all connections are
 //     collected and handed to the backend as ONE batch (the hook calls
 //     Broker::submitTuneBatch / FleetRouter::submitTuneBatch, so one
-//     admission lock and one pool hop amortize over the whole round).
+//     admission lock amortizes over the whole round; a model-direct
+//     engine then runs the round's cold studies right here, on the
+//     event thread, and a metered one takes one pool hop).
 //     Control ops (metrics, trace, events, tsdb, slo, fleet) render
 //     inline on the event thread — they are string renders, microseconds.
 //     Study sweeps run on a small slow-op pool so a multi-second sweep

@@ -35,7 +35,9 @@ TEST(CounterAdditivity, AdditiveCountersHaveZeroError) {
   comp.add(cusim::CuptiEvent::kFlopCountDp, 3000);
   const auto records = analyzeCounterAdditivity(b1, b2, comp);
   for (const auto& r : records) {
-    if (r.event == "flop_count_dp") EXPECT_DOUBLE_EQ(r.error, 0.0);
+    if (r.event == "flop_count_dp") {
+      EXPECT_DOUBLE_EQ(r.error, 0.0);
+    }
   }
 }
 

@@ -104,7 +104,7 @@ std::vector<FleetShardConfig> shardConfigs(
   std::vector<FleetShardConfig> cfgs;
   for (int i = 0; i < count; ++i) {
     FleetShardConfig c;
-    c.id = "s" + std::to_string(i);
+    c.id.append("s").append(std::to_string(i));
     c.engine = engine;
     c.broker.threads = threads;
     c.broker.queueCapacity = 256;
@@ -151,7 +151,9 @@ TEST(Ring, BalanceWithin20Percent) {
 TEST(Ring, SingleShardRemovalRemapsAtMostItsShare) {
   constexpr int kShards = 5;
   HashRing ring(64);
-  for (int i = 0; i < kShards; ++i) ring.addShard("s" + std::to_string(i));
+  for (int i = 0; i < kShards; ++i) {
+    ring.addShard(std::string("s").append(std::to_string(i)));
+  }
 
   std::vector<std::uint64_t> keys;
   for (int n = 1; n <= 10000; ++n) {
@@ -192,7 +194,9 @@ TEST(Ring, SingleShardRemovalRemapsAtMostItsShare) {
 
 TEST(Ring, PreferenceOrderStartsAtOwnerAndIsDistinct) {
   HashRing ring(64);
-  for (int i = 0; i < 4; ++i) ring.addShard("s" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) {
+    ring.addShard(std::string("s").append(std::to_string(i)));
+  }
   for (int n : {7, 512, 9999, 123456}) {
     const auto key = ringKeyHash(Device::P100, n);
     const auto pref = ring.preferenceOrder(key, 4);
@@ -884,6 +888,14 @@ TEST(Federation, ClusterProfileFederatesShardStacksAndKeepsRouterFrames) {
     prof.recordEnergySample(1.0, 0u);
   }
   {
+    // An inline study on an event thread: the shard broker pushes its
+    // frame under the loop's root.
+    obs::ProfileThreadLabel root("net/event_loop");
+    obs::ProfileFrame shard("shard/s0");
+    obs::ProfileFrame study("serve/engine_evaluate");
+    prof.recordEnergySample(0.5, 0u);
+  }
+  {
     obs::ProfileThreadLabel root("shard/ghost");  // not a configured shard
     prof.recordEnergySample(0.25, 0u);
   }
@@ -892,11 +904,14 @@ TEST(Federation, ClusterProfileFederatesShardStacksAndKeepsRouterFrames) {
   const auto shards = router.shardProfiles(obs::ProfileKind::Energy);
   ASSERT_EQ(shards.size(), 2u);
   EXPECT_EQ(shards[0].first, "s0");
-  ASSERT_EQ(shards[0].second.entries.size(), 1u);
-  // Per-shard partitions strip their own root frame.
+  ASSERT_EQ(shards[0].second.entries.size(), 2u);
+  // Per-shard partitions drop their own shard frame, wherever it sits.
   EXPECT_EQ(shards[0].second.entries[0].stack,
             (std::vector<std::string>{"kernel/dgemm"}));
-  EXPECT_DOUBLE_EQ(shards[0].second.totalWeight, 2.0);
+  EXPECT_EQ(shards[0].second.entries[1].stack,
+            (std::vector<std::string>{"net/event_loop",
+                                      "serve/engine_evaluate"}));
+  EXPECT_DOUBLE_EQ(shards[0].second.totalWeight, 2.5);
   EXPECT_EQ(shards[1].first, "s1");
   EXPECT_DOUBLE_EQ(shards[1].second.totalWeight, 3.0);
 
@@ -904,9 +919,9 @@ TEST(Federation, ClusterProfileFederatesShardStacksAndKeepsRouterFrames) {
   // and carries router-side frames plus unconfigured shard/* stacks.
   const obs::ProfileSnapshot cluster =
       router.clusterProfile(obs::ProfileKind::Energy);
-  EXPECT_EQ(cluster.samples, 4u);
-  EXPECT_DOUBLE_EQ(cluster.totalWeight, 6.25);
-  ASSERT_EQ(cluster.entries.size(), 4u);
+  EXPECT_EQ(cluster.samples, 5u);
+  EXPECT_DOUBLE_EQ(cluster.totalWeight, 6.75);
+  ASSERT_EQ(cluster.entries.size(), 5u);
   EXPECT_EQ(cluster.entries[0].stack,
             (std::vector<std::string>{"shard/s1", "kernel/fft2d"}));
   EXPECT_EQ(cluster.entries[1].stack,
@@ -914,6 +929,9 @@ TEST(Federation, ClusterProfileFederatesShardStacksAndKeepsRouterFrames) {
   EXPECT_EQ(cluster.entries[2].stack,
             (std::vector<std::string>{"fleet/main"}));
   EXPECT_EQ(cluster.entries[3].stack,
+            (std::vector<std::string>{"shard/s0", "net/event_loop",
+                                      "serve/engine_evaluate"}));
+  EXPECT_EQ(cluster.entries[4].stack,
             (std::vector<std::string>{"shard/ghost"}));
 
   // Trace slices stay global: the fanned-out request sums both shards.
@@ -960,7 +978,7 @@ ChaosFleet chaosFleet(int victimIndex) {
   f.chaos = std::make_shared<chaos::ChaosEngine>(f.inner);
   for (int i = 0; i < 3; ++i) {
     FleetShardConfig c;
-    c.id = "s" + std::to_string(i);
+    c.id.append("s").append(std::to_string(i));
     c.engine = i == victimIndex
                    ? std::static_pointer_cast<const serve::TuningEngine>(
                          f.chaos)
@@ -1172,7 +1190,7 @@ TEST(Hetero, AutoDeviceRespectsShardCapabilities) {
   };
   for (int i = 0; i < 3; ++i) {
     FleetShardConfig c;
-    c.id = "g" + std::to_string(i);
+    c.id.append("g").append(std::to_string(i));
     c.engine = engine;
     c.broker.threads = 2;
     c.devices = caps[static_cast<std::size_t>(i)];
@@ -1219,7 +1237,7 @@ TEST(Hetero, StaleServingCrossesOnlyCapableShards) {
       {Device::K40c}, {Device::P100, Device::K40c}, {Device::P100}};
   for (int i = 0; i < 3; ++i) {
     FleetShardConfig c;
-    c.id = "g" + std::to_string(i);
+    c.id.append("g").append(std::to_string(i));
     c.engine = engine;
     c.broker.threads = 2;
     c.devices = caps[static_cast<std::size_t>(i)];

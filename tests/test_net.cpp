@@ -20,6 +20,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -373,6 +374,86 @@ void echoHandler(Server& s, std::vector<InboundFrame>&& batch) {
                 makeBuffer("{\"r\":" + std::to_string(f.seq) + "}\n"));
     }
   }
+}
+
+// Every loop sees its fair share of connections, whatever the timing:
+// the one acceptor deals the k-th accepted connection to loop
+// (k - 1) mod N.  The loop index is the top bits of the conn id.
+TEST(Server, DealsConnectionsEvenlyOverTheEventLoops) {
+  for (const std::size_t loops : {std::size_t{2}, std::size_t{3}}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      std::mutex mu;
+      std::vector<std::size_t> perLoop(loops, 0);
+      ServerOptions opts;
+      opts.eventThreads = loops;
+      Server server(opts, [&](Server& s, std::vector<InboundFrame>&& batch) {
+        for (const auto& f : batch) {
+          {
+            std::lock_guard lk(mu);
+            const std::size_t loop = static_cast<std::size_t>(f.conn >> 48);
+            if (loop < perLoop.size()) ++perLoop[loop];
+          }
+          s.respond(f.conn, f.seq, makeBuffer("{\"ok\":true}\n"));
+        }
+      });
+      std::string error;
+      ASSERT_TRUE(server.start(&error)) << error;
+      std::vector<Client> clients(2 * loops);
+      for (Client& c : clients) {
+        ASSERT_TRUE(c.open("127.0.0.1", server.port(), kJson, &error)) << error;
+      }
+      std::string reply;
+      for (Client& c : clients) {
+        ASSERT_TRUE(c.roundTrip("{\"a\":1}", &reply));
+        EXPECT_EQ(reply, "{\"ok\":true}");
+      }
+      server.stop();
+      std::lock_guard lk(mu);
+      EXPECT_EQ(perLoop, std::vector<std::size_t>(loops, 2))
+          << loops << " loops, repetition " << rep;
+    }
+  }
+}
+
+// Sockets this process holds open: /proc/self/fd links to "socket:[…]".
+std::size_t openSockets() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::string target =
+        std::filesystem::read_symlink(entry.path(), ec).string();
+    if (!ec && target.rfind("socket:", 0) == 0) ++count;
+  }
+  return count;
+}
+
+TEST(Server, StopClosesEveryAcceptedSocket) {
+  const std::size_t before = openSockets();
+  {
+    ServerOptions opts;
+    opts.eventThreads = 3;
+    Server server(opts, echoHandler);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    // Six connections served, then six opened right before the stop:
+    // those may still sit in the backlog, or be dealt to a loop that
+    // has not adopted them yet.
+    std::vector<Client> clients(12);
+    std::string reply;
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      ASSERT_TRUE(clients[i].open("127.0.0.1", server.port(), kJson, &error))
+          << error;
+      if (i < 6) {
+        ASSERT_TRUE(clients[i].roundTrip("{\"a\":1}", &reply));
+      }
+    }
+    server.stop();
+    // What is left beyond the start is the clients' own twelve ends.
+    EXPECT_EQ(openSockets(), before + clients.size());
+    EXPECT_EQ(server.openConnections(), 0);
+  }
+  EXPECT_EQ(openSockets(), before);
 }
 
 TEST(Client, RoundTripsLineJsonAndEpb1Frames) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/study.hpp"
 #include "core/tuner.hpp"
 #include "core/watchdog.hpp"
@@ -2903,6 +2904,186 @@ TEST(Broker, PrometheusExpositionPinnedOverBothDevices) {
   text.replace(info + 1, text.find('\n', info + 1) - info - 1,
                "ep_build_info{...} 1");
   EXPECT_EQ(text, kPinnedExposition);
+}
+
+// --- inline execution: a model-direct broker runs cold studies on the
+// submitting thread ---
+//
+// Together these two tests are the seed of a differential oracle over
+// the serving path: one pins answers across the inline/pooled split,
+// the other the one promise the split must keep across threads.
+
+// The same engine behind a decorator that keeps TuningEngine's default
+// runsInline() == false, so a broker over it runs every cold study on
+// its pool.
+class PooledEngine final : public TuningEngine {
+ public:
+  explicit PooledEngine(std::shared_ptr<const TuningEngine> inner)
+      : inner_(std::move(inner)) {}
+  std::uint64_t tuningHash(Device d) const override {
+    return inner_->tuningHash(d);
+  }
+  core::WorkloadResult evaluate(Device d, int n,
+                                ThreadPool* pool) const override {
+    return inner_->evaluate(d, n, pool);
+  }
+
+ private:
+  std::shared_ptr<const TuningEngine> inner_;
+};
+
+// A tune stream shaped like e2ebench's miss_json: Zipf(1) popularity
+// over a seeded ranking of 256 keys (128 distinct multiples of 64 in
+// [1024, 16320] per device), each request with one of three budgets.
+std::vector<TuneRequest> missJsonStream(std::uint64_t seed,
+                                        std::size_t length) {
+  Rng rng(seed);
+  std::vector<TuneRequest> keys;
+  for (const Device d : {Device::P100, Device::K40c}) {
+    std::vector<int> grid(240);
+    for (int i = 0; i < 240; ++i) grid[i] = 1024 + 64 * i;
+    for (std::size_t i = 0; i < 128; ++i) {
+      std::swap(grid[i], grid[rng.uniformInt(i, grid.size() - 1)]);
+      keys.push_back(tuneReq(grid[i], 0.0, 0.0, d));
+    }
+  }
+  for (std::size_t i = keys.size() - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.uniformInt(0, i)]);
+  }
+  std::vector<double> cdf;
+  double sum = 0.0;
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    sum += 1.0 / static_cast<double>(r + 1);
+    cdf.push_back(sum);
+  }
+  constexpr double kBudgets[] = {0.05, 0.11, 0.20};
+  std::vector<TuneRequest> stream;
+  for (std::size_t i = 0; i < length; ++i) {
+    const auto rank = static_cast<std::size_t>(
+        std::upper_bound(cdf.begin(), cdf.end(), rng.uniform(0.0, sum)) -
+        cdf.begin());
+    TuneRequest r = keys[std::min(rank, keys.size() - 1)];
+    r.maxDegradation = kBudgets[rng.uniformInt(0, 2)];
+    stream.push_back(r);
+  }
+  return stream;
+}
+
+// Every response of `stream`, replayed in batches of 8 (each answered
+// before the next is submitted), as line JSON with the ledger.
+std::vector<std::string> replayInBatches(Broker& broker,
+                                         const std::vector<TuneRequest>& stream) {
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < stream.size(); at += 8) {
+    const std::size_t count = std::min<std::size_t>(8, stream.size() - at);
+    BatchCollector collect(count);
+    std::vector<Broker::TuneBatchItem> items;
+    for (std::size_t i = 0; i < count; ++i) {
+      items.push_back(collect.item(i, stream[at + i]));
+    }
+    broker.submitTuneBatch(std::move(items));
+    collect.waitAll();
+    for (const TuneResponse& r : collect.responses) {
+      lines.push_back(wire::encodeTuneResponse(r, "", /*withReport=*/true));
+    }
+  }
+  return lines;
+}
+
+TEST(BrokerInline, InlineAnswersEqualPooledAnswers) {
+  auto engine = std::make_shared<EpStudyEngine>();
+  auto pooled = std::make_shared<PooledEngine>(engine);
+  EpStudyEngineOptions metered;
+  metered.useMeter = true;
+  ASSERT_TRUE(engine->runsInline());
+  ASSERT_FALSE(pooled->runsInline());
+  ASSERT_FALSE(EpStudyEngine(metered).runsInline());
+
+  // The fake clock pins every latency to 0 ms, so whole responses and
+  // whole expositions compare.
+  FakeClock clock;
+  BrokerOptions opts;
+  opts.threads = 2;
+  opts.cacheCapacity = 64;
+  opts.clock = clock.fn();
+  Broker inlineBroker(engine, opts);
+  Broker pooledBroker(pooled, opts);
+
+  const std::vector<TuneRequest> stream = missJsonStream(0x3155AB1Eu, 2048);
+  const std::vector<std::string> a = replayInBatches(inlineBroker, stream);
+  const std::vector<std::string> b = replayInBatches(pooledBroker, stream);
+  ASSERT_EQ(a.size(), stream.size());
+  ASSERT_EQ(b.size(), stream.size());
+  const auto diff = std::mismatch(a.begin(), a.end(), b.begin());
+  EXPECT_TRUE(diff.first == a.end())
+      << "request " << (diff.first - a.begin()) << ":\n  inline " << *diff.first
+      << "\n  pooled " << *diff.second;
+
+  const ServeMetrics mi = inlineBroker.metrics();
+  const ServeMetrics mp = pooledBroker.metrics();
+  EXPECT_EQ(mi.accepted, mp.accepted);
+  EXPECT_EQ(mi.completed, mp.completed);
+  EXPECT_EQ(mi.studiesExecuted, mp.studiesExecuted);
+  EXPECT_EQ(mi.cacheHits, mp.cacheHits);
+  EXPECT_EQ(mi.cacheEvictions, mp.cacheEvictions);
+  // The stream exercises what miss_json does: hits, cold studies and
+  // evictions, all answered.
+  EXPECT_EQ(mi.completed, stream.size());
+  EXPECT_GT(mi.cacheHits, 0u);
+  EXPECT_GT(mi.studiesExecuted, 0u);
+  EXPECT_GT(mi.cacheEvictions, 0u);
+  // The rest of the registry — the energy ledger included — too.
+  EXPECT_EQ(inlineBroker.renderPrometheus(), pooledBroker.renderPrometheus());
+}
+
+// FakeEngine (gated, counted), but run inline by the broker.
+class InlineFakeEngine final : public FakeEngine {
+ public:
+  using FakeEngine::FakeEngine;
+  bool runsInline() const override { return true; }
+};
+
+TEST(BrokerInline, InFlightKeyIsJoinedWithoutBlockingTheSubmitter) {
+  auto engine = std::make_shared<InlineFakeEngine>(/*gated=*/true);
+  Broker broker(engine, BrokerOptions{});
+
+  // Thread A runs the cold study inline and is held inside evaluate().
+  std::future<TuneResponse> first;
+  std::thread a([&] { first = broker.submitTune(tuneReq(42)); });
+  engine->waitEntered();
+
+  // Thread B submits the same key: it must join A's study as a waiter
+  // and return at once — never block on a study A owns.
+  BatchCollector collect(1);
+  std::vector<Broker::TuneBatchItem> items;
+  items.push_back(collect.item(0, tuneReq(42, 0.2)));
+  auto b = std::async(std::launch::async, [&broker, &items] {
+    broker.submitTuneBatch(std::move(items));
+  });
+  const bool returned =
+      b.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "submitTuneBatch blocked on another thread's study";
+  EXPECT_EQ(collect.futures[0].wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+
+  // Releasing A answers both, from the one evaluate().
+  engine->release();
+  a.join();
+  b.wait();
+  collect.waitAll();
+  const TuneResponse owner = first.get();
+  EXPECT_EQ(owner.status, Status::Ok);
+  EXPECT_FALSE(owner.coalesced);
+  EXPECT_EQ(owner.report.studiesExecuted, 1u);
+  EXPECT_EQ(collect.responses[0].status, Status::Ok);
+  EXPECT_TRUE(collect.responses[0].coalesced);
+  EXPECT_EQ(collect.responses[0].report.studiesExecuted, 0u);
+  EXPECT_EQ(engine->calls(), 1);
+  EXPECT_EQ(engine->lastPool(), nullptr);  // an inline broker has no pool
+  const ServeMetrics m = broker.metrics();
+  EXPECT_EQ(m.studiesExecuted, 1u);
+  EXPECT_EQ(m.coalesced, 1u);
+  EXPECT_EQ(m.completed, 2u);
 }
 
 }  // namespace

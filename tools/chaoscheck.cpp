@@ -100,7 +100,7 @@ std::unique_ptr<WiredFleet> wireFleet(
   std::vector<FleetShardConfig> cfgs;
   for (int i = 0; i < 3; ++i) {
     FleetShardConfig c;
-    c.id = "w" + std::to_string(i);
+    c.id.append("w").append(std::to_string(i));
     c.engine = wf->engine;
     c.broker.threads = 2;
     c.broker.queueCapacity = 128;
@@ -291,7 +291,7 @@ void phaseSelfHealing() {
     auto ce = std::make_shared<ep::chaos::ChaosEngine>(inner, ceo);
     chaosEngines.push_back(ce);
     FleetShardConfig c;
-    c.id = "h" + std::to_string(i);
+    c.id.append("h").append(std::to_string(i));
     c.engine = ce;
     c.broker.threads = 2;
     c.broker.queueCapacity = 128;
@@ -432,18 +432,29 @@ void phaseOverload() {
   bo.admission.maxLimit = 8;
   ep::serve::Broker broker(engine, bo);
 
-  // Offered load far above the admission limit: distinct cold keys so
-  // neither the cache nor coalescing absorbs the burst.
+  // Offered load far above the admission limit, in one batch (as one
+  // epoll round hands it over): distinct cold keys so neither the cache
+  // nor coalescing absorbs the burst.  One batch is admitted as a whole
+  // before any member runs, so the burst meets the limit whether the
+  // engine's studies run inline (model-direct) or on the pool.
   const int burst = 64;
   std::vector<std::future<ep::serve::TuneResponse>> futures;
+  std::vector<ep::serve::Broker::TuneBatchItem> items;
   futures.reserve(burst);
+  items.reserve(burst);
   for (int i = 0; i < burst; ++i) {
-    ep::serve::TuneRequest req;
-    req.device = Device::P100;
-    req.n = 512 + i * 32;
-    req.maxDegradation = 0.11;
-    futures.push_back(broker.submitTune(req));
+    ep::serve::Broker::TuneBatchItem item;
+    item.req.device = Device::P100;
+    item.req.n = 512 + i * 32;
+    item.req.maxDegradation = 0.11;
+    auto promise = std::make_shared<std::promise<ep::serve::TuneResponse>>();
+    futures.push_back(promise->get_future());
+    item.done = [promise](ep::serve::TuneResponse&& resp) {
+      promise->set_value(std::move(resp));
+    };
+    items.push_back(std::move(item));
   }
+  broker.submitTuneBatch(std::move(items));
   int ok = 0;
   int overloaded = 0;
   int other = 0;
@@ -594,7 +605,7 @@ double traceJoules(ep::fleet::PolicyKind policy) {
   std::vector<FleetShardConfig> cfgs;
   for (int i = 0; i < 3; ++i) {
     FleetShardConfig c;
-    c.id = "p" + std::to_string(i);
+    c.id.append("p").append(std::to_string(i));
     c.engine = engine;
     c.broker.threads = 2;
     c.broker.queueCapacity = 128;

@@ -11,9 +11,12 @@
 #   tools/ci.sh --fast   # skip the sanitizer configurations
 #
 # The primary build already compiles everything with -Wall -Wextra via
-# the epsim_warnings interface target; the sanitizer configurations add
-# -Werror on top so new warnings fail CI without polluting the cached
-# options of the default build directory.
+# the epsim_warnings interface target; the Release -march=native build
+# and the sanitizer configurations add -Werror on top so new warnings
+# fail CI without polluting the cached options of the default build
+# directory.  The Release build compiles every target: some warnings
+# (GCC's -Wrestrict on inlined string concatenation) appear only at -O3,
+# which the -O1 sanitizer builds never see.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -44,6 +47,20 @@ stop_daemon() {
   wait "${SERVED_PID}" 2>/dev/null || true
   trap - EXIT
   rm -f "${DAEMON_LOG}"
+}
+
+# Net smoke loads, parameterised on the build flavour: a line-JSON load
+# and a pipelined EPB1 load, each over four connections, against a
+# daemon started with --threads 2 -- so both event loops carry traffic
+# (the acceptor deals connections 2:2), run model-direct studies
+# inline, and answer coalesced followers whose connection another loop
+# owns.  Both must complete with zero errors.
+net_loads() {
+  local BUILD_DIR="$1"
+  "./${BUILD_DIR}/tools/epctl" load --port "${PORT}" --requests 64 --n 256 \
+    --connections 4 >/dev/null
+  "./${BUILD_DIR}/tools/epctl" load --port "${PORT}" --requests 512 \
+    --n 256 --binary --pipeline 32 --connections 4
 }
 
 # Profiler smoke drill, parameterised on the build flavour.  Arms the
@@ -115,16 +132,12 @@ start_daemon build --threads 2 --watchdog
 ./build/tools/epctl watch --port "${PORT}" --check
 stop_daemon
 
-echo "== net smoke: epoll event loop serves line-JSON and EPB1 binary =="
+echo "== net smoke: two event loops serve line-JSON and EPB1 binary =="
 # The same daemon, two wire protocols negotiated per connection by the
 # first byte: a plain line-JSON client (the pre-event-loop wire format,
-# unchanged) and an EPB1 binary client with batched pipelining.  Both
-# must complete with zero errors against a multi-threaded event loop.
-start_daemon build --threads 2 --event-threads 2
-./build/tools/epctl load --port "${PORT}" --requests 64 --n 256 \
-  --connections 2 >/dev/null
-./build/tools/epctl load --port "${PORT}" --requests 512 --n 256 \
-  --binary --pipeline 32 --connections 2
+# unchanged) and an EPB1 binary client with batched pipelining.
+start_daemon build --threads 2
+net_loads build
 # --device reaches the engine it names over EPB1 too: a binary K40c load
 # must move the K40c energy ledger, not P100's.
 ./build/tools/epctl load --port "${PORT}" --requests 1 --n 512 \
@@ -137,10 +150,11 @@ stop_daemon
 
 echo "== fleet smoke: shard kill -> stale serve -> clean recovery =="
 # Three in-process shards behind the energy-aware router (epserved
-# --shards 3, two broker workers per shard).  Warm a key spread, kill
-# one shard, and require at least one wire response served from the
-# replica (flagged "stale":true); after revival fleetcheck --check must
-# see every shard alive and the cluster fronts consistent.
+# --shards 3, two event threads running every shard's studies inline).
+# Warm a key spread, kill one shard, and require at least one wire
+# response served from the replica (flagged "stale":true); after
+# revival fleetcheck --check must see every shard alive and the cluster
+# fronts consistent.
 ./build/tools/fleetcheck
 # --health-probe-ms arms the background health monitor; the manual
 # kill below must stay killed (the monitor never resurrects an
@@ -252,12 +266,12 @@ profiler_drill build
 # The noise path, the meter and the models are pinned bit for bit; a
 # host with FMA lets -march=native fuse a*b + c, which the build's
 # -ffp-contract=off must keep out.
+echo "== Release -march=native -Werror: every target =="
+cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release -DEPSIM_WERROR=ON \
+  -DCMAKE_CXX_FLAGS="-march=native"
+cmake --build build-native -j "${JOBS}"
 if grep -qw fma /proc/cpuinfo; then
   echo "== -march=native: bit-for-bit suites with FMA available =="
-  cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release \
-    -DCMAKE_CXX_FLAGS="-march=native"
-  cmake --build build-native -j "${JOBS}" --target test_common test_power \
-    test_apps test_hw_gpu test_reproduction
   ./build-native/tests/test_common
   ./build-native/tests/test_power
   ./build-native/tests/test_apps
@@ -292,15 +306,23 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_apps
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_fleet
 # test_net runs the epoll event loop end to end: event threads racing
 # the broker pool on respond(), eviction racing writes, stop() racing
-# in-flight connections.
+# in-flight and dealt-but-unadopted connections.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_net
 # test_chaos hammers the retry budget from coalesced callers and runs
 # the faulty transport against a live server (reconnects racing the
 # event loop's eviction path).
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_chaos
+# Live daemon without --meter under TSan: model-direct studies run
+# inline on two event threads, coalesced completions cross loops, and
+# loop 1 adopts the connections the acceptor deals it.  A race kills
+# the daemon (halt_on_error), which fails the loads.
+export TSAN_OPTIONS="halt_on_error=1"
+echo "== net smoke under TSan: two event loops, inline studies =="
+start_daemon build-tsan --threads 2
+net_loads build-tsan
+stop_daemon
 # Live-daemon profiler drill under TSan: the SIGPROF handler racing the
 # aggregator thread and the broker pool is exactly what TSan is for.
-export TSAN_OPTIONS="halt_on_error=1"
 profiler_drill build-tsan
 unset TSAN_OPTIONS
 

@@ -1,20 +1,23 @@
 // epserved — the epserve TCP daemon: one Broker, or with --shards N > 1
 // a fleet of N broker shards behind one energy-aware FleetRouter.
 //
-// Mounts net::Server (edge-triggered epoll event loop, SO_REUSEPORT
-// sharding, cross-connection request batching) over the backend.  Two
-// wire framings share the port, picked per connection by the first
-// byte:
+// Mounts net::Server (edge-triggered epoll event loops fed by one
+// round-robin acceptor, cross-connection request batching) over the
+// backend.  Two wire framings share the port, picked per connection by
+// the first byte:
 //   * line-delimited JSON (see serve/wire.hpp),
 //   * EPB1 binary framing (see net/frame.hpp) carrying either compact
 //     binary tune frames or the full JSON vocabulary tunneled.
 // Every tune request drained in one epoll round — across all
 // connections — is admitted through ONE submitTuneBatch call: the
 // broker's, or the router's, which routes lock-free and hands each
-// shard its members in one Broker::submitTuneBatch.
+// shard its members in one Broker::submitTuneBatch.  Without --meter
+// the engine runs inline, so that call also runs the round's cold
+// studies, tunes and encodes their answers on the event thread; with
+// --meter the studies go to the broker's worker pool.
 //
 // Usage:
-//   epserved [--port P] [--threads T] [--event-threads E] [--queue Q]
+//   epserved [--port P] [--threads T] [--queue Q]
 //            [--cache C] [--deadline-ms D] [--meter] [--seed S]
 //            [--tracing] [--watchdog] [--scrape-ms MS]
 //            [--slo SPEC]... [--slo-window L:S:B]...
@@ -23,8 +26,11 @@
 //     N > 1: [--policy rr|queue|energy] [--vnodes V] [--health-probe-ms MS]
 //
 // --port 0 picks an ephemeral port; the chosen one is printed either
-// way so scripts (and epctl) can parse it.  --threads counts
-// broker workers, per shard when N > 1 (0 = one per hardware thread).
+// way so scripts (and epctl) can parse it.  --threads T (0 = one per
+// hardware thread) runs T event threads; with --meter each broker
+// (per shard when N > 1) also gets a pool of T workers for its metered
+// studies.  Study sweeps ({"op":"study"}) leave the event threads for a
+// one-thread slow-op pool either way.
 // SIGINT/SIGTERM drain in-flight work before exiting and print the
 // final metrics (the fleet snapshot when N > 1).  A flag that would do
 // nothing in the chosen mode is a usage error.
@@ -77,6 +83,7 @@
 // for its front check, and answers {"op":"metrics"} with its snapshot.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -119,7 +126,7 @@ void handleStopSignal(int) {
 }
 
 constexpr char kUsage[] =
-    "usage: epserved [--port P] [--threads T] [--event-threads E]"
+    "usage: epserved [--port P] [--threads T]"
     " [--queue Q] [--cache C] [--deadline-ms D] [--meter] [--seed S]"
     " [--tracing] [--watchdog] [--scrape-ms MS] [--slo SPEC]..."
     " [--slo-window L:S:B]... [--shards N]\n"
@@ -130,8 +137,9 @@ constexpr char kUsage[] =
 
 struct Args {
   std::uint16_t port = 7070;
-  std::size_t threads = 0;  // broker workers (per shard); 0 = hardware
-  std::size_t eventThreads = 1;
+  // Event threads, and with --meter also workers per broker pool;
+  // 0 = hardware.
+  std::size_t threads = 0;
   std::size_t queue = 64;
   std::size_t cache = 128;
   double deadlineMs = 0.0;
@@ -199,8 +207,6 @@ bool parseArgs(int argc, char** argv, Args* out) {
       ok = parseNumber<std::uint16_t>(v, 0, 65535, &out->port);
     } else if (a == "--threads") {
       ok = parseNumber<std::size_t>(v, 0, kMaxThreads, &out->threads);
-    } else if (a == "--event-threads") {
-      ok = parseNumber<std::size_t>(v, 1, kMaxThreads, &out->eventThreads);
     } else if (a == "--queue") {
       ok = parseNumber<std::size_t>(v, 1, kMaxCount, &out->queue);
     } else if (a == "--cache") {
@@ -484,8 +490,12 @@ int main(int argc, char** argv) {
         std::make_unique<ep::core::PowerAnomalyWatchdog>(wdOpts));
     return plane.watchdogs.back().second.get();
   };
+  const std::size_t threads =
+      args.threads != 0
+          ? args.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   ep::serve::BrokerOptions brokerOpts;
-  brokerOpts.threads = args.threads;
+  brokerOpts.threads = threads;
   brokerOpts.queueCapacity = args.queue;
   brokerOpts.cacheCapacity = args.cache;
   brokerOpts.defaultDeadlineMs = args.deadlineMs;
@@ -573,7 +583,7 @@ int main(int argc, char** argv) {
 
   ep::net::ServerOptions netOpts;
   netOpts.port = args.port;
-  netOpts.eventThreads = args.eventThreads;
+  netOpts.eventThreads = threads;
   // Keep the ep_net_* transport family on the process registry the
   // {"op":"metrics"} handler renders (servers default to a private
   // per-instance registry now).
@@ -589,11 +599,8 @@ int main(int argc, char** argv) {
   if (fleet) {
     std::cout << "shards=" << args.shards << " ";
   }
-  std::cout << "threads=" << (args.threads == 0
-                                  ? std::thread::hardware_concurrency()
-                                  : args.threads)
-            << " event-threads=" << args.eventThreads
-            << " queue=" << args.queue << " cache=" << args.cache;
+  std::cout << "threads=" << threads << " queue=" << args.queue
+            << " cache=" << args.cache;
   if (fleet) {
     std::cout << " policy=" << ep::fleet::policyName(args.policy)
               << " vnodes=" << args.vnodes;

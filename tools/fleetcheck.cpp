@@ -67,7 +67,7 @@ int runDrill() {
   std::vector<FleetShardConfig> cfgs;
   for (int i = 0; i < 3; ++i) {
     FleetShardConfig c;
-    c.id = "s" + std::to_string(i);
+    c.id.append("s").append(std::to_string(i));
     c.engine = engine;
     c.broker.threads = 2;
     c.broker.queueCapacity = 128;
@@ -168,7 +168,7 @@ int runHeteroDrill() {
   std::vector<FleetShardConfig> cfgs;
   for (int i = 0; i < 3; ++i) {
     FleetShardConfig c;
-    c.id = "g" + std::to_string(i);
+    c.id.append("g").append(std::to_string(i));
     c.engine = engine;
     c.broker.threads = 2;
     c.broker.queueCapacity = 128;
