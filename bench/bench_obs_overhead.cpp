@@ -3,25 +3,16 @@
 // The acceptance bar (EXPERIMENTS.md): a disabled Span and a Counter
 // increment must each cost < 20 ns, so instrumentation can stay
 // compiled into the study pipeline and thread pool unconditionally.
-//
-// Custom main: before the google-benchmark suite runs, the four
-// load-bearing overheads (disabled span, enabled span, counter inc,
-// trace-context install/restore) are timed with a plain steady_clock
-// loop and written to BENCH_obs.json, so the instrumentation-cost
-// trajectory is tracked across PRs like the scaling benches.
+// These are nanosecond costs of single operations; what instrumentation
+// costs a served request is an end-to-end question for e2ebench.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <future>
-#include <vector>
+#include <string>
 
-#include "bench_util.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "obs/tsdb.hpp"
-#include "serve/broker.hpp"
-#include "serve/engine.hpp"
 
 namespace {
 
@@ -190,198 +181,29 @@ void BM_CounterIncScraperOn(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterIncScraperOn);
 
-// --- BENCH_obs.json: the machine-readable overhead record ---
-
-using BenchClock = std::chrono::steady_clock;
-
-template <typename Fn>
-double nsPerOp(std::uint64_t iters, Fn&& fn) {
-  for (std::uint64_t i = 0; i < iters / 10; ++i) fn();  // warm up
-  const auto t0 = BenchClock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) fn();
-  const auto t1 = BenchClock::now();
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                 .count()) /
-         static_cast<double>(iters);
-}
-
-ep::bench::BenchRecord record(const std::string& name, double ns) {
-  ep::bench::BenchRecord r;
-  r.name = name;
-  r.threads = 1;
-  r.nsPerOp = ns;
-  r.itemsPerSecond = ns > 0.0 ? 1e9 / ns : 0.0;
-  return r;
-}
-
-void writeOverheadJson() {
-  Tracer& t = Tracer::global();
-  std::vector<ep::bench::BenchRecord> records;
-
-  t.setEnabled(false);
-  records.push_back(record("span/disabled", nsPerOp(20'000'000u, [] {
-    Span span("bench/json_disabled");
-    benchmark::DoNotOptimize(&span);
-  })));
-
-  t.setEnabled(true);
-  t.clear();
-  records.push_back(record("span/enabled", nsPerOp(2'000'000u, [] {
-    Span span("bench/json_enabled");
-    benchmark::DoNotOptimize(&span);
-  })));
-  t.setEnabled(false);
-  t.clear();
-
-  Registry registry;
-  Counter& c = registry.counter("bench_json_counter_total", "bench");
-  records.push_back(record("counter/inc", nsPerOp(20'000'000u, [&c] {
-    c.inc();
-  })));
-  benchmark::DoNotOptimize(c.value());
-
-  const TraceContext ctx{0xBEEFu, 42u};
-  records.push_back(
-      record("context/install_restore", nsPerOp(20'000'000u, [&ctx] {
-        ScopedTraceContext scope(ctx);
-        benchmark::DoNotOptimize(&scope);
-      })));
-
-  {
-    Registry scrapeRegistry;
-    populateRegistry(scrapeRegistry, 1000);
-    ep::obs::TimeSeriesStore store;
-    std::int64_t now = 0;
-    ep::obs::Scraper::Options opts;
-    opts.clock = [&now] { return now += 1'000'000; };
-    ep::obs::Scraper scraper(
-        &store, [&scrapeRegistry] { return scrapeRegistry.snapshot(); },
-        opts);
-    records.push_back(record("scrape/1k_series", nsPerOp(2'000u, [&scraper] {
-      scraper.scrapeOnce();
-    })));
-  }
-
-  {
-    Registry hotRegistry;
-    populateRegistry(hotRegistry, 1000);
-    Counter& hot = hotRegistry.counter("bench_json_hot_total", "bench");
-    ep::obs::TimeSeriesStore store;
-    ep::obs::Scraper::Options opts;
-    opts.intervalMs = 1;
-    ep::obs::Scraper scraper(
-        &store, [&hotRegistry] { return hotRegistry.snapshot(); }, opts);
-    scraper.start();
-    records.push_back(
-        record("counter/inc_scraper_on", nsPerOp(20'000'000u, [&hot] {
-          hot.inc();
-        })));
-    scraper.stop();
-    benchmark::DoNotOptimize(hot.value());
-  }
-
-  // --- epprof section (the PR 10 acceptance record) ---
-  //
-  // Frame-push micro-costs first: disarmed, a ProfileFrame is one
-  // relaxed load and a branch (the "profiler-off is free" claim), and
-  // armed it adds two relaxed stores.
-  ep::obs::Profiler& prof = ep::obs::Profiler::global();
-  records.push_back(record("profile_frame/disarmed", nsPerOp(20'000'000u, [] {
+// Profiler frame push/pop.  Disarmed, a ProfileFrame is one relaxed
+// load and a branch (the "profiler-off is free" claim); armed, it adds
+// two relaxed stores.
+void BM_ProfileFrameDisarmed(benchmark::State& state) {
+  for (auto _ : state) {
     ep::obs::ProfileFrame frame("bench/frame_disarmed");
     benchmark::DoNotOptimize(&frame);
-  })));
-  {
-    ep::obs::ProfilerOptions popts;
-    popts.cpuSampling = false;  // arm the gate without SIGPROF noise
-    prof.start(popts);
-    records.push_back(record("profile_frame/armed", nsPerOp(20'000'000u, [] {
-      ep::obs::ProfileFrame frame("bench/frame_armed");
-      benchmark::DoNotOptimize(&frame);
-    })));
-    prof.stop();
-    prof.clear();
   }
+}
+BENCHMARK(BM_ProfileFrameDisarmed);
 
-  // The gated end-to-end number: warm-hit serve throughput with the
-  // profiler off, then armed at the default always-on rate (10 ms CPU
-  // per sample, 100 Hz per busy thread).  The armed tax must stay
-  // within 5 % for "always-on" to be an honest default.
-  auto engine = std::make_shared<ep::serve::EpStudyEngine>();
-  ep::serve::BrokerOptions bopts;
-  bopts.threads = 4;
-  constexpr int kRequests = 4000;
-  bopts.queueCapacity = kRequests + 16;
-  ep::serve::Broker broker(engine, bopts);
-  const std::vector<int> sizes = {8192, 9216, 10240, 11264};
-  {
-    ep::serve::TuneRequest treq;
-    treq.device = ep::serve::Device::P100;
-    treq.maxDegradation = 0.11;
-    for (int n : sizes) {  // warm the front cache: steady serving state
-      treq.n = n;
-      (void)broker.tune(treq);
-    }
+void BM_ProfileFrameArmed(benchmark::State& state) {
+  ep::obs::Profiler& prof = ep::obs::Profiler::global();
+  ep::obs::ProfilerOptions opts;
+  opts.cpuSampling = false;  // arm the gate without SIGPROF noise
+  prof.start(opts);
+  for (auto _ : state) {
+    ep::obs::ProfileFrame frame("bench/frame_armed");
+    benchmark::DoNotOptimize(&frame);
   }
-  const auto warmHitNsPerReq = [&broker, &sizes] {
-    ep::serve::TuneRequest treq;
-    treq.device = ep::serve::Device::P100;
-    treq.maxDegradation = 0.11;
-    std::vector<std::future<ep::serve::TuneResponse>> futures;
-    futures.reserve(kRequests);
-    const auto t0 = BenchClock::now();
-    for (int i = 0; i < kRequests; ++i) {
-      treq.n = sizes[static_cast<std::size_t>(i) % sizes.size()];
-      futures.push_back(broker.submitTune(treq));
-    }
-    for (auto& f : futures) (void)f.get();
-    const auto t1 = BenchClock::now();
-    return static_cast<double>(
-               std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                   .count()) /
-           static_cast<double>(kRequests);
-  };
-  // Same broker, same warm cache, one discarded pass per mode: the
-  // delta prices the profiler alone, not allocator or cache warm-up.
-  const auto bestOfThree = [&warmHitNsPerReq] {
-    (void)warmHitNsPerReq();
-    double best = warmHitNsPerReq();
-    for (int i = 0; i < 2; ++i) {
-      const double ns = warmHitNsPerReq();
-      if (ns < best) best = ns;
-    }
-    return best;
-  };
-  const double offNs = bestOfThree();
-  prof.start(ep::obs::ProfilerOptions{});
-  const double onNs = bestOfThree();
   prof.stop();
   prof.clear();
-  const double overheadPct = offNs > 0.0 ? (onNs - offNs) / offNs * 100.0
-                                         : 0.0;
-  records.push_back(record("serve/warm_hit_profiler_off", offNs));
-  records.push_back(record("serve/warm_hit_profiler_on", onNs));
-  ep::bench::BenchRecord gate;
-  gate.name = "profiler/warm_hit_overhead_pct";
-  gate.threads = 4;
-  gate.nsPerOp = overheadPct;  // percent, not ns: the gated ratio
-  gate.itemsPerSecond = 0.0;
-  records.push_back(gate);
-
-  ep::bench::writeBenchJson("BENCH_obs.json", "obs_overhead", records);
-  for (const auto& r : records) {
-    std::printf("%-32s %10.2f ns/op\n", r.name.c_str(), r.nsPerOp);
-  }
-  std::printf("profiler warm-hit overhead: %.2f%% %s\n", overheadPct,
-              overheadPct <= 5.0 ? "(PASS <= 5%)" : "(FAIL > 5%)");
 }
+BENCHMARK(BM_ProfileFrameArmed);
 
 }  // namespace
-
-int main(int argc, char** argv) {
-  writeOverheadJson();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}

@@ -70,7 +70,7 @@ struct FaultInjectionOptions {
   // salts.
   std::uint64_t streamSalt = 0xFA17ULL;
 
-  // The scripted campaign shape used by tools/faultcheck and the tests:
+  // The scripted campaign shape used by the tests and bench_fault_overhead:
   // `rate` is the per-sample corruption probability, with window-level
   // faults scaled down so a multi-sample window is not dominated by
   // timeouts.

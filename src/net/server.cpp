@@ -28,6 +28,13 @@ namespace {
 // respond() can route a completion without any shared lookup table.
 constexpr int kConnLoopShift = 48;
 
+// Pending connections the listener queues before accept().
+constexpr int kListenBacklog = 256;
+
+// Largest inbound frame a connection's decoder accepts; a longer one
+// is answered with a framing error and the connection closed.
+constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 20;
+
 }  // namespace
 
 struct Server::EventLoop {
@@ -202,7 +209,7 @@ struct Server::EventLoop {
       ::close(fd);
       return;
     }
-    auto conn = std::make_unique<Conn>(server->options_.maxFrameBytes);
+    auto conn = std::make_unique<Conn>(kMaxFrameBytes);
     conn->fd = fd;
     conn->id = id;
     connsById[id] = conn.get();
@@ -536,7 +543,7 @@ bool Server::start(std::string* error) {
              sizeof addr) != 0) {
     return failWith("bind");
   }
-  if (::listen(acceptor.listenFd, options_.backlog) != 0) {
+  if (::listen(acceptor.listenFd, kListenBacklog) != 0) {
     return failWith("listen");
   }
   // Ephemeral port: learn the kernel's pick for port().

@@ -76,8 +76,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; port() reports the choice
   std::size_t eventThreads = 1;
-  int backlog = 256;
-  std::size_t maxFrameBytes = std::size_t{1} << 20;
   // Slow-reader eviction threshold: pending unsent response bytes.
   std::size_t writeHighWaterBytes = std::size_t{8} << 20;
   // Metrics registry for the ep_net_* family.  nullptr = the server

@@ -119,7 +119,7 @@ struct RobustnessOptions {
 
 // Validate one recorded trace against the instrument fault model; on
 // rejection returns false and (if non-null) points *reason at a static
-// description.  Exposed for tests and the faultcheck tool.
+// description.  Exposed for tests.
 [[nodiscard]] bool validateTrace(const PowerTrace& trace,
                                  const TraceValidation& options,
                                  const char** reason = nullptr);
@@ -129,7 +129,7 @@ struct RobustnessOptions {
 // bracketing sample is repaired (nearest good reading held) instead of
 // dropped so the integration window stays covered.  Returns how many
 // samples were corrupted.  A no-op on any trace a fault-free instrument
-// can produce.  Exposed for tests and the faultcheck tool.
+// can produce.  Exposed for tests.
 std::size_t sanitizeTrace(
     PowerTrace& trace,
     double maxPlausibleWatts = std::numeric_limits<double>::infinity());

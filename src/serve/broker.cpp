@@ -177,12 +177,23 @@ Broker::TuneAdmission Broker::admitTuneLocked(const TuneJobPtr& job) {
     return a;
   }
   const StudyKey key = keyFor(job->req.device, job->req.n);
-  if (auto hit = cache_.get(key)) {
+  if (auto hit = cache_.find(key)) {
+    cache_.countLookup(true);
     cAccepted_.inc();
     a.act = TuneAdmission::Act::CompleteHit;
     a.result = *hit;
     return a;
   }
+  a = admitColdTuneLocked(job, key);
+  // One lookup per tune: a queued job's is counted when it runs, since
+  // the cache may answer it by then.
+  if (a.act != TuneAdmission::Act::Queued) cache_.countLookup(false);
+  return a;
+}
+
+Broker::TuneAdmission Broker::admitColdTuneLocked(const TuneJobPtr& job,
+                                                  const StudyKey& key) {
+  TuneAdmission a;
   if (auto it = inFlight_.find(key); it != inFlight_.end()) {
     // The futures map: join the in-flight computation instead of
     // queueing a duplicate study.
@@ -453,6 +464,7 @@ void Broker::runTuneJob(const TuneJobPtr& job) {
   ++activeJobs_;
 
   if (now() > job->deadline) {
+    cache_.countLookup(false);
     lk.unlock();
     rejectTune(job, Status::DeadlineExceeded, "");
     lk.lock();
@@ -480,16 +492,15 @@ void Broker::runTuneJob(const TuneJobPtr& job) {
   }
 
   // Still under the acquisition that saw the key neither cached nor in
-  // flight: obtainStudy claims it (or answers from the breaker path)
+  // flight: computeStudy claims it (or answers from the breaker path)
   // and never block-joins, so a submitting event thread never waits on
   // a study that another thread owns.
-  bool cacheHit = false;
-  bool coalesced = false;
   try {
     const StudyOutcome outcome =
-        obtainStudy(lk, job->req.device, job->req.n, &cacheHit, &coalesced);
-    completeTune(job, outcome.result, cacheHit, coalesced, outcome.stale,
-                 outcome.attr, outcome.executed);
+        computeStudy(lk, job->req.device, job->req.n, key);
+    completeTune(job, outcome.result, /*cacheHit=*/false,
+                 /*coalesced=*/false, outcome.stale, outcome.attr,
+                 outcome.executed);
   } catch (const BreakerOpenError& e) {
     rejectTune(job, Status::CircuitOpen, e.what());
   } catch (...) {
@@ -612,7 +623,12 @@ Broker::StudyOutcome Broker::obtainStudy(std::unique_lock<std::mutex>& lk,
     joined.attr = {};
     return joined;
   }
+  return computeStudy(lk, device, n, key);
+}
 
+Broker::StudyOutcome Broker::computeStudy(std::unique_lock<std::mutex>& lk,
+                                          Device device, int n,
+                                          const StudyKey& key) {
   // Breaker admission sits right before claiming the computation, so
   // every allow() == true is balanced by exactly one onSuccess()/
   // onFailure() below (cache hits and coalesced joins never consume

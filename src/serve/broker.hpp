@@ -225,7 +225,12 @@ class Broker {
     Status status = Status::Ok;
     const char* error = "";
   };
+  // Counts the job's one cache lookup, unless it queues: runTuneJob
+  // counts that one.
   [[nodiscard]] TuneAdmission admitTuneLocked(const TuneJobPtr& job);
+  // The verdict for a valid tune the cache did not answer.
+  [[nodiscard]] TuneAdmission admitColdTuneLocked(const TuneJobPtr& job,
+                                                  const StudyKey& key);
   // The unlocked half: perform what admitTuneLocked decided (except
   // Queued, whose execution the caller owns so batches share one).
   void settleAdmission(const TuneJobPtr& job, const TuneAdmission& a);
@@ -266,16 +271,20 @@ class Broker {
                    Clock::time_point submitted, Clock::time_point deadline,
                    const std::shared_ptr<std::promise<StudyResponse>>& promise);
 
-  // Compute (or join) the study for one key.  Called with `lk` holding
-  // mu_; returns (or throws) with it released.  Blocks on another
-  // thread's in-flight computation only if the caller has not already
-  // ruled that out under the same `lk`, as runTuneJob does.  Counts
-  // hits/coalescing into the metrics; throws on engine failure with no
-  // stale fallback, BreakerOpenError when the breaker rejects and
-  // nothing stale is available.
+  // One size of a study sweep: answer from the cache (one counted
+  // lookup), block-join another thread's in-flight study, or compute.
+  // Called with `lk` holding mu_; returns (or throws) with it released.
   [[nodiscard]] StudyOutcome obtainStudy(std::unique_lock<std::mutex>& lk,
                                          Device device, int n, bool* cacheHit,
                                          bool* coalesced);
+  // Claim and run the study for a key the caller saw neither cached
+  // nor in flight under `lk` (held on entry, released on return or
+  // throw), or answer it from the breaker path.  Throws on engine
+  // failure with no stale fallback, BreakerOpenError when the breaker
+  // rejects and nothing stale is available.
+  [[nodiscard]] StudyOutcome computeStudy(std::unique_lock<std::mutex>& lk,
+                                          Device device, int n,
+                                          const StudyKey& key);
 
   // Fulfill a tune job from a completed study (cheap tuner step).
   // `attribution`/`executed` carry the owner's energy ledger entry;

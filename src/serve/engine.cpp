@@ -67,7 +67,7 @@ core::GpuEpStudy makeStudy(const hw::GpuSpec& spec,
   appOpts.faults = opts.faults;
   if (opts.faults.enabled) {
     // A fault-injected service should degrade per config, not fail the
-    // whole study: skip-and-record + the faultcheck hardening profile
+    // whole study: skip-and-record + the fault-campaign hardening profile
     // keep the serve path answering.  Note the hardened tiers repair
     // spikes/drops/drift but are structurally blind to a constant
     // offset — that one only the watchdog's decomposition catches.

@@ -36,15 +36,22 @@ class LruCache {
 
   // Lookup; promotes the entry to most-recent and counts a hit/miss.
   [[nodiscard]] std::optional<Value> get(const Key& key) {
+    std::optional<Value> value = find(key);
+    countLookup(value.has_value());
+    return value;
+  }
+
+  // Lookup that promotes like get() but counts nothing: for an owner
+  // that counts the lookup with countLookup() once it knows whether
+  // the cache answered.
+  [[nodiscard]] std::optional<Value> find(const Key& key) {
     auto it = index_.find(key);
-    if (it == index_.end()) {
-      ++misses_;
-      return std::nullopt;
-    }
-    ++hits_;
+    if (it == index_.end()) return std::nullopt;
     order_.splice(order_.begin(), order_, it->second);
     return it->second->second;
   }
+
+  void countLookup(bool hit) { ++(hit ? hits_ : misses_); }
 
   // Insert or overwrite; the entry becomes most-recent.  Evicts the
   // least-recently-used entry when full.

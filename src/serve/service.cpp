@@ -45,12 +45,10 @@ NetServiceHooks brokerHooks(Broker& broker) {
   return hooks;
 }
 
-NetService::NetService(NetServiceHooks hooks, NetServiceOptions options)
-    : hooks_(std::move(hooks)), options_(options) {
+NetService::NetService(NetServiceHooks hooks) : hooks_(std::move(hooks)) {
   EP_REQUIRE(hooks_.tuneBatch && hooks_.study && hooks_.control,
              "NetService needs all three hooks");
-  if (options_.slowOpThreads == 0) options_.slowOpThreads = 1;
-  slowPool_ = std::make_unique<ThreadPool>(options_.slowOpThreads);
+  slowPool_ = std::make_unique<ThreadPool>(1);
 }
 
 net::BatchHandler NetService::handler() {

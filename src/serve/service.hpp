@@ -13,8 +13,8 @@
 //     event thread, and a metered one takes one pool hop).
 //     Control ops (metrics, trace, events, tsdb, slo, fleet) render
 //     inline on the event thread — they are string renders, microseconds.
-//     Study sweeps run on a small slow-op pool so a multi-second sweep
-//     never stalls the event loop.
+//     Study sweeps run on a one-worker slow-op pool so a multi-second
+//     sweep never stalls the event loop.
 //   * Render each response exactly once into a refcounted buffer, in
 //     the framing the request arrived under (JSON line, EPB1/kOpJson,
 //     or EPB1/kOpTune), and respond() with the frame's (conn, seq) —
@@ -60,11 +60,6 @@ struct NetServiceHooks {
   std::function<std::string(const wire::WireRequest&)> control;
 };
 
-struct NetServiceOptions {
-  // Workers for blocking study sweeps (>= 1).
-  std::size_t slowOpThreads = 1;
-};
-
 // The Broker backend's tune and study hooks (control stays unset):
 // every tune of one round goes to ONE Broker::submitTuneBatch call,
 // and "device":"auto" is answered with an error — placing it needs a
@@ -73,14 +68,14 @@ struct NetServiceOptions {
 
 class NetService {
  public:
-  NetService(NetServiceHooks hooks, NetServiceOptions options = {});
+  explicit NetService(NetServiceHooks hooks);
 
   // The callback to construct net::Server with.  The NetService must
   // outlive the server (the daemon owns both; destroy the server
   // first).
   [[nodiscard]] net::BatchHandler handler();
 
-  // Join the slow-op workers (blocks until running sweeps finish).
+  // Join the slow-op worker (blocks until running sweeps finish).
   // Call AFTER net::Server::stop() — no more batches arrive then — and
   // before the server object is destroyed, so in-flight study
   // responses never touch a dead server.  Idempotent.
@@ -94,7 +89,7 @@ class NetService {
   void handleBatch(net::Server& server, std::vector<net::InboundFrame>&& batch);
 
   NetServiceHooks hooks_;
-  NetServiceOptions options_;
+  // One worker for blocking study sweeps.
   std::unique_ptr<ThreadPool> slowPool_;
 };
 

@@ -1,9 +1,8 @@
-// Tests for epdvfs: P-state tables, the DVFS processor response,
-// governors, and the system-level bi-objective baselines.
+// Tests for epdvfs: P-state tables, the DVFS processor response and
+// the system-level bi-objective baselines.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "dvfs/governor.hpp"
 #include "dvfs/optimize.hpp"
 #include "dvfs/processor.hpp"
 #include "dvfs/pstate.hpp"
@@ -92,41 +91,6 @@ TEST(Processor, RejectsBadWorkloads) {
                PreconditionError);
   EXPECT_THROW((void)p.run({1.0, 1.5}, p.table().lowest()),
                PreconditionError);
-}
-
-// --- governors ---
-
-TEST(Governor, PerformanceStaysAtMax) {
-  GovernorSim g(haswellPStates(), GovernorPolicy::kPerformance);
-  EXPECT_DOUBLE_EQ(g.current().freqMHz, 3100.0);
-  g.step(0.0);
-  EXPECT_DOUBLE_EQ(g.current().freqMHz, 3100.0);
-}
-
-TEST(Governor, PowersaveStaysAtMin) {
-  GovernorSim g(haswellPStates(), GovernorPolicy::kPowersave);
-  g.step(1.0);
-  EXPECT_DOUBLE_EQ(g.current().freqMHz, 1200.0);
-}
-
-TEST(Governor, OndemandJumpsUpAndDecaysDown) {
-  GovernorSim g(haswellPStates(), GovernorPolicy::kOndemand);
-  EXPECT_DOUBLE_EQ(g.current().freqMHz, 1200.0);
-  g.step(0.95);  // busy -> jump to max
-  EXPECT_DOUBLE_EQ(g.current().freqMHz, 3100.0);
-  g.step(0.1);  // quiet -> step down one bin
-  EXPECT_LT(g.current().freqMHz, 3100.0);
-  // Mid-range utilization holds the current state.
-  const double f = g.current().freqMHz;
-  g.step(0.5);
-  EXPECT_DOUBLE_EQ(g.current().freqMHz, f);
-}
-
-TEST(Governor, RunProducesOneStatePerSample) {
-  GovernorSim g(haswellPStates(), GovernorPolicy::kOndemand);
-  const auto states = g.run({0.9, 0.9, 0.1, 0.1, 0.5});
-  EXPECT_EQ(states.size(), 5u);
-  EXPECT_THROW((void)g.step(1.5), PreconditionError);
 }
 
 // --- baselines ---

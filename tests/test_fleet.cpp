@@ -349,11 +349,14 @@ TEST(Router, EnergyAwareAffinityExecutesEachKeyOnce) {
   EXPECT_EQ(m.requests, 9u);
   std::uint64_t completed = 0;
   std::uint64_t inFlight = 0;
+  std::uint64_t executed = 0;
   for (const auto& s : m.shards) {
     completed += s.completed;
     inFlight += s.inFlight;
+    executed += s.studiesExecuted;
   }
   EXPECT_EQ(completed, 9u);
+  EXPECT_EQ(executed, 3u);  // the shards' own count agrees
   EXPECT_EQ(inFlight, 0u);
   EXPECT_TRUE(router.frontsConsistent());
 }
@@ -440,10 +443,10 @@ TEST(Router, RejectsInvalidRequestsWithoutTouchingShards) {
 
 // --- router: shard kill, stale fallback, ring rebalance ---
 
-// The fleetcheck drill in miniature: kill a warm key's home shard,
-// verify the replica answers (flagged stale), then rebalance the ring
-// and verify the streaming cluster fronts still match a fresh batch
-// recompute bitwise.
+// The fleet's fault story: kill a warm key's home shard, verify the
+// replica answers (flagged stale), then rebalance the ring and verify
+// the streaming cluster fronts still match a fresh batch recompute
+// bitwise; revive, and the original partition returns.
 TEST(Router, KillHomeServesStaleFromReplicaThenRebalances) {
   auto engine = std::make_shared<FleetFakeEngine>();
   FleetRouter router(shardConfigs(engine, 3));
@@ -512,6 +515,7 @@ TEST(Router, KillHomeServesStaleFromReplicaThenRebalances) {
   std::uint64_t inFlight = 0;
   for (const auto& s : router.metrics().shards) inFlight += s.inFlight;
   EXPECT_EQ(inFlight, 0u);
+  EXPECT_EQ(router.metrics().noCandidate, 0u);
 }
 
 TEST(Router, AllShardsDeadIsAnErrorNotACrash) {
@@ -1253,8 +1257,10 @@ TEST(Hetero, StaleServingCrossesOnlyCapableShards) {
   for (int n = 2000; n < 2024; ++n) {
     keys.push_back(n);
     RouteDecision d;
-    ASSERT_EQ(router.tune(freq(n, Device::K40c), &d).status,
-              serve::Status::Ok);
+    const auto resp = router.tune(freq(n, Device::K40c), &d);
+    ASSERT_EQ(resp.status, serve::Status::Ok);
+    EXPECT_FALSE(resp.stale);
+    EXPECT_NE(d.shardId, "g2");
     servedBy.push_back(d.shardId);
   }
   const std::string victim = servedBy.front();
@@ -1278,7 +1284,9 @@ TEST(Hetero, StaleServingCrossesOnlyCapableShards) {
   }
   ASSERT_GT(staleHits, 0);
   EXPECT_EQ(engine->calls(), callsBefore);  // stale serving, no re-study
+  ASSERT_TRUE(router.reviveShard(victim));
   EXPECT_TRUE(router.frontsConsistent());
+  EXPECT_EQ(router.metrics().noCandidate, 0u);
   router.shutdown();
 }
 

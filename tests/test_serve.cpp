@@ -844,11 +844,9 @@ TEST(Broker, RenderPrometheusExposesRegistryAndCacheState) {
   EXPECT_NE(text.find("ep_serve_completed_total 2\n"), std::string::npos);
   EXPECT_NE(text.find("ep_serve_studies_executed_total 1\n"),
             std::string::npos);
-  // Cache stats are delta-synced into the registry at render time.  A
-  // cold tune probes the cache at admission, at dequeue and in
-  // obtainStudy, so one miss on the wire means three lookups.
+  // Cache stats are delta-synced into the registry at render time.
   EXPECT_NE(text.find("ep_serve_cache_hits_total 1\n"), std::string::npos);
-  EXPECT_NE(text.find("ep_serve_cache_misses_total 3\n"),
+  EXPECT_NE(text.find("ep_serve_cache_misses_total 1\n"),
             std::string::npos);
   EXPECT_NE(text.find("ep_serve_cache_size 1\n"), std::string::npos);
   EXPECT_NE(text.find("ep_serve_queue_depth 0\n"), std::string::npos);
@@ -867,7 +865,7 @@ TEST(Broker, RenderPrometheusExposesRegistryAndCacheState) {
   EXPECT_NE(again.find("ep_serve_cache_hits_total 1\n"), std::string::npos);
   const ServeMetrics m = broker.metrics();
   EXPECT_EQ(m.cacheHits, 1u);
-  EXPECT_EQ(m.cacheMisses, 3u);
+  EXPECT_EQ(m.cacheMisses, 1u);
   EXPECT_EQ(m.accepted, 2u);
   EXPECT_EQ(m.latency.total(), 2u);
 }
@@ -2269,6 +2267,62 @@ TEST(BrokerBatch, BackpressureAndCoalescingApplyPerBatchMember) {
   EXPECT_EQ(m.completed, 3u);
 }
 
+// Each tune is one cache lookup, a hit exactly when its answer is
+// flagged cacheHit, and each size of a sweep is one more — however the
+// tune was answered: cold, coalesced, repeated, or queued behind a
+// batch sibling that filled the cache.
+TEST(Broker, CacheCountsOneLookupPerTuneAndPerSweepSize) {
+  auto engine = std::make_shared<FakeEngine>(/*gated=*/true);
+  BrokerOptions opts;
+  opts.threads = 2;
+  Broker broker(engine, opts);
+  std::vector<TuneResponse> answers;
+
+  auto cold = broker.submitTune(tuneReq(1000));
+  engine->waitEntered();
+  auto follower = broker.submitTune(tuneReq(1000));
+  engine->release();
+  answers.push_back(cold.get());
+  answers.push_back(follower.get());
+  EXPECT_TRUE(answers.back().coalesced);
+  answers.push_back(broker.tune(tuneReq(1000)));  // the repeat
+
+  BatchCollector collect(2);
+  std::vector<Broker::TuneBatchItem> items;
+  items.push_back(collect.item(0, tuneReq(3000)));
+  items.push_back(collect.item(1, tuneReq(3000)));
+  broker.submitTuneBatch(std::move(items));
+  collect.waitAll();
+  answers.insert(answers.end(), collect.responses.begin(),
+                 collect.responses.end());
+  EXPECT_TRUE(answers.back().cacheHit);  // filled by its sibling
+
+  StudyRequest sweep;
+  sweep.device = Device::P100;
+  sweep.nBegin = 1000;
+  sweep.nEnd = 3000;
+  sweep.nStep = 1000;
+  const StudyResponse swept = broker.study(sweep);
+  ASSERT_EQ(swept.status, Status::Ok);
+  EXPECT_EQ(swept.workloadCacheHits, 2u);
+
+  std::uint64_t flaggedHits = swept.workloadCacheHits;
+  for (const TuneResponse& r : answers) {
+    ASSERT_EQ(r.status, Status::Ok);
+    flaggedHits += r.cacheHit ? 1 : 0;
+  }
+  const std::string text = broker.renderPrometheus();
+  const auto counter = [&text](const std::string& name) {
+    const std::size_t at = text.find("\n" + name + " ");
+    EXPECT_NE(at, std::string::npos) << name;
+    return std::stoull(text.substr(at + name.size() + 2));
+  };
+  const std::uint64_t hits = counter("ep_serve_cache_hits_total");
+  EXPECT_EQ(hits, flaggedHits);
+  EXPECT_EQ(hits + counter("ep_serve_cache_misses_total"),
+            answers.size() + sweep.sizes().size());
+}
+
 TEST(BrokerBatch, ExpiredBatchMemberIsRejectedAtExecution) {
   auto engine = std::make_shared<FakeEngine>(/*gated=*/true);
   BrokerOptions opts;
@@ -2768,7 +2822,7 @@ ep_serve_studies_executed_total 7
 ep_serve_cache_hits_total 2
 # HELP ep_serve_cache_misses_total Result-cache lookups that missed
 # TYPE ep_serve_cache_misses_total counter
-ep_serve_cache_misses_total 15
+ep_serve_cache_misses_total 7
 # HELP ep_serve_cache_evictions_total Result-cache LRU evictions
 # TYPE ep_serve_cache_evictions_total counter
 ep_serve_cache_evictions_total 0

@@ -356,7 +356,7 @@ void phaseSelfHealing() {
   std::printf("  time-to-eject: %d probe ticks\n", ticksToEject);
 
   // The ejected shard's warm keys must stale-serve from the ring
-  // successor exactly as under fleetcheck's manual kill.
+  // successor exactly as under a manual kill.
   int staleServed = 0;
   bool staleOk = true;
   for (int n : keys) {

@@ -103,13 +103,15 @@ cmake --build build -j "${JOBS}"
 # instead of passing by luck.
 (cd build && ctest --output-on-failure -j "${JOBS}" --repeat until-fail:3)
 
-echo "== bench smoke: line-JSON codec and cold-tune microbenches =="
+echo "== bench smoke: codec, cold-tune and instrumentation microbenches =="
 # One short pass, so the benches that reproduce the serving path's
-# codec and cold-tune figures keep building and running; their timings
-# are not checked here.
+# codec and cold-tune figures, and the per-operation span, counter and
+# profiler-frame costs, keep building and running; their timings are
+# not checked here.
 ./build/bench/bench_micro_algorithms \
   --benchmark_filter='^(BM_DecodeTuneLine|BM_EncodeTuneResponse|BM_BrokerColdTune)' \
   --benchmark_min_time=0.01
+./build/bench/bench_obs_overhead --benchmark_min_time=0.01
 
 echo "== epctl watch smoke: watchdog catches an injected 58 W offset =="
 # Anomalous server: a constant +58 W meter offset (the Fig 6 signature)
@@ -153,13 +155,12 @@ echo "== fleet smoke: shard kill -> stale serve -> clean recovery =="
 # --shards 3, two event threads running every shard's studies inline).
 # Warm a key spread, kill one shard, and require at least one wire
 # response served from the replica (flagged "stale":true); after
-# revival fleetcheck --check must see every shard alive and the cluster
-# fronts consistent.
-./build/tools/fleetcheck
-# --health-probe-ms arms the background health monitor; the manual
-# kill below must stay killed (the monitor never resurrects an
-# operator decision) and the final fleetcheck --check must still see
-# every shard alive after the explicit revive.
+# revival the {"op":"fleet"} snapshot must show every shard alive and
+# the cluster fronts consistent.  (The same story in-process, against
+# every router invariant, is tier-1: test_fleet's Router and Hetero
+# cases.)  --health-probe-ms arms the background health monitor; the
+# manual kill below must stay killed (the monitor never resurrects an
+# operator decision) until the explicit revive.
 start_daemon build --shards 3 --threads 2 --health-probe-ms 25
 FLEET_NS="256 320 384 448 512 576 640 704"
 for N in ${FLEET_NS}; do
@@ -183,7 +184,13 @@ echo "stale-served responses after kill: ${STALE}"
 # and batch across shards without breaking the line-JSON fleet checks.
 ./build/tools/epctl load --port "${PORT}" --requests 256 --n 256 \
   --binary --pipeline 16 >/dev/null
-./build/tools/fleetcheck --port "${PORT}" --check
+FLEET="$(./build/tools/epctl send --port "${PORT}" '{"op":"fleet"}')"
+SHARDS="$(sed -n 's/.*"shards":\([0-9]*\).*/\1/p' <<<"${FLEET}")"
+ALIVE="$(sed -n 's/.*"aliveShards":\([0-9]*\).*/\1/p' <<<"${FLEET}")"
+[[ "${FLEET}" == *'"status":"ok"'* && "${SHARDS:-0}" -gt 0 \
+   && "${ALIVE}" == "${SHARDS}" && "${FLEET}" == *'"frontsConsistent":true'* ]] \
+  || { echo "fleet not clean after recovery (want status ok, aliveShards == shards, frontsConsistent true): ${FLEET}"; exit 1; }
+echo "fleet clean after recovery: ${ALIVE} of ${SHARDS} shards alive, fronts consistent"
 stop_daemon
 
 echo "== chaoscheck drill: fault campaign -> self-heal -> overload =="
