@@ -20,7 +20,7 @@ namespace detail {
 
 std::shared_ptr<const power::Meter> makeMeter(
     const power::MeterOptions& meter, const fault::FaultInjectionOptions& faults) {
-  if (faults.enabled) {
+  if (faults.enabled()) {
     return std::make_shared<const fault::FaultyMeter>(
         power::WattsUpMeter(meter), faults);
   }

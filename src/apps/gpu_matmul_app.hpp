@@ -53,7 +53,7 @@ struct GpuMatMulOptions {
   power::MeterOptions meter{};
   // Fault campaign + hardening, all off by default (the clean path is
   // bit-identical to the pre-fault pipeline): the meter is wrapped in
-  // an epfault FaultyMeter when faults.enabled, the measurement loop
+  // an epfault FaultyMeter when faults.enabled(), the measurement loop
   // applies `robustness`, and failPolicy decides whether a config whose
   // measurement failed aborts the workload or is skipped and recorded.
   fault::FaultInjectionOptions faults{};

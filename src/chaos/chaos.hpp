@@ -1,13 +1,15 @@
 // epchaos — deterministic fault injection for the serving fleet.
 //
-// PR 4's epfault hardened the *measurement* pipeline against faulty
-// meters; this library applies the same design to the net/fleet path:
-// connection resets, torn frames, corrupted EPB1 varints, stalled
-// sockets, and whole-shard crash/hang, every decision drawn from an
-// ep::Rng stream forked off a campaign seed.  A campaign with a fixed
+// The serving half of the fault plane: connection resets, torn frames,
+// corrupted EPB1 varints, stalled sockets, dropped accepts, corrupted
+// inbound bytes, and engine failures, hangs and whole-shard crashes.
+// Every decision goes through epfault's decision kernel
+// (fault::forkDecision, fault::pickKind) on a stream forked off one
+// campaign seed, and every injection is counted in a fault::FaultTally,
+// exactly as FaultyMeter does for meter faults.  A campaign with a fixed
 // seed is bit-for-bit reproducible at any thread count, which is what
-// lets chaoscheck assert "degrades predictably" instead of "usually
-// survives".
+// lets test_chaos's ChaosCampaign cases assert "degrades predictably"
+// instead of "usually survives".
 //
 // The pieces (each in its own header):
 //   FaultyTransport  client-side socket wrapper injecting transport
@@ -21,13 +23,14 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace ep::chaos {
 
-struct ChaosOptions {
-  bool enabled = false;
+// Key of the transport and server-side decision streams; each consumer
+// adds its own salt after it.
+inline constexpr std::uint64_t kChaosSalt = 0xC4405A17ULL;
 
+struct ChaosOptions {
   // Campaign seed; every injection stream is forked off this.
   std::uint64_t seed = 0xC4A05EEDULL;
 
@@ -42,35 +45,33 @@ struct ChaosOptions {
   double acceptDropRate = 0.0;     // close a connection right after accept
   double inboundCorruptRate = 0.0; // flip a byte in one inbound chunk
 
-  // Salt of the injection streams; distinct consumers over the same
-  // seed stay decorrelated with distinct salts.
-  std::uint64_t streamSalt = 0xC4405A17ULL;
+  // Engine faults (ChaosEngine), decided per (device, n) study key:
+  double failRate = 0.0;  // the key's evaluate() always throws
+  double hangRate = 0.0;  // the key sleeps hangMs before delegating
+  double hangMs = 50.0;
 
-  // The scripted campaign shape used by tools/chaoscheck and the tests:
-  // `rate` is the total per-request transport-fault probability, split
-  // across the fault kinds; server-side faults run at half that rate so
-  // a campaign exercises both seams without doubling the error budget.
-  [[nodiscard]] static ChaosOptions campaign(double rate);
-};
-
-// Injection tally of one chaos component (transport, server hook, or
-// engine decorator); aggregated by chaoscheck for the campaign report.
-struct ChaosCounts {
-  std::uint64_t connectResets = 0;
-  std::uint64_t tornFrames = 0;
-  std::uint64_t corruptedFrames = 0;
-  std::uint64_t stalls = 0;
-  std::uint64_t acceptDrops = 0;
-  std::uint64_t inboundCorruptions = 0;
-  std::uint64_t engineFailures = 0;
-  std::uint64_t engineHangs = 0;
-
-  [[nodiscard]] std::uint64_t total() const {
-    return connectResets + tornFrames + corruptedFrames + stalls +
-           acceptDrops + inboundCorruptions + engineFailures + engineHangs;
+  // A campaign is on when any fault can fire.
+  [[nodiscard]] bool enabled() const {
+    return connectResetRate > 0.0 || tornFrameRate > 0.0 ||
+           corruptFrameRate > 0.0 || stallRate > 0.0 ||
+           acceptDropRate > 0.0 || inboundCorruptRate > 0.0 ||
+           failRate > 0.0 || hangRate > 0.0;
   }
-  ChaosCounts& operator+=(const ChaosCounts& o);
-  [[nodiscard]] std::string summary() const;
+
+  // The scripted campaign shape used by the tests: `rate` is the total
+  // per-request transport-fault probability, split across the fault
+  // kinds; server-side faults run at half that rate so a campaign
+  // exercises both seams without doubling the error budget.  Engine
+  // faults stay off: a test arms them per key.
+  [[nodiscard]] static ChaosOptions campaign(double rate) {
+    return {.connectResetRate = rate * 0.40,
+            .tornFrameRate = rate * 0.25,
+            .corruptFrameRate = rate * 0.20,
+            .stallRate = rate * 0.15,
+            .stallMs = 1.0,
+            .acceptDropRate = rate * 0.30,
+            .inboundCorruptRate = rate * 0.20};
+  }
 };
 
 }  // namespace ep::chaos

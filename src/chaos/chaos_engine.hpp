@@ -1,6 +1,6 @@
 // TuningEngine decorator injecting compute-side faults: sporadic
 // evaluate() failures, slow evaluations (hangs), and whole-shard
-// crash/hang toggled at runtime — the shard-level analogue of PR 4's
+// crash/hang toggled at runtime — the shard-level analogue of
 // FaultyMeter.
 //
 // tuningHash() delegates to the inner engine on purpose: a chaotic
@@ -17,28 +17,19 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 
+#include "chaos/chaos.hpp"
+#include "fault/fault.hpp"
 #include "serve/engine.hpp"
 
 namespace ep::chaos {
 
-struct ChaosEngineOptions {
-  // Probability that a given (device, n) study key always fails.
-  double failRate = 0.0;
-  // Probability that a given (device, n) study key is slow, sleeping
-  // hangMs before delegating (models a hung kernel, not a crash).
-  double hangRate = 0.0;
-  double hangMs = 50.0;
-  std::uint64_t seed = 0xC4A05EEDULL;
-  std::uint64_t streamSalt = 0x5AADE9ULL;
-};
-
 class ChaosEngine : public serve::TuningEngine {
  public:
+  // Reads options.seed, failRate, hangRate and hangMs.
   explicit ChaosEngine(std::shared_ptr<const serve::TuningEngine> inner,
-                       ChaosEngineOptions options = {});
+                       ChaosOptions options = {});
 
   [[nodiscard]] std::uint64_t tuningHash(serve::Device device) const override;
   [[nodiscard]] core::WorkloadResult evaluate(
@@ -51,19 +42,14 @@ class ChaosEngine : public serve::TuningEngine {
     return crashed_.load(std::memory_order_acquire);
   }
 
-  [[nodiscard]] std::uint64_t failuresInjected() const {
-    return failures_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t hangsInjected() const {
-    return hangs_.load(std::memory_order_relaxed);
-  }
+  // EngineFailure (injected and crashed) and EngineHang counts.
+  [[nodiscard]] const fault::FaultTally& counts() const { return counts_; }
 
  private:
   std::shared_ptr<const serve::TuningEngine> inner_;
-  ChaosEngineOptions options_;
+  ChaosOptions options_;
   std::atomic<bool> crashed_{false};
-  mutable std::atomic<std::uint64_t> failures_{0};
-  mutable std::atomic<std::uint64_t> hangs_{0};
+  mutable fault::FaultTally counts_;
 };
 
 }  // namespace ep::chaos

@@ -1,5 +1,6 @@
 #include "chaos/faulty_transport.hpp"
 
+#include <array>
 #include <chrono>
 #include <string_view>
 #include <thread>
@@ -9,31 +10,34 @@
 namespace ep::chaos {
 
 namespace {
+
 constexpr std::uint64_t kTransportSalt = 0x7A4590ULL;
+
+// The transport's faults in the order decide() passes their rates, the
+// remainder last, and the tally kind of each.
+enum Fault : std::size_t { kReset, kTorn, kCorrupt, kStall, kNone };
+constexpr fault::FaultKind kKinds[] = {
+    fault::FaultKind::ConnectReset, fault::FaultKind::TornFrame,
+    fault::FaultKind::CorruptFrame, fault::FaultKind::Stall};
+
+// The fault of one attempt of a client stream's request.
+Fault decide(const ChaosOptions& c, std::uint64_t stream,
+             std::uint64_t requestIndex, int attempt) {
+  if (!c.enabled()) return kNone;
+  return static_cast<Fault>(fault::pickKind(
+      fault::forkDecision(Rng(c.seed),
+                          {kChaosSalt, kTransportSalt, stream, requestIndex,
+                           static_cast<std::uint64_t>(attempt)})
+          .uniform(0.0, 1.0),
+      std::array{c.connectResetRate, c.tornFrameRate, c.corruptFrameRate,
+                 c.stallRate}));
+}
+
 }  // namespace
 
 FaultyTransport::FaultyTransport(FaultyTransportOptions options,
                                  std::uint64_t stream)
     : options_(std::move(options)), stream_(stream) {}
-
-FaultyTransport::Fault FaultyTransport::decide(std::uint64_t requestIndex,
-                                               int attempt) {
-  const ChaosOptions& c = options_.chaos;
-  if (!c.enabled) return Fault::None;
-  Rng stream = Rng(c.seed).fork(
-      mix64(mix64(mix64(mix64(c.streamSalt, kTransportSalt), stream_),
-                  requestIndex),
-            static_cast<std::uint64_t>(attempt)));
-  double u = stream.uniform(0.0, 1.0);
-  if (u < c.connectResetRate) return Fault::Reset;
-  u -= c.connectResetRate;
-  if (u < c.tornFrameRate) return Fault::Torn;
-  u -= c.tornFrameRate;
-  if (u < c.corruptFrameRate) return Fault::Corrupt;
-  u -= c.corruptFrameRate;
-  if (u < c.stallRate) return Fault::Stall;
-  return Fault::None;
-}
 
 bool FaultyTransport::ensureConnected() {
   return conn_.connected() ||
@@ -47,38 +51,35 @@ FaultyTransport::Outcome FaultyTransport::roundTrip(
   Outcome out;
   for (int attempt = 0; attempt < options_.maxAttempts; ++attempt) {
     ++out.attempts;
-    const Fault fault = decide(requestIndex, attempt);
+    Fault fault = decide(options_.chaos, stream_, requestIndex, attempt);
     if (!ensureConnected()) {
       // Connect refused/failed: nothing to replay against; brief pause
       // so a restarting server gets a chance.
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       continue;
     }
-    if (fault == Fault::Reset) {
-      ++counts_.connectResets;
+    // An empty frame has no byte to corrupt.
+    if (fault == kCorrupt && framed.empty()) fault = kNone;
+    if (fault != kNone) {
+      counts_.add(kKinds[fault]);
       ++out.faultsInjected;
+    }
+    if (fault == kReset) {
       conn_.close();
       continue;
     }
-    if (fault == Fault::Stall) {
-      ++counts_.stalls;
-      ++out.faultsInjected;
+    if (fault == kStall) {
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(options_.chaos.stallMs));
     }
-    if (fault == Fault::Torn) {
-      ++counts_.tornFrames;
-      ++out.faultsInjected;
+    if (fault == kTorn) {
       (void)conn_.send(std::string_view(framed).substr(0, framed.size() / 2));
       conn_.close();  // the server discards the partial frame on EOF
       continue;
     }
     std::string wire = framed;
-    bool corrupted = false;
-    if (fault == Fault::Corrupt && !wire.empty()) {
-      ++counts_.corruptedFrames;
-      ++out.faultsInjected;
-      corrupted = true;
+    const bool corrupted = fault == kCorrupt;
+    if (corrupted) {
       if (options_.binary) {
         // A length varint that never terminates: eleven continuation
         // bytes exceed the ten-byte varint ceiling, so the decoder

@@ -8,7 +8,8 @@
 // Fault decisions are drawn per (stream, request, attempt) from forked
 // Rng streams: N workers each owning one FaultyTransport produce the
 // same fault schedule whether they run serially or concurrently, which
-// is what makes a chaoscheck campaign bitwise-reproducible.
+// is what makes a campaign bitwise-reproducible (test_chaos's
+// FaultyTransport and ChaosCampaign cases pin it).
 //
 // Injected faults are replayed internally (they are *transport* faults;
 // the request was never served).  Served error responses — including
@@ -22,6 +23,7 @@
 #include <string>
 
 #include "chaos/chaos.hpp"
+#include "fault/fault.hpp"
 #include "net/client.hpp"
 
 namespace ep::chaos {
@@ -62,18 +64,15 @@ class FaultyTransport {
   [[nodiscard]] Outcome roundTrip(const std::string& framed,
                                   std::uint64_t requestIndex);
 
-  [[nodiscard]] const ChaosCounts& counts() const { return counts_; }
+  [[nodiscard]] const fault::FaultTally& counts() const { return counts_; }
 
  private:
-  enum class Fault { None, Reset, Torn, Corrupt, Stall };
-
-  Fault decide(std::uint64_t requestIndex, int attempt);
   bool ensureConnected();
 
   FaultyTransportOptions options_;
   std::uint64_t stream_;
   net::Client conn_;
-  ChaosCounts counts_;
+  fault::FaultTally counts_;
 };
 
 }  // namespace ep::chaos

@@ -13,7 +13,6 @@ NetChaos::NetChaos(ChaosOptions options) : options_(options) {}
 
 net::ServerChaosHooks NetChaos::hooks() {
   net::ServerChaosHooks h;
-  if (!options_.enabled) return h;  // empty hooks: server skips them
   if (options_.acceptDropRate > 0.0) {
     h.dropOnAccept = [this](std::uint64_t conn) {
       return decideAccept(conn);
@@ -27,17 +26,11 @@ net::ServerChaosHooks NetChaos::hooks() {
   return h;
 }
 
-ChaosCounts NetChaos::counts() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return counts_;
-}
-
 bool NetChaos::decideAccept(std::uint64_t conn) {
-  Rng stream = Rng(options_.seed).fork(
-      mix64(mix64(options_.streamSalt, kAcceptSalt), conn));
+  Rng stream = fault::forkDecision(Rng(options_.seed),
+                                   {kChaosSalt, kAcceptSalt, conn});
   if (stream.uniform(0.0, 1.0) >= options_.acceptDropRate) return false;
-  std::lock_guard<std::mutex> lk(mu_);
-  ++counts_.acceptDrops;
+  counts_.add(fault::FaultKind::AcceptDrop);
   return true;
 }
 
@@ -47,8 +40,8 @@ bool NetChaos::decideInbound(std::uint64_t conn, std::string& bytes) {
     std::lock_guard<std::mutex> lk(mu_);
     k = chunkIndex_[conn]++;
   }
-  Rng stream = Rng(options_.seed).fork(
-      mix64(mix64(mix64(options_.streamSalt, kInboundSalt), conn), k));
+  Rng stream = fault::forkDecision(Rng(options_.seed),
+                                   {kChaosSalt, kInboundSalt, conn, k});
   if (stream.uniform(0.0, 1.0) >= options_.inboundCorruptRate) return false;
   if (!bytes.empty()) {
     const std::uint64_t at =
@@ -56,10 +49,7 @@ bool NetChaos::decideInbound(std::uint64_t conn, std::string& bytes) {
     bytes[static_cast<std::size_t>(at)] =
         static_cast<char>(bytes[static_cast<std::size_t>(at)] ^ 0x5A);
   }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++counts_.inboundCorruptions;
-  }
+  counts_.add(fault::FaultKind::InboundCorrupt);
   return true;
 }
 

@@ -13,6 +13,7 @@
 #include <unordered_map>
 
 #include "chaos/chaos.hpp"
+#include "fault/fault.hpp"
 #include "net/server.hpp"
 
 namespace ep::chaos {
@@ -24,18 +25,19 @@ class NetChaos {
   // The hooks bind `this`; the NetChaos must outlive the server.
   [[nodiscard]] net::ServerChaosHooks hooks();
 
-  [[nodiscard]] ChaosCounts counts() const;
+  // AcceptDrop and InboundCorrupt counts.
+  [[nodiscard]] const fault::FaultTally& counts() const { return counts_; }
 
  private:
   bool decideAccept(std::uint64_t conn);
   bool decideInbound(std::uint64_t conn, std::string& bytes);
 
   ChaosOptions options_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   // Per-connection inbound chunk index: the stream key for chunk k of
   // connection c never depends on what other connections are doing.
   std::unordered_map<std::uint64_t, std::uint64_t> chunkIndex_;
-  ChaosCounts counts_;
+  fault::FaultTally counts_;
 };
 
 }  // namespace ep::chaos

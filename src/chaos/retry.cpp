@@ -1,27 +1,29 @@
 #include "chaos/retry.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/rng.hpp"
+#include "fault/fault.hpp"
 
 namespace ep::chaos {
+
+namespace {
+constexpr std::uint64_t kRetrySalt = 0x4E7B0FFULL;
+}  // namespace
 
 double RetryPolicy::delayMs(std::uint64_t stream, std::uint64_t requestIndex,
                             int attempt) const {
   if (attempt <= 0) return 0.0;
-  double envelope = baseDelayMs;
-  for (int k = 1; k < attempt; ++k) {
-    envelope *= 2.0;
-    if (envelope >= maxDelayMs) break;
-  }
-  envelope = std::min(envelope, maxDelayMs);
+  // Doubling is exact, so the envelope is base * 2^(attempt - 1), capped.
+  const double envelope =
+      std::min(std::ldexp(baseDelayMs, attempt - 1), maxDelayMs);
   // One fork per (stream, request, attempt): the draw depends on the
   // identity of the retry, never on scheduling order.
-  Rng rng(seed);
-  Rng stream_rng = rng.fork(
-      mix64(mix64(mix64(streamSalt, stream), requestIndex),
-            static_cast<std::uint64_t>(attempt)));
-  const double u = stream_rng.uniform(0.0, 1.0);
+  const double u =
+      fault::forkDecision(Rng(seed), {kRetrySalt, stream, requestIndex,
+                                      static_cast<std::uint64_t>(attempt)})
+          .uniform(0.0, 1.0);
   return envelope * (1.0 - jitter * u);
 }
 

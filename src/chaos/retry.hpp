@@ -5,8 +5,7 @@
 // a pure function of the seed, drawn from its own forked Rng stream.
 // Two workers replaying the same (request, attempt) pairs therefore
 // produce bitwise-identical schedules whether they run serially or in
-// parallel — the property test_chaos pins, and what makes a chaoscheck
-// campaign reproducible end to end.
+// parallel — the property test_chaos's RetryPolicy cases pin.
 //
 // RetryBudget is the classic token bucket from SRE practice: every
 // first attempt earns `ratio` tokens, every retry spends one.  Under a
@@ -29,7 +28,6 @@ struct RetryPolicy {
   // retry waves without ever exceeding the exponential envelope.
   double jitter = 0.5;
   std::uint64_t seed = 0xC4A05EEDULL;
-  std::uint64_t streamSalt = 0x4E7B0FFULL;
 
   // Backoff before attempt `attempt` (1-based: the first *retry*) of
   // request `requestIndex` on client stream `stream`.  Pure function.

@@ -96,11 +96,7 @@ std::uint64_t GpuEpStudy::checkpointHash(std::uint64_t seed) const {
   h = mix64(h, static_cast<std::uint64_t>(o.gMax));
   h = mix64(h, o.useMeter ? 1ULL : 0ULL);
   h = mix64(h, doubleBits(o.hostIdlePower.value()));
-  h = mix64(h, o.faults.enabled ? 1ULL : 0ULL);
-  h = mix64(h, doubleBits(o.faults.sampleFaultRate));
-  h = mix64(h, doubleBits(o.faults.timeoutRate));
-  h = mix64(h, doubleBits(o.faults.gainDriftRate));
-  h = mix64(h, o.faults.streamSalt);
+  h = fault::mixOptions(h, o.faults);
   // Robustness knobs alter the accepted readings (and the draw
   // sequence), so they are part of the journal identity too.
   h = mix64(h, o.robustness.validation.enabled ? 1ULL : 0ULL);

@@ -1,33 +1,44 @@
 #include "fault/fault.hpp"
 
+#include <bit>
+
 namespace ep::fault {
 
-const char* faultKindName(FaultKind k) {
-  switch (k) {
-    case FaultKind::DroppedSample:
-      return "dropped_sample";
-    case FaultKind::StuckReading:
-      return "stuck_reading";
-    case FaultKind::Spike:
-      return "spike";
-    case FaultKind::NanReading:
-      return "nan_reading";
-    case FaultKind::ZeroReading:
-      return "zero_reading";
-    case FaultKind::GainDrift:
-      return "gain_drift";
-    case FaultKind::MeterTimeout:
-      return "meter_timeout";
-    case FaultKind::ConstantOffset:
-      return "constant_offset";
+Rng forkDecision(const Rng& base, std::initializer_list<std::uint64_t> path) {
+  EP_REQUIRE(path.size() > 0, "a decision stream needs a key");
+  const std::uint64_t* key = path.begin();
+  std::uint64_t h = *key;
+  while (++key != path.end()) h = mix64(h, *key);
+  return base.fork(h);
+}
+
+std::size_t pickKind(double u, std::span<const double> weights) {
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if ((u -= weights[i]) < 0.0) return i;
   }
-  return "unknown";
+  return weights.size();
+}
+
+std::uint64_t FaultTally::total() const {
+  std::uint64_t n = 0;
+  for (const auto& c : counts_) n += c.load(std::memory_order_relaxed);
+  return n;
+}
+
+std::string FaultTally::summary() const {
+  std::string out;
+  for (std::size_t k = 0; k < counts_.size(); ++k) {
+    if (const auto n = counts_[k].load(std::memory_order_relaxed)) {
+      out.append(kFaultKindNames[k]).append("=").append(std::to_string(n));
+      out += ' ';
+    }
+  }
+  return out + "total=" + std::to_string(total());
 }
 
 FaultInjectionOptions FaultInjectionOptions::campaign(double rate) {
   EP_REQUIRE(rate >= 0.0 && rate <= 1.0, "fault rate must be in [0, 1]");
   FaultInjectionOptions o;
-  o.enabled = rate > 0.0;
   o.sampleFaultRate = rate;
   // Window-level faults scale down: one window holds many samples, so
   // equal per-window rates would drown the campaign in timeouts.
@@ -36,28 +47,14 @@ FaultInjectionOptions FaultInjectionOptions::campaign(double rate) {
   return o;
 }
 
-FaultCounts& FaultCounts::operator+=(const FaultCounts& o) {
-  dropped += o.dropped;
-  stuck += o.stuck;
-  spikes += o.spikes;
-  nans += o.nans;
-  zeros += o.zeros;
-  gainDrifts += o.gainDrifts;
-  timeouts += o.timeouts;
-  offsets += o.offsets;
-  return *this;
-}
-
-std::string FaultCounts::summary() const {
-  return "dropped=" + std::to_string(dropped) +
-         " stuck=" + std::to_string(stuck) +
-         " spikes=" + std::to_string(spikes) +
-         " nans=" + std::to_string(nans) +
-         " zeros=" + std::to_string(zeros) +
-         " gain_drifts=" + std::to_string(gainDrifts) +
-         " timeouts=" + std::to_string(timeouts) +
-         " offsets=" + std::to_string(offsets) +
-         " total=" + std::to_string(total());
+std::uint64_t mixOptions(std::uint64_t h, const FaultInjectionOptions& f) {
+  for (const double v :
+       {f.sampleFaultRate, f.dropWeight, f.stuckWeight, f.spikeWeight,
+        f.nanWeight, f.zeroWeight, f.timeoutRate, f.gainDriftRate,
+        f.offsetRate, f.offsetWatts}) {
+    h = mix64(h, std::bit_cast<std::uint64_t>(v));
+  }
+  return h;
 }
 
 }  // namespace ep::fault

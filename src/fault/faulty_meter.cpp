@@ -11,6 +11,9 @@ namespace ep::fault {
 
 namespace {
 
+// Key of the fault streams forked off the measurement stream.
+constexpr std::uint64_t kMeterSalt = 0xFA17ULL;
+
 obs::Counter& injectedCounter() {
   static obs::Counter& c = obs::Registry::global().counter(
       "ep_fault_injected_total", "Faults injected into meter recordings");
@@ -22,21 +25,12 @@ obs::Counter& injectedCounter() {
 FaultyMeter::FaultyMeter(power::WattsUpMeter inner,
                          FaultInjectionOptions faults)
     : inner_(std::move(inner)), faults_(faults) {
-  EP_REQUIRE(faults_.sampleFaultRate >= 0.0 && faults_.sampleFaultRate <= 1.0,
-             "sample fault rate must be in [0, 1]");
-  EP_REQUIRE(faults_.timeoutRate >= 0.0 && faults_.timeoutRate <= 1.0,
-             "timeout rate must be in [0, 1]");
-  EP_REQUIRE(faults_.gainDriftRate >= 0.0 && faults_.gainDriftRate <= 1.0,
-             "gain drift rate must be in [0, 1]");
-  EP_REQUIRE(faults_.gainDriftMax >= 0.0 && std::isfinite(faults_.gainDriftMax),
-             "gain drift magnitude must be finite and >= 0");
-  EP_REQUIRE(faults_.offsetRate >= 0.0 && faults_.offsetRate <= 1.0,
-             "offset rate must be in [0, 1]");
+  for (const double rate : {faults_.sampleFaultRate, faults_.timeoutRate,
+                            faults_.gainDriftRate, faults_.offsetRate}) {
+    EP_REQUIRE(rate >= 0.0 && rate <= 1.0, "fault rates must be in [0, 1]");
+  }
   EP_REQUIRE(std::isfinite(faults_.offsetWatts),
              "offset watts must be finite");
-  EP_REQUIRE(faults_.stuckRunLength >= 1, "stuck run length must be >= 1");
-  EP_REQUIRE(std::isfinite(faults_.spikeFactor),
-             "spike factor must be finite");
   EP_REQUIRE(faults_.dropWeight >= 0.0 && faults_.stuckWeight >= 0.0 &&
                  faults_.spikeWeight >= 0.0 && faults_.nanWeight >= 0.0 &&
                  faults_.zeroWeight >= 0.0,
@@ -44,31 +38,33 @@ FaultyMeter::FaultyMeter(power::WattsUpMeter inner,
   sampleWeightSum_ = faults_.dropWeight + faults_.stuckWeight +
                      faults_.spikeWeight + faults_.nanWeight +
                      faults_.zeroWeight;
-  EP_REQUIRE(!faults_.enabled || faults_.sampleFaultRate == 0.0 ||
-                 sampleWeightSum_ > 0.0,
+  EP_REQUIRE(faults_.sampleFaultRate == 0.0 || sampleWeightSum_ > 0.0,
              "sample faults enabled but every kind weight is zero");
 }
 
 void FaultyMeter::recordInto(const power::PowerSource& source,
                              Seconds duration, Rng& rng,
                              power::PowerTrace& out) const {
-  if (!faults_.enabled) {
+  if (!faults_.enabled()) {
     inner_.recordInto(source, duration, rng, out);
     return;
   }
-  // The fault stream forks off the measurement stream with a per-window
-  // salt: decisions are deterministic, do not perturb the inner meter's
-  // noise draws, and differ between a timed-out window and its retry.
+  const auto inject = [this](FaultKind k) {
+    counts_.add(k);
+    injectedCounter().inc();
+  };
+  // The fault stream forks off the measurement stream keyed by window:
+  // decisions are deterministic, do not perturb the inner meter's noise
+  // draws, and differ between a timed-out window and its retry.
   const std::uint64_t window = ++window_;
-  Rng f = rng.fork(mix64(mix64(0, faults_.streamSalt), window));
+  Rng f = forkDecision(rng, {0, kMeterSalt, window});
 
   // Whole-window timeout is decided before any recording: a stalled
   // serial link delivers nothing, and the inner meter must not consume
   // measurement draws for a window that never happened.
   if (faults_.timeoutRate > 0.0 &&
       f.uniform(0.0, 1.0) < faults_.timeoutRate) {
-    ++counts_.timeouts;
-    injectedCounter().inc();
+    inject(FaultKind::MeterTimeout);
     throw power::MeterTimeoutError("injected meter timeout (window " +
                                    std::to_string(window) + ")");
   }
@@ -79,9 +75,8 @@ void FaultyMeter::recordInto(const power::PowerSource& source,
   double drift = 0.0;
   if (faults_.gainDriftRate > 0.0 &&
       f.uniform(0.0, 1.0) < faults_.gainDriftRate) {
-    drift = f.uniform(-faults_.gainDriftMax, faults_.gainDriftMax);
-    ++counts_.gainDrifts;
-    injectedCounter().inc();
+    drift = f.uniform(-kGainDriftMax, kGainDriftMax);
+    inject(FaultKind::GainDrift);
   }
   // Constant additive component over the whole window.  Drawn only when
   // configured so existing campaigns keep their draw sequences.
@@ -89,8 +84,7 @@ void FaultyMeter::recordInto(const power::PowerSource& source,
   if (faults_.offsetRate > 0.0 &&
       f.uniform(0.0, 1.0) < faults_.offsetRate) {
     offset = faults_.offsetWatts;
-    ++counts_.offsets;
-    injectedCounter().inc();
+    inject(FaultKind::ConstantOffset);
   }
   const double t0 = samples.empty() ? 0.0 : samples.front().time.value();
   const double span =
@@ -100,6 +94,9 @@ void FaultyMeter::recordInto(const power::PowerSource& source,
 
   out.clear();
   out.reserve(samples.size());
+  // Drop, stuck, spike and NaN in pick order; the remainder is zero.
+  const double kindWeights[] = {faults_.dropWeight, faults_.stuckWeight,
+                                faults_.spikeWeight, faults_.nanWeight};
   int stuckRemaining = 0;
   double stuckValue = 0.0;
   for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -119,30 +116,28 @@ void FaultyMeter::recordInto(const power::PowerSource& source,
                u < faults_.sampleFaultRate) {
       // u < rate implies u/rate is itself uniform in [0, 1): one draw
       // decides both whether a sample faults and which kind it gets.
-      double pick = (u / faults_.sampleFaultRate) * sampleWeightSum_;
-      if ((pick -= faults_.dropWeight) < 0.0) {
-        if (!endpoint) {
-          ++counts_.dropped;
-          injectedCounter().inc();
+      switch (pickKind((u / faults_.sampleFaultRate) * sampleWeightSum_,
+                       kindWeights)) {
+        case 0:
+          if (endpoint) break;
+          inject(FaultKind::DroppedSample);
           continue;
-        }
-      } else if ((pick -= faults_.stuckWeight) < 0.0) {
-        ++counts_.stuck;
-        injectedCounter().inc();
-        stuckValue = p;
-        stuckRemaining = faults_.stuckRunLength - 1;
-      } else if ((pick -= faults_.spikeWeight) < 0.0) {
-        ++counts_.spikes;
-        injectedCounter().inc();
-        p *= faults_.spikeFactor;
-      } else if ((pick -= faults_.nanWeight) < 0.0) {
-        ++counts_.nans;
-        injectedCounter().inc();
-        p = std::numeric_limits<double>::quiet_NaN();
-      } else {
-        ++counts_.zeros;
-        injectedCounter().inc();
-        p = 0.0;
+        case 1:
+          inject(FaultKind::StuckReading);
+          stuckValue = p;
+          stuckRemaining = kStuckRunLength - 1;
+          break;
+        case 2:
+          inject(FaultKind::Spike);
+          p *= kSpikeFactor;
+          break;
+        case 3:
+          inject(FaultKind::NanReading);
+          p = std::numeric_limits<double>::quiet_NaN();
+          break;
+        default:
+          inject(FaultKind::ZeroReading);
+          p = 0.0;
       }
     }
     out.append({samples[i].time, Watts{p + offset}});

@@ -7,7 +7,7 @@
 // zero readings).  The inner meter's noise stream is untouched — a
 // faulted recording is exactly the clean recording plus corruption —
 // and every fault decision draws from a stream forked off the
-// measurement Rng with a per-window salt, so:
+// measurement Rng with a per-window key, so:
 //
 //   * serial == parallel bitwise identity is preserved (each
 //     configuration measures through its own forked stream, as
@@ -28,15 +28,20 @@ namespace ep::fault {
 
 class FaultyMeter final : public power::Meter {
  public:
+  // Gain drift reaches +/- this at the end of a drifting window.
+  static constexpr double kGainDriftMax = 0.05;
+  // Samples held at a stuck reading, the first one included.
+  static constexpr int kStuckRunLength = 4;
+  // A spiked sample reads this many times its clean value.
+  static constexpr double kSpikeFactor = 4.0;
+
   FaultyMeter(power::WattsUpMeter inner, FaultInjectionOptions faults);
 
   void recordInto(const power::PowerSource& source, Seconds duration,
                   Rng& rng, power::PowerTrace& out) const override;
 
-  [[nodiscard]] const power::WattsUpMeter& inner() const { return inner_; }
-  [[nodiscard]] const FaultInjectionOptions& faults() const { return faults_; }
   // Injection tally since construction.
-  [[nodiscard]] const FaultCounts& counts() const { return counts_; }
+  [[nodiscard]] const FaultTally& counts() const { return counts_; }
   // Recording windows attempted (including timed-out ones).
   [[nodiscard]] std::uint64_t windows() const { return window_; }
 
@@ -47,7 +52,7 @@ class FaultyMeter final : public power::Meter {
   // Per-instance recording state (one instrument = one measurement
   // stream; see header comment).
   mutable std::uint64_t window_ = 0;
-  mutable FaultCounts counts_;
+  mutable FaultTally counts_;
   mutable power::PowerTrace scratch_;
 };
 

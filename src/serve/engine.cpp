@@ -46,17 +46,7 @@ std::uint64_t hashStudyConstants(const hw::GpuModel& model,
   h = mix(h, opts.useMeter ? 1 : 2);
   // The fault campaign shapes every measured value: hash all of it so a
   // faulty engine never shares cache entries with a clean one.
-  const fault::FaultInjectionOptions& f = opts.faults;
-  h = mix(h, f.enabled ? 1 : 2);
-  for (double v : {f.sampleFaultRate, f.dropWeight, f.stuckWeight,
-                   f.spikeWeight, f.nanWeight, f.zeroWeight, f.timeoutRate,
-                   f.gainDriftRate, f.gainDriftMax, f.offsetRate,
-                   f.offsetWatts, f.spikeFactor}) {
-    h = mixDouble(h, v);
-  }
-  h = mix(h, static_cast<std::uint64_t>(f.stuckRunLength));
-  h = mix(h, f.streamSalt);
-  return h;
+  return fault::mixOptions(h, opts.faults);
 }
 
 core::GpuEpStudy makeStudy(const hw::GpuSpec& spec,
@@ -65,7 +55,7 @@ core::GpuEpStudy makeStudy(const hw::GpuSpec& spec,
   appOpts.totalProducts = opts.totalProducts;
   appOpts.useMeter = opts.useMeter;
   appOpts.faults = opts.faults;
-  if (opts.faults.enabled) {
+  if (opts.faults.enabled()) {
     // A fault-injected service should degrade per config, not fail the
     // whole study: skip-and-record + the fault-campaign hardening profile
     // keep the serve path answering.  Note the hardened tiers repair

@@ -14,6 +14,7 @@
 #include "core/tuner.hpp"
 #include "core/twocore.hpp"
 #include "core/watchdog.hpp"
+#include "serve/engine.hpp"
 
 namespace ep::core {
 namespace {
@@ -630,6 +631,39 @@ TEST(Watchdog, EventsDrainIncrementallyBySequence) {
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_STREQ(tail[0].kind, "cleared");
   EXPECT_TRUE(wd.events(tail.back().seq).empty());
+}
+
+// The Fig 6 constant component injected through the meter itself: a
+// metered engine whose every window reads 58 W high must raise
+// constant_component through the process measure observer, and the
+// same engine without the offset must raise nothing.  N = 16384 is
+// above the P100's Fig 6 threshold, where the clean model is additive;
+// below it the model carries a constant component of its own.  (The
+// live-daemon half, epserved's --fault-offset wiring and the exit code
+// of `epctl watch --check`, is ci.sh's watch drill.)
+TEST(Watchdog, InjectedFig6OffsetRaisesConstantComponent) {
+  const auto eventsFor = [](double offsetWatts) {
+    serve::EpStudyEngineOptions o;
+    o.useMeter = true;
+    o.faults.offsetRate = offsetWatts > 0.0 ? 1.0 : 0.0;
+    o.faults.offsetWatts = offsetWatts;
+    const serve::EpStudyEngine engine(o);
+    PowerAnomalyWatchdog wd;
+    struct Install {
+      explicit Install(power::MeasureObserver* w) {
+        power::setMeasureObserver(w);
+      }
+      ~Install() { power::setMeasureObserver(nullptr); }
+    } install(&wd);
+    (void)engine.evaluate(serve::Device::P100, 16384);
+    return wd.events();
+  };
+  const auto faulted = eventsFor(58.0);
+  ASSERT_EQ(faulted.size(), 1u);
+  EXPECT_STREQ(faulted[0].kind, "constant_component");
+  EXPECT_GT(faulted[0].value, WatchdogOptions{}.constantComponentWatts);
+  EXPECT_NEAR(faulted[0].value, 58.0, 1.0);
+  EXPECT_TRUE(eventsFor(0.0).empty());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,17 +69,16 @@ bool sameTrace(const power::PowerTrace& a, const power::PowerTrace& b) {
 
 TEST(FaultOptions, CampaignScalesWindowRatesDown) {
   const auto o = FaultInjectionOptions::campaign(0.08);
-  EXPECT_TRUE(o.enabled);
+  EXPECT_TRUE(o.enabled());
   EXPECT_DOUBLE_EQ(o.sampleFaultRate, 0.08);
   EXPECT_DOUBLE_EQ(o.timeoutRate, 0.02);
   EXPECT_DOUBLE_EQ(o.gainDriftRate, 0.04);
-  EXPECT_FALSE(FaultInjectionOptions::campaign(0.0).enabled);
+  EXPECT_FALSE(FaultInjectionOptions::campaign(0.0).enabled());
   EXPECT_THROW((void)FaultInjectionOptions::campaign(1.5), PreconditionError);
 }
 
 TEST(FaultOptions, MeterRejectsInvalidRates) {
   FaultInjectionOptions o;
-  o.enabled = true;
   o.sampleFaultRate = 1.5;
   EXPECT_THROW(FaultyMeter(power::WattsUpMeter(fastMeter()), o),
                PreconditionError);
@@ -89,18 +89,51 @@ TEST(FaultOptions, MeterRejectsInvalidRates) {
                PreconditionError);
 }
 
-TEST(FaultCounts, AggregateAndSummarize) {
-  FaultCounts a;
-  a.dropped = 2;
-  a.spikes = 1;
-  FaultCounts b;
-  b.nans = 3;
-  b.timeouts = 1;
-  a += b;
-  EXPECT_EQ(a.total(), 7u);
-  EXPECT_NE(a.summary().find("dropped=2"), std::string::npos);
-  EXPECT_STREQ(faultKindName(FaultKind::Spike), "spike");
-  EXPECT_STREQ(faultKindName(FaultKind::MeterTimeout), "meter_timeout");
+TEST(FaultTally, CountsByKindAndSummarizes) {
+  FaultTally t;
+  t.add(FaultKind::DroppedSample);
+  t.add(FaultKind::DroppedSample);
+  t.add(FaultKind::Spike);
+  t.add(FaultKind::ConnectReset);
+  t.add(FaultKind::EngineHang);
+  EXPECT_EQ(t[FaultKind::DroppedSample], 2u);
+  EXPECT_EQ(t[FaultKind::Spike], 1u);
+  EXPECT_EQ(t[FaultKind::NanReading], 0u);
+  EXPECT_EQ(t.total(), 5u);
+  // Kinds that fired, in kind order, then the total.
+  EXPECT_EQ(t.summary(),
+            "dropped_sample=2 spike=1 connect_reset=1 engine_hang=1 total=5");
+  EXPECT_EQ(FaultTally{}.summary(), "total=0");
+  // One name per kind.
+  EXPECT_EQ(kFaultKindNames.size(),
+            static_cast<std::size_t>(FaultKind::EngineHang) + 1);
+}
+
+TEST(DecisionKernel, PickKindReturnsTheFirstWeightTheDrawFallsUnder) {
+  const double weights[] = {0.25, 0.5, 0.125};
+  EXPECT_EQ(pickKind(0.0, weights), 0u);
+  EXPECT_EQ(pickKind(0.2499, weights), 0u);
+  EXPECT_EQ(pickKind(0.25, weights), 1u);  // on a boundary: the next kind
+  EXPECT_EQ(pickKind(0.74, weights), 1u);
+  EXPECT_EQ(pickKind(0.8, weights), 2u);
+  EXPECT_EQ(pickKind(0.875, weights), 3u);  // the remainder
+  EXPECT_EQ(pickKind(0.5, std::span<const double>{}), 0u);
+}
+
+TEST(DecisionKernel, ForkDecisionFoldsTheKeyPathThroughMix64) {
+  const Rng base(99);
+  Rng folded = forkDecision(base, {7, 8, 9});
+  Rng manual = base.fork(mix64(mix64(7, 8), 9));
+  EXPECT_EQ(folded.uniformInt(0, ~std::uint64_t{0}),
+            manual.uniformInt(0, ~std::uint64_t{0}));
+  Rng single = forkDecision(base, {7});
+  Rng direct = base.fork(7);
+  EXPECT_EQ(single.uniformInt(0, ~std::uint64_t{0}),
+            direct.uniformInt(0, ~std::uint64_t{0}));
+  // The path is ordered: swapping two keys forks another stream.
+  Rng swapped = forkDecision(base, {8, 7, 9});
+  EXPECT_NE(forkDecision(base, {7, 8, 9}).uniformInt(0, ~std::uint64_t{0}),
+            swapped.uniformInt(0, ~std::uint64_t{0}));
 }
 
 // --- FaultyMeter ---
@@ -108,7 +141,7 @@ TEST(FaultCounts, AggregateAndSummarize) {
 TEST(FaultyMeter, DisabledIsBitwiseIdentity) {
   const power::WattsUpMeter clean(fastMeter());
   const FaultyMeter faulty(power::WattsUpMeter(fastMeter()),
-                           FaultInjectionOptions{});  // enabled == false
+                           FaultInjectionOptions{});  // no rate set
   const auto profile = benchProfile();
   Rng a(42), b(42);
   const power::PowerTrace ta = clean.record(profile, 20.0_s, a);
@@ -146,7 +179,6 @@ TEST(FaultyMeter, WindowsGetDistinctFaultStreams) {
 
 TEST(FaultyMeter, EndpointsSurviveTotalDropCampaign) {
   FaultInjectionOptions opts;
-  opts.enabled = true;
   opts.sampleFaultRate = 1.0;  // every sample faults...
   opts.dropWeight = 1.0;       // ...and every fault is a drop
   opts.stuckWeight = opts.spikeWeight = opts.nanWeight = opts.zeroWeight = 0.0;
@@ -162,16 +194,14 @@ TEST(FaultyMeter, EndpointsSurviveTotalDropCampaign) {
   EXPECT_DOUBLE_EQ(dropped.startTime().value(),
                    reference.startTime().value());
   EXPECT_DOUBLE_EQ(dropped.endTime().value(), reference.endTime().value());
-  EXPECT_EQ(faulty.counts().dropped, reference.size() - 2);
+  EXPECT_EQ(faulty.counts()[FaultKind::DroppedSample], reference.size() - 2);
 }
 
 TEST(FaultyMeter, SpikesMultiplyTheCleanReading) {
   FaultInjectionOptions opts;
-  opts.enabled = true;
   opts.sampleFaultRate = 1.0;
   opts.spikeWeight = 1.0;
   opts.dropWeight = opts.stuckWeight = opts.nanWeight = opts.zeroWeight = 0.0;
-  opts.spikeFactor = 4.0;
   const power::WattsUpMeter clean(fastMeter());
   const FaultyMeter faulty(power::WattsUpMeter(fastMeter()), opts);
   const auto profile = benchProfile();
@@ -181,13 +211,13 @@ TEST(FaultyMeter, SpikesMultiplyTheCleanReading) {
   ASSERT_EQ(spiked.size(), reference.size());
   for (std::size_t i = 0; i < spiked.size(); ++i) {
     EXPECT_DOUBLE_EQ(spiked.samples()[i].power.value(),
-                     4.0 * reference.samples()[i].power.value());
+                     FaultyMeter::kSpikeFactor *
+                         reference.samples()[i].power.value());
   }
 }
 
 TEST(FaultyMeter, TimeoutThrowsBeforeAnyRecording) {
   FaultInjectionOptions opts;
-  opts.enabled = true;
   opts.timeoutRate = 1.0;
   const FaultyMeter m(power::WattsUpMeter(fastMeter()), opts);
   const auto profile = benchProfile();
@@ -195,7 +225,7 @@ TEST(FaultyMeter, TimeoutThrowsBeforeAnyRecording) {
   power::PowerTrace out;
   EXPECT_THROW(m.recordInto(profile, 20.0_s, rng, out),
                power::MeterTimeoutError);
-  EXPECT_EQ(m.counts().timeouts, 1u);
+  EXPECT_EQ(m.counts()[FaultKind::MeterTimeout], 1u);
   EXPECT_EQ(m.windows(), 1u);
 }
 
@@ -203,7 +233,6 @@ TEST(FaultyMeter, TimeoutThrowsBeforeAnyRecording) {
 
 TEST(RobustMeasure, PersistentTimeoutExhaustsRetriesWithBackoff) {
   FaultInjectionOptions opts;
-  opts.enabled = true;
   opts.timeoutRate = 1.0;
   auto meter = std::make_shared<const FaultyMeter>(
       power::WattsUpMeter(fastMeter()), opts);
@@ -250,7 +279,6 @@ TEST(RobustMeasure, NanObservationsAreScreenedOut) {
   // integrate to NaN dynamic energy, and outlier screening must reject
   // exactly those observations while the measurement still converges.
   FaultInjectionOptions opts;
-  opts.enabled = true;
   opts.sampleFaultRate = 0.02;
   opts.nanWeight = 1.0;
   opts.dropWeight = opts.stuckWeight = opts.spikeWeight = opts.zeroWeight =
@@ -309,7 +337,6 @@ apps::GpuMatMulOptions smallStudyOptions() {
 
 TEST(StudyFaults, SkipAndRecordCompactsInEnumerationOrder) {
   apps::GpuMatMulOptions o = smallStudyOptions();
-  o.faults.enabled = true;
   o.faults.timeoutRate = 0.25;  // some configs die, some survive
   o.robustness.timeoutRetries = 0;
   o.failPolicy = FailPolicy::SkipAndRecord;
@@ -340,7 +367,6 @@ TEST(StudyFaults, SkipAndRecordCompactsInEnumerationOrder) {
 
 TEST(StudyFaults, FailFastPropagatesTheFirstError) {
   apps::GpuMatMulOptions o = smallStudyOptions();
-  o.faults.enabled = true;
   o.faults.timeoutRate = 1.0;
   o.robustness.timeoutRetries = 0;
   o.failPolicy = FailPolicy::FailFast;
@@ -351,7 +377,6 @@ TEST(StudyFaults, FailFastPropagatesTheFirstError) {
 
 TEST(StudyFaults, AllConfigsFailingFailsTheWorkload) {
   apps::GpuMatMulOptions o = smallStudyOptions();
-  o.faults.enabled = true;
   o.faults.timeoutRate = 1.0;
   o.robustness.timeoutRetries = 0;
   o.failPolicy = FailPolicy::SkipAndRecord;
@@ -652,6 +677,16 @@ TEST_F(JournalTest, HashMismatchRefusesTheJournal) {
   // A different seed on the same device is refused too.
   Rng rngC(78);
   EXPECT_THROW((void)study_.runSweepChecked({sweep_[0]}, rngC, ckpt),
+               PreconditionError);
+  // So is the same device and seed under another fault campaign: the
+  // identity covers every campaign setting, the Fig 6 offset included.
+  apps::GpuMatMulOptions offset = journalOptions();
+  offset.faults.offsetRate = 1.0;
+  offset.faults.offsetWatts = 58.0;
+  const core::GpuEpStudy offsetStudy(
+      apps::GpuMatMulApp(hw::GpuModel(hw::nvidiaK40c()), offset));
+  Rng rngD(77);
+  EXPECT_THROW((void)offsetStudy.runSweepChecked({sweep_[0]}, rngD, ckpt),
                PreconditionError);
 }
 

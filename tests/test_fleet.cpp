@@ -372,6 +372,18 @@ TEST(Router, RoundRobinScattersColdStudies) {
   }
   // One key, but round-robin visits every shard: each pays the study.
   EXPECT_EQ(engine->calls(), 3);
+
+  // Energy-aware routing serves the same trace from one study, so it
+  // spends fewer cluster joules.
+  auto affinityEngine = std::make_shared<FleetFakeEngine>();
+  FleetRouter energyAware(shardConfigs(affinityEngine, 3));
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_EQ(energyAware.tune(freq(4242)).status, serve::Status::Ok);
+  }
+  EXPECT_EQ(affinityEngine->calls(), 1);
+  EXPECT_GT(energyAware.metrics().clusterJoules, 0.0);
+  EXPECT_LT(energyAware.metrics().clusterJoules,
+            router.metrics().clusterJoules);
 }
 
 TEST(Router, EwmaTracksColdStudyPrice) {
@@ -1035,6 +1047,12 @@ TEST(Health, AutoEjectRoutesBitwiseLikeAManualKill) {
       RouteDecision d;
       const auto resp = router.tune(freq(n), &d);
       EXPECT_EQ(resp.status, serve::Status::Ok) << resp.error;
+      // The victim's keys are stale-served by the ring successor's
+      // replica.
+      if (router.homeShard(Device::P100, n) == victim) {
+        EXPECT_TRUE(resp.stale) << n;
+        EXPECT_TRUE(d.staleFallback) << n;
+      }
       journal.push_back(d.shardId + (d.staleFallback ? "*" : "") +
                         (resp.stale ? "~" : ""));
     }
@@ -1061,26 +1079,55 @@ TEST(Health, AutoEjectRoutesBitwiseLikeAManualKill) {
 
 TEST(Health, AutoReinstateRestoresHomeRoutingAndRecordsEvents) {
   ChaosFleet f = chaosFleet(1);
+  // The victim's breaker trips on real failing traffic, and its open
+  // window runs on the broker's injected clock: time moves only when
+  // the test advances it.
+  std::atomic<std::int64_t> clockNs{0};
+  f.configs[1].broker.breaker.failureThreshold = 2;
+  f.configs[1].broker.breaker.openMs = 60.0;
+  f.configs[1].broker.clock = [&clockNs] {
+    return serve::Clock::time_point(serve::Clock::duration(clockNs.load()));
+  };
   FleetRouter router(f.configs, healthOpts(/*ejectAfter=*/2,
                                            /*reinstateAfter=*/2));
   std::vector<int> keys;
   for (int n = 400; n < 424; ++n) keys.push_back(n);
-  for (int n : keys) ASSERT_EQ(router.tune(freq(n)).status, serve::Status::Ok);
+  for (int n : keys) {
+    const auto resp = router.tune(freq(n));
+    ASSERT_EQ(resp.status, serve::Status::Ok);
+    EXPECT_FALSE(resp.stale);  // the fleet warms fresh
+  }
   int victimKey = -1;
   for (int n : keys) {
     if (router.homeShard(Device::P100, n) == "s1") { victimKey = n; break; }
   }
   ASSERT_NE(victimKey, -1);
 
+  // Cold keys homed on the crashed shard are the failing traffic that
+  // trips its breaker, which the health probes read.
   f.chaos->crash();
+  int failing = 0;
+  for (int n = 5000; failing < 2; ++n) {
+    if (router.homeShard(Device::P100, n) != "s1") continue;
+    EXPECT_EQ(router.tune(freq(n)).status, serve::Status::Error);
+    ++failing;
+  }
+  const serve::ServeMetrics tripped = router.shardBroker("s1")->metrics();
+  EXPECT_STREQ(tripped.breakerState[serve::deviceIndex(Device::P100)], "open");
   router.healthTick();
+  EXPECT_FALSE(router.shardEjected("s1"));  // 1 failure < ejectAfter
   router.healthTick();
   ASSERT_TRUE(router.shardEjected("s1"));
   EXPECT_EQ(router.metrics().shardsEjected, 1u);
 
-  // Ejected shards keep being probed; recovery reinstates after exactly
-  // reinstateAfterSuccesses clean probes.
+  // Ejected shards keep being probed.  A recovered engine still fails
+  // them while its breaker is open; once the open window has lapsed on
+  // the broker's clock, exactly reinstateAfterSuccesses clean probes
+  // reinstate it.
   f.chaos->recover();
+  router.healthTick();
+  EXPECT_TRUE(router.shardEjected("s1"));  // breaker still open
+  clockNs.fetch_add(60'000'000);
   router.healthTick();
   EXPECT_TRUE(router.shardEjected("s1"));  // 1 success < reinstateAfter
   router.healthTick();
@@ -1099,13 +1146,18 @@ TEST(Health, AutoReinstateRestoresHomeRoutingAndRecordsEvents) {
     EXPECT_EQ(std::string_view(e.scope), "s1");
   }
 
-  // The reinstated shard serves its warm home keys fresh again.
+  // The reinstated shard serves its warm home keys fresh again, every
+  // key answers, and the cluster fronts still match a batch recompute.
   RouteDecision d;
   const auto resp = router.tune(freq(victimKey), &d);
   ASSERT_EQ(resp.status, serve::Status::Ok);
   EXPECT_FALSE(resp.stale);
   EXPECT_EQ(d.shardId, "s1");
   EXPECT_TRUE(d.home);
+  for (int n : keys) {
+    EXPECT_EQ(router.tune(freq(n)).status, serve::Status::Ok) << n;
+  }
+  EXPECT_TRUE(router.frontsConsistent());
   router.shutdown();
 }
 

@@ -979,8 +979,10 @@ TEST(Slo, LatencyBurnRaisesAndClearsWithHysteresis) {
   EXPECT_FALSE(status[0].burning);
   EXPECT_EQ(engine.activeAlerts(), 0u);
   const auto events = engine.events();
-  ASSERT_GE(events.size(), 2u);
+  ASSERT_EQ(events.size(), 2u);  // one burn, then one clear
+  EXPECT_STREQ(events.front().kind, "slo_burn");
   EXPECT_STREQ(events.back().kind, "slo_cleared");
+  EXPECT_GT(events.back().timeNs, events.front().timeNs);
   // Re-evaluating in the clear state raises nothing new.
   engine.evaluate(21 * kSec);
   EXPECT_EQ(engine.status()[0].raisedCount, 1u);

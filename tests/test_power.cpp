@@ -445,10 +445,13 @@ TEST(Meter, FaultCampaignOverTheMeterIsUnchanged) {
                   bitsOf(sample.power.value()));
       }
     }
-    const fault::FaultCounts& c = meter.counts();
-    for (const std::uint64_t n : {c.dropped, c.stuck, c.spikes, c.nans,
-                                  c.zeros, c.gainDrifts, c.timeouts}) {
-      h = mix64(h, n);
+    const fault::FaultTally& c = meter.counts();
+    using fault::FaultKind;
+    for (const FaultKind k :
+         {FaultKind::DroppedSample, FaultKind::StuckReading, FaultKind::Spike,
+          FaultKind::NanReading, FaultKind::ZeroReading, FaultKind::GainDrift,
+          FaultKind::MeterTimeout}) {
+      h = mix64(h, c[k]);
     }
     EXPECT_GT(c.total(), 0u);
   }

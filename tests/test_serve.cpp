@@ -2684,8 +2684,12 @@ TEST(Admission, OverflowFastFailsOverloadedWhileAdmittedWorkCompletes) {
   EXPECT_EQ(overloaded, 4);
   EXPECT_LE(maxLatencyMs, opts.admission.targetLatencyMs);
   const ServeMetrics m = broker.metrics();
+  EXPECT_EQ(m.rejectedOverload, static_cast<std::uint64_t>(overloaded));
   EXPECT_EQ(m.rejectedOverload, 4u);
   EXPECT_EQ(m.rejectedQueueFull, 0u);  // shed at admission, not the queue
+  // Every future resolved and the broker drained clean.
+  EXPECT_EQ(m.inFlightStudies, 0u);
+  EXPECT_EQ(m.queueDepth, 0u);
   broker.shutdown();
 }
 

@@ -5,7 +5,9 @@
 # broker, epcommon thread pool, epobs metrics/tracing) and an
 # AddressSanitizer+UBSan pass over the noise, fault-injection and serve
 # paths (the code that indexes stack blocks, deliberately corrupts
-# traces and parses hostile frames).
+# traces and parses hostile frames).  The meter-fault and serving-chaos
+# campaigns are tier-1 cases (ctest -R 'FaultCampaign|ChaosCampaign'),
+# so they run in every stage that runs their suites.
 #
 #   tools/ci.sh          # full: tier-1 build + ctest, native, TSan, ASan+UBSan
 #   tools/ci.sh --fast   # skip the sanitizer configurations
@@ -193,16 +195,6 @@ ALIVE="$(sed -n 's/.*"aliveShards":\([0-9]*\).*/\1/p' <<<"${FLEET}")"
 echo "fleet clean after recovery: ${ALIVE} of ${SHARDS} shards alive, fronts consistent"
 stop_daemon
 
-echo "== chaoscheck drill: fault campaign -> self-heal -> overload =="
-# The epchaos end-to-end drill: a seeded 5% transport-fault campaign
-# (resets, torn frames, corrupt varints, stalls) against a live fleet,
-# server-side accept/inbound chaos, whole-shard crash with auto-eject
-# and auto-reinstate, a 2x overload burst shed by adaptive admission,
-# an SLO burn raised and cleared, and the energy-aware-beats-round-
-# robin routing check.  Every phase is bitwise-reproducible from the
-# seed; any assertion failure exits non-zero.
-./build/tools/chaoscheck
-
 echo "== epctl top drill: healthy fleet -> shard kill -> latency SLO burn =="
 # Fleet with the observability plane armed: 100 ms scrapes and a
 # latency SLO (90% of requests within 2 ms, second-scale burn windows
@@ -315,9 +307,10 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_fleet
 # the broker pool on respond(), eviction racing writes, stop() racing
 # in-flight and dealt-but-unadopted connections.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_net
-# test_chaos hammers the retry budget from coalesced callers and runs
-# the faulty transport against a live server (reconnects racing the
-# event loop's eviction path).
+# test_chaos hammers the retry budget from coalesced callers, runs the
+# faulty transport against a live server (reconnects racing the event
+# loop's eviction path), and runs the chaos campaign over a live
+# 3-shard fleet (ChaosCampaign.*).
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_chaos
 # Live daemon without --meter under TSan: model-direct studies run
 # inline on two event threads, coalesced completions cross loops, and
@@ -369,7 +362,8 @@ ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_fleet
 # and mid-frame closes -- the hostile-input half of the wire parser.
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_net
 # test_chaos injects the corruption the parser must survive on purpose:
-# flipped varint bytes, truncated frames, and mid-stream disconnects.
+# flipped varint bytes, truncated frames, and mid-stream disconnects,
+# in the chaos campaign over a live 3-shard fleet (ChaosCampaign.*).
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_chaos
 # Live-daemon profiler drill under ASan+UBSan: sample-ring indexing,
 # stack-copy bounds, and the export encoders on a real serve workload.

@@ -469,7 +469,6 @@ int main(int argc, char** argv) {
     // The Fig 6 constant component rides on the meter; without the
     // wall-meter protocol there is nothing to offset.
     engineOpts.useMeter = true;
-    engineOpts.faults.enabled = true;
     engineOpts.faults.offsetWatts = args.faultOffset;
     engineOpts.faults.offsetRate = args.faultOffsetRate;
   }
@@ -610,7 +609,7 @@ int main(int argc, char** argv) {
             << " scrape-ms=" << (args.scrapeMs > 0 ? args.scrapeMs : 0);
   if (fleet) std::cout << " health-probe-ms=" << args.healthProbeMs;
   std::cout << " slos=" << sloSpecs.size();
-  if (engineOpts.faults.enabled) {
+  if (engineOpts.faults.enabled()) {
     std::cout << " fault-offset=" << std::to_string(args.faultOffset);
   }
   std::cout << ")" << std::endl;
