@@ -71,7 +71,7 @@ CpuDataPoint CpuDgemmApp::runConfig(const hw::CpuDgemmConfig& cfg,
   double sumU = 0.0;
   for (double u : out.model.coreUtilization) {
     const double jitter =
-        u > 0.0 ? rng.normal(0.0, options_.utilizationJitter) : 0.0;
+        u > 0.0 ? rng.normal(0.0, kUtilizationJitter) : 0.0;
     sumU += std::clamp(u + jitter, 0.0, 1.0);
   }
   out.avgUtilizationPct =

@@ -33,9 +33,6 @@ struct CpuDataPoint {
 
 struct CpuDgemmOptions {
   bool useMeter = true;
-  // Per-repetition utilization jitter (OS noise, interrupts) applied to
-  // every core's utilization, in absolute utilization units.
-  double utilizationJitter = 0.006;
   stats::MeasurementOptions measurement{};
   power::MeterOptions meter{};
   // Fault campaign + hardening; all off by default (see GpuMatMulOptions).
@@ -91,6 +88,10 @@ class CpuDgemmApp {
                                               std::size_t smallN, Rng& rng);
 
  private:
+  // Per-repetition utilization jitter (OS noise, interrupts) applied to
+  // every core's utilization, in absolute utilization units.
+  static constexpr double kUtilizationJitter = 0.006;
+
   hw::CpuModel model_;
   CpuDgemmOptions options_;
 };

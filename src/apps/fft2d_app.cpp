@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "apps/gpu_matmul_app.hpp"
 #include "common/error.hpp"
 #include "fft/fft.hpp"
 #include "obs/profile_frames.hpp"
@@ -40,7 +41,7 @@ Fft2dApp::Run Fft2dApp::modelRun(int n) const {
   r.uncoreActive = m.uncoreActive;
   r.uncorePower = m.uncorePower;
   r.uncoreTail = m.uncoreTail;
-  r.idlePower = options_.hostIdlePower + gpu.spec().boardIdlePower;
+  r.idlePower = GpuMatMulApp::kHostIdlePower + gpu.spec().boardIdlePower;
   return r;
 }
 

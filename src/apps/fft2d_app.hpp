@@ -27,7 +27,6 @@ struct FftDataPoint {
 
 struct Fft2dOptions {
   bool useMeter = true;
-  Watts hostIdlePower{85.0};  // for GPU nodes
   stats::MeasurementOptions measurement{};
   power::MeterOptions meter{};
 };

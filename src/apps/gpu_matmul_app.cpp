@@ -68,18 +68,17 @@ std::string GpuDataPoint::label() const { return toPoint(0).label; }
 GpuMatMulApp::GpuMatMulApp(hw::GpuModel model, GpuMatMulOptions options)
     : model_(std::move(model)), options_(options) {
   EP_REQUIRE(options_.totalProducts >= 1, "workload needs >= 1 product");
-  EP_REQUIRE(options_.bsMin >= 1 && options_.bsMax >= options_.bsMin,
-             "invalid BS range");
+  EP_REQUIRE(options_.bsMax >= 1, "invalid BS range");
 }
 
 Watts GpuMatMulApp::nodeIdlePower() const {
-  return options_.hostIdlePower + model_.spec().boardIdlePower;
+  return kHostIdlePower + model_.spec().boardIdlePower;
 }
 
 std::vector<hw::MatMulConfig> GpuMatMulApp::enumerateConfigs(int n) const {
   std::vector<hw::MatMulConfig> out;
-  for (int bs = options_.bsMin; bs <= options_.bsMax; ++bs) {
-    for (int g = 1; g <= options_.gMax; ++g) {
+  for (int bs = 1; bs <= options_.bsMax; ++bs) {
+    for (int g = 1; g <= kGMax; ++g) {
       if (options_.totalProducts % g != 0) continue;
       hw::MatMulConfig cfg;
       cfg.n = n;

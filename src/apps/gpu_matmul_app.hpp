@@ -39,13 +39,12 @@ struct GpuDataPoint {
   [[nodiscard]] std::string label() const;
 };
 
+// BS runs from 1 to bsMax and G from 1 to 8 (Fig 5 provides
+// dgemmG1..dgemmG8); the node hosting the GPU idles at
+// GpuMatMulApp::kHostIdlePower, which feeds the wall meter.
 struct GpuMatMulOptions {
   int totalProducts = 8;  // the fixed G x R workload multiplier
-  int bsMin = 1;
   int bsMax = 32;
-  int gMax = 8;  // Fig 5 provides dgemmG1..dgemmG8
-  // Node hosting the GPU: host idle power feeding the wall meter.
-  Watts hostIdlePower{85.0};
   // Use the simulated wall meter + measurement protocol (true) or the
   // noise-free model energies (false; for fast sweeps in tests).
   bool useMeter = true;
@@ -69,6 +68,8 @@ struct GpuConfigFailure {
 
 class GpuMatMulApp {
  public:
+  static constexpr Watts kHostIdlePower{85.0};
+
   explicit GpuMatMulApp(hw::GpuModel model, GpuMatMulOptions options = {});
 
   [[nodiscard]] const hw::GpuModel& model() const { return model_; }
@@ -116,6 +117,8 @@ class GpuMatMulApp {
       const std::vector<GpuDataPoint>& data);
 
  private:
+  static constexpr int kGMax = 8;
+
   // runConfig's model-direct path: the noise-free model point of `cfg`
   // through `batch`, written into `out`.  Throws what the model throws,
   // before writing anything.

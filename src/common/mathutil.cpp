@@ -1,7 +1,5 @@
 #include "common/mathutil.hpp"
 
-#include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -12,25 +10,6 @@ std::uint64_t nextPowerOfTwo(std::uint64_t n) {
   std::uint64_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-unsigned ilog2(std::uint64_t n) {
-  EP_REQUIRE(n >= 1, "ilog2 needs n >= 1");
-  unsigned r = 0;
-  while (n >>= 1) ++r;
-  return r;
-}
-
-std::vector<double> linspace(double lo, double hi, std::size_t n) {
-  EP_REQUIRE(n >= 1, "linspace needs n >= 1");
-  if (n == 1) return {lo};
-  std::vector<double> out(n);
-  const double step = (hi - lo) / static_cast<double>(n - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = lo + step * static_cast<double>(i);
-  }
-  out.back() = hi;
-  return out;
 }
 
 std::vector<std::uint64_t> divisorsOf(std::uint64_t n) {
@@ -44,28 +23,6 @@ std::vector<std::uint64_t> divisorsOf(std::uint64_t n) {
   }
   lo.insert(lo.end(), hi.rbegin(), hi.rend());
   return lo;
-}
-
-double clampFinite(double v, double lo, double hi) {
-  if (std::isnan(v)) return lo;
-  return std::clamp(v, lo, hi);
-}
-
-double relativeDifference(double a, double b) {
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  if (scale == 0.0) return 0.0;
-  return std::fabs(a - b) / scale;
-}
-
-double kahanSum(std::span<const double> xs) {
-  double sum = 0.0, c = 0.0;
-  for (double x : xs) {
-    const double y = x - c;
-    const double t = sum + y;
-    c = (t - sum) - y;
-    sum = t;
-  }
-  return sum;
 }
 
 }  // namespace ep

@@ -1,9 +1,7 @@
 // Small math helpers shared across modules.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace ep {
@@ -15,29 +13,13 @@ namespace ep {
 // Smallest power of two >= n (n >= 1).
 [[nodiscard]] std::uint64_t nextPowerOfTwo(std::uint64_t n);
 
-// floor(log2(n)) for n >= 1.
-[[nodiscard]] unsigned ilog2(std::uint64_t n);
-
 // Ceiling division for non-negative integers.
 [[nodiscard]] constexpr std::uint64_t ceilDiv(std::uint64_t a,
                                               std::uint64_t b) {
   return (a + b - 1) / b;
 }
 
-// n evenly spaced values over [lo, hi] inclusive (n >= 2), or {lo} for n==1.
-[[nodiscard]] std::vector<double> linspace(double lo, double hi,
-                                           std::size_t n);
-
 // Positive divisors of n in ascending order.
 [[nodiscard]] std::vector<std::uint64_t> divisorsOf(std::uint64_t n);
-
-// Clamp helper mirroring std::clamp but total for NaN (returns lo).
-[[nodiscard]] double clampFinite(double v, double lo, double hi);
-
-// Relative difference |a-b| / max(|a|,|b|), zero if both are zero.
-[[nodiscard]] double relativeDifference(double a, double b);
-
-// Sum with Kahan compensation (traces can be long; keep integration exact).
-[[nodiscard]] double kahanSum(std::span<const double> xs);
 
 }  // namespace ep

@@ -41,12 +41,8 @@ void Table::addRow(std::vector<std::string> cells) {
 void Table::addRow(std::initializer_list<double> cells) {
   std::vector<std::string> row;
   row.reserve(cells.size());
-  for (double v : cells) row.push_back(formatNumber(v));
+  for (double v : cells) row.push_back(formatDouble(v, kPrecision));
   addRow(std::move(row));
-}
-
-std::string Table::formatNumber(double v) const {
-  return formatDouble(v, precision_);
 }
 
 void Table::print(std::ostream& os) const {
@@ -86,28 +82,6 @@ std::string Table::str() const {
   std::ostringstream ss;
   print(ss);
   return ss.str();
-}
-
-void Table::writeCsv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      // Quote cells containing separators.
-      if (cells[c].find_first_of(",\"\n") != std::string::npos) {
-        os << '"';
-        for (char ch : cells[c]) {
-          if (ch == '"') os << "\"\"";
-          else os << ch;
-        }
-        os << '"';
-      } else {
-        os << cells[c];
-      }
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
 }
 
 }  // namespace ep

@@ -1,8 +1,8 @@
-// Plain-text table and CSV emission.
+// Plain-text table emission.
 //
 // Every bench binary regenerates one of the paper's tables or figures as
 // rows/series on stdout; Table gives them a single consistent, aligned
-// format, and writeCsv provides machine-readable output for re-plotting.
+// format.
 #pragma once
 
 #include <initializer_list>
@@ -19,28 +19,21 @@ class Table {
   // Add a pre-formatted row; must have exactly as many cells as headers.
   void addRow(std::vector<std::string> cells);
 
-  // Convenience: format doubles with the table's precision.
+  // Convenience: format doubles with formatDouble(v, 4).
   void addRow(std::initializer_list<double> cells);
 
   void setTitle(std::string title) { title_ = std::move(title); }
-  void setPrecision(int digits) { precision_ = digits; }
-
-  [[nodiscard]] std::size_t rowCount() const { return rows_.size(); }
 
   // Render with column alignment.
   void print(std::ostream& os) const;
   [[nodiscard]] std::string str() const;
 
-  void writeCsv(std::ostream& os) const;
-
-  // Format a double the way addRow(initializer_list<double>) would.
-  [[nodiscard]] std::string formatNumber(double v) const;
-
  private:
+  static constexpr int kPrecision = 4;
+
   std::string title_;
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
-  int precision_ = 4;
 };
 
 // Shared numeric formatting: fixed for "human" magnitudes, scientific

@@ -48,7 +48,7 @@ class ThreadPool {
   [[nodiscard]] std::size_t inFlight() const;
 
   // Enqueue a task; tasks may not themselves block on the pool's
-  // wait(), but they MAY call parallelFor/parallelMap (nested-safe).
+  // wait(), but they MAY call parallelFor (nested-safe).
   void submit(std::function<void()> task);
 
   // Block until all submitted tasks have completed.  Global: waits on
@@ -72,17 +72,6 @@ class ThreadPool {
   void parallelFor(std::size_t begin, std::size_t end,
                    const std::function<void(std::size_t)>& fn,
                    std::size_t grain = 0);
-
-  // parallelFor producing a value per index, in index order.  T must be
-  // default-constructible; fn(i) runs under the parallelFor contract.
-  template <typename T, typename Fn>
-  [[nodiscard]] std::vector<T> parallelMap(std::size_t n, Fn&& fn,
-                                           std::size_t grain = 0) {
-    std::vector<T> out(n);
-    parallelFor(
-        0, n, [&](std::size_t i) { out[i] = fn(i); }, grain);
-    return out;
-  }
 
  private:
   struct ParallelForState;

@@ -1,6 +1,7 @@
 #include "core/study.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <utility>
 
@@ -82,36 +83,124 @@ std::vector<WorkloadResult> GpuEpStudy::runSweep(const std::vector<int>& sizes,
   return out;
 }
 
-std::uint64_t GpuEpStudy::checkpointHash(std::uint64_t seed) const {
-  const auto& o = app_.options();
-  std::uint64_t h = mix64(0, seed);
-  // The device identity matters as much as the options: a P100 journal
-  // must not satisfy a K40c resume even with identical tuning knobs.
-  for (const char c : app_.model().spec().name) {
+namespace {
+
+// The mixers behind checkpointHash.  Each binds every member of its
+// struct by name, so a field added to or removed from any of them
+// stops the build here instead of silently falling out of the journal
+// guard and the serve cache key.
+std::uint64_t mixAll(std::uint64_t h, std::initializer_list<double> vs) {
+  for (const double v : vs) h = mix64(h, doubleBits(v));
+  return h;
+}
+
+std::uint64_t mixCounts(std::uint64_t h,
+                        std::initializer_list<std::uint64_t> vs) {
+  for (const std::uint64_t v : vs) h = mix64(h, v);
+  return h;
+}
+
+std::uint64_t flag(bool b) { return b ? 1ULL : 0ULL; }
+
+template <class T>
+std::uint64_t count(T v) {
+  return static_cast<std::uint64_t>(v);
+}
+
+// The device: a P100 journal must not satisfy a K40c resume even with
+// identical options, and neither may a retuned spec.
+std::uint64_t mixSpec(std::uint64_t h, const hw::GpuSpec& spec) {
+  const auto& [name, cudaCores, baseClockMHz, boostClockMHz, smCount,
+               memoryGB, l2KB, tdp, boardIdlePower, memBandwidthGBs,
+               peakGflopsDouble, maxThreadsPerBlock, maxThreadsPerSM,
+               maxBlocksPerSM, sharedMemPerBlockKB, sharedMemPerSMKB,
+               warpSize, uncorePower, uncoreTail, additivityThresholdN,
+               hasAutoBoost] = spec;
+  for (const char c : name) {
     h = mix64(h, static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
   }
-  h = mix64(h, static_cast<std::uint64_t>(o.totalProducts));
-  h = mix64(h, static_cast<std::uint64_t>(o.bsMin));
-  h = mix64(h, static_cast<std::uint64_t>(o.bsMax));
-  h = mix64(h, static_cast<std::uint64_t>(o.gMax));
-  h = mix64(h, o.useMeter ? 1ULL : 0ULL);
-  h = mix64(h, doubleBits(o.hostIdlePower.value()));
-  h = fault::mixOptions(h, o.faults);
-  // Robustness knobs alter the accepted readings (and the draw
-  // sequence), so they are part of the journal identity too.
-  h = mix64(h, o.robustness.validation.enabled ? 1ULL : 0ULL);
-  h = mix64(h, doubleBits(o.robustness.validation.maxGapFactor));
-  h = mix64(h, static_cast<std::uint64_t>(o.robustness.validation.stuckRunLength));
-  h = mix64(h, o.robustness.sanitizeSamples ? 1ULL : 0ULL);
-  h = mix64(h, doubleBits(o.robustness.maxPlausibleWatts));
-  h = mix64(h, o.robustness.rejectOutliers ? 1ULL : 0ULL);
-  h = mix64(h, doubleBits(o.robustness.madThreshold));
-  h = mix64(h, static_cast<std::uint64_t>(o.robustness.minSamplesForMad));
-  h = mix64(h, static_cast<std::uint64_t>(o.robustness.remeasureBudget));
-  h = mix64(h, static_cast<std::uint64_t>(o.robustness.timeoutRetries));
-  h = mix64(h, doubleBits(o.robustness.backoffBaseS));
-  h = mix64(h, o.failPolicy == fault::FailPolicy::SkipAndRecord ? 1ULL : 0ULL);
-  return h;
+  h = mixCounts(h, {count(cudaCores), count(smCount), count(memoryGB),
+                    count(l2KB), count(maxThreadsPerBlock),
+                    count(maxThreadsPerSM), count(maxBlocksPerSM),
+                    count(sharedMemPerBlockKB), count(sharedMemPerSMKB),
+                    count(warpSize), count(additivityThresholdN),
+                    flag(hasAutoBoost)});
+  return mixAll(h, {baseClockMHz, boostClockMHz, tdp.value(),
+                    boardIdlePower.value(), memBandwidthGBs, peakGflopsDouble,
+                    uncorePower.value(), uncoreTail.value()});
+}
+
+// The model constants.  A journal stores measurements only and
+// recomputes the models on load, so a retuned constant must refuse an
+// old journal.
+std::uint64_t mixTuning(std::uint64_t h, const hw::GpuTuning& t) {
+  const auto& [kernelPeakFraction, occScaleCompute, occScaleMemory,
+               icachePenaltyPerLevel, gLinearPenalty, runWarmupFraction,
+               smEnergyPerGflop, memEnergyPerGB, residencyPower,
+               fetchPowerPerLevel, constantActivePower, midBinBoostFraction,
+               boostPowerExponent, bandwidthEfficiency, uncoreTailSec] = t;
+  return mixAll(h, {kernelPeakFraction, occScaleCompute, occScaleMemory,
+                    icachePenaltyPerLevel, gLinearPenalty, runWarmupFraction,
+                    smEnergyPerGflop, memEnergyPerGB, residencyPower,
+                    fetchPowerPerLevel, constantActivePower,
+                    midBinBoostFraction, boostPowerExponent,
+                    bandwidthEfficiency, uncoreTailSec});
+}
+
+std::uint64_t mixMeasurement(std::uint64_t h,
+                             const stats::MeasurementOptions& m) {
+  const auto& [precision, minRepetitions, maxRepetitions] = m;
+  h = mix64(h, doubleBits(precision));
+  return mixCounts(h, {count(minRepetitions), count(maxRepetitions)});
+}
+
+std::uint64_t mixMeter(std::uint64_t h, const power::MeterOptions& m) {
+  const auto& [sampleInterval, gainNoiseSigma, additiveNoiseSigma,
+               quantization, randomPhase] = m;
+  h = mixAll(h, {sampleInterval.value(), gainNoiseSigma,
+                 additiveNoiseSigma.value(), quantization.value()});
+  return mix64(h, flag(randomPhase));
+}
+
+std::uint64_t mixRobustness(std::uint64_t h,
+                            const power::RobustnessOptions& r) {
+  const auto& [validation, sanitizeSamples, maxPlausibleWatts,
+               rejectOutliers, madThreshold, remeasureBudget, timeoutRetries,
+               backoffBaseS] = r;
+  const auto& [enabled, maxGapFactor, stuckRunLength] = validation;
+  h = mix64(h, flag(enabled));
+  h = mix64(h, doubleBits(maxGapFactor));
+  h = mix64(h, count(stuckRunLength));
+  h = mix64(h, flag(sanitizeSamples));
+  h = mix64(h, doubleBits(maxPlausibleWatts));
+  h = mix64(h, flag(rejectOutliers));
+  h = mix64(h, doubleBits(madThreshold));
+  h = mixCounts(h, {count(remeasureBudget), count(timeoutRetries)});
+  return mix64(h, doubleBits(backoffBaseS));
+}
+
+// Every app option: the configuration space, the measurement protocol,
+// the meter, the fault campaign and the hardening, which alter the
+// accepted readings (and the draw sequence).
+std::uint64_t mixApp(std::uint64_t h, const apps::GpuMatMulOptions& o) {
+  const auto& [totalProducts, bsMax, useMeter, measurement, meter, faults,
+               robustness, failPolicy] = o;
+  h = mixCounts(h, {count(totalProducts), count(bsMax), flag(useMeter)});
+  h = mixMeasurement(h, measurement);
+  h = mixMeter(h, meter);
+  h = fault::mixOptions(h, faults);
+  h = mixRobustness(h, robustness);
+  return mix64(h, flag(failPolicy == fault::FailPolicy::SkipAndRecord));
+}
+
+}  // namespace
+
+std::uint64_t GpuEpStudy::checkpointHash(std::uint64_t seed) const {
+  const hw::GpuModel& model = app_.model();
+  std::uint64_t h = mix64(0, seed);
+  h = mixSpec(h, model.spec());
+  h = mixTuning(h, model.tuning());
+  return mixApp(h, app_.options());
 }
 
 SweepResult GpuEpStudy::runSweepChecked(const std::vector<int>& sizes,

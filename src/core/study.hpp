@@ -118,9 +118,12 @@ class GpuEpStudy {
                                             const SweepOptions& options = {},
                                             ThreadPool* pool = nullptr) const;
 
-  // The journal identity of this study under seed `seed`: resuming a
-  // checkpoint recorded with different app options (or a different
-  // seed) is an error, not a silently wrong merge.
+  // The identity of this study under seed `seed`: a hash of everything
+  // its results depend on — the device spec, the model constants, every
+  // app option (measurement, meter, faults, robustness, fail policy)
+  // and the seed.  It guards the journal (resuming a checkpoint
+  // recorded under anything else is an error, not a silently wrong
+  // merge) and keys the serve cache (EpStudyEngine::tuningHash).
   [[nodiscard]] std::uint64_t checkpointHash(std::uint64_t seed) const;
 
   [[nodiscard]] static FrontStatistics summarize(

@@ -42,7 +42,7 @@ const char* anomalyKindName(AnomalyKind k) {
 
 PowerAnomalyWatchdog::PowerAnomalyWatchdog(WatchdogOptions options)
     : options_(options),
-      recorder_(options.eventCapacity),
+      recorder_(kEventCapacity),
       eventsCounter_(obs::Registry::global().counter(
           "ep_watchdog_events_total",
           "Anomaly events raised by the power watchdog")),

@@ -7,9 +7,10 @@
 // paper detects it by decomposing measured energy against the additive
 // model.  This watchdog does the same decomposition per accepted
 // measurement window, online: the window's observed energy minus the
-// profile's expected energy (base power + workload model) leaves a
-// residual; divided by the window length it is the residual *power*
-// component.  A rolling median of residual watts per scope that sits
+// profile's expected energy (base power + workload model, as the meter
+// can see it: Meter::visibleEnergy, so the 1 Hz meter's own lag on a
+// short window is not mistaken for a component) leaves a residual;
+// divided by the window length it is the residual *power* component.  A rolling median of residual watts per scope that sits
 // at or above the threshold raises a ConstantComponent anomaly — a
 // single spiked window does not (the median absorbs it), which is
 // exactly the step-vs-noise distinction Fig 6 needs.
@@ -55,7 +56,6 @@ struct WatchdogOptions {
   double errorBudget = 0.10;
   std::size_t requestWindow = 64;  // outcomes kept per scope
   std::size_t minRequests = 16;    // needed before judging
-  std::size_t eventCapacity = 256;  // flight-recorder slots
 };
 
 enum class AnomalyKind { ConstantComponent, CiDegraded, ErrorBudget };
@@ -103,6 +103,7 @@ class PowerAnomalyWatchdog final : public power::MeasureObserver {
   void clearAlert(AnomalyKind kind, const std::string& scope, double value);
 
   WatchdogOptions options_;
+  static constexpr std::size_t kEventCapacity = 256;  // recorder slots
   obs::FlightRecorder recorder_;
   mutable std::mutex mu_;
   std::map<std::string, ScopeState> scopes_;

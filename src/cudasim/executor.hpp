@@ -31,8 +31,6 @@ class BlockContext {
   BlockContext(Dim3 blockIdx, const LaunchConfig& cfg);
 
   [[nodiscard]] Dim3 blockIdx() const { return blockIdx_; }
-  [[nodiscard]] Dim3 blockDim() const { return cfg_.block; }
-  [[nodiscard]] Dim3 gridDim() const { return cfg_.grid; }
   [[nodiscard]] std::size_t threadsPerBlock() const {
     return cfg_.block.count();
   }

@@ -16,17 +16,6 @@ std::optional<DvfsRun> minimizeEnergyUnderDeadline(const DvfsProcessor& proc,
   return best;
 }
 
-std::optional<DvfsRun> maximizePerformanceUnderBudget(
-    const DvfsProcessor& proc, const Workload& w, Joules budget) {
-  std::optional<DvfsRun> best;
-  for (const auto& state : proc.table().states()) {
-    const DvfsRun r = proc.run(w, state);
-    if (r.dynamicEnergy > budget) continue;
-    if (!best || r.time < best->time) best = r;
-  }
-  return best;
-}
-
 std::vector<pareto::BiPoint> dvfsPoints(const DvfsProcessor& proc,
                                         const Workload& w) {
   std::vector<pareto::BiPoint> pts;

@@ -1,6 +1,5 @@
 // The system-level bi-objective baselines of the related-work section:
 //   * minimize energy under an execution-time constraint ([18]-style),
-//   * maximize performance under an energy budget ([16], [17]-style),
 //   * the full energy/performance Pareto front over P-states
 //     ([19]-[21]-style, with frequency as the only decision variable).
 #pragma once
@@ -17,11 +16,6 @@ namespace ep::dvfs {
 // even the highest state is too slow.
 [[nodiscard]] std::optional<DvfsRun> minimizeEnergyUnderDeadline(
     const DvfsProcessor& proc, const Workload& w, Seconds deadline);
-
-// Fastest state whose dynamic energy stays within the budget; nullopt
-// if even the lowest state exceeds it.
-[[nodiscard]] std::optional<DvfsRun> maximizePerformanceUnderBudget(
-    const DvfsProcessor& proc, const Workload& w, Joules budget);
 
 // All P-state runs as bi-objective points (configId = state index).
 [[nodiscard]] std::vector<pareto::BiPoint> dvfsPoints(

@@ -24,13 +24,6 @@ const PState& PStateTable::operator[](std::size_t i) const {
   return states_[i];
 }
 
-const PState& PStateTable::atLeast(double freqMHz) const {
-  for (const auto& s : states_) {
-    if (s.freqMHz >= freqMHz) return s;
-  }
-  return states_.back();
-}
-
 PStateTable haswellPStates() {
   // 100 MHz bins from 1.2 to 2.3 GHz nominal plus two turbo bins;
   // voltages follow the typical near-linear V/f curve of the part.

@@ -30,9 +30,6 @@ class PStateTable {
   [[nodiscard]] const PState& highest() const { return states_.back(); }
   [[nodiscard]] const std::vector<PState>& states() const { return states_; }
 
-  // Smallest state with freq >= target (highest state if none).
-  [[nodiscard]] const PState& atLeast(double freqMHz) const;
-
  private:
   std::vector<PState> states_;
 };

@@ -36,9 +36,6 @@ class EnergyPredictiveModel {
   explicit EnergyPredictiveModel(std::vector<std::string> variables);
 
   void addObservation(EnergyObservation obs);
-  [[nodiscard]] std::size_t observationCount() const {
-    return observations_.size();
-  }
 
   // Fit through the origin; iteratively drops negative-coefficient
   // variables (non-physical) and refits.  Requires more observations

@@ -48,10 +48,14 @@ FaultInjectionOptions FaultInjectionOptions::campaign(double rate) {
 }
 
 std::uint64_t mixOptions(std::uint64_t h, const FaultInjectionOptions& f) {
+  // Binding every member by name: a field added to the campaign stops
+  // the build here instead of falling out of the hash.
+  const auto& [sampleFaultRate, dropWeight, stuckWeight, spikeWeight,
+               nanWeight, zeroWeight, timeoutRate, gainDriftRate, offsetRate,
+               offsetWatts] = f;
   for (const double v :
-       {f.sampleFaultRate, f.dropWeight, f.stuckWeight, f.spikeWeight,
-        f.nanWeight, f.zeroWeight, f.timeoutRate, f.gainDriftRate,
-        f.offsetRate, f.offsetWatts}) {
+       {sampleFaultRate, dropWeight, stuckWeight, spikeWeight, nanWeight,
+        zeroWeight, timeoutRate, gainDriftRate, offsetRate, offsetWatts}) {
     h = mix64(h, std::bit_cast<std::uint64_t>(v));
   }
   return h;

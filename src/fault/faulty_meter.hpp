@@ -39,6 +39,12 @@ class FaultyMeter final : public power::Meter {
 
   void recordInto(const power::PowerSource& source, Seconds duration,
                   Rng& rng, power::PowerTrace& out) const override;
+  // The clean instrument's: what the faults add is what the watchdog
+  // looks for.
+  [[nodiscard]] Joules visibleEnergy(const power::PowerSource& source,
+                                     Seconds duration) const override {
+    return inner_.visibleEnergy(source, duration);
+  }
 
   // Injection tally since construction.
   [[nodiscard]] const FaultTally& counts() const { return counts_; }

@@ -2,6 +2,15 @@
 
 namespace ep::fleet {
 
+namespace {
+
+constexpr double kQueueWeight = 1.0;      // per in-flight request
+constexpr double kEnergyWeight = 1.0;     // per expected joule
+constexpr double kNonHomeBias = 0.125;    // toward the ring home on ties
+constexpr double kBreakerOpenCost = 1e9;  // open breaker = last resort
+
+}  // namespace
+
 const char* policyName(PolicyKind k) {
   switch (k) {
     case PolicyKind::RoundRobin:
@@ -21,28 +30,27 @@ std::optional<PolicyKind> parsePolicy(const std::string& s) {
   return std::nullopt;
 }
 
-double scoreCandidate(PolicyKind kind, const PolicyWeights& w,
-                      const CandidateSnapshot& c) {
+double scoreCandidate(PolicyKind kind, const CandidateSnapshot& c) {
   double score = 0.0;
   switch (kind) {
     case PolicyKind::RoundRobin:
       break;  // stateless: rotation in pickCandidate decides
     case PolicyKind::QueueDepth:
-      score = w.queue * static_cast<double>(c.inFlight);
+      score = kQueueWeight * static_cast<double>(c.inFlight);
       break;
     case PolicyKind::EnergyAware:
-      score = w.queue * static_cast<double>(c.inFlight) +
-              w.energy * c.expectedJoules +
-              (c.preference > 0 ? w.nonHome : 0.0);
+      score = kQueueWeight * static_cast<double>(c.inFlight) +
+              kEnergyWeight * c.expectedJoules +
+              (c.preference > 0 ? kNonHomeBias : 0.0);
       break;
   }
-  if (c.breakerOpen) score += w.breakerOpen;
+  if (c.breakerOpen) score += kBreakerOpenCost;
   return score;
 }
 
 std::optional<std::size_t> pickCandidate(
-    PolicyKind kind, const PolicyWeights& w,
-    const std::vector<CandidateSnapshot>& candidates, std::size_t rotation) {
+    PolicyKind kind, const std::vector<CandidateSnapshot>& candidates,
+    std::size_t rotation) {
   const std::size_t n = candidates.size();
   if (n == 0) return std::nullopt;
   std::optional<std::size_t> best;
@@ -56,7 +64,7 @@ std::optional<std::size_t> pickCandidate(
         (kind == PolicyKind::EnergyAware) ? step : (step + rotation) % n;
     const CandidateSnapshot& c = candidates[i];
     if (!c.alive) continue;
-    const double score = scoreCandidate(kind, w, c);
+    const double score = scoreCandidate(kind, c);
     bool better = !best || score < bestScore;
     if (kind == PolicyKind::EnergyAware && best && score == bestScore) {
       const CandidateSnapshot& b = candidates[*best];

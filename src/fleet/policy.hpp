@@ -35,13 +35,6 @@ enum class PolicyKind { RoundRobin, QueueDepth, EnergyAware };
 // Accepts "rr"/"round-robin", "queue", "energy"/"energy-aware".
 [[nodiscard]] std::optional<PolicyKind> parsePolicy(const std::string& s);
 
-struct PolicyWeights {
-  double queue = 1.0;        // cost per in-flight request on the shard
-  double energy = 1.0;       // cost per expected joule of the placement
-  double nonHome = 0.125;    // small bias toward the ring home on ties
-  double breakerOpen = 1e9;  // open breaker = last resort
-};
-
 // One shard as the router sees it at scoring time.  Every field is a
 // relaxed-atomic snapshot; nothing here required a lock to read.
 struct CandidateSnapshot {
@@ -57,8 +50,11 @@ struct CandidateSnapshot {
 };
 
 // Scalar cost under `kind` (lower is better).  RoundRobin scores 0 for
-// everything — selection happens in pickCandidate via `rotation`.
-[[nodiscard]] double scoreCandidate(PolicyKind kind, const PolicyWeights& w,
+// everything — selection happens in pickCandidate via `rotation`.  The
+// weights are fixed: one unit per in-flight request and per expected
+// joule, a 0.125 bias toward the ring home, and 1e9 for an open breaker
+// (last resort).
+[[nodiscard]] double scoreCandidate(PolicyKind kind,
                                     const CandidateSnapshot& c);
 
 // Index into `candidates` of the winner: the live candidate with the
@@ -67,7 +63,7 @@ struct CandidateSnapshot {
 // starting at `rotation` otherwise — round-robin is exactly the
 // all-ties case.  nullopt when no candidate is alive.
 [[nodiscard]] std::optional<std::size_t> pickCandidate(
-    PolicyKind kind, const PolicyWeights& w,
-    const std::vector<CandidateSnapshot>& candidates, std::size_t rotation);
+    PolicyKind kind, const std::vector<CandidateSnapshot>& candidates,
+    std::size_t rotation);
 
 }  // namespace ep::fleet

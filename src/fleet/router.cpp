@@ -47,13 +47,24 @@ bool samePoint(const pareto::BiPoint& a, const pareto::BiPoint& b) {
          a.configId == b.configId && a.label == b.label;
 }
 
-bool sameFront(const std::vector<pareto::BiPoint>& a,
-               const std::vector<pareto::BiPoint>& b) {
-  return a.size() == b.size() &&
-         std::equal(a.begin(), a.end(), b.begin(), samePoint);
+}  // namespace
+
+void ClusterFront::insert(const pareto::BiPoint& p) {
+  // A point equal to a member adds nothing; one equal to a point that
+  // left the front is dominated by a member and is rejected below.
+  for (const auto& m : reference) {
+    if (samePoint(m, p)) return;
+  }
+  streaming.insert(p);
+  reference.push_back(p);
+  reference = pareto::paretoFront(reference);
 }
 
-}  // namespace
+bool ClusterFront::consistent() const {
+  const std::vector<pareto::BiPoint> live = streaming.snapshot();
+  return live.size() == reference.size() &&
+         std::equal(live.begin(), live.end(), reference.begin(), samePoint);
+}
 
 bool FleetRouter::Shard::serves(serve::Device d) const {
   return std::find(devices.begin(), devices.end(), d) != devices.end();
@@ -86,7 +97,6 @@ FleetRouter::HealthState::HealthState(const FleetHealthOptions& opts)
              "ejectAfterFailures must be >= 1");
   EP_REQUIRE(opts.reinstateAfterSuccesses >= 1,
              "reinstateAfterSuccesses must be >= 1");
-  EP_REQUIRE(opts.probeN > 0, "probeN must be positive");
 }
 
 FleetRouter::FleetRouter(std::vector<FleetShardConfig> shards,
@@ -95,7 +105,7 @@ FleetRouter::FleetRouter(std::vector<FleetShardConfig> shards,
   EP_REQUIRE(!shards.empty(), "fleet needs at least one shard");
   EP_REQUIRE(options_.ewmaAlpha > 0.0 && options_.ewmaAlpha <= 1.0,
              "ewmaAlpha must be in (0, 1]");
-  if (options_.health.enabled) {
+  if (options_.health.enabled()) {
     health_ = std::make_unique<HealthState>(options_.health);
   }
   auto ring = std::make_shared<HashRing>(options_.virtualNodes);
@@ -158,13 +168,6 @@ const FleetRouter::Shard* FleetRouter::shardById(const std::string& id) const {
 FleetRouter::Shard* FleetRouter::shardById(const std::string& id) {
   const auto it = shardIndex_.find(id);
   return it == shardIndex_.end() ? nullptr : shards_[it->second].get();
-}
-
-std::vector<std::string> FleetRouter::shardIds() const {
-  std::vector<std::string> ids;
-  ids.reserve(shards_.size());
-  for (const auto& s : shards_) ids.push_back(s->id);
-  return ids;
 }
 
 double FleetRouter::ewmaColdJoules(serve::Device device, int n) const {
@@ -253,8 +256,7 @@ FleetRouter::RoutedTune FleetRouter::routeTune(const FleetRequest& freq,
   // Cross-shard stale serving: when the key's home shard is dead, its
   // replica lives in the next live shard's stale store — answer from
   // there (flagged stale) instead of paying a fresh cold study.
-  if (!pref.empty() && !cands[shardIndex_.at(pref[0])].alive &&
-      options_.replicateToSuccessor) {
+  if (!pref.empty() && !cands[shardIndex_.at(pref[0])].alive) {
     for (std::size_t p = 1; p < pref.size(); ++p) {
       Shard& rep = *shards_[shardIndex_.at(pref[p])];
       if (!cands[shardIndex_.at(pref[p])].alive) continue;
@@ -277,7 +279,7 @@ FleetRouter::RoutedTune FleetRouter::routeTune(const FleetRequest& freq,
   }
 
   const auto pick =
-      pickCandidate(options_.policy, options_.weights, cands,
+      pickCandidate(options_.policy, cands,
                     rotation_.fetch_add(1, std::memory_order_relaxed));
   if (!pick) {
     noCandidate_.fetch_add(1, std::memory_order_relaxed);
@@ -356,7 +358,7 @@ serve::StudyResponse FleetRouter::study(const serve::StudyRequest& req,
         s.alive.load(std::memory_order_relaxed) && s.serves(req.device);
   }
   const auto pick =
-      pickCandidate(PolicyKind::QueueDepth, options_.weights, cands,
+      pickCandidate(PolicyKind::QueueDepth, cands,
                     rotation_.fetch_add(1, std::memory_order_relaxed));
   if (!pick) {
     noCandidate_.fetch_add(1, std::memory_order_relaxed);
@@ -409,7 +411,7 @@ void FleetRouter::onTuneComplete(std::size_t shardIndex,
     s.rejected.fetch_add(1, std::memory_order_relaxed);
     if (resp.status == serve::Status::CircuitOpen) {
       s.breakerOpenUntilNs[di].store(
-          nowNs() + static_cast<std::uint64_t>(options_.breakerMirrorMs * 1e6),
+          nowNs() + static_cast<std::uint64_t>(kBreakerMirrorMs * 1e6),
           std::memory_order_relaxed);
     }
   }
@@ -418,7 +420,7 @@ void FleetRouter::onTuneComplete(std::size_t shardIndex,
 void FleetRouter::onStudyExecuted(
     std::size_t shardIndex, serve::Device device, int n,
     const std::shared_ptr<const core::WorkloadResult>& result) {
-  if (options_.replicateToSuccessor && shards_.size() > 1) {
+  if (shards_.size() > 1) {
     const auto ring = ringSnapshot();
     // Replica target: the first shard in ring preference order that is
     // not the executor AND serves the device — the successor when the
@@ -436,10 +438,7 @@ void FleetRouter::onStudyExecuted(
     }
   }
   std::lock_guard lk(clusterMu_);
-  for (const auto& p : result->globalFront) {
-    configFront_.insert(p);
-    configLog_.push_back(p);
-  }
+  for (const auto& p : result->globalFront) configFront_.insert(p);
 }
 
 void FleetRouter::recordServicePoint(const serve::TuneResponse& resp) {
@@ -449,7 +448,6 @@ void FleetRouter::recordServicePoint(const serve::TuneResponse& resp) {
   p.energy = Joules{resp.report.attributedJoules};
   p.configId = servicePointSeq_++;
   serviceFront_.insert(p);
-  serviceLog_.push_back(p);
 }
 
 bool FleetRouter::killShard(const std::string& id) {
@@ -486,19 +484,17 @@ bool FleetRouter::probeShard(Shard& s) {
   }
   serve::TuneRequest req;
   req.device = s.devices.front();
-  req.n = options_.health.probeN;
-  req.maxDegradation = options_.health.probeMaxDegradation;
-  req.deadlineMs = options_.health.probeDeadlineMs;
+  req.n = kProbeN;
+  req.maxDegradation = kProbeMaxDegradation;
   // Probes bypass routing, but the broker's onTuneComplete hook still
   // fires and decrements inFlight — balance it here.  A probe that
   // outlives the timeout keeps its slot until the hook runs, which is
   // exactly right: a hung shard *is* loaded.
   s.inFlight.fetch_add(1, std::memory_order_relaxed);
   auto fut = s.broker->submitTune(req);
-  if (options_.health.probeTimeoutMs > 0.0) {
-    const auto wait = std::chrono::duration<double, std::milli>(
-        options_.health.probeTimeoutMs);
-    if (fut.wait_for(wait) != std::future_status::ready) return false;
+  if (fut.wait_for(std::chrono::duration<double, std::milli>(
+          kProbeTimeoutMs)) != std::future_status::ready) {
+    return false;
   }
   const serve::TuneResponse resp = fut.get();
   return resp.status == serve::Status::Ok && !resp.stale;
@@ -645,8 +641,8 @@ FleetMetrics FleetRouter::metrics() const {
     out.shardsReinstated = health_->reinstates.value();
   }
   std::lock_guard lk(clusterMu_);
-  out.configFrontSize = configFront_.size();
-  out.serviceFrontSize = serviceFront_.size();
+  out.configFrontSize = configFront_.streaming.size();
+  out.serviceFrontSize = serviceFront_.streaming.size();
   return out;
 }
 
@@ -804,21 +800,9 @@ const serve::Broker* FleetRouter::shardBroker(const std::string& id) const {
   return s == nullptr ? nullptr : s->broker.get();
 }
 
-std::vector<pareto::BiPoint> FleetRouter::configFront() const {
-  std::lock_guard lk(clusterMu_);
-  return configFront_.snapshot();
-}
-
-std::vector<pareto::BiPoint> FleetRouter::serviceFront() const {
-  std::lock_guard lk(clusterMu_);
-  return serviceFront_.snapshot();
-}
-
 bool FleetRouter::frontsConsistent() const {
   std::lock_guard lk(clusterMu_);
-  return sameFront(configFront_.snapshot(), pareto::paretoFront(configLog_)) &&
-         sameFront(serviceFront_.snapshot(),
-                   pareto::paretoFront(serviceLog_));
+  return configFront_.consistent() && serviceFront_.consistent();
 }
 
 serve::NetServiceHooks routerHooks(FleetRouter& router) {

@@ -35,9 +35,10 @@
 //     the cluster's best-known (time, energy) configurations.
 //   * service front — one (latency, attributed joules) point per
 //     request that executed a cold study: what answering actually cost.
-// Both keep an insert log so frontsConsistent() can check the
-// streaming fronts bitwise against a fresh batch recompute — the
-// invariant the shard-kill drill asserts across a ring rebalance.
+// Each is a ClusterFront: the streaming front beside a batch-computed
+// reference, so frontsConsistent() can check the streaming fronts
+// bitwise against a recompute — the invariant the shard-kill drill
+// asserts across a ring rebalance — in memory bounded by the fronts.
 #pragma once
 
 #include <array>
@@ -77,13 +78,15 @@ struct FleetShardConfig {
 
 // Self-healing shard health (the epchaos tentpole's fleet half).
 //
-// A periodic probe — a cheap synthetic tune against a fixed key — is
-// sent to every shard.  A probe FAILS when the shard's circuit breaker
-// is open on any device it serves (the breaker is the failure
-// detector: the fixed probe key caches after its first study, so only
-// the breaker can see an engine that started dying under real
-// traffic), when the probe response is not Ok or had to be served
-// stale, or when the shard does not answer inside probeTimeoutMs.
+// A periodic probe — a cheap synthetic tune against a fixed key (N =
+// 4096, 50 % degradation budget, no deadline) — is sent to every
+// shard.  A probe FAILS when the shard's circuit breaker is open on any
+// device it serves (the breaker is the failure detector: the fixed
+// probe key caches after its first study, so only the breaker can see
+// an engine that started dying under real traffic), when the probe
+// response is not Ok or had to be served stale, or when the shard does
+// not answer inside 250 ms (a hung engine; the abandoned probe still
+// releases its slot through the completion hook if it ever finishes).
 //
 // ejectAfterFailures consecutive failures auto-eject the shard: the
 // router stops routing to it through EXACTLY the same alive flag that
@@ -94,35 +97,42 @@ struct FleetShardConfig {
 // openMs — auto-reinstate it.  A shard killed *manually* is the
 // operator's decision: the monitor never probes or resurrects it.
 struct FleetHealthOptions {
-  bool enabled = false;
-  // Synthetic probe request (fixed key: caches after the first study).
-  int probeN = 1 << 12;
-  double probeMaxDegradation = 0.5;
-  double probeDeadlineMs = 0.0;  // 0 = probes carry no deadline
-  // A shard that does not answer the probe inside this window counts
-  // as a failure (hung engine); the abandoned probe still releases its
-  // slot through the completion hook if it ever finishes.
-  double probeTimeoutMs = 250.0;
   int ejectAfterFailures = 3;
   int reinstateAfterSuccesses = 2;
-  // Cadence of the optional background monitor (startHealthMonitor()).
-  double probeIntervalMs = 50.0;
+  // Cadence of the background monitor (startHealthMonitor()); 0 turns
+  // health probing off.
+  double probeIntervalMs = 0.0;
+  [[nodiscard]] bool enabled() const { return probeIntervalMs > 0.0; }
 };
 
+// Executed studies are always replicated into the ring successor's
+// stale store, and a CircuitOpen response marks the router's relaxed
+// breaker mirror for 250 ms (the scoring path never touches the
+// broker's own breaker).
 struct FleetOptions {
   std::size_t virtualNodes = 64;
   PolicyKind policy = PolicyKind::EnergyAware;
-  PolicyWeights weights{};
   // Smoothing of the cold-study J/request price per workload class.
   double ewmaAlpha = 0.25;
-  // How long a CircuitOpen response marks the router's relaxed breaker
-  // mirror (the scoring path never touches the broker's own breaker).
-  double breakerMirrorMs = 250.0;
-  // Replicate executed studies into the ring successor's stale store.
-  bool replicateToSuccessor = true;
   // Active health probing + auto eject/reinstate; off by default so a
   // chaos-free fleet is bitwise-identical to one built before epchaos.
   FleetHealthOptions health{};
+};
+
+// One cluster front kept two ways: streamed through pareto::StreamingFront
+// (O(log n) per insert), and as a reference that pareto::paretoFront
+// recomputes over its own members plus each new point, sharing no code
+// with the streaming side.  Both hold front members only, so memory is
+// bounded by the front, not by the inserts; an exact duplicate of a
+// member (a study that ran again) adds nothing to either.  Not
+// synchronized: the router guards it with clusterMu_.
+struct ClusterFront {
+  pareto::StreamingFront streaming;
+  std::vector<pareto::BiPoint> reference;
+
+  void insert(const pareto::BiPoint& p);
+  // True iff the streaming front equals the reference bitwise, in order.
+  [[nodiscard]] bool consistent() const;
 };
 
 struct FleetRequest {
@@ -169,8 +179,8 @@ struct FleetMetrics {
   double clusterJoules = 0.0;
   std::size_t configFrontSize = 0;
   std::size_t serviceFrontSize = 0;
-  // Health-monitor totals (all zero when FleetHealthOptions.enabled
-  // is false).
+  // Health-monitor totals (all zero unless FleetHealthOptions is
+  // enabled()).
   std::uint64_t healthProbes = 0;
   std::uint64_t healthProbeFailures = 0;
   std::uint64_t shardsEjected = 0;
@@ -216,8 +226,6 @@ class FleetRouter {
   [[nodiscard]] serve::StudyResponse study(const serve::StudyRequest& req,
                                            std::string* shardId = nullptr);
 
-  [[nodiscard]] std::vector<std::string> shardIds() const;
-
   // Drill operations; all return false for an unknown shard id.
   // Kill/revive simulate node loss: a killed shard keeps its state but
   // receives no traffic until revived.  Both clear any health-monitor
@@ -226,7 +234,8 @@ class FleetRouter {
   bool reviveShard(const std::string& id);
 
   // Self-healing: probe every shard once and apply the eject /
-  // reinstate state machine (no-op unless FleetHealthOptions.enabled).
+  // reinstate state machine (no-op unless FleetHealthOptions is
+  // enabled()).
   // Deterministic and synchronous — drills and tests drive it
   // directly; daemons run it from the background monitor instead.
   void healthTick();
@@ -273,16 +282,12 @@ class FleetRouter {
   shardProfiles(obs::ProfileKind kind) const;
   [[nodiscard]] obs::ProfileSnapshot clusterProfile(obs::ProfileKind kind) const;
 
-  // Read-only access to one shard's broker (nullptr for unknown ids):
-  // the daemon layer uses it to drain per-shard watchdog recorders for
-  // {"op":"events"} with shard tags.
+  // Read-only access to one shard's broker (nullptr for unknown ids),
+  // e.g. for a test to read a shard's own breaker and cache metrics.
   [[nodiscard]] const serve::Broker* shardBroker(const std::string& id) const;
 
-  // Cluster fronts (sorted by ascending time) and their oracle:
-  // frontsConsistent() recomputes both fronts batch-style from the
-  // insert logs and compares bitwise against the streaming state.
-  [[nodiscard]] std::vector<pareto::BiPoint> configFront() const;
-  [[nodiscard]] std::vector<pareto::BiPoint> serviceFront() const;
+  // Both cluster fronts' streaming state equals their batch reference
+  // (ClusterFront::consistent).
   [[nodiscard]] bool frontsConsistent() const;
 
   // The EWMA cold-study price the scorer currently charges for placing
@@ -297,6 +302,10 @@ class FleetRouter {
 
  private:
   static constexpr std::size_t kClasses = 32;  // bit-width buckets of n
+  static constexpr int kProbeN = 1 << 12;
+  static constexpr double kProbeMaxDegradation = 0.5;
+  static constexpr double kProbeTimeoutMs = 250.0;
+  static constexpr double kBreakerMirrorMs = 250.0;
 
   struct Shard {
     std::string id;
@@ -375,13 +384,10 @@ class FleetRouter {
   std::atomic<std::uint64_t> staleFallbacks_{0};
   std::atomic<std::uint64_t> noCandidate_{0};
 
-  // Streaming cluster fronts + full insert logs (the batch oracle).
-  // Completion-path only; never touched while scoring.
+  // Cluster fronts.  Completion-path only; never touched while scoring.
   mutable std::mutex clusterMu_;
-  pareto::StreamingFront configFront_;
-  std::vector<pareto::BiPoint> configLog_;
-  pareto::StreamingFront serviceFront_;
-  std::vector<pareto::BiPoint> serviceLog_;
+  ClusterFront configFront_;
+  ClusterFront serviceFront_;
   std::uint64_t servicePointSeq_ = 0;
 
   std::mutex adminMu_;  // serializes topology edits and shutdown
@@ -393,7 +399,7 @@ class FleetRouter {
   mutable std::mutex ringMu_;
   std::shared_ptr<const HashRing> ring_;
 
-  // Health-monitor state; null unless FleetHealthOptions.enabled, so a
+  // Health-monitor state; null unless FleetHealthOptions is enabled(), so a
   // health-off router carries no extra registry and clusterSnapshot()
   // stays byte-identical to the pre-epchaos fleet.
   struct HealthState {

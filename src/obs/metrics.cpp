@@ -560,10 +560,6 @@ std::string Registry::renderPrometheus() const {
   return renderExposition(snapshot(), ExpositionFormat::Prometheus004);
 }
 
-std::string Registry::renderOpenMetrics() const {
-  return renderExposition(snapshot(), ExpositionFormat::OpenMetrics100);
-}
-
 Registry& Registry::global() {
   static Registry* r = new Registry();  // never destroyed: metric
                                         // references outlive main()

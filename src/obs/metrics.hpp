@@ -260,10 +260,6 @@ class Registry {
   // _bucket{le="..."} series plus _sum and _count.
   [[nodiscard]] std::string renderPrometheus() const;
 
-  // OpenMetrics 1.0 text exposition (`_total` counter samples,
-  // per-bucket exemplars, `# EOF` terminator).
-  [[nodiscard]] std::string renderOpenMetrics() const;
-
   // The process-wide registry used by library-internal instrumentation
   // (thread pool, cusim executor, study runner).  Components that need
   // isolated counters (the serve broker, unit tests) own their own

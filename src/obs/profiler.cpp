@@ -172,14 +172,12 @@ bool Profiler::start(const ProfilerOptions& options) {
   opts.ringCapacity = std::max<std::size_t>(16, opts.ringCapacity);
   opts.aggregateIntervalMs =
       std::max<std::uint64_t>(1, opts.aggregateIntervalMs);
-  opts.maxTraceSlices = std::max<std::size_t>(16, opts.maxTraceSlices);
   {
     // storeMu_ strictly before mu_ (the aggregator's drain order).
     std::lock_guard slk(storeMu_);
     std::lock_guard lk(mu_);
     if (running_.load(std::memory_order_acquire)) return false;
     options_ = opts;
-    maxTraceSlices_ = opts.maxTraceSlices;
     cpuSampleWeight_ = static_cast<double>(opts.samplePeriodUs) * 1e-6;
     if (opts.cpuSampling) {
       periodUs_ = opts.samplePeriodUs;
@@ -309,7 +307,7 @@ void Profiler::foldSample(Store& store, const char* const* frames, int depth,
   std::uint64_t sliceId = traceId;
   auto it = store.traces.find(sliceId);
   if (it == store.traces.end() && sliceId != 0 &&
-      store.traces.size() >= maxTraceSlices_) {
+      store.traces.size() >= kMaxTraceSlices) {
     sliceId = 0;  // overflow traces fold into the untraced slice
     it = store.traces.find(sliceId);
   }

@@ -60,9 +60,6 @@ struct ProfilerOptions {
   std::size_t ringCapacity = 512;
   // Aggregator wakeup cadence.
   std::uint64_t aggregateIntervalMs = 50;
-  // Per-trace slice cap: beyond this, new trace ids fold into slice 0
-  // so a long-running daemon cannot grow without bound.
-  std::size_t maxTraceSlices = 4096;
   // Arm the SIGPROF sampling machinery.  Off gives a deterministic
   // energy-only profiler (no signals, no timers) — what the ledger
   // reconciliation test and pure energy accounting need.
@@ -79,7 +76,7 @@ struct ProfileEntry {
 
 // Per-request slice: how many samples / joules landed while this trace
 // id was installed.  traceId 0 collects untraced work (and overflow
-// past maxTraceSlices).
+// past Profiler::kMaxTraceSlices).
 struct TraceSlice {
   std::uint64_t traceId = 0;
   std::uint64_t samples = 0;
@@ -99,6 +96,10 @@ struct ProfileSnapshot {
 
 class Profiler {
  public:
+  // Per-trace slice cap: beyond this, new trace ids fold into slice 0
+  // so a long-running daemon cannot grow without bound.
+  static constexpr std::size_t kMaxTraceSlices = 4096;
+
   // The process-wide profiler.  Deliberately leaked: signal handlers
   // and late-exiting threads may touch it during teardown.
   static Profiler& global();
@@ -217,7 +218,6 @@ class Profiler {
   // guarded by storeMu_ (options_ itself is guarded by mu_).
   double cpuSampleWeight_ = 0.0;     // seconds per CPU sample
   std::uint64_t periodUs_ = 0;       // 0 until CPU sampling first armed
-  std::size_t maxTraceSlices_ = 4096;
 };
 
 }  // namespace ep::obs

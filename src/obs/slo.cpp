@@ -86,7 +86,7 @@ SloEngine::SloEngine(const TimeSeriesStore* store, std::vector<SloSpec> specs,
                      Options options)
     : store_(store),
       options_(std::move(options)),
-      recorder_(options_.recorderCapacity) {
+      recorder_(kRecorderCapacity) {
   states_.reserve(specs.size());
   for (auto& spec : specs) {
     if (spec.windows.empty()) spec.windows = options_.defaultWindows;

@@ -77,7 +77,6 @@ class SloEngine {
                                               {21600000, 1800000, 6.0}};
     // Hysteresis: clear only below threshold * clearFraction.
     double clearFraction = 0.9;
-    std::size_t recorderCapacity = 256;
   };
 
   struct WindowBurn {
@@ -111,7 +110,6 @@ class SloEngine {
     return recorder_.snapshot(since);
   }
   [[nodiscard]] const FlightRecorder& recorder() const { return recorder_; }
-  [[nodiscard]] std::size_t sloCount() const { return states_.size(); }
 
  private:
   struct State {
@@ -121,6 +119,8 @@ class SloEngine {
 
   [[nodiscard]] double burnOver(const SloSpec& spec, std::int64_t fromNs,
                                 std::int64_t toNs) const;
+
+  static constexpr std::size_t kRecorderCapacity = 256;
 
   const TimeSeriesStore* store_;
   Options options_;

@@ -286,12 +286,9 @@ Scraper::Scraper(TimeSeriesStore* store, SnapshotFn source, Options options)
 Scraper::~Scraper() { stop(); }
 
 void Scraper::scrapeOnce() {
-  const std::int64_t started = steadyNowNs();
   const std::int64_t now = options_.clock();
   store_->ingest(source_(), now);
   scrapes_.fetch_add(1, std::memory_order_relaxed);
-  lastScrapeDurationNs_.store(steadyNowNs() - started,
-                              std::memory_order_relaxed);
   if (options_.afterScrape) options_.afterScrape(now);
 }
 

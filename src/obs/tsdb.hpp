@@ -160,9 +160,6 @@ class Scraper {
   [[nodiscard]] std::uint64_t scrapes() const {
     return scrapes_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::int64_t lastScrapeDurationNs() const {
-    return lastScrapeDurationNs_.load(std::memory_order_relaxed);
-  }
 
  private:
   void run();
@@ -171,7 +168,6 @@ class Scraper {
   SnapshotFn source_;
   Options options_;
   std::atomic<std::uint64_t> scrapes_{0};
-  std::atomic<std::int64_t> lastScrapeDurationNs_{0};
 
   std::mutex mu_;
   std::condition_variable cv_;

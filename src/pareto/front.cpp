@@ -1,7 +1,6 @@
 #include "pareto/front.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
@@ -9,16 +8,6 @@
 namespace ep::pareto {
 
 namespace {
-
-// Sort by time ascending; ties broken by energy ascending, then configId
-// for determinism.
-void sortByTime(std::vector<BiPoint>& pts) {
-  std::sort(pts.begin(), pts.end(), [](const BiPoint& a, const BiPoint& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.energy != b.energy) return a.energy < b.energy;
-    return a.configId < b.configId;
-  });
-}
 
 // Sort-based front peeling (Jensen's 2-D sweep) over ONE sorted index
 // array: O(n log n) total and O(n log k) when capped at maxLevels
@@ -152,82 +141,6 @@ bool isValidFront(const std::vector<BiPoint>& front,
     }
   }
   return true;
-}
-
-double hypervolume(const std::vector<BiPoint>& front,
-                   const BiPoint& reference) {
-  if (front.empty()) return 0.0;
-  std::vector<BiPoint> sorted = front;
-  sortByTime(sorted);
-  for (const auto& p : sorted) {
-    EP_REQUIRE(p.time <= reference.time && p.energy <= reference.energy,
-               "reference point must be weakly dominated by the front");
-  }
-  double area = 0.0;
-  double prevEnergy = reference.energy.value();
-  for (const auto& p : sorted) {
-    // Only strictly improving energies contribute (the front may contain
-    // duplicate-objective points).
-    if (p.energy.value() < prevEnergy) {
-      area += (reference.time.value() - p.time.value()) *
-              (prevEnergy - p.energy.value());
-      prevEnergy = p.energy.value();
-    }
-  }
-  return area;
-}
-
-std::vector<double> crowdingDistance(const std::vector<BiPoint>& front) {
-  const std::size_t n = front.size();
-  std::vector<double> d(n, 0.0);
-  if (n <= 2) {
-    std::fill(d.begin(), d.end(),
-              std::numeric_limits<double>::infinity());
-    return d;
-  }
-  // Front is expected time-sorted (paretoFront output); on a 2-D front
-  // sorting by one objective orders the other inversely, so a single
-  // pass covers both objectives.
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return front[a].time < front[b].time;
-  });
-  const double tSpan = std::max(front[order.back()].time.value() -
-                                    front[order.front()].time.value(),
-                                1e-300);
-  const double eSpan = std::max(front[order.front()].energy.value() -
-                                    front[order.back()].energy.value(),
-                                1e-300);
-  d[order.front()] = std::numeric_limits<double>::infinity();
-  d[order.back()] = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    const auto& prev = front[order[i - 1]];
-    const auto& next = front[order[i + 1]];
-    d[order[i]] = (next.time.value() - prev.time.value()) / tSpan +
-                  (prev.energy.value() - next.energy.value()) / eSpan;
-  }
-  return d;
-}
-
-std::vector<BiPoint> epsilonFront(const std::vector<BiPoint>& points,
-                                  double epsilon) {
-  EP_REQUIRE(epsilon >= 0.0, "epsilon must be non-negative");
-  const std::vector<BiPoint> front = paretoFront(points);
-  std::vector<BiPoint> thin;
-  for (const auto& p : front) {
-    const bool nearKept = std::any_of(
-        thin.begin(), thin.end(), [&](const BiPoint& k) {
-          const auto close = [epsilon](double a, double b) {
-            const double scale = std::max(std::abs(a), std::abs(b));
-            return scale == 0.0 || std::abs(a - b) <= epsilon * scale;
-          };
-          return close(k.time.value(), p.time.value()) &&
-                 close(k.energy.value(), p.energy.value());
-        });
-    if (!nearKept) thin.push_back(p);
-  }
-  return thin;
 }
 
 std::vector<BiPoint> precisionFront(const std::vector<BiPoint>& points,

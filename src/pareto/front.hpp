@@ -45,23 +45,6 @@ namespace ep::pareto {
 [[nodiscard]] bool isValidFront(const std::vector<BiPoint>& front,
                                 const std::vector<BiPoint>& points);
 
-// 2-D hypervolume (area dominated between the front and a reference
-// point that must be weakly dominated by every front member).
-[[nodiscard]] double hypervolume(const std::vector<BiPoint>& front,
-                                 const BiPoint& reference);
-
-// NSGA-II-style crowding distance per front member (aligned with the
-// time-sorted front order); boundary points get +infinity.  Used to
-// pick well-spread representative configurations from large fronts.
-[[nodiscard]] std::vector<double> crowdingDistance(
-    const std::vector<BiPoint>& front);
-
-// Epsilon-front: a thinned Pareto front where a point is kept only if
-// no already-kept point is within a relative `epsilon` in BOTH
-// objectives — collapses measurement-noise-level near-duplicates.
-[[nodiscard]] std::vector<BiPoint> epsilonFront(
-    const std::vector<BiPoint>& points, double epsilon);
-
 // Precision-aware front: the members of the exact Pareto front that
 // remain meaningful when both objectives carry a relative measurement
 // uncertainty of `epsilon` (e.g. the CI half-width the measurement

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -61,6 +62,9 @@ double medianOf(std::vector<double>& v) {
   }
   return m;
 }
+
+// MAD rejection judges an observation only once this many are accepted.
+constexpr std::size_t kMinSamplesForMad = 6;
 
 // Modified z-score outlier test of `x` against the accepted values.
 bool isMadOutlier(const std::vector<double>& accepted, double x,
@@ -181,16 +185,6 @@ EnergyMeasurer::EnergyMeasurer(WattsUpMeter meter, Watts calibratedBasePower)
     : EnergyMeasurer(std::make_shared<const WattsUpMeter>(std::move(meter)),
                      calibratedBasePower) {}
 
-Watts EnergyMeasurer::calibrateBasePower(const Meter& meter,
-                                         const PowerSource& idle,
-                                         Seconds duration, Rng& rng) {
-  EP_REQUIRE(duration.value() > 0.0,
-             "calibration duration must be positive");
-  const PowerTrace trace = meter.record(idle, duration, rng);
-  EP_REQUIRE(!trace.empty(), "calibration produced an empty trace");
-  return trace.meanPower();
-}
-
 EnergyReading EnergyMeasurer::measureOnce(const ProfilePowerSource& profile,
                                           Seconds executionTime, Rng& rng,
                                           Seconds tailWindow) const {
@@ -249,11 +243,12 @@ MeasuredEnergy EnergyMeasurer::measure(
   PowerTrace scratch;
   MeasuredEnergy out;
   // Ground truth for the anomaly watchdog's online decomposition: what
-  // the profile says one window should cost (the meter adds noise and,
-  // under epfault, injected pathologies on top of this).
-  const double windowS = (executionTime + tailWindow).value();
-  const double expectedWindowJ =
-      profile.exactEnergy(Seconds{0.0}, Seconds{windowS}).value();
+  // the instrument can see of the profile over one window (the meter
+  // adds noise and, under epfault, injected pathologies on top of
+  // this).  Worked out on the first window an observer sees, so a
+  // measurement nobody watches pays nothing for it.
+  const Seconds windowLength = executionTime + tailWindow;
+  std::optional<double> expectedWindowJ;
   MeasurementFaultReport& report = out.faults;
   std::vector<double> acceptedEnergies;
   std::size_t budgetSpent = 0;
@@ -315,7 +310,7 @@ MeasuredEnergy EnergyMeasurer::measure(
       if (robustness.rejectOutliers) {
         const bool reject =
             !std::isfinite(e) ||
-            (acceptedEnergies.size() >= robustness.minSamplesForMad &&
+            (acceptedEnergies.size() >= kMinSamplesForMad &&
              isMadOutlier(acceptedEnergies, e, robustness.madThreshold));
         if (reject) {
           ++report.outliersRejected;
@@ -329,10 +324,14 @@ MeasuredEnergy EnergyMeasurer::measure(
       if (MeasureObserver* watcher = measureObserver()) {
         MeasureWindowObservation window;
         window.scope = MeasureScopeLabel::current();
+        if (!expectedWindowJ) {
+          expectedWindowJ =
+              meter_->visibleEnergy(profile, windowLength).value();
+        }
         window.observedJ = reading.totalEnergy.value();
-        window.expectedJ = expectedWindowJ;
+        window.expectedJ = *expectedWindowJ;
         window.staticJ = reading.staticEnergy.value();
-        window.windowS = windowS;
+        window.windowS = windowLength.value();
         window.traceId = obs::currentContext().traceId;
         watcher->onMeasureWindow(window);
       }

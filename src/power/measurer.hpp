@@ -100,11 +100,10 @@ struct RobustnessOptions {
   bool sanitizeSamples = false;
   double maxPlausibleWatts = std::numeric_limits<double>::infinity();
   // MAD (modified z-score) outlier rejection over the accepted
-  // dynamic-energy observations; non-finite observations are always
-  // rejected when enabled.
+  // dynamic-energy observations, once six are accepted; non-finite
+  // observations are always rejected when enabled.
   bool rejectOutliers = false;
   double madThreshold = 4.0;
-  std::size_t minSamplesForMad = 6;
   // Shared re-measure budget for invalid traces + rejected outliers.
   std::size_t remeasureBudget = 32;
   // Bounded retry on MeterTimeoutError, per observation; the back-off
@@ -150,11 +149,6 @@ class EnergyMeasurer {
   // Convenience: wrap a concrete WattsUpMeter by value.
   EnergyMeasurer(WattsUpMeter meter, Watts calibratedBasePower);
 
-  // Calibrate base power by recording an idle source for `duration`.
-  [[nodiscard]] static Watts calibrateBasePower(const Meter& meter,
-                                                const PowerSource& idle,
-                                                Seconds duration, Rng& rng);
-
   // One noisy observation of an execution described by `profile` whose
   // activity spans [0, executionTime].  The recording window extends past
   // the execution end by `tailWindow` so post-execution power tails
@@ -174,7 +168,6 @@ class EnergyMeasurer {
       const stats::MeasurementOptions& options = {},
       const RobustnessOptions& robustness = {}) const;
 
-  [[nodiscard]] Watts basePower() const { return basePower_; }
   [[nodiscard]] const Meter& meter() const { return *meter_; }
 
  private:

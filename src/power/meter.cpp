@@ -91,6 +91,19 @@ Joules Meter::recordEnergy(const PowerSource& source, Seconds duration,
   return scratch.energyBetween(Seconds{0.0}, duration);
 }
 
+Joules Meter::visibleEnergy(const PowerSource& source,
+                            Seconds duration) const {
+  return source.exactEnergy(Seconds{0.0}, duration);
+}
+
+Joules WattsUpMeter::visibleEnergy(const PowerSource& source,
+                                   Seconds duration) const {
+  const Seconds lag = 0.5 * options_.sampleInterval;
+  const Watts first = source.powerAt(Seconds{0.0});
+  if (duration <= lag) return first * duration;
+  return first * lag + source.exactEnergy(Seconds{0.0}, duration - lag);
+}
+
 void WattsUpMeter::recordInto(const PowerSource& source, Seconds duration,
                               Rng& rng, PowerTrace& trace) const {
   requireWindow(duration);

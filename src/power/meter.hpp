@@ -54,6 +54,14 @@ class Meter {
                                             Seconds duration, Rng& rng,
                                             PowerTrace& scratch) const;
 
+  // Approximately the noise-free energy this instrument reports for
+  // `source` over [0, duration]: what it can see, which need not be the
+  // exact integral.  The default is an ideal instrument (exactEnergy).
+  // The anomaly watchdog compares recordings against it, so only what
+  // the instrument adds beyond it reads as an anomaly.
+  [[nodiscard]] virtual Joules visibleEnergy(const PowerSource& source,
+                                             Seconds duration) const;
+
   // Convenience: record into a fresh trace.
   [[nodiscard]] PowerTrace record(const PowerSource& source, Seconds duration,
                                   Rng& rng) const {
@@ -83,6 +91,16 @@ class WattsUpMeter final : public Meter {
   [[nodiscard]] Joules recordEnergy(const PowerSource& source,
                                     Seconds duration, Rng& rng,
                                     PowerTrace& scratch) const override;
+  // Each reading is the power half an interval back (see sampleWindow),
+  // so a window reads its first power for half an interval longer and
+  // never sees its last half interval: for h = sampleInterval / 2,
+  // P(0) * h + exactEnergy(0, duration - h), or P(0) * duration when
+  // the window is shorter than h.  This is the lagged power's exact
+  // integral; recordEnergy sums trapezoids over the readings instead,
+  // so a noise-free recording differs from it by up to h * |dP| for
+  // each power step dP.
+  [[nodiscard]] Joules visibleEnergy(const PowerSource& source,
+                                     Seconds duration) const override;
 
   [[nodiscard]] const MeterOptions& options() const { return options_; }
 

@@ -24,7 +24,7 @@ namespace ep::power {
 struct MeasureWindowObservation {
   const char* scope = "";      // MeasureScopeLabel in effect ("" = none)
   double observedJ = 0.0;      // integrated total energy of the window
-  double expectedJ = 0.0;      // profile ground truth for the window
+  double expectedJ = 0.0;      // Meter::visibleEnergy of the profile
   double staticJ = 0.0;        // calibrated base power x window
   double windowS = 0.0;        // window length (execution + tail)
   std::uint64_t traceId = 0;   // request in scope when measured

@@ -36,14 +36,6 @@ void ProfilePowerSource::addSegment(PowerSegment seg) {
   segments_.push_back(seg);
 }
 
-Seconds ProfilePowerSource::activityEnd() const {
-  Seconds end{0.0};
-  for (const auto& s : segments_) {
-    end = std::max(end, s.start + s.duration);
-  }
-  return end;
-}
-
 Watts ProfilePowerSource::powerAt(Seconds t) const {
   double p = idle_.value();
   for (const auto& s : segments_) {

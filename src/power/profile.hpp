@@ -48,8 +48,6 @@ class ProfilePowerSource final : public PowerSource {
   [[nodiscard]] const std::vector<PowerSegment>& segments() const {
     return segments_;
   }
-  // End of the last segment (0 if none).
-  [[nodiscard]] Seconds activityEnd() const;
 
   [[nodiscard]] Watts powerAt(Seconds t) const override;
   // The additions of powerAt in its order (idle, then each active

@@ -13,7 +13,7 @@ AdmissionController::AdmissionController(AdmissionOptions options)
 }
 
 bool AdmissionController::tryAcquire() {
-  if (!options_.enabled) return true;
+  if (!enabled()) return true;
   std::lock_guard<std::mutex> lk(mu_);
   if (inFlight_ >= static_cast<std::size_t>(limit_)) return false;
   ++inFlight_;
@@ -21,35 +21,34 @@ bool AdmissionController::tryAcquire() {
 }
 
 void AdmissionController::release(double observedLatencyMs) {
-  if (!options_.enabled) return;
+  if (!enabled()) return;
   std::lock_guard<std::mutex> lk(mu_);
   if (inFlight_ > 0) --inFlight_;
   if (observedLatencyMs < 0.0) return;
   if (observedLatencyMs <= options_.targetLatencyMs) {
     // Additive increase, spread over the current window so the limit
-    // grows by ~`increase` slots per limit's-worth of completions.
-    limit_ += options_.increase / std::max(limit_, 1.0);
+    // grows by ~kIncrease slots per limit's-worth of completions.
+    limit_ += kIncrease / std::max(limit_, 1.0);
   } else {
-    limit_ *= options_.decreaseFactor;
+    limit_ *= kDecrease;
   }
   limit_ = std::clamp(limit_, static_cast<double>(options_.minLimit),
                       static_cast<double>(options_.maxLimit));
 }
 
 bool AdmissionController::deadlineFeasible(double remainingMs) const {
-  if (!options_.enabled) return true;
+  if (!enabled()) return true;
   std::lock_guard<std::mutex> lk(mu_);
   if (ewmaColdMs_ <= 0.0) return true;  // optimistic before any sample
   return remainingMs >= ewmaColdMs_;
 }
 
 void AdmissionController::observeColdStudyMs(double ms) {
-  if (!options_.enabled || ms < 0.0) return;
+  if (!enabled() || ms < 0.0) return;
   std::lock_guard<std::mutex> lk(mu_);
   ewmaColdMs_ = ewmaColdMs_ <= 0.0
                     ? ms
-                    : options_.costAlpha * ms +
-                          (1.0 - options_.costAlpha) * ewmaColdMs_;
+                    : kCostAlpha * ms + (1.0 - kCostAlpha) * ewmaColdMs_;
 }
 
 std::size_t AdmissionController::limit() const {
@@ -60,11 +59,6 @@ std::size_t AdmissionController::limit() const {
 std::size_t AdmissionController::inFlight() const {
   std::lock_guard<std::mutex> lk(mu_);
   return inFlight_;
-}
-
-double AdmissionController::expectedColdStudyMs() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return ewmaColdMs_;
 }
 
 }  // namespace ep::serve

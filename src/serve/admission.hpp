@@ -33,25 +33,21 @@
 namespace ep::serve {
 
 struct AdmissionOptions {
-  bool enabled = false;
   // The latency SLO target (ms) the limit adapts against — typically
-  // the same target the PR 7 SloEngine burns on.
-  double targetLatencyMs = 50.0;
+  // the same target the SloEngine burns on.  0 turns admission control
+  // off.
+  double targetLatencyMs = 0.0;
   std::size_t initialLimit = 16;
   std::size_t minLimit = 1;
   std::size_t maxLimit = 256;
-  double increase = 1.0;        // slots added per in-target completion
-  double decreaseFactor = 0.5;  // limit *= factor on an over-target one
-  // EWMA smoothing for the cold-study cost estimate feeding
-  // deadline-aware shedding.
-  double costAlpha = 0.3;
+  [[nodiscard]] bool enabled() const { return targetLatencyMs > 0.0; }
 };
 
 class AdmissionController {
  public:
   explicit AdmissionController(AdmissionOptions options = {});
 
-  [[nodiscard]] bool enabled() const { return options_.enabled; }
+  [[nodiscard]] bool enabled() const { return options_.enabled(); }
 
   // Claim a concurrency slot for a queued request.  False = shed
   // (caller rejects with Status::Overloaded).  Never blocks.
@@ -70,9 +66,14 @@ class AdmissionController {
 
   [[nodiscard]] std::size_t limit() const;
   [[nodiscard]] std::size_t inFlight() const;
-  [[nodiscard]] double expectedColdStudyMs() const;
 
  private:
+  static constexpr double kIncrease = 1.0;   // slots per in-target completion
+  static constexpr double kDecrease = 0.5;   // limit *= this on an over-target one
+  // EWMA smoothing for the cold-study cost estimate feeding
+  // deadline-aware shedding.
+  static constexpr double kCostAlpha = 0.3;
+
   AdmissionOptions options_;
   mutable std::mutex mu_;
   double limit_ = 0.0;       // fractional: additive increase accumulates

@@ -177,8 +177,8 @@ Broker::TuneAdmission Broker::admitTuneLocked(const TuneJobPtr& job) {
     return a;
   }
   const StudyKey key = keyFor(job->req.device, job->req.n);
-  if (auto hit = cache_.find(key)) {
-    cache_.countLookup(true);
+  if (auto hit = cache_.get(key)) {
+    cCacheHits_.inc();
     cAccepted_.inc();
     a.act = TuneAdmission::Act::CompleteHit;
     a.result = *hit;
@@ -187,7 +187,7 @@ Broker::TuneAdmission Broker::admitTuneLocked(const TuneJobPtr& job) {
   a = admitColdTuneLocked(job, key);
   // One lookup per tune: a queued job's is counted when it runs, since
   // the cache may answer it by then.
-  if (a.act != TuneAdmission::Act::Queued) cache_.countLookup(false);
+  if (a.act != TuneAdmission::Act::Queued) cCacheMisses_.inc();
   return a;
 }
 
@@ -296,18 +296,15 @@ void Broker::execute(Work&& work) {
 
 namespace {
 
-// Shared by submitTune and submitTuneBatch so a batch of one is
-// behaviorally identical to a lone submit.
 bool validTune(const TuneRequest& req) {
   return req.n > 0 && req.maxDegradation >= 0.0;
 }
 
-TuneResponse invalidTuneResponse(Clock::time_point submitted,
-                                 Clock::time_point now) {
+// Answered before the lock, so its latency is zero.
+TuneResponse invalidTuneResponse() {
   TuneResponse resp;
   resp.status = Status::Error;
   resp.error = "invalid tune request (need n > 0, maxDegradation >= 0)";
-  resp.latency = elapsedSince(submitted, now);
   return resp;
 }
 
@@ -316,29 +313,13 @@ TuneResponse invalidTuneResponse(Clock::time_point submitted,
 std::future<TuneResponse> Broker::submitTune(const TuneRequest& req) {
   auto promise = std::make_shared<std::promise<TuneResponse>>();
   auto future = promise->get_future();
-  auto job = std::make_shared<TuneJob>();
-  job->req = req;
-  job->submitted = now();
-  job->deadline = deadlineFor(req.deadlineMs, job->submitted);
-  job->ctx = obs::currentContext();
-  job->deliver = [promise](TuneResponse&& resp) {
+  std::vector<TuneBatchItem> one(1);
+  one[0].req = req;
+  one[0].ctx = obs::currentContext();
+  one[0].done = [promise](TuneResponse&& resp) {
     promise->set_value(std::move(resp));
   };
-
-  if (!validTune(req)) {
-    cAccepted_.inc();
-    cFailed_.inc();
-    job->deliver(invalidTuneResponse(job->submitted, now()));
-    return future;
-  }
-
-  std::unique_lock lk(mu_);
-  const TuneAdmission a = admitTuneLocked(job);
-  lk.unlock();
-  settleAdmission(job, a);
-  if (a.act == TuneAdmission::Act::Queued) {
-    execute([this, job] { runTuneJob(job); });
-  }
+  submitTuneBatch(std::move(one));
   return future;
 }
 
@@ -358,8 +339,7 @@ void Broker::submitTuneBatch(std::vector<TuneBatchItem> items) {
     jobs.push_back(std::move(job));
   }
 
-  // Invalid requests never reach the lock — exactly like submitTune,
-  // which answers them before locking.
+  // Invalid requests never reach the lock.
   std::vector<TuneJobPtr> valid;
   valid.reserve(jobs.size());
   for (auto& job : jobs) {
@@ -367,7 +347,7 @@ void Broker::submitTuneBatch(std::vector<TuneBatchItem> items) {
       cAccepted_.inc();
       cFailed_.inc();
       obs::ScopedTraceContext tctx(job->ctx);
-      job->deliver(invalidTuneResponse(now, now));
+      job->deliver(invalidTuneResponse());
     } else {
       valid.push_back(std::move(job));
     }
@@ -464,7 +444,7 @@ void Broker::runTuneJob(const TuneJobPtr& job) {
   ++activeJobs_;
 
   if (now() > job->deadline) {
-    cache_.countLookup(false);
+    cCacheMisses_.inc();
     lk.unlock();
     rejectTune(job, Status::DeadlineExceeded, "");
     lk.lock();
@@ -474,6 +454,7 @@ void Broker::runTuneJob(const TuneJobPtr& job) {
   const StudyKey key = keyFor(job->req.device, job->req.n);
   if (auto hit = cache_.get(key)) {
     // Filled while this job sat in the queue.
+    cCacheHits_.inc();
     ResultPtr result = *hit;
     lk.unlock();
     completeTune(job, result, /*cacheHit=*/true, /*coalesced=*/false);
@@ -481,6 +462,7 @@ void Broker::runTuneJob(const TuneJobPtr& job) {
     finishJobLocked();
     return;
   }
+  cCacheMisses_.inc();
   if (auto it = inFlight_.find(key); it != inFlight_.end()) {
     // Another thread owns the study (a sibling queued before either of
     // us started, or another event thread's inline run); hand our
@@ -605,10 +587,12 @@ Broker::StudyOutcome Broker::obtainStudy(std::unique_lock<std::mutex>& lk,
                                          bool* coalesced) {
   const StudyKey key = keyFor(device, n);
   if (auto hit = cache_.get(key)) {
+    cCacheHits_.inc();
     *cacheHit = true;
     lk.unlock();
     return {*hit, false};
   }
+  cCacheMisses_.inc();
   if (auto it = inFlight_.find(key); it != inFlight_.end()) {
     // Blocking join: safe because in-flight entries only exist while
     // their owner is actively computing on another thread.
@@ -684,7 +668,7 @@ Broker::StudyOutcome Broker::computeStudy(std::unique_lock<std::mutex>& lk,
   lk.lock();
   inFlight_.erase(key);
   if (result) {
-    cache_.put(key, result);
+    if (cache_.put(key, result)) cCacheEvictions_.inc();
     if (options_.staleCapacity > 0) staleStore_.put(key, result);
   } else if (options_.staleCapacity > 0) {
     if (auto st = staleStore_.get(key)) stale = *st;
@@ -896,29 +880,24 @@ ServeMetrics Broker::metrics() const {
   for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
     out.latency.counts[i] = hLatencyMs_.bucketValue(i);
   }
+  // Every cache counter moves under mu_, so these read as one snapshot
+  // with the cache and queue state.
   std::lock_guard lk(mu_);
-  const LruCacheStats cs = cache_.stats();
-  out.cacheHits = cs.hits;
-  out.cacheMisses = cs.misses;
-  out.cacheEvictions = cs.evictions;
-  out.cacheSize = cs.size;
-  out.cacheCapacity = cs.capacity;
+  out.cacheHits = cCacheHits_.value();
+  out.cacheMisses = cCacheMisses_.value();
+  out.cacheEvictions = cCacheEvictions_.value();
+  out.cacheSize = cache_.size();
+  out.cacheCapacity = cache_.capacity();
   out.queueDepth = queueDepth_;
   out.inFlightStudies = inFlight_.size();
   return out;
 }
 
 void Broker::syncInstantaneous() const {
-  // Fold the cache's internal stats into the registry as counter
-  // deltas, and mirror the instantaneous state into gauges.
+  // Mirror the instantaneous state into gauges.
   std::lock_guard lk(mu_);
-  const LruCacheStats cs = cache_.stats();
-  cCacheHits_.inc(cs.hits - syncedCache_.hits);
-  cCacheMisses_.inc(cs.misses - syncedCache_.misses);
-  cCacheEvictions_.inc(cs.evictions - syncedCache_.evictions);
-  syncedCache_ = cs;
-  gCacheSize_.set(static_cast<std::int64_t>(cs.size));
-  gCacheCapacity_.set(static_cast<std::int64_t>(cs.capacity));
+  gCacheSize_.set(static_cast<std::int64_t>(cache_.size()));
+  gCacheCapacity_.set(static_cast<std::int64_t>(cache_.capacity()));
   gQueueDepth_.set(static_cast<std::int64_t>(queueDepth_));
   gInFlightStudies_.set(static_cast<std::int64_t>(inFlight_.size()));
   gAdmissionLimit_.set(admission_.enabled()

@@ -125,6 +125,8 @@ class Broker {
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
 
+  // A batch of one through submitTuneBatch, under the caller's trace
+  // context, answered through the returned future.
   [[nodiscard]] std::future<TuneResponse> submitTune(const TuneRequest& req);
   [[nodiscard]] std::future<StudyResponse> submitStudy(const StudyRequest& req);
 
@@ -142,10 +144,9 @@ class Broker {
   // queued member in order: in place for an inline engine, as ONE pool
   // task otherwise (the event-loop frontend drains all ready sockets
   // per epoll round and submits here, so lock and pool-hop costs
-  // amortize across connections).  Semantics per item are identical to
-  // submitTune: same validation, cache-hit, coalescing, breaker,
-  // deadline and backpressure behavior — a batch of one is
-  // indistinguishable from a lone submitTune.
+  // amortize across connections).  Each item gets the same validation,
+  // cache-hit, coalescing, breaker, deadline and backpressure behavior
+  // as it would alone.
   void submitTuneBatch(std::vector<TuneBatchItem> items);
 
   // Blocking conveniences.
@@ -200,8 +201,8 @@ class Broker {
     // coalesced followers (fulfilled on the study owner's worker) stay
     // linked to their own request's span tree, not the owner's.
     obs::TraceContext ctx;
-    // Invoked exactly once with the final response — a promise wrapper
-    // for submitTune, the caller's callback for submitTuneBatch.
+    // Invoked exactly once with the final response: the batch item's
+    // `done` (submitTune's is a promise wrapper).
     std::function<void(TuneResponse&&)> deliver;
     // Holds an admission-controller concurrency slot (queued jobs only);
     // released exactly once at completion/rejection.
@@ -225,8 +226,8 @@ class Broker {
     Status status = Status::Ok;
     const char* error = "";
   };
-  // Counts the job's one cache lookup, unless it queues: runTuneJob
-  // counts that one.
+  // Counts the job's one cache lookup (ep_serve_cache_*), unless it
+  // queues: runTuneJob counts that one.
   [[nodiscard]] TuneAdmission admitTuneLocked(const TuneJobPtr& job);
   // The verdict for a valid tune the cache did not answer.
   [[nodiscard]] TuneAdmission admitColdTuneLocked(const TuneJobPtr& job,
@@ -300,8 +301,8 @@ class Broker {
   void accountStudyEnergy(Device device, const core::EnergyAttribution& a);
   void feedWatchdog(Device device, bool error, bool stale);
 
-  // Fold cache stats into the registry and mirror the instantaneous
-  // state into gauges (shared by renderPrometheus / snapshotRegistry).
+  // Mirror the instantaneous state into gauges (shared by
+  // renderPrometheus / snapshotRegistry).
   void syncInstantaneous() const;
 
   void finishJobLocked();  // activeJobs_ bookkeeping + drain signal
@@ -366,9 +367,6 @@ class Broker {
   // Adaptive concurrency + deadline shedding.  Leaf mutex like the
   // breakers; consulted under mu_ at admission, released unlocked.
   AdmissionController admission_;
-  // Cache stats already mirrored into the registry counters (guarded
-  // by mu_; renderPrometheus syncs the delta).
-  mutable LruCacheStats syncedCache_;
 
   // Last member: destroyed first, joining workers while the rest of the
   // broker state is still alive.  Null when the engine runs inline.

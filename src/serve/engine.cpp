@@ -1,8 +1,5 @@
 #include "serve/engine.hpp"
 
-#include <bit>
-#include <initializer_list>
-
 #include "apps/gpu_matmul_app.hpp"
 #include "common/rng.hpp"
 #include "hw/gpu_model.hpp"
@@ -16,43 +13,9 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return splitmix64(h ^ v);
 }
 
-std::uint64_t mixDouble(std::uint64_t h, double v) {
-  return mix(h, std::bit_cast<std::uint64_t>(v));
-}
-
-// Hash every constant that shapes a study outcome.  GpuTuning fields are
-// enumerated explicitly: adding a field without extending this list is
-// caught by the struct-size guard below.
-std::uint64_t hashStudyConstants(const hw::GpuModel& model,
-                                 const EpStudyEngineOptions& opts) {
-  const hw::GpuTuning& t = model.tuning();
-  static_assert(sizeof(hw::GpuTuning) == 15 * sizeof(double),
-                "GpuTuning changed: update hashStudyConstants");
-  std::uint64_t h = splitmix64(0x5E4EULL);
-  for (double v : {t.kernelPeakFraction, t.occScaleCompute, t.occScaleMemory,
-                   t.icachePenaltyPerLevel, t.gLinearPenalty,
-                   t.runWarmupFraction, t.smEnergyPerGflop, t.memEnergyPerGB,
-                   t.residencyPower, t.fetchPowerPerLevel,
-                   t.constantActivePower, t.midBinBoostFraction,
-                   t.boostPowerExponent, t.bandwidthEfficiency,
-                   t.uncoreTailSec}) {
-    h = mixDouble(h, v);
-  }
-  h = mixDouble(h, model.spec().peakGflopsDouble);
-  h = mixDouble(h, model.spec().memBandwidthGBs);
-  h = mix(h, static_cast<std::uint64_t>(model.spec().smCount));
-  h = mix(h, opts.seed);
-  h = mix(h, static_cast<std::uint64_t>(opts.totalProducts));
-  h = mix(h, opts.useMeter ? 1 : 2);
-  // The fault campaign shapes every measured value: hash all of it so a
-  // faulty engine never shares cache entries with a clean one.
-  return fault::mixOptions(h, opts.faults);
-}
-
 core::GpuEpStudy makeStudy(const hw::GpuSpec& spec,
                            const EpStudyEngineOptions& opts) {
   apps::GpuMatMulOptions appOpts;
-  appOpts.totalProducts = opts.totalProducts;
   appOpts.useMeter = opts.useMeter;
   appOpts.faults = opts.faults;
   if (opts.faults.enabled()) {
@@ -80,8 +43,7 @@ EpStudyEngine::EpStudyEngine(EpStudyEngineOptions options)
         return makeStudy(d.spec(), options_);
       })),
       hashes_(perDevice([&](const DeviceInfo& d) {
-        return hashStudyConstants(
-            studies_[deviceIndex(d.device)].app().model(), options_);
+        return studies_[deviceIndex(d.device)].checkpointHash(options_.seed);
       })) {}
 
 std::uint64_t EpStudyEngine::tuningHash(Device device) const {

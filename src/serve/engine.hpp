@@ -58,8 +58,6 @@ struct EpStudyEngineOptions {
   // Run the full wall-meter + CI measurement protocol (slower, the
   // paper's methodology) instead of noise-free model energies.
   bool useMeter = false;
-  // The fixed G x R workload multiplier of the weak-EP study.
-  int totalProducts = 8;
   // Meter-fault campaign (epserved --fault-* flags; requires useMeter).
   // Part of the tuning hash: a faulty engine must not share cached
   // results with a clean one.  When enabled, measurement failures skip

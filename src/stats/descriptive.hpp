@@ -1,8 +1,4 @@
-// Descriptive statistics.
-//
-// RunningStats implements Welford's online algorithm so the measurement
-// loop can update mean/variance per repetition without storing history
-// (though samples are also kept for the normality check).
+// Descriptive statistics over a sample.
 #pragma once
 
 #include <cstddef>
@@ -10,26 +6,6 @@
 #include <vector>
 
 namespace ep::stats {
-
-class RunningStats {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return mean_; }
-  // Sample variance (n-1 denominator); 0 for n < 2.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 [[nodiscard]] double mean(std::span<const double> xs);
 [[nodiscard]] double sampleVariance(std::span<const double> xs);

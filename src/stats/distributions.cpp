@@ -168,25 +168,4 @@ double chiSquaredCdf(double x, double dof) {
   return regularizedLowerGamma(dof / 2.0, x / 2.0);
 }
 
-double chiSquaredCritical(double alpha, double dof) {
-  EP_REQUIRE(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-  const double target = 1.0 - alpha;
-  double lo = 0.0;
-  double hi = std::max(1.0, dof);
-  while (chiSquaredCdf(hi, dof) < target) {
-    hi *= 2.0;
-    EP_REQUIRE(hi < 1e12, "chi-squared critical value out of range");
-  }
-  for (int i = 0; i < 200; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (chiSquaredCdf(mid, dof) < target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-    if (hi - lo < 1e-12 * (1.0 + hi)) break;
-  }
-  return 0.5 * (lo + hi);
-}
-
 }  // namespace ep::stats

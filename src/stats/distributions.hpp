@@ -25,8 +25,4 @@ namespace ep::stats {
 // Chi-squared CDF with `dof` degrees of freedom.
 [[nodiscard]] double chiSquaredCdf(double x, double dof);
 
-// Upper-tail critical value c such that P(X > c) = alpha for chi-squared
-// with `dof` degrees of freedom.
-[[nodiscard]] double chiSquaredCritical(double alpha, double dof);
-
 }  // namespace ep::stats

@@ -26,38 +26,6 @@ ConfidenceInterval meanConfidenceInterval(std::span<const double> xs,
   return ci;
 }
 
-WelchResult welchTTest(std::span<const double> a, std::span<const double> b,
-                       double alpha) {
-  EP_REQUIRE(a.size() >= 2 && b.size() >= 2,
-             "Welch test needs n >= 2 per sample");
-  EP_REQUIRE(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-  const double ma = mean(a);
-  const double mb = mean(b);
-  const double va = sampleVariance(a) / static_cast<double>(a.size());
-  const double vb = sampleVariance(b) / static_cast<double>(b.size());
-  WelchResult r;
-  r.meanDifference = ma - mb;
-  const double se2 = va + vb;
-  if (se2 == 0.0) {
-    // Identical noise-free samples: significant iff means differ.
-    r.statistic = r.meanDifference == 0.0
-                      ? 0.0
-                      : std::numeric_limits<double>::infinity();
-    r.dof = static_cast<double>(a.size() + b.size() - 2);
-    r.pValue = r.meanDifference == 0.0 ? 1.0 : 0.0;
-    r.significant = r.meanDifference != 0.0;
-    return r;
-  }
-  r.statistic = r.meanDifference / std::sqrt(se2);
-  // Welch-Satterthwaite degrees of freedom.
-  const double na1 = static_cast<double>(a.size()) - 1.0;
-  const double nb1 = static_cast<double>(b.size()) - 1.0;
-  r.dof = se2 * se2 / (va * va / na1 + vb * vb / nb1);
-  r.pValue = 2.0 * (1.0 - studentTCdf(std::fabs(r.statistic), r.dof));
-  r.significant = r.pValue < alpha;
-  return r;
-}
-
 MeasurementProtocol::MeasurementProtocol(MeasurementOptions options)
     : options_(options) {
   EP_REQUIRE(options_.minRepetitions >= 2, "need at least 2 repetitions");
@@ -70,14 +38,12 @@ MeasurementResult MeasurementProtocol::loop(
     const std::function<double()>& observe, bool throwOnFailure) const {
   MeasurementResult res;
   res.samples.reserve(options_.minRepetitions);
-  RunningStats rs;
   while (res.samples.size() < options_.maxRepetitions) {
     const double x = observe();
     res.samples.push_back(x);
-    rs.add(x);
     if (res.samples.size() < options_.minRepetitions) continue;
     const ConfidenceInterval ci =
-        meanConfidenceInterval(res.samples, options_.confidence);
+        meanConfidenceInterval(res.samples, kConfidence);
     if (ci.precision() <= options_.precision) {
       res.mean = ci.mean;
       res.interval = ci;
@@ -92,13 +58,12 @@ MeasurementResult MeasurementProtocol::loop(
           "measurement did not reach requested precision within " +
           std::to_string(options_.maxRepetitions) + " repetitions");
     }
-    res.interval = meanConfidenceInterval(res.samples, options_.confidence);
+    res.interval = meanConfidenceInterval(res.samples, kConfidence);
     res.mean = res.interval.mean;
     res.repetitions = res.samples.size();
   }
-  if (options_.runNormalityCheck && res.samples.size() >= 8) {
-    res.normality =
-        pearsonNormalityTest(res.samples, options_.normalityAlpha);
+  if (res.samples.size() >= kMinNormalitySamples) {
+    res.normality = pearsonNormalityTest(res.samples, kNormalityAlpha);
     res.normalityChecked = true;
   }
   return res;

@@ -32,12 +32,9 @@ struct ConfidenceInterval {
     std::span<const double> xs, double confidence);
 
 struct MeasurementOptions {
-  double confidence = 0.95;
   double precision = 0.025;     // paper: 2.5 %
   std::size_t minRepetitions = 5;
   std::size_t maxRepetitions = 1000;
-  bool runNormalityCheck = true;
-  double normalityAlpha = 0.05;
 };
 
 struct MeasurementResult {
@@ -46,29 +43,19 @@ struct MeasurementResult {
   std::size_t repetitions = 0;
   bool converged = false;
   std::vector<double> samples;
-  // Present when options.runNormalityCheck and enough samples were drawn.
+  // Present when enough samples were drawn for the chi-squared check.
   bool normalityChecked = false;
   ChiSquaredResult normality;
 };
 
-// Welch's two-sample t-test (unequal variances): is the mean of `a`
-// different from the mean of `b`?  Used by the tuner layer to decide
-// whether one configuration is *significantly* faster/cheaper than
-// another given measurement noise.
-struct WelchResult {
-  double statistic = 0.0;
-  double dof = 0.0;       // Welch-Satterthwaite
-  double pValue = 1.0;    // two-sided
-  bool significant = false;
-  double meanDifference = 0.0;  // mean(a) - mean(b)
-};
-
-[[nodiscard]] WelchResult welchTTest(std::span<const double> a,
-                                     std::span<const double> b,
-                                     double alpha = 0.05);
-
 class MeasurementProtocol {
  public:
+  // The paper's protocol: a 95 % confidence interval, and Pearson's
+  // chi-squared normality check at alpha = 0.05 once 8 samples exist.
+  static constexpr double kConfidence = 0.95;
+  static constexpr double kNormalityAlpha = 0.05;
+  static constexpr std::size_t kMinNormalitySamples = 8;
+
   explicit MeasurementProtocol(MeasurementOptions options = {});
 
   // Repeatedly invokes `observe` until the CI criterion is met.

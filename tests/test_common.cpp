@@ -2,6 +2,7 @@
 // tables, thread pool, math helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -323,8 +324,9 @@ TEST(Table, AlignsColumnsAndCountsRows) {
   Table t({"name", "value"});
   t.addRow({"alpha", "1"});
   t.addRow({"beta", "2"});
-  EXPECT_EQ(t.rowCount(), 2u);
   const std::string s = t.str();
+  // Three rules, the header and one line per row.
+  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 6);
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("beta"), std::string::npos);
 }
@@ -336,17 +338,8 @@ TEST(Table, RejectsRaggedRows) {
 
 TEST(Table, NumericRowsUsePrecision) {
   Table t({"x"});
-  t.setPrecision(2);
   t.addRow({3.14159});
-  EXPECT_NE(t.str().find("3.14"), std::string::npos);
-}
-
-TEST(Table, CsvEscapesSeparators) {
-  Table t({"a"});
-  t.addRow({std::string("x,y")});
-  std::ostringstream ss;
-  t.writeCsv(ss);
-  EXPECT_NE(ss.str().find("\"x,y\""), std::string::npos);
+  EXPECT_NE(t.str().find("3.1416"), std::string::npos);
 }
 
 TEST(Table, TitleAppearsInOutput) {
@@ -543,29 +536,6 @@ TEST(ThreadPool, ExplicitGrainCoversRangeExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, ParallelMapPreservesIndexOrder) {
-  ThreadPool pool(4);
-  const std::vector<std::size_t> out =
-      pool.parallelMap<std::size_t>(257, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 257u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
-TEST(ThreadPool, ParallelMapFromPoolTask) {
-  ThreadPool pool(2);
-  std::promise<std::size_t> sum;
-  pool.submit([&] {
-    const auto v =
-        pool.parallelMap<std::size_t>(100, [](std::size_t i) { return i; });
-    std::size_t s = 0;
-    for (std::size_t x : v) s += x;
-    sum.set_value(s);
-  });
-  auto fut = sum.get_future();
-  ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)), std::future_status::ready);
-  EXPECT_EQ(fut.get(), 4950u);
-}
-
 // --- mathutil ---
 
 TEST(MathUtil, IsPowerOfTwo) {
@@ -584,31 +554,10 @@ TEST(MathUtil, NextPowerOfTwo) {
   EXPECT_EQ(nextPowerOfTwo(1025), 2048u);
 }
 
-TEST(MathUtil, Ilog2) {
-  EXPECT_EQ(ilog2(1), 0u);
-  EXPECT_EQ(ilog2(2), 1u);
-  EXPECT_EQ(ilog2(3), 1u);
-  EXPECT_EQ(ilog2(1024), 10u);
-}
-
 TEST(MathUtil, CeilDiv) {
   EXPECT_EQ(ceilDiv(10, 5), 2u);
   EXPECT_EQ(ceilDiv(11, 5), 3u);
   EXPECT_EQ(ceilDiv(1, 32), 1u);
-}
-
-TEST(MathUtil, Linspace) {
-  const auto xs = linspace(0.0, 1.0, 5);
-  ASSERT_EQ(xs.size(), 5u);
-  EXPECT_DOUBLE_EQ(xs.front(), 0.0);
-  EXPECT_DOUBLE_EQ(xs.back(), 1.0);
-  EXPECT_DOUBLE_EQ(xs[2], 0.5);
-}
-
-TEST(MathUtil, LinspaceSinglePoint) {
-  const auto xs = linspace(3.0, 9.0, 1);
-  ASSERT_EQ(xs.size(), 1u);
-  EXPECT_DOUBLE_EQ(xs[0], 3.0);
 }
 
 TEST(MathUtil, DivisorsOf) {
@@ -616,26 +565,6 @@ TEST(MathUtil, DivisorsOf) {
   EXPECT_EQ(divisorsOf(1), (std::vector<std::uint64_t>{1}));
   EXPECT_EQ(divisorsOf(16), (std::vector<std::uint64_t>{1, 2, 4, 8, 16}));
   EXPECT_EQ(divisorsOf(7), (std::vector<std::uint64_t>{1, 7}));
-}
-
-TEST(MathUtil, ClampFinite) {
-  EXPECT_DOUBLE_EQ(clampFinite(0.5, 0.0, 1.0), 0.5);
-  EXPECT_DOUBLE_EQ(clampFinite(-1.0, 0.0, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(clampFinite(2.0, 0.0, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(clampFinite(std::nan(""), 0.25, 1.0), 0.25);
-}
-
-TEST(MathUtil, RelativeDifference) {
-  EXPECT_DOUBLE_EQ(relativeDifference(0.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(relativeDifference(1.0, 2.0), 0.5);
-  EXPECT_DOUBLE_EQ(relativeDifference(2.0, 1.0), 0.5);
-}
-
-TEST(MathUtil, KahanSumBeatsNaiveOnSmallAddends) {
-  std::vector<double> xs(1000000, 1e-10);
-  xs.push_back(1e10);
-  const double sum = kahanSum(xs);
-  EXPECT_NEAR(sum, 1e10 + 1e-4, 1e-6);
 }
 
 }  // namespace

@@ -633,37 +633,63 @@ TEST(Watchdog, EventsDrainIncrementallyBySequence) {
   EXPECT_TRUE(wd.events(tail.back().seq).empty());
 }
 
-// The Fig 6 constant component injected through the meter itself: a
-// metered engine whose every window reads 58 W high must raise
-// constant_component through the process measure observer, and the
-// same engine without the offset must raise nothing.  N = 16384 is
-// above the P100's Fig 6 threshold, where the clean model is additive;
-// below it the model carries a constant component of its own.  (The
-// live-daemon half, epserved's --fault-offset wiring and the exit code
-// of `epctl watch --check`, is ci.sh's watch drill.)
+// Every event a metered study of (device, n) records under a
+// PowerAnomalyWatchdog installed as the measure observer, with a Fig 6
+// offset of `offsetWatts` injected into every window (0 = a clean
+// meter).
+std::vector<obs::FlightEvent> meteredStudyEvents(serve::Device device, int n,
+                                                 double offsetWatts) {
+  serve::EpStudyEngineOptions o;
+  o.useMeter = true;
+  o.faults.offsetRate = offsetWatts > 0.0 ? 1.0 : 0.0;
+  o.faults.offsetWatts = offsetWatts;
+  const serve::EpStudyEngine engine(o);
+  PowerAnomalyWatchdog wd;
+  struct Install {
+    explicit Install(power::MeasureObserver* w) {
+      power::setMeasureObserver(w);
+    }
+    ~Install() { power::setMeasureObserver(nullptr); }
+  } install(&wd);
+  (void)engine.evaluate(device, n);
+  return wd.events();
+}
+
+// The Fig 6 signature through the whole stack: a metered P100 study
+// with a +58 W meter offset (fault rate 1) records exactly one event, a
+// constant_component at ~58 W (no clear, no ci_degraded), and the same
+// engine without the offset records none at all.  N = 16384 is above
+// the P100's Fig 6 threshold; N = 256 is the ci.sh watch drill's size.
+// (The live-daemon half, epserved's --fault-offset wiring and the exit
+// code of `epctl watch --check`, is ci.sh's watch drill.)
 TEST(Watchdog, InjectedFig6OffsetRaisesConstantComponent) {
-  const auto eventsFor = [](double offsetWatts) {
-    serve::EpStudyEngineOptions o;
-    o.useMeter = true;
-    o.faults.offsetRate = offsetWatts > 0.0 ? 1.0 : 0.0;
-    o.faults.offsetWatts = offsetWatts;
-    const serve::EpStudyEngine engine(o);
-    PowerAnomalyWatchdog wd;
-    struct Install {
-      explicit Install(power::MeasureObserver* w) {
-        power::setMeasureObserver(w);
+  for (const int n : {16384, 256}) {
+    const auto faulted = meteredStudyEvents(serve::Device::P100, n, 58.0);
+    ASSERT_EQ(faulted.size(), 1u) << "N = " << n;
+    EXPECT_STREQ(faulted[0].kind, "constant_component");
+    EXPECT_GT(faulted[0].value, WatchdogOptions{}.constantComponentWatts);
+    EXPECT_NEAR(faulted[0].value, 58.0, 1.0);
+    EXPECT_TRUE(meteredStudyEvents(serve::Device::P100, n, 0.0).empty())
+        << "N = " << n;
+  }
+}
+
+// Below the meter's resolution a window is one or two 1 s intervals
+// long, and each reading carries the power half an interval back: the
+// window over-weights the kernel's start and never sees its last half
+// second.  That lag is the instrument's, not a constant component, so a
+// clean study must raise nothing.  Judged against the exact profile
+// integral instead of Meter::visibleEnergy, P100 raises at both sizes
+// and K40c raises and clears dozens of times per study.
+TEST(Watchdog, CleanMeteredStudiesBelowTheMeterResolutionRaiseNothing) {
+  for (const serve::Device device : {serve::Device::P100, serve::Device::K40c}) {
+    for (const int n : {256, 1024}) {
+      for (const auto& e : meteredStudyEvents(device, n, 0.0)) {
+        EXPECT_STRNE(e.kind, "constant_component")
+            << serve::deviceName(device) << " N = " << n;
       }
-      ~Install() { power::setMeasureObserver(nullptr); }
-    } install(&wd);
-    (void)engine.evaluate(serve::Device::P100, 16384);
-    return wd.events();
-  };
-  const auto faulted = eventsFor(58.0);
-  ASSERT_EQ(faulted.size(), 1u);
-  EXPECT_STREQ(faulted[0].kind, "constant_component");
-  EXPECT_GT(faulted[0].value, WatchdogOptions{}.constantComponentWatts);
-  EXPECT_NEAR(faulted[0].value, 58.0, 1.0);
-  EXPECT_TRUE(eventsFor(0.0).empty());
+    }
+  }
 }
 
 }  // namespace

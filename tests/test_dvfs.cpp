@@ -29,13 +29,6 @@ TEST(PStates, HaswellLadderIsWellFormed) {
   }
 }
 
-TEST(PStates, AtLeastFindsSmallestSufficientState) {
-  const PStateTable t = haswellPStates();
-  EXPECT_DOUBLE_EQ(t.atLeast(1500.0).freqMHz, 1500.0);
-  EXPECT_DOUBLE_EQ(t.atLeast(1550.0).freqMHz, 1600.0);
-  EXPECT_DOUBLE_EQ(t.atLeast(9999.0).freqMHz, 3100.0);
-}
-
 TEST(PStates, RejectsMalformedTables) {
   EXPECT_THROW(PStateTable({}), PreconditionError);
   EXPECT_THROW(PStateTable({{2000.0, 1.0}, {1000.0, 1.0}}),
@@ -115,25 +108,6 @@ TEST(Optimize, ImpossibleDeadlineReturnsNullopt) {
   EXPECT_FALSE(minimizeEnergyUnderDeadline(
                    p, w, Seconds{0.5 * fastest.time.value()})
                    .has_value());
-}
-
-TEST(Optimize, BudgetSelectsFastestAffordableState) {
-  const DvfsProcessor p = haswellNode();
-  const Workload w{5000.0, 0.3};
-  const auto cheapest = p.run(w, p.table().lowest());
-  const auto r = maximizePerformanceUnderBudget(
-      p, w, Joules{1.2 * cheapest.dynamicEnergy.value()});
-  ASSERT_TRUE(r.has_value());
-  EXPECT_LE(r->dynamicEnergy.value(),
-            1.2 * cheapest.dynamicEnergy.value());
-  EXPECT_LE(r->time.value(), cheapest.time.value());
-}
-
-TEST(Optimize, TinyBudgetReturnsNullopt) {
-  const DvfsProcessor p = haswellNode();
-  const Workload w{5000.0, 0.3};
-  EXPECT_FALSE(
-      maximizePerformanceUnderBudget(p, w, Joules{1.0}).has_value());
 }
 
 TEST(Optimize, DvfsFrontIsValidAndMultiPoint) {

@@ -688,6 +688,16 @@ TEST_F(JournalTest, HashMismatchRefusesTheJournal) {
   Rng rngD(77);
   EXPECT_THROW((void)offsetStudy.runSweepChecked({sweep_[0]}, rngD, ckpt),
                PreconditionError);
+  // And so is the same study under one retuned model constant: the
+  // journal keeps measurements only and recomputes the models on load,
+  // so resuming would mix old measurements with new models.
+  hw::GpuTuning retuned = hw::GpuModel(hw::nvidiaK40c()).tuning();
+  retuned.residencyPower *= 1.01;
+  const core::GpuEpStudy retunedStudy(apps::GpuMatMulApp(
+      hw::GpuModel(hw::nvidiaK40c(), retuned), journalOptions()));
+  Rng rngE(77);
+  EXPECT_THROW((void)retunedStudy.runSweepChecked({sweep_[0]}, rngE, ckpt),
+               PreconditionError);
 }
 
 TEST_F(JournalTest, MissingFileLoadsEmpty) {

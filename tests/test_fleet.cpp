@@ -20,6 +20,7 @@
 
 #include "chaos/chaos_engine.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "pareto/front.hpp"
@@ -251,7 +252,6 @@ TEST(Policy, ParseAndNameRoundTrip) {
 }
 
 TEST(Policy, EnergyAwarePrefersHomeAtEqualLoad) {
-  PolicyWeights w;
   CandidateSnapshot home;
   home.index = 0;
   home.preference = 0;
@@ -260,12 +260,12 @@ TEST(Policy, EnergyAwarePrefersHomeAtEqualLoad) {
   away.index = 1;
   away.preference = 1;
   away.expectedJoules = 25.0;
-  EXPECT_LT(scoreCandidate(PolicyKind::EnergyAware, w, home),
-            scoreCandidate(PolicyKind::EnergyAware, w, away));
+  EXPECT_LT(scoreCandidate(PolicyKind::EnergyAware, home),
+            scoreCandidate(PolicyKind::EnergyAware, away));
   // Queue-depth scoring cannot tell them apart.
-  EXPECT_EQ(scoreCandidate(PolicyKind::QueueDepth, w, home),
-            scoreCandidate(PolicyKind::QueueDepth, w, away));
-  const auto pick = pickCandidate(PolicyKind::EnergyAware, w, {home, away}, 7);
+  EXPECT_EQ(scoreCandidate(PolicyKind::QueueDepth, home),
+            scoreCandidate(PolicyKind::QueueDepth, away));
+  const auto pick = pickCandidate(PolicyKind::EnergyAware, {home, away}, 7);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, 0u);
 }
@@ -273,7 +273,6 @@ TEST(Policy, EnergyAwarePrefersHomeAtEqualLoad) {
 TEST(Policy, QueuePressureOvercomesEnergyPrice) {
   // A deeply backlogged home loses to an idle overflow shard even
   // after paying the cold-study price.
-  PolicyWeights w;
   CandidateSnapshot home;
   home.preference = 0;
   home.inFlight = 100;
@@ -282,13 +281,12 @@ TEST(Policy, QueuePressureOvercomesEnergyPrice) {
   away.preference = 1;
   away.inFlight = 0;
   away.expectedJoules = 25.0;
-  const auto pick = pickCandidate(PolicyKind::EnergyAware, w, {home, away}, 0);
+  const auto pick = pickCandidate(PolicyKind::EnergyAware, {home, away}, 0);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, 1u);
 }
 
 TEST(Policy, OpenBreakerIsLastResort) {
-  PolicyWeights w;
   CandidateSnapshot a;
   a.index = 0;
   a.breakerOpen = true;
@@ -298,33 +296,95 @@ TEST(Policy, OpenBreakerIsLastResort) {
   b.inFlight = 50;
   b.expectedJoules = 100.0;
   for (PolicyKind k : {PolicyKind::QueueDepth, PolicyKind::EnergyAware}) {
-    const auto pick = pickCandidate(k, w, {a, b}, 0);
+    const auto pick = pickCandidate(k, {a, b}, 0);
     ASSERT_TRUE(pick.has_value());
     EXPECT_EQ(*pick, 1u) << policyName(k);
   }
   // ...but a breaker alone never makes a shard unroutable.
   b.alive = false;
-  const auto pick = pickCandidate(PolicyKind::QueueDepth, w, {a, b}, 0);
+  const auto pick = pickCandidate(PolicyKind::QueueDepth, {a, b}, 0);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, 0u);
 }
 
 TEST(Policy, RoundRobinRotatesAndSkipsDead) {
-  PolicyWeights w;
   std::vector<CandidateSnapshot> cands(3);
   for (std::size_t i = 0; i < cands.size(); ++i) cands[i].index = i;
   for (std::size_t r = 0; r < 9; ++r) {
-    const auto pick = pickCandidate(PolicyKind::RoundRobin, w, cands, r);
+    const auto pick = pickCandidate(PolicyKind::RoundRobin, cands, r);
     ASSERT_TRUE(pick.has_value());
     EXPECT_EQ(*pick, r % 3);
   }
   cands[1].alive = false;
-  const auto pick = pickCandidate(PolicyKind::RoundRobin, w, cands, 1);
+  const auto pick = pickCandidate(PolicyKind::RoundRobin, cands, 1);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, 2u);  // rotation lands on dead s1, slides to s2
   cands[0].alive = false;
   cands[2].alive = false;
-  EXPECT_FALSE(pickCandidate(PolicyKind::RoundRobin, w, cands, 0).has_value());
+  EXPECT_FALSE(pickCandidate(PolicyKind::RoundRobin, cands, 0).has_value());
+}
+
+// --- cluster fronts ---
+
+bool samePoints(const std::vector<pareto::BiPoint>& a,
+                const std::vector<pareto::BiPoint>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](const pareto::BiPoint& x, const pareto::BiPoint& y) {
+                      return x.time == y.time && x.energy == y.energy &&
+                             x.configId == y.configId && x.label == y.label;
+                    });
+}
+
+// Seeded insert streams drawn with replacement from a small pool of
+// points, so exact duplicates recur (a study that runs again re-inserts
+// its front); the coarse pools add objective ties between distinct
+// points.  After every insert both sides of the front equal the batch
+// front of the de-duplicated stream, and no duplicate ever grows them.
+TEST(ClusterFront, BothSidesEqualTheBatchFrontOfTheDeduplicatedStream) {
+  Rng rng(20261019);
+  for (int trial = 0; trial < 60; ++trial) {
+    const bool coarse = trial % 2 == 1;
+    std::vector<pareto::BiPoint> pool;
+    const int poolSize = 1 + static_cast<int>(rng.uniformInt(0, 40));
+    for (int i = 0; i < poolSize; ++i) {
+      const double t = coarse ? static_cast<double>(rng.uniformInt(1, 5))
+                              : rng.uniform(1.0, 10.0);
+      const double e = coarse ? static_cast<double>(rng.uniformInt(1, 5))
+                              : rng.uniform(1.0, 10.0);
+      pool.push_back(mk(t, e, static_cast<std::uint64_t>(i)));
+    }
+    ClusterFront front;
+    std::vector<pareto::BiPoint> unique;
+    std::set<std::uint64_t> seen;
+    for (int k = 0; k < 3 * poolSize; ++k) {
+      const auto& p = pool[static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<std::uint64_t>(poolSize - 1)))];
+      if (seen.insert(p.configId).second) unique.push_back(p);
+      front.insert(p);
+      const auto batch = pareto::paretoFront(unique);
+      ASSERT_TRUE(samePoints(front.streaming.snapshot(), batch))
+          << "trial " << trial << " insert " << k;
+      ASSERT_TRUE(samePoints(front.reference, batch))
+          << "trial " << trial << " insert " << k;
+      ASSERT_TRUE(front.consistent());
+    }
+  }
+}
+
+TEST(ClusterFront, ACorruptedStreamingFrontReadsInconsistent) {
+  ClusterFront front;
+  front.insert(mk(1.0, 4.0, 0));
+  front.insert(mk(2.0, 2.0, 1));
+  ASSERT_TRUE(front.consistent());
+  // A member the reference never saw.
+  front.streaming.insert(mk(3.0, 1.0, 2));
+  EXPECT_FALSE(front.consistent());
+  // A member the streaming side lost.
+  ClusterFront lost;
+  lost.insert(mk(1.0, 4.0, 0));
+  lost.streaming.clear();
+  EXPECT_FALSE(lost.consistent());
 }
 
 // --- router: cache affinity and energy accounting ---
@@ -1009,7 +1069,7 @@ ChaosFleet chaosFleet(int victimIndex) {
 
 FleetOptions healthOpts(int ejectAfter = 2, int reinstateAfter = 2) {
   FleetOptions o;
-  o.health.enabled = true;
+  o.health.probeIntervalMs = 50.0;
   o.health.ejectAfterFailures = ejectAfter;
   o.health.reinstateAfterSuccesses = reinstateAfter;
   return o;

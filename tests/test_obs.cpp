@@ -656,8 +656,6 @@ TEST(OpenMetrics, ExpositionPassesLintWithExemplars) {
   h.observe(0.5, 0xF00Du);
   lintOpenMetrics(
       ep::obs::renderExposition(r.snapshot(), ExpositionFormat::OpenMetrics100));
-  // The daemon-facing Registry::renderOpenMetrics() path too.
-  lintOpenMetrics(r.renderOpenMetrics());
 }
 
 TEST(Federation, BucketMergeIsAssociativeAndExact) {
@@ -869,7 +867,6 @@ TEST(Tsdb, ScraperRunsOnInjectedClockAndFiresHook) {
   ASSERT_EQ(samples.size(), 2u);
   EXPECT_DOUBLE_EQ(samples[0].value, 5.0);
   EXPECT_DOUBLE_EQ(samples[1].value, 10.0);
-  EXPECT_GE(scraper.lastScrapeDurationNs(), 0);
 }
 
 TEST(Tsdb, BackgroundScraperStartStopIsClean) {

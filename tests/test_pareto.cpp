@@ -1,9 +1,9 @@
 // Unit and property tests for eppareto: dominance, fronts,
-// non-dominated sorting, hypervolume, and trade-off analysis.
+// non-dominated sorting, the precision-aware front, and trade-off
+// analysis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/error.hpp"
@@ -341,34 +341,6 @@ TEST(StreamingFrontProperty, MatchesBatchFrontOnRandomClouds) {
   }
 }
 
-// --- hypervolume ---
-
-TEST(Hypervolume, SinglePointRectangle) {
-  const double hv = hypervolume({mk(1, 1)}, mk(3, 3));
-  EXPECT_DOUBLE_EQ(hv, 4.0);
-}
-
-TEST(Hypervolume, TwoPointUnion) {
-  // (1,2) and (2,1) vs ref (3,3): union = 2*1 + 1*... = computed: 3.
-  const double hv = hypervolume({mk(1, 2), mk(2, 1)}, mk(3, 3));
-  EXPECT_DOUBLE_EQ(hv, 3.0);
-}
-
-TEST(Hypervolume, EmptyFrontIsZero) {
-  EXPECT_DOUBLE_EQ(hypervolume({}, mk(1, 1)), 0.0);
-}
-
-TEST(Hypervolume, RejectsBadReference) {
-  EXPECT_THROW((void)hypervolume({mk(2, 2)}, mk(1, 1)), PreconditionError);
-}
-
-TEST(Hypervolume, MorePointsNeverDecreaseVolume) {
-  const BiPoint ref = mk(10, 10);
-  const double hv1 = hypervolume({mk(2, 5)}, ref);
-  const double hv2 = hypervolume({mk(2, 5), mk(5, 2)}, ref);
-  EXPECT_GE(hv2, hv1);
-}
-
 // --- trade-off ---
 
 TEST(Tradeoff, PerfAndEnergyOptimaIdentified) {
@@ -445,73 +417,6 @@ TEST(TradeoffProperty, BudgetedSavingsBounded) {
       EXPECT_GT(budgeted->maxEnergySavings, 0.0);
     }
   }
-}
-
-}  // namespace
-}  // namespace ep::pareto
-
-// --- crowding distance & epsilon fronts (appended extensions) ---
-
-namespace ep::pareto {
-namespace {
-
-BiPoint mk2(double t, double e, std::uint64_t id = 0) {
-  BiPoint p;
-  p.time = Seconds{t};
-  p.energy = Joules{e};
-  p.configId = id;
-  return p;
-}
-
-TEST(Crowding, BoundariesAreInfinite) {
-  const std::vector<BiPoint> front{mk2(1, 5), mk2(2, 3), mk2(3, 1)};
-  const auto d = crowdingDistance(front);
-  ASSERT_EQ(d.size(), 3u);
-  EXPECT_TRUE(std::isinf(d[0]));
-  EXPECT_TRUE(std::isinf(d[2]));
-  EXPECT_FALSE(std::isinf(d[1]));
-  EXPECT_GT(d[1], 0.0);
-}
-
-TEST(Crowding, DenseMiddlePointHasSmallerDistance) {
-  // t = 2.05 has near neighbours on BOTH sides: it is the crowded one.
-  const std::vector<BiPoint> front{mk2(1, 10), mk2(2, 6), mk2(2.05, 5.9),
-                                   mk2(2.1, 5.8), mk2(5, 1)};
-  const auto d = crowdingDistance(front);
-  EXPECT_LT(d[2], d[1]);
-  EXPECT_LT(d[2], d[3]);
-}
-
-TEST(Crowding, TinyFrontsAllInfinite) {
-  const auto d = crowdingDistance({mk2(1, 2), mk2(2, 1)});
-  EXPECT_TRUE(std::isinf(d[0]));
-  EXPECT_TRUE(std::isinf(d[1]));
-}
-
-TEST(EpsilonFront, CollapsesNearDuplicates) {
-  const std::vector<BiPoint> pts{mk2(1.0, 5.0, 0), mk2(1.001, 4.999, 1),
-                                 mk2(2.0, 1.0, 2)};
-  const auto thin = epsilonFront(pts, 0.01);
-  EXPECT_EQ(thin.size(), 2u);
-  const auto full = epsilonFront(pts, 0.0);
-  EXPECT_EQ(full.size(), 3u);
-}
-
-TEST(EpsilonFront, SubsetOfTrueFront) {
-  Rng rng(123);
-  std::vector<BiPoint> pts;
-  for (int i = 0; i < 60; ++i) {
-    pts.push_back(mk2(rng.uniform(1.0, 10.0), rng.uniform(1.0, 10.0),
-                      static_cast<std::uint64_t>(i)));
-  }
-  const auto full = paretoFront(pts);
-  const auto thin = epsilonFront(pts, 0.05);
-  EXPECT_LE(thin.size(), full.size());
-  EXPECT_TRUE(isValidFront(thin, {}));
-}
-
-TEST(EpsilonFront, RejectsNegativeEpsilon) {
-  EXPECT_THROW((void)epsilonFront({mk2(1, 1)}, -0.1), PreconditionError);
 }
 
 // --- precision-aware front ---

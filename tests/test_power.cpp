@@ -148,14 +148,6 @@ TEST(Profile, SegmentBoundariesAreHalfOpen) {
   EXPECT_DOUBLE_EQ(p.powerAt(2.0_s).value(), 0.0);  // end exclusive
 }
 
-TEST(Profile, ActivityEndTracksLatestSegment) {
-  ProfilePowerSource p(0.0_W);
-  EXPECT_DOUBLE_EQ(p.activityEnd().value(), 0.0);
-  p.addSegment({0.0_s, 5.0_s, 10.0_W});
-  p.addSegment({3.0_s, 4.0_s, 10.0_W});
-  EXPECT_DOUBLE_EQ(p.activityEnd().value(), 7.0);
-}
-
 TEST(Profile, RejectsNegativeInputs) {
   EXPECT_THROW(ProfilePowerSource{Watts{-1.0}}, PreconditionError);
   ProfilePowerSource p(1.0_W);
@@ -238,6 +230,51 @@ TEST(Meter, NoiseFreeMeterReproducesProfileEnergy) {
   Rng rng(1);
   const PowerTrace trace = meter.record(p, 10.0_s, rng);
   EXPECT_NEAR(trace.totalEnergy().value(), 1000.0, 1.0);
+}
+
+// visibleEnergy against what a noise-free, phase-locked meter records
+// of a step from 100 W to 250 W at t = a.  A window shorter than half
+// an interval reads P(0) throughout, exactly visibleEnergy's short
+// branch.  A longer one interpolates linearly across the interval in
+// which the lagged step lands, so the two differ by at most
+// h * |dP| = 0.5 s * 150 W, while the exact integral misses the lag.
+TEST(Meter, VisibleEnergyIsWhatANoiseFreeMeterRecords) {
+  MeterOptions opts;
+  opts.gainNoiseSigma = 0.0;
+  opts.additiveNoiseSigma = 0.0_W;
+  opts.quantization = 0.0_W;
+  opts.randomPhase = false;
+  const WattsUpMeter meter(opts);
+  const double h = 0.5 * opts.sampleInterval.value();
+  const double step = 150.0;
+  Rng rng(7);
+  PowerTrace scratch;
+  for (const double a : {0.2, 1.3, 2.75}) {
+    ProfilePowerSource p(100.0_W);
+    p.addSegment({Seconds{a}, 100.0_s, Watts{step}});
+    const auto recorded = [&](double d) {
+      return meter.recordEnergy(p, Seconds{d}, rng, scratch).value();
+    };
+    const auto visible = [&](double d) {
+      return meter.visibleEnergy(p, Seconds{d}).value();
+    };
+    const double shortWindow = 0.4;  // < h
+    EXPECT_NEAR(recorded(shortWindow), visible(shortWindow), 1e-9) << a;
+    EXPECT_DOUBLE_EQ(visible(shortWindow), 100.0 * shortWindow) << a;
+    for (const double d : {3.6, 5.3, 9.7}) {
+      EXPECT_LE(std::abs(recorded(d) - visible(d)), h * step + 1e-9)
+          << "a = " << a << ", window " << d;
+    }
+  }
+  // Where the lagged step lands midway between two readings, the
+  // trapezoid is exact and the two agree; the exact integral does not.
+  ProfilePowerSource mid(100.0_W);
+  mid.addSegment({2.0_s, 100.0_s, Watts{step}});
+  const double recordedMid =
+      meter.recordEnergy(mid, 5.3_s, rng, scratch).value();
+  EXPECT_NEAR(recordedMid, meter.visibleEnergy(mid, 5.3_s).value(), 1e-9);
+  EXPECT_NEAR(recordedMid - mid.exactEnergy(0.0_s, 5.3_s).value(),
+              -h * step, 1e-9);
 }
 
 TEST(Meter, TraceBracketsTheWindow) {
@@ -465,15 +502,6 @@ TEST(Meter, RejectsBadOptions) {
 }
 
 // --- measurer ---
-
-TEST(Measurer, CalibrationRecoversIdlePower) {
-  const WattsUpMeter meter;
-  ProfilePowerSource idle(90.0_W);
-  Rng rng(6);
-  const Watts base =
-      EnergyMeasurer::calibrateBasePower(meter, idle, 120.0_s, rng);
-  EXPECT_NEAR(base.value(), 90.0, 0.5);
-}
 
 TEST(Measurer, DynamicEnergySeparatesIdle) {
   MeterOptions opts;

@@ -130,8 +130,10 @@ set -e
 [[ "${WATCH_RC}" == "2" ]] || { echo "epctl watch --check: expected exit 2 (active alert), got ${WATCH_RC}"; exit 1; }
 stop_daemon
 
-# Healthy server: same pipeline without the fault, no alerts, exit 0.
-start_daemon build --threads 2 --watchdog
+# Healthy server: the same metered pipeline without the fault, no
+# alerts, exit 0.  --meter gives the watchdog real windows to judge at
+# the same N, so a false constant_component fails here too.
+start_daemon build --threads 2 --watchdog --meter
 ./build/tools/epctl load --port "${PORT}" --requests 1 --n 256 >/dev/null
 ./build/tools/epctl watch --port "${PORT}" --check
 stop_daemon

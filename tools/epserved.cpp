@@ -523,11 +523,8 @@ int main(int argc, char** argv) {
     ep::fleet::FleetOptions fleetOpts;
     fleetOpts.policy = args.policy;
     fleetOpts.virtualNodes = args.vnodes;
-    plane.healthArmed = args.healthProbeMs > 0.0;
-    if (plane.healthArmed) {
-      fleetOpts.health.enabled = true;
-      fleetOpts.health.probeIntervalMs = args.healthProbeMs;
-    }
+    fleetOpts.health.probeIntervalMs = args.healthProbeMs;
+    plane.healthArmed = fleetOpts.health.enabled();
     router = std::make_unique<ep::fleet::FleetRouter>(std::move(shards),
                                                       fleetOpts);
     if (plane.healthArmed) router->startHealthMonitor();
