@@ -129,14 +129,25 @@ void BM_ThreadgroupDgemm(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadgroupDgemm)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_StudentTCritical(benchmark::State& state) {
+// studentTCritical keeps t*(95 %, dof) per integral dof after its first
+// call.  The bisection case asks at the next double past 0.95, which
+// the memo does not hold, so each call bisects from scratch; the hit
+// case asks what the measurement protocol asks.
+void studentTCriticalOverDofs(benchmark::State& state, double confidence) {
   double dof = 4.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::studentTCritical(0.95, dof));
+    benchmark::DoNotOptimize(stats::studentTCritical(confidence, dof));
     dof = dof < 200.0 ? dof + 1.0 : 4.0;
   }
 }
-BENCHMARK(BM_StudentTCritical);
+void BM_StudentTCriticalBisection(benchmark::State& state) {
+  studentTCriticalOverDofs(state, std::nextafter(0.95, 1.0));
+}
+BENCHMARK(BM_StudentTCriticalBisection);
+void BM_StudentTCriticalMemoHit(benchmark::State& state) {
+  studentTCriticalOverDofs(state, 0.95);
+}
+BENCHMARK(BM_StudentTCriticalMemoHit);
 
 void BM_MeasurementProtocol(benchmark::State& state) {
   Rng rng(7);

@@ -119,12 +119,19 @@ double Rng::normal(double mean, double sigma) {
 // run in stages over a chunk of owed values.  Each round draws one pair
 // per value still owed: the one-at-a-time loop needs at least that many
 // more pairs, so a round never draws a pair it would not, and the
-// accepted pairs come out in its order.  The log and scale passes then
-// run back to back over the accepted r2.
+// accepted pairs come out in its order.  The pair pass computes every
+// pair's y, r2 and accept flag with no branch, so it vectorizes and no
+// rejection (~21 % of pairs) costs a mispredicted jump; the compaction
+// pass then keeps the accepted pairs by adding the flag to the write
+// index.  The log and scale passes run back to back over the accepted
+// r2.
 void Rng::standardNormals(double* out, std::size_t n) {
   // Scratch for one chunk, left uninitialized: normal() runs this for
   // n = 1, and every element read below is written first.
   double u[2 * kNormalsChunk];
+  double ys[kNormalsChunk];
+  double ss[kNormalsChunk];
+  double accept[kNormalsChunk];  // 1.0 or 0.0
   double r2[kNormalsChunk];
   double lg[kNormalsChunk];
   while (n > 0) {
@@ -137,11 +144,18 @@ void Rng::standardNormals(double* out, std::size_t n) {
         const double x = 2.0 * u[2 * j] - 1.0;
         const double y = 2.0 * u[2 * j + 1] - 1.0;
         const double s = x * x + y * y;
-        // Branch-free compaction: write every pair, keep the accepted.
-        // have <= (have at round start) + j < want, so it stays in bounds.
-        out[have] = y;
-        r2[have] = s;
-        have += static_cast<std::size_t>(!(s > 1.0 || s == 0.0));
+        ys[j] = y;
+        ss[j] = s;
+        // A double select: GCC vectorizes it into compare-and-mask,
+        // but not a compare whose result is stored as an integer.
+        accept[j] = (s > 1.0 || s == 0.0) ? 0.0 : 1.0;
+      }
+      // Write every pair, keep the accepted: have <= (have at round
+      // start) + j < want, so it stays in bounds.
+      for (std::size_t j = 0; j < owed; ++j) {
+        out[have] = ys[j];
+        r2[have] = ss[j];
+        have += static_cast<std::size_t>(static_cast<std::int64_t>(accept[j]));
       }
     }
     for (std::size_t j = 0; j < want; ++j) lg[j] = std::log(r2[j]);

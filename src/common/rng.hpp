@@ -45,7 +45,9 @@ class Rng {
   // normal(0, 1) calls, without their per-call overhead.  Each chunk of
   // up to kNormalsChunk values is drawn, accepted, logged and scaled in
   // separate passes, so the engine, the rejection test and glibc's log
-  // run at throughput.
+  // run at throughput; the rejection test is a vectorized flag and a
+  // branch-free compaction, so a rejected pair costs no mispredicted
+  // jump.
   void standardNormals(double* out, std::size_t n);
   static constexpr std::size_t kNormalsChunk = 128;
 

@@ -42,7 +42,7 @@ struct PoolMetrics {
             "Tasks submitted and not yet finished (queued + running)"),
         obs::Registry::global().counter(
             "ep_threadpool_parallel_for_total",
-            "parallelFor/parallelMap invocations (all pools)"),
+            "parallelFor invocations (all pools)"),
         obs::Registry::global().counter(
             "ep_threadpool_parallel_chunks_total",
             "Chunks executed across all parallelFor invocations"),

@@ -1,6 +1,10 @@
 #include "stats/distributions.hpp"
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 
 #include "common/error.hpp"
@@ -104,6 +108,39 @@ double gammaContinuedFraction(double a, double x) {
   throw ep::ConvergenceError("incomplete gamma continued fraction diverged");
 }
 
+// The two-sided critical value by bisection on the CDF:
+// P(|T| <= t*) = confidence  <=>  CDF(t*) = (1 + confidence) / 2.
+double bisectTCritical(double confidence, double dof) {
+  const double target = 0.5 * (1.0 + confidence);
+  double lo = 0.0;
+  double hi = 1.0;
+  while (studentTCdf(hi, dof) < target) {
+    hi *= 2.0;
+    EP_REQUIRE(hi < 1e12, "t critical value out of range");
+  }
+  for (int i = 0; i < 200; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (studentTCdf(mid, dof) < target) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+    if (hi - lo < 1e-12 * (1.0 + hi)) break;
+  }
+  return 0.5 * (lo + hi);
+}
+
+// t*(95 %, dof) for integral dof in [1, kMemoDofs), the values the
+// measurement protocol asks for (n - 1 for n repetitions, up to its
+// default cap of 1000), as bits; 0 marks a slot not yet filled, since
+// t* > 0.  Constant-initialized, so nothing runs at start-up.  The
+// first call for a dof runs the same bisection and stores its bits;
+// calls racing on a cold slot each bisect and store the same bits, so
+// relaxed loads and stores suffice.
+constexpr double kMemoConfidence = 0.95;
+constexpr std::size_t kMemoDofs = 1024;
+std::atomic<std::uint64_t> tCritical95[kMemoDofs]{};
+
 }  // namespace
 
 double regularizedIncompleteBeta(double a, double b, double x) {
@@ -142,24 +179,19 @@ double studentTCritical(double confidence, double dof) {
   EP_REQUIRE(confidence > 0.0 && confidence < 1.0,
              "confidence must be in (0,1)");
   EP_REQUIRE(dof >= 1.0, "degrees of freedom must be >= 1");
-  // P(|T| <= t*) = confidence  <=>  CDF(t*) = (1 + confidence) / 2.
-  const double target = 0.5 * (1.0 + confidence);
-  double lo = 0.0;
-  double hi = 1.0;
-  while (studentTCdf(hi, dof) < target) {
-    hi *= 2.0;
-    EP_REQUIRE(hi < 1e12, "t critical value out of range");
-  }
-  for (int i = 0; i < 200; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (studentTCdf(mid, dof) < target) {
-      lo = mid;
-    } else {
-      hi = mid;
+  if (confidence == kMemoConfidence && dof < kMemoDofs) {
+    const auto k = static_cast<std::size_t>(dof);  // dof is in [1, kMemoDofs)
+    if (static_cast<double>(k) == dof) {
+      std::atomic<std::uint64_t>& slot = tCritical95[k];
+      std::uint64_t bits = slot.load(std::memory_order_relaxed);
+      if (bits == 0) {
+        bits = std::bit_cast<std::uint64_t>(bisectTCritical(confidence, dof));
+        slot.store(bits, std::memory_order_relaxed);
+      }
+      return std::bit_cast<double>(bits);
     }
-    if (hi - lo < 1e-12 * (1.0 + hi)) break;
   }
-  return 0.5 * (lo + hi);
+  return bisectTCritical(confidence, dof);
 }
 
 double chiSquaredCdf(double x, double dof) {

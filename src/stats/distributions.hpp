@@ -19,7 +19,10 @@ namespace ep::stats {
 [[nodiscard]] double studentTCdf(double t, double dof);
 
 // Two-sided critical value t* such that P(|T| <= t*) = confidence
-// (e.g. confidence = 0.95).  dof >= 1.
+// (e.g. confidence = 0.95).  dof >= 1.  Found by bisection on the CDF;
+// at confidence 0.95 and an integral dof below 1024 (the measurement
+// protocol's calls) the first call's bits are kept and returned by
+// every later call, from any thread.
 [[nodiscard]] double studentTCritical(double confidence, double dof);
 
 // Chi-squared CDF with `dof` degrees of freedom.

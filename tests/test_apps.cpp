@@ -436,7 +436,7 @@ void expectSameGpuData(const std::vector<GpuDataPoint>& a,
 TEST(GpuStudyIntegration, ParallelWorkloadBitwiseEqualsSerial) {
   const obs::Counter& parallelFors = obs::Registry::global().counter(
       "ep_threadpool_parallel_for_total",
-      "parallelFor/parallelMap invocations (all pools)");
+      "parallelFor invocations (all pools)");
   for (const bool meter : {true, false}) {
     GpuMatMulOptions opts;
     opts.useMeter = meter;

@@ -6,10 +6,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -424,6 +426,70 @@ TEST(Meter, TracesEqualThePerSampleAlgorithmBitForBit) {
       // The meter left its stream where the per-sample loop did.
       EXPECT_EQ(rng.uniformInt(0, ~std::uint64_t{0}),
                 ref.uniformInt(0, ~std::uint64_t{0}));
+    }
+  }
+}
+
+// Readings in quanta, one per sample: sample k of a phase-free 1 s
+// meter reads at mid time k - 0.5 (0 for k = 0), so ceil picks reading k.
+class QuantaReadings final : public PowerSource {
+ public:
+  QuantaReadings(std::vector<double> quanta, double quantum)
+      : quanta_(std::move(quanta)), quantum_(quantum) {}
+  [[nodiscard]] Watts powerAt(Seconds t) const override {
+    const auto k = static_cast<std::size_t>(std::ceil(t.value()));
+    return Watts{quanta_[std::min(k, quanta_.size() - 1)] * quantum_};
+  }
+  [[nodiscard]] std::size_t size() const { return quanta_.size(); }
+
+ private:
+  std::vector<double> quanta_;
+  double quantum_;
+};
+
+TEST(Meter, QuantizerRoundsLikeStdRoundBitForBit) {
+  // Noise-free, so each reading / quantum reaches the quantizer as
+  // written: ties at k + 1/2 for even and odd k (where ties-to-even and
+  // truncation both differ from std::round), the largest double below
+  // 1/2, the edge of 2^52 quanta (from which on every double is an
+  // integer), signed zeros, subnormals, infinities and NaN.  The meter
+  // clamps what it rounds to max(0, p), so a negative reading shows only
+  // that it clamps.
+  constexpr double kTwo52 = 0x1p52;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> quanta;
+  for (int k = 0; k < 8; ++k) {
+    for (const double frac : {0.25, 0.5, 0.75}) quanta.push_back(k + frac);
+  }
+  for (const double v :
+       {std::nextafter(0.5, 0.0), std::nextafter(1.5, 2.0), 123456.5,
+        kTwo52 - 1.5, kTwo52 - 1.0, kTwo52 - 0.5, kTwo52, kTwo52 + 1.0,
+        kTwo52 + 2.0, 2.0 * kTwo52 + 2.0, 1e300, 0.0, -0.0, -2.5,
+        std::numeric_limits<double>::denorm_min(), 0x1p-1030, inf, -inf,
+        std::numeric_limits<double>::quiet_NaN()}) {
+    quanta.push_back(v);
+  }
+  for (const double quantum : {1.0, 0.5}) {
+    const QuantaReadings source(quanta, quantum);
+    MeterOptions opts;
+    opts.gainNoiseSigma = 0.0;
+    opts.additiveNoiseSigma = 0.0_W;
+    opts.quantization = Watts{quantum};
+    opts.randomPhase = false;
+    const WattsUpMeter meter(opts);
+    const Seconds duration{static_cast<double>(source.size() - 1)};
+    Rng rng(9);
+    Rng ref(9);
+    PowerTrace got;
+    PowerTrace want;
+    meter.recordInto(source, duration, rng, got);
+    referenceRecord(opts, source, duration, ref, want);
+    ASSERT_EQ(got.size(), source.size());
+    ASSERT_EQ(want.size(), source.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(bitsOf(got.samples()[k].power.value()),
+                bitsOf(want.samples()[k].power.value()))
+          << "reading " << quanta[k] << " quanta of " << quantum << " W";
     }
   }
 }

@@ -3,7 +3,12 @@
 // regression.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -64,6 +69,60 @@ TEST(Distributions, StudentTCriticalKnownValues) {
 
 TEST(Distributions, StudentTApproachesNormalForLargeDof) {
   EXPECT_NEAR(studentTCritical(0.95, 10000), 1.960, 2e-3);
+}
+
+// The bisection studentTCritical runs, written out over the public CDF:
+// the bits its memo must keep.
+double bisectedTCritical(double confidence, double dof) {
+  const double target = 0.5 * (1.0 + confidence);
+  double lo = 0.0;
+  double hi = 1.0;
+  while (studentTCdf(hi, dof) < target) hi *= 2.0;
+  for (int i = 0; i < 200; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (studentTCdf(mid, dof) < target ? lo : hi) = mid;
+    if (hi - lo < 1e-12 * (1.0 + hi)) break;
+  }
+  return 0.5 * (lo + hi);
+}
+
+std::uint64_t bitsOf(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Runs before the sweep below, which fills every slot: no other case in
+// this file asks for dof 1000, so its slot is cold here.
+TEST(Distributions, StudentTCriticalMemoFillsRaceFreeFromManyThreads) {
+  constexpr double kColdDof = 1000.0;
+  constexpr int kThreads = 8;
+  std::vector<std::uint64_t> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[i] = bitsOf(studentTCritical(0.95, kColdDof));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const std::uint64_t want = bitsOf(bisectedTCritical(0.95, kColdDof));
+  for (int i = 0; i < kThreads; ++i) EXPECT_EQ(got[i], want) << "thread " << i;
+  EXPECT_EQ(bitsOf(studentTCritical(0.95, kColdDof)), want);
+}
+
+TEST(Distributions, StudentTCriticalMemoKeepsTheBisectionsBits) {
+  // Every memoized dof, and past the memo: a fractional dof, dof 1024
+  // and up, and another confidence.
+  std::vector<std::pair<double, double>> cases;
+  for (int dof = 1; dof < 1024; ++dof) cases.emplace_back(0.95, dof);
+  for (const double dof : {4.5, 1024.0, 10000.0}) cases.emplace_back(0.95, dof);
+  cases.emplace_back(0.99, 4.0);
+  for (const auto& [confidence, dof] : cases) {
+    const std::uint64_t want = bitsOf(bisectedTCritical(confidence, dof));
+    const std::uint64_t first = bitsOf(studentTCritical(confidence, dof));
+    const std::uint64_t repeated = bitsOf(studentTCritical(confidence, dof));
+    ASSERT_EQ(first, want) << confidence << ", dof " << dof;
+    ASSERT_EQ(repeated, want) << confidence << ", dof " << dof;
+  }
 }
 
 TEST(Distributions, ChiSquaredCdfKnownValues) {

@@ -2,7 +2,7 @@
 # CI entry point: tier-1 verify, a -march=native build of the suites that
 # pin numbers bit for bit, plus sanitizer checks of the concurrent and
 # fault-handling components — a ThreadSanitizer race pass (epserve
-# broker, epcommon thread pool, epobs metrics/tracing) and an
+# broker, epcommon thread pool, epstats memo, epobs metrics/tracing) and an
 # AddressSanitizer+UBSan pass over the noise, fault-injection and serve
 # paths (the code that indexes stack blocks, deliberately corrupts
 # traces and parses hostile frames).  The meter-fault and serving-chaos
@@ -294,13 +294,16 @@ cmake -B build-tsan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -O1" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "${JOBS}" --target test_serve test_common test_obs \
-  test_apps test_fleet test_net test_chaos epserved epctl
+  test_stats test_apps test_fleet test_net test_chaos epserved epctl
 # halt_on_error: any reported race fails the run, not just the exit
 # status of the last test.  test_apps covers the parallel study engine
 # (pool-backed runWorkload/runSweep, nested parallelFor); test_serve
 # covers study jobs that re-enter the broker's own pool; test_fleet the
 # router's lock-free scoring path under concurrent admin churn.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_common
+# test_stats races eight threads on a cold slot of the Student-t memo,
+# which every metered configuration reads from the pool.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_stats
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_obs
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_apps
@@ -337,7 +340,7 @@ cmake -B build-asan -S . \
   -DEPSIM_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -g -O1" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
-cmake --build build-asan -j "${JOBS}" --target test_common test_fault \
+cmake --build build-asan -j "${JOBS}" --target test_common test_stats test_fault \
   test_power test_apps test_hw_gpu test_serve test_core test_obs test_fleet \
   test_net test_chaos epserved epctl
 # detect_leaks flushes out meter/journal ownership bugs; test_common,
@@ -350,6 +353,8 @@ cmake --build build-asan -j "${JOBS}" --target test_common test_fault \
 # stale-replica ownership; test_serve's Wire cases send numbers no int
 # or count can hold.
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_common
+# test_stats indexes the Student-t memo at its edges (dof 1, 1023, 1024).
+ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_stats
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_fault
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_power
 ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/test_apps
