@@ -28,7 +28,7 @@ void runGpu(const hw::GpuSpec& spec, const std::vector<int>& sizes,
   t.setTitle(spec.name + " front statistics per workload");
   for (const auto& r : results) {
     t.addRow(
-        {std::to_string(r.n), std::to_string(r.points.size()),
+        {std::to_string(r.n), std::to_string(r.data.size()),
          std::to_string(r.globalFront.size()),
          std::to_string(r.localFront.size()),
          formatDouble(100.0 * r.globalTradeoff.maxEnergySavings, 1) + "%",

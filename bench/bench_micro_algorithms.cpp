@@ -274,8 +274,8 @@ void BM_PowThroughput(benchmark::State& state) {
 BENCHMARK(BM_PowThroughput);
 
 // One 128-configuration P100 workload (n = 10240) through the staged
-// model: one hw::MatMulBatch in enumeration order, per-BS and per-G
-// rows from the model, per-(n, BS) terms once per run of four G.
+// model: one hw::MatMulBatch call over the list in enumeration order,
+// then every kernel model written out.
 void BM_ModelDirectGrid(benchmark::State& state) {
   apps::GpuMatMulOptions opts;
   opts.useMeter = false;
@@ -284,9 +284,8 @@ void BM_ModelDirectGrid(benchmark::State& state) {
   std::vector<hw::KernelModel> out(configs.size());
   for (auto _ : state) {
     hw::MatMulBatch batch(app.model());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      batch.evaluate(configs[i], out[i]);
-    }
+    batch.evaluate(configs);
+    for (std::size_t i = 0; i < configs.size(); ++i) batch.write(i, out[i]);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -298,8 +297,8 @@ BENCHMARK(BM_ModelDirectGrid);
 // A cold model-direct study's two parts: BM_ModelDirectGrid above, and
 // the fronts below.
 
-// Rebuilding the points, both fronts and the trade-offs of a
-// 128-configuration P100 study (n = 10240).
+// Rebuilding both fronts and the trade-offs of a 128-configuration
+// P100 study (n = 10240).
 void BM_FinalizeWorkload(benchmark::State& state) {
   apps::GpuMatMulOptions opts;
   opts.useMeter = false;

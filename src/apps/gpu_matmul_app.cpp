@@ -106,10 +106,10 @@ std::vector<hw::MatMulConfig> GpuMatMulApp::additivityConfigs(int n, int bs,
   return out;
 }
 
-void GpuMatMulApp::modelPoint(const hw::MatMulConfig& cfg,
-                              hw::MatMulBatch& batch, GpuDataPoint& out) {
-  batch.evaluate(cfg, out.model);
-  out.config = cfg;
+void GpuMatMulApp::modelPoint(const hw::MatMulBatch& batch, std::size_t i,
+                              GpuDataPoint& out) {
+  batch.write(i, out.model);
+  out.config = batch.config(i);
   out.time = out.model.time;
   out.dynamicEnergy = out.model.dynamicEnergy();
   out.repetitions = 1;
@@ -127,9 +127,10 @@ void GpuMatMulApp::modelPoint(const hw::MatMulConfig& cfg,
 GpuDataPoint GpuMatMulApp::runConfig(const hw::MatMulConfig& cfg,
                                      Rng& rng) const {
   if (!options_.useMeter) {
-    GpuDataPoint out;
     hw::MatMulBatch batch(model_);
-    modelPoint(cfg, batch, out);
+    batch.evaluate({&cfg, 1});
+    GpuDataPoint out;
+    modelPoint(batch, 0, out);
     return out;
   }
 
@@ -176,9 +177,47 @@ std::uint64_t GpuMatMulApp::forkSalt(const hw::MatMulConfig& cfg) {
 std::vector<GpuDataPoint> GpuMatMulApp::runWorkload(
     int n, Rng& rng, ThreadPool* pool,
     std::vector<GpuConfigFailure>* failures) const {
-  const std::vector<hw::MatMulConfig> configs = enumerateConfigs(n);
-  std::vector<GpuDataPoint> out(configs.size());
+  std::vector<hw::MatMulConfig> configs = enumerateConfigs(n);
   const bool skip = options_.failPolicy == fault::FailPolicy::SkipAndRecord;
+  const auto recordFailure = [&](const hw::MatMulConfig& cfg,
+                                 std::string error) {
+    detail::configFailureCounter().inc();
+    if (failures != nullptr) failures->push_back({cfg, std::move(error)});
+  };
+  if (!options_.useMeter) {
+    // Model-direct configs cost ~0.1 us each and draw no randomness:
+    // evaluated inline on the calling thread, with no forked stream and
+    // no pool hand-off (either would cost more than the config), by one
+    // batch over the list.  Under SkipAndRecord the configurations that
+    // cannot launch leave the list first, recorded in enumeration order.
+    if (skip) {
+      std::size_t kept = 0;
+      for (const hw::MatMulConfig& cfg : configs) {
+        try {
+          model_.requireLaunchable(cfg);
+          configs[kept++] = cfg;
+        } catch (const EpError& e) {
+          recordFailure(cfg, e.what());
+        }
+      }
+      configs.resize(kept);
+    }
+    hw::MatMulBatch batch(model_);
+    batch.evaluate(configs);
+    // Each point is written once, into `p`, and copied: GCC would
+    // default-construct each element of a sized vector through a rep
+    // stos, which costs ~3x the copy, before it is written.
+    std::vector<GpuDataPoint> out;
+    out.reserve(configs.size());
+    GpuDataPoint p;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      modelPoint(batch, i, p);
+      out.push_back(p);
+    }
+    return out;
+  }
+
+  std::vector<GpuDataPoint> out(configs.size());
   // Under SkipAndRecord errors are captured per slot (parallelFor never
   // sees an exception) and compacted below in enumeration order, which
   // keeps serial == parallel identity even for a failing campaign.
@@ -188,57 +227,40 @@ std::vector<GpuDataPoint> GpuMatMulApp::runWorkload(
     errs.resize(configs.size());
     failed.assign(configs.size(), 0);
   }
-  // `write` fills out[i] in place.
-  const auto settle = [&](std::size_t i, const auto& write) {
+  // Each slot is owned by exactly one index and each config draws only
+  // from its own forked stream (fork() is const and reads just the
+  // seed), so execution order cannot affect the result.
+  const auto evalOne = [&](std::size_t i) {
+    const auto write = [&] {
+      Rng configRng = rng.fork(forkSalt(configs[i]));
+      out[i] = runConfig(configs[i], configRng);
+    };
     if (!skip) {
-      write(out[i]);
+      write();
       return;
     }
     try {
-      write(out[i]);
+      write();
     } catch (const EpError& e) {
       failed[i] = 1;
       errs[i] = e.what();
     }
   };
-  if (!options_.useMeter) {
-    // Model-direct configs cost ~0.2 us each and draw no randomness:
-    // evaluated inline on the calling thread, with no forked stream and
-    // no pool hand-off (either would cost more than the config), by one
-    // batch that shares each (n, BS) run's terms across its G and R.
-    hw::MatMulBatch batch(model_);
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      settle(i, [&](GpuDataPoint& p) { modelPoint(configs[i], batch, p); });
-    }
+  if (pool == nullptr || configs.size() < 2) {
+    for (std::size_t i = 0; i < configs.size(); ++i) evalOne(i);
   } else {
-    // Each slot is owned by exactly one index and each config draws
-    // only from its own forked stream (fork() is const and reads just
-    // the seed), so execution order cannot affect the result.
-    const auto evalOne = [&](std::size_t i) {
-      settle(i, [&](GpuDataPoint& p) {
-        Rng configRng = rng.fork(forkSalt(configs[i]));
-        p = runConfig(configs[i], configRng);
-      });
-    };
-    if (pool == nullptr || configs.size() < 2) {
-      for (std::size_t i = 0; i < configs.size(); ++i) evalOne(i);
-    } else {
-      // Grain 1: one CI-looped measurement per config dwarfs scheduling
-      // overhead, and fine grains load-balance the uneven repetition
-      // counts.
-      obs::Span span("study/parallel_eval");
-      pool->parallelFor(0, configs.size(), evalOne, /*grain=*/1);
-    }
+    // Grain 1: one CI-looped measurement per config dwarfs scheduling
+    // overhead, and fine grains load-balance the uneven repetition
+    // counts.
+    obs::Span span("study/parallel_eval");
+    pool->parallelFor(0, configs.size(), evalOne, /*grain=*/1);
   }
   if (skip) {
     std::vector<GpuDataPoint> kept;
     kept.reserve(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
       if (failed[i] != 0) {
-        detail::configFailureCounter().inc();
-        if (failures != nullptr) {
-          failures->push_back({configs[i], std::move(errs[i])});
-        }
+        recordFailure(configs[i], std::move(errs[i]));
       } else {
         kept.push_back(std::move(out[i]));
       }

@@ -101,8 +101,8 @@ class GpuMatMulApp {
   // call from inside a task on `pool`.  Model-direct configurations
   // (useMeter == false) draw nothing and cost well under a microsecond
   // each, so they always run inline on the calling thread through one
-  // hw::MatMulBatch, each written in place: no forked stream, and the
-  // pool is not used.
+  // hw::MatMulBatch call over the whole list, each written in place: no
+  // forked stream, and the pool is not used.
   //
   // Under FailPolicy::SkipAndRecord a configuration whose measurement
   // throws (budget exhausted, unlaunchable, ...) is dropped from the
@@ -119,10 +119,9 @@ class GpuMatMulApp {
  private:
   static constexpr int kGMax = 8;
 
-  // runConfig's model-direct path: the noise-free model point of `cfg`
-  // through `batch`, written into `out`.  Throws what the model throws,
-  // before writing anything.
-  static void modelPoint(const hw::MatMulConfig& cfg, hw::MatMulBatch& batch,
+  // The model-direct point of batch.config(i), written into `out`
+  // (every field).
+  static void modelPoint(const hw::MatMulBatch& batch, std::size_t i,
                          GpuDataPoint& out);
 
   hw::GpuModel model_;

@@ -16,12 +16,24 @@ GpuEpStudy::GpuEpStudy(apps::GpuMatMulApp app) : app_(std::move(app)) {}
 
 void finalizeWorkload(WorkloadResult& r) {
   obs::Span frontSpan("study/front_construction");
-  r.points = apps::GpuMatMulApp::toPoints(r.data);
+  std::vector<pareto::FrontKey> keys(r.data.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const apps::GpuDataPoint& d = r.data[i];
+    keys[i] = {d.time.value(), d.dynamicEnergy.value(), i, i, 0};
+  }
   // One sort and one peel give both fronts.
-  auto fronts = pareto::leadingFronts(r.points, 2);
-  r.globalFront = std::move(fronts[0]);
-  r.localFront = std::move(fronts[1]);
-  r.globalTradeoff = pareto::analyzeTradeoff(r.points);
+  pareto::peelFronts(keys, 2);
+  r.globalFront.clear();
+  r.localFront.clear();
+  for (const pareto::FrontKey& k : keys) {
+    if (k.level > 1) continue;
+    auto& front = k.level == 0 ? r.globalFront : r.localFront;
+    r.data[k.index].writePoint(k.index, front.emplace_back());
+  }
+  // The cloud's time-optimal and energy-optimal points, and every point
+  // that ties one of them in both objectives, are on the global front,
+  // whose ties run in input order (configId is the index into data).
+  r.globalTradeoff = pareto::analyzeTradeoff(r.globalFront);
   if (!r.localFront.empty()) {
     r.localTradeoff = pareto::analyzeTradeoff(r.localFront);
   } else {

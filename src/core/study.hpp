@@ -18,10 +18,12 @@ namespace ep::core {
 struct WorkloadResult {
   int n = 0;
   std::vector<apps::GpuDataPoint> data;
-  std::vector<pareto::BiPoint> points;
+  // Both fronts hold labelled points whose configId is the member's
+  // index into data.
   std::vector<pareto::BiPoint> globalFront;
   std::vector<pareto::BiPoint> localFront;  // level-2 front
-  // Trade-off over all points (energy-optimal vs performance-optimal).
+  // Trade-off over all points (energy-optimal vs performance-optimal),
+  // read off the global front, which holds both.
   pareto::Tradeoff globalTradeoff;
   // Trade-off within the local front (the paper's K40c analysis, where
   // the global front collapses to one point); absent if the local front
@@ -32,8 +34,10 @@ struct WorkloadResult {
   std::vector<apps::GpuConfigFailure> failures;
 };
 
-// Rebuild points/fronts/trade-offs of `r` from r.data (deterministic,
-// measurement-free).  Used by runWorkload and by journal resume.
+// Rebuild the fronts and trade-offs of `r` from r.data (deterministic,
+// measurement-free): one peelFronts over the data's (time, energy,
+// index) keys, labelling only the front members.  Used by runWorkload
+// and by journal resume.
 void finalizeWorkload(WorkloadResult& r);
 
 // What one completed study cost to measure, summed over its surviving

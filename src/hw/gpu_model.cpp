@@ -246,71 +246,121 @@ bool GpuModel::isLaunchable(const MatMulConfig& cfg) const {
                       1024.0;
 }
 
+void GpuModel::requireLaunchable(const MatMulConfig& cfg) const {
+  if (!isLaunchable(cfg)) {
+    throw ResourceError("configuration is not launchable on " + spec_.name);
+  }
+  // A launchable BS passes the per-block limits, so it has a row.
+  if (blockRows_[static_cast<std::size_t>(cfg.bs - 1)].occupancy.blocksPerSm <
+      1) {
+    (void)occupancyFor(cfg.bs);  // throws: it cannot be resident
+  }
+}
+
+GpuModel::GroupRow GpuModel::groupFor(int g) const {
+  return g <= kGRows ? groupRows_[static_cast<std::size_t>(g - 1)]
+                     : groupRow(g);
+}
+
 KernelModel GpuModel::modelMatMul(const MatMulConfig& cfg) const {
+  MatMulBatch batch(*this);
+  batch.evaluate({&cfg, 1});
   KernelModel m;
-  MatMulBatch(*this).evaluate(cfg, m);
+  batch.write(0, m);
   return m;
 }
 
-void MatMulBatch::evaluate(const MatMulConfig& cfg, KernelModel& out) {
-  const GpuModel& model = *model_;
-  const GpuSpec& spec = model.spec_;
-  const GpuTuning& tuning = model.tuning_;
-  if (!model.isLaunchable(cfg)) {
-    throw ResourceError("configuration is not launchable on " + spec.name);
-  }
-  // A launchable BS passes the per-block limits, so it has a row.
-  const GpuModel::BlockRow& row =
-      model.blockRows_[static_cast<std::size_t>(cfg.bs - 1)];
-  if (row.occupancy.blocksPerSm < 1) {
-    (void)model.occupancyFor(cfg.bs);  // throws: it cannot be resident
-  }
-  const GpuModel::GroupRow group =
-      cfg.g <= GpuModel::kGRows
-          ? model.groupRows_[static_cast<std::size_t>(cfg.g - 1)]
-          : model.groupRow(cfg.g);
-  const double products = static_cast<double>(cfg.totalProducts());
+namespace {
 
-  // Smooth-max roofline combination (p-norm) — real kernels overlap the
-  // two partially, so the transition is soft but close to max().
-  constexpr double kRooflineSharpness = 12.0;
+// Smooth-max roofline combination (p-norm) — real kernels overlap the
+// two partially, so the transition is soft but close to max().
+constexpr double kRooflineSharpness = 12.0;
+
+}  // namespace
+
+void MatMulBatch::evaluate(std::span<const MatMulConfig> configs) {
+  const GpuModel& model = *model_;
+  for (const MatMulConfig& cfg : configs) model.requireLaunchable(cfg);
+  configs_ = configs;
+  stages_.resize(configs.size());
+  const auto startsRun = [&configs](std::size_t i) {
+    return i == 0 || configs[i].n != configs[i - 1].n ||
+           configs[i].bs != configs[i - 1].bs;
+  };
+
   // The GigaThread engine dispatches each block once per launch.
   constexpr double kBlockDispatchSec = 64e-9;
-  if (cfg.n != tile_.n || cfg.bs != tile_.bs) {
+  // The (n, BS) terms of each run's first configuration.
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    if (!startsRun(i)) continue;
+    const MatMulConfig& cfg = configs[i];
+    const GpuModel::BlockRow& row =
+        model.blockRows_[static_cast<std::size_t>(cfg.bs - 1)];
+    Stage& stage = stages_[i];
     // Tile padding: the grid covers ceil(N/BS) tiles per dimension and
     // the kernel loops over full tiles (bounds-checked loads), so the
     // executed volume corresponds to Nt = ceil(N/BS)*BS.
     const auto tiles = static_cast<double>(ceilDiv(cfg.n, cfg.bs));
     const double nt = tiles * cfg.bs;
-    tile_.flopsPerProduct = 2.0 * nt * nt * nt;
+    stage.flopsPerProduct = 2.0 * nt * nt * nt;
     // Each A/B element is loaded Nt/BS times (once per consuming
     // block); C is read and written once.
-    tile_.bytesPerProduct = 2.0 * 8.0 * nt * nt * tiles + 3.0 * 8.0 * nt * nt;
-    const double tMemory = tile_.bytesPerProduct / row.memRate;
-    tile_.tMemoryPow = std::pow(tMemory, kRooflineSharpness);
-    tile_.dispatch = tiles * tiles * kBlockDispatchSec;
+    stage.bytesPerProduct = 2.0 * 8.0 * nt * nt * tiles + 3.0 * 8.0 * nt * nt;
+    stage.tMemoryPow = stage.bytesPerProduct / row.memRate;
+    stage.dispatch = tiles * tiles * kBlockDispatchSec;
     // Per k-tile each thread performs 2 shared stores (loading As/Bs)
     // and 2*BS shared reads in the inner product loop.
-    tile_.sharedPerProduct = nt * nt * tiles * (2.0 + 2.0 * cfg.bs + 2.0);
-    tile_.n = cfg.n;
-    tile_.bs = cfg.bs;
+    stage.sharedPerProduct = nt * nt * tiles * (2.0 + 2.0 * cfg.bs + 2.0);
   }
-  const double flopsPerProduct = tile_.flopsPerProduct;
-  const double bytesPerProduct = tile_.bytesPerProduct;
+  // pow(tMemory, 12) once per run; the run's other configurations copy
+  // their first's terms.
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    if (startsRun(i)) {
+      stages_[i].tMemoryPow =
+          std::pow(stages_[i].tMemoryPow, kRooflineSharpness);
+    } else {
+      stages_[i] = stages_[i - 1];
+    }
+  }
 
-  // The compute roofline derated by the icache stalls of G repetitions.
-  const double computeRate = row.computePeak * group.issueEff;
-  const double tCompute = flopsPerProduct / computeRate;
-  const double tProduct =
-      std::pow(std::pow(tCompute, kRooflineSharpness) + tile_.tMemoryPow,
-               1.0 / kRooflineSharpness);
+  // Every compute time: the compute roofline derated by the icache
+  // stalls of G repetitions.
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const MatMulConfig& cfg = configs[i];
+    const double computeRate =
+        model.blockRows_[static_cast<std::size_t>(cfg.bs - 1)].computePeak *
+        model.groupFor(cfg.g).issueEff;
+    stages_[i].time = stages_[i].flopsPerProduct / computeRate;
+  }
+  // The roofline combination, one kind of pow at a time.
+  for (Stage& stage : stages_) {
+    stage.time = std::pow(stage.time, kRooflineSharpness);
+  }
+  for (Stage& stage : stages_) {
+    stage.time = std::pow(stage.time + stage.tMemoryPow,
+                          1.0 / kRooflineSharpness);
+  }
+}
+
+void MatMulBatch::write(std::size_t i, KernelModel& out) const {
+  const GpuModel& model = *model_;
+  const GpuSpec& spec = model.spec_;
+  const GpuTuning& tuning = model.tuning_;
+  const MatMulConfig& cfg = configs_[i];
+  const Stage& stage = stages_[i];
+  const GpuModel::BlockRow& row =
+      model.blockRows_[static_cast<std::size_t>(cfg.bs - 1)];
+  const double products = static_cast<double>(cfg.totalProducts());
+  const double flopsPerProduct = stage.flopsPerProduct;
+  const double bytesPerProduct = stage.bytesPerProduct;
+  const double tProduct = stage.time;
 
   // Every run of a group starts with cold L2/TLB state for the streamed
   // matrices: a small warm-up cost per run (R of them per launch).
   constexpr double kLaunchOverheadSec = 8e-6;
   const double warmup = tuning.runWarmupFraction * tProduct;
   const double tKernel = products * tProduct + cfg.r * warmup +
-                         tile_.dispatch + kLaunchOverheadSec;
+                         stage.dispatch + kLaunchOverheadSec;
 
   out.time = Seconds{tKernel};
   out.occupancy = row.occupancy;
@@ -324,7 +374,7 @@ void MatMulBatch::evaluate(const MatMulConfig& cfg, KernelModel& out) {
   const double memEnergy =
       products * bytesPerProduct / 1e9 * tuning.memEnergyPerGB;
   const double residencyEnergy = row.residencyPower * tKernel;
-  const double fetchEnergy = group.fetchPower * tKernel;
+  const double fetchEnergy = model.groupFor(cfg.g).fetchPower * tKernel;
   const double constEnergy = tuning.constantActivePower * tKernel;
   const double coreEnergy =
       smEnergy + memEnergy + residencyEnergy + fetchEnergy + constEnergy;
@@ -342,7 +392,7 @@ void MatMulBatch::evaluate(const MatMulConfig& cfg, KernelModel& out) {
   out.flopCount = static_cast<std::uint64_t>(products * flopsPerProduct);
   out.dramBytes = static_cast<std::uint64_t>(products * bytesPerProduct);
   out.sharedLoadStore =
-      static_cast<std::uint64_t>(products * tile_.sharedPerProduct);
+      static_cast<std::uint64_t>(products * stage.sharedPerProduct);
   out.globalLoadTransactions =
       static_cast<std::uint64_t>(products * bytesPerProduct / 32.0);
 }

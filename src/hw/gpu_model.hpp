@@ -29,7 +29,9 @@
 // combination violates weak EP exactly the way Section V observes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -118,13 +120,16 @@ struct GpuTuning {
 //   * per G, one row built at construction for G <= kGRows (computed
 //     in place beyond): icache levels, issue efficiency, fetch power;
 //   * per (n, BS), computed by MatMulBatch once per run of equal
-//     (n, BS): tiles, flops, bytes, pow(tMemory, 12), block dispatch,
-//     shared traffic;
+//     (n, BS) in its list: tiles, flops, bytes, pow(tMemory, 12), block
+//     dispatch, shared traffic;
 //   * per configuration: the compute time and the two pows of the
 //     roofline combination, then time, energy and counts.
-// Every product keeps the operands and association of the one-pass
-// equations, so each output is bit-identical to evaluating them in one
-// go (the build's -ffp-contract=off keeps FMA out).
+// MatMulBatch runs each of these as its own pass over a whole list
+// (every pow of a kind back to back, so the calls overlap), and
+// modelMatMul is that code on a list of one.  Every product keeps the
+// operands and association of the one-pass equations, so each output
+// is bit-identical to evaluating them in one go (the build's
+// -ffp-contract=off keeps FMA out).
 class GpuModel {
  public:
   explicit GpuModel(GpuSpec spec);
@@ -141,10 +146,14 @@ class GpuModel {
   // memory for the three N x N matrices).
   [[nodiscard]] bool isLaunchable(const MatMulConfig& cfg) const;
 
-  // Model one kernel launch computing cfg.g * cfg.r matrix products:
-  // MatMulBatch on one configuration.  Throws ResourceError if
-  // !isLaunchable(cfg), and what occupancyFor(cfg.bs) throws if the
+  // Throws what modelMatMul(cfg) throws, and nothing else: ResourceError
+  // if !isLaunchable(cfg), and what occupancyFor(cfg.bs) throws if the
   // block cannot be resident.
+  void requireLaunchable(const MatMulConfig& cfg) const;
+
+  // Model one kernel launch computing cfg.g * cfg.r matrix products:
+  // MatMulBatch on a list of one.  Throws what requireLaunchable(cfg)
+  // throws.
   [[nodiscard]] KernelModel modelMatMul(const MatMulConfig& cfg) const;
 
   // Model of the 2D-FFT application of Fig 1 (CUFFT-like): returns the
@@ -175,6 +184,8 @@ class GpuModel {
   [[nodiscard]] static GpuTuning defaultTuning(const GpuSpec& spec);
   [[nodiscard]] BlockRow blockRow(int bs) const;
   [[nodiscard]] GroupRow groupRow(int g) const;
+  // groupRows_[g - 1], or groupRow(g) beyond kGRows.
+  [[nodiscard]] GroupRow groupFor(int g) const;
   void buildRows();
 
   GpuSpec spec_;
@@ -183,35 +194,47 @@ class GpuModel {
   std::vector<GroupRow> groupRows_;  // [g - 1], g <= kGRows
 };
 
-// Evaluates the configurations of one workload in order.  The terms
-// that depend on (n, BS) alone are computed once per run of equal
-// (n, BS) and reused for every G and R of the run; the per-BS and
-// per-G terms come from the model's rows.  Each result is bit-identical
-// to GpuModel::modelMatMul(cfg) whatever the order of the
-// configurations, and each call throws what modelMatMul would, before
-// writing anything.  Holds a pointer to the model, which must outlive
-// it.
+// Evaluates a list of configurations in passes: the (n, BS) terms of
+// each run of equal (n, BS), with their pow(tMemory, 12); then every
+// compute time; every pow(tCompute, 12); every 12th root of a sum; and
+// last, by write(), time, energy and counts into the caller's storage.
+// Each result is bit-identical to GpuModel::modelMatMul(cfg) whatever
+// the order of the list.  Holds a pointer to the model, which must
+// outlive it, and a view of the list, which must outlive every write()
+// and config() call.
 class MatMulBatch {
  public:
   explicit MatMulBatch(const GpuModel& model) : model_(&model) {}
 
-  // Writes cfg's kernel model into `out` (every field).
-  void evaluate(const MatMulConfig& cfg, KernelModel& out);
+  // Runs every pass but the last over `configs`, replacing what the
+  // batch held.  Throws what modelMatMul would for the first
+  // configuration that cannot launch, before computing anything.
+  void evaluate(std::span<const MatMulConfig> configs);
+
+  // configs[i] of the last evaluate.
+  [[nodiscard]] const MatMulConfig& config(std::size_t i) const {
+    return configs_[i];
+  }
+
+  // Writes the kernel model of config(i) into `out` (every field).
+  void write(std::size_t i, KernelModel& out) const;
 
  private:
-  // The terms of modelMatMul that depend on (n, BS) alone.
-  struct TileTerms {
-    int n = 0;   // key; 0 = nothing cached yet
-    int bs = 0;
+  // One configuration's terms, pass by pass.  Those that depend on
+  // (n, BS) alone are computed for the first configuration of each run
+  // of equal (n, BS) and copied to the rest of the run.
+  struct Stage {
     double flopsPerProduct = 0.0;
     double bytesPerProduct = 0.0;
-    double tMemoryPow = 0.0;   // pow(tMemory, roofline sharpness)
-    double dispatch = 0.0;     // tiles^2 block dispatches
+    double tMemoryPow = 0.0;  // tMemory, then pow(tMemory, 12)
+    double dispatch = 0.0;    // tiles^2 block dispatches
     double sharedPerProduct = 0.0;
+    double time = 0.0;        // tCompute, then its pow, then tProduct
   };
 
   const GpuModel* model_;
-  TileTerms tile_;
+  std::span<const MatMulConfig> configs_;
+  std::vector<Stage> stages_;  // one per configuration
 };
 
 }  // namespace ep::hw

@@ -7,18 +7,14 @@
 
 namespace ep::pareto {
 
-namespace {
-
-// Sort-based front peeling (Jensen's 2-D sweep) over ONE sorted index
-// array: O(n log n) total and O(n log k) when capped at maxLevels
-// fronts.  Only indices move while sorting and peeling; no point (and
-// no label) is copied until a caller gathers the fronts it wants.
+// Sort-based front peeling (Jensen's 2-D sweep) over keys held by
+// value: the sort compares fields in place, never through an index
+// into the points.
 //
-// The sweep order is (time, energy, configId), ties broken by input
-// position.  Every already-placed point precedes the current point p in
-// that order, so whether a front dominates p is decided by that front's
-// TAIL (its last appended member, which has the front's max time and
-// min energy):
+// Every already-placed key precedes the current key p in sweep order,
+// so whether a front dominates p is decided by that front's TAIL (its
+// last appended member, which has the front's max time and min
+// energy):
 //   tail dominates p  <=>  tail.energy < p.energy
 //                          || (tail.energy == p.energy
 //                              && tail.time < p.time)
@@ -29,41 +25,30 @@ namespace {
 // found by binary search, and p is appended to the first front whose
 // tail does not dominate it.
 //
-// Capping at maxLevels is exact for the kept fronts: a point deeper
-// than maxLevels can never become the tail of a tracked front, so
-// discarding it cannot change how later points are placed.
-struct Peel {
-  struct Entry {
-    std::size_t index = 0;  // into points
-    std::size_t level = 0;  // 0-based front; maxLevels = untracked
-  };
-  std::vector<Entry> sweep;  // every point, in sweep order
-  std::size_t fronts = 0;    // levels found, <= maxLevels
-};
-
-Peel peelFronts(const std::vector<BiPoint>& points, std::size_t maxLevels) {
-  const std::size_t n = points.size();
-  Peel pl;
-  pl.sweep.resize(n);
-  for (std::size_t i = 0; i < n; ++i) pl.sweep[i] = {i, maxLevels};
-  std::sort(pl.sweep.begin(), pl.sweep.end(),
-            [&points](const Peel::Entry& a, const Peel::Entry& b) {
-              const BiPoint& pa = points[a.index];
-              const BiPoint& pb = points[b.index];
-              if (pa.time != pb.time) return pa.time < pb.time;
-              if (pa.energy != pb.energy) return pa.energy < pb.energy;
-              if (pa.configId != pb.configId) return pa.configId < pb.configId;
+// Capping at maxLevels is exact for the kept fronts: a key deeper than
+// maxLevels can never become the tail of a tracked front, so
+// discarding it cannot change how later keys are placed.
+std::size_t peelFronts(std::vector<FrontKey>& keys, std::size_t maxLevels) {
+  EP_REQUIRE(maxLevels >= 1, "front levels are 1-based");
+  std::sort(keys.begin(), keys.end(),
+            [](const FrontKey& a, const FrontKey& b) {
+              if (a.time != b.time) return a.time < b.time;
+              if (a.energy != b.energy) return a.energy < b.energy;
+              if (a.configId != b.configId) return a.configId < b.configId;
               return a.index < b.index;
             });
-  std::vector<std::size_t> tails;  // tails[f]: index of front f's tail
-  tails.reserve(std::min(maxLevels, n));
-  for (Peel::Entry& e : pl.sweep) {
-    const BiPoint& p = points[e.index];
+  struct Tail {
+    double time;
+    double energy;
+  };
+  std::vector<Tail> tails;  // tails[f]: front f's last member
+  tails.reserve(std::min(maxLevels, keys.size()));
+  for (FrontKey& p : keys) {
     std::size_t lo = 0;
     std::size_t hi = tails.size();
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
-      const BiPoint& tail = points[tails[mid]];
+      const Tail& tail = tails[mid];
       const bool tailDominates =
           tail.energy < p.energy ||
           (tail.energy == p.energy && tail.time < p.time);
@@ -73,26 +58,26 @@ Peel peelFronts(const std::vector<BiPoint>& points, std::size_t maxLevels) {
         hi = mid;
       }
     }
+    p.level = lo;
     if (lo == tails.size()) {
       if (tails.size() == maxLevels) continue;  // deeper than we track
-      tails.push_back(e.index);
+      tails.push_back({p.time, p.energy});
     } else {
-      tails[lo] = e.index;
+      tails[lo] = {p.time, p.energy};
     }
-    e.level = lo;
   }
-  pl.fronts = tails.size();
-  return pl;
+  return tails.size();
 }
 
-// Copies of front `level`'s members, in sweep order.
-std::vector<BiPoint> gatherLevel(const std::vector<BiPoint>& points,
-                                 const Peel& pl, std::size_t level) {
-  std::vector<BiPoint> front;
-  for (const Peel::Entry& e : pl.sweep) {
-    if (e.level == level) front.push_back(points[e.index]);
+namespace {
+
+std::vector<FrontKey> keysOf(const std::vector<BiPoint>& points) {
+  std::vector<FrontKey> keys(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const BiPoint& p = points[i];
+    keys[i] = {p.time.value(), p.energy.value(), p.configId, i, 0};
   }
-  return front;
+  return keys;
 }
 
 }  // namespace
@@ -102,11 +87,11 @@ std::vector<BiPoint> paretoFront(const std::vector<BiPoint>& points) {
 }
 
 std::vector<std::vector<BiPoint>> nonDominatedSort(std::vector<BiPoint> points) {
-  const Peel pl =
-      peelFronts(points, std::numeric_limits<std::size_t>::max());
-  std::vector<std::vector<BiPoint>> fronts(pl.fronts);
-  for (const Peel::Entry& e : pl.sweep) {
-    fronts[e.level].push_back(std::move(points[e.index]));
+  std::vector<FrontKey> keys = keysOf(points);
+  std::vector<std::vector<BiPoint>> fronts(
+      peelFronts(keys, std::numeric_limits<std::size_t>::max()));
+  for (const FrontKey& k : keys) {
+    fronts[k.level].push_back(std::move(points[k.index]));
   }
   return fronts;
 }
@@ -114,18 +99,13 @@ std::vector<std::vector<BiPoint>> nonDominatedSort(std::vector<BiPoint> points) 
 std::vector<BiPoint> localFront(const std::vector<BiPoint>& points,
                                 std::size_t k) {
   EP_REQUIRE(k >= 1, "front levels are 1-based");
-  return gatherLevel(points, peelFronts(points, k), k - 1);
-}
-
-std::vector<std::vector<BiPoint>> leadingFronts(
-    const std::vector<BiPoint>& points, std::size_t levels) {
-  EP_REQUIRE(levels >= 1, "front levels are 1-based");
-  const Peel pl = peelFronts(points, levels);
-  std::vector<std::vector<BiPoint>> fronts(levels);
-  for (std::size_t k = 0; k < levels && k < pl.fronts; ++k) {
-    fronts[k] = gatherLevel(points, pl, k);
+  std::vector<FrontKey> keys = keysOf(points);
+  peelFronts(keys, k);
+  std::vector<BiPoint> front;
+  for (const FrontKey& key : keys) {
+    if (key.level == k - 1) front.push_back(points[key.index]);
   }
-  return fronts;
+  return front;
 }
 
 bool isValidFront(const std::vector<BiPoint>& front,

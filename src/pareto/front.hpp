@@ -5,14 +5,30 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "pareto/point.hpp"
 
 namespace ep::pareto {
 
-// Every front below comes from one algorithm: a single sort of an index
-// array by (time, energy, configId) followed by a sort-based peel.
+// What the front kernel reads of one point, by value.
+struct FrontKey {
+  double time = 0.0;
+  double energy = 0.0;
+  std::uint64_t configId = 0;
+  std::size_t index = 0;  // the point's place in its list: last tie-break
+  std::size_t level = 0;  // written by peelFronts
+};
+
+// The one front kernel every front below comes from: sorts `keys` into
+// sweep order (time, energy, configId, index) and sets each key's
+// 0-based front level, or maxLevels for a key deeper than the first
+// maxLevels fronts (maxLevels >= 1).  Returns the number of fronts
+// found, at most maxLevels.  O(n log n); O(n log k) in the peel when
+// capped at k levels.  A caller that holds its points elsewhere reads
+// them by index, so only the front members it keeps are ever copied.
+std::size_t peelFronts(std::vector<FrontKey>& keys, std::size_t maxLevels);
 
 // The non-dominated subset of `points`, sorted by ascending time:
 // localFront(points, 1).  Duplicate-objective points are all kept (they
@@ -29,16 +45,9 @@ namespace ep::pareto {
 
 // Level-k local front (k >= 1): nonDominatedSort(points)[k-1]; empty
 // vector if fewer than k fronts exist.  Peels only the first k levels
-// (O(n log k)) instead of sorting the whole cloud.
+// (O(n log k)) instead of every level.
 [[nodiscard]] std::vector<BiPoint> localFront(
     const std::vector<BiPoint>& points, std::size_t k);
-
-// The first `levels` fronts (levels >= 1) from ONE sort and ONE peel:
-// result[k] == localFront(points, k + 1) for every k < levels, empty
-// where fewer fronts exist.  A study's global and level-2 fronts are
-// leadingFronts(points, 2).
-[[nodiscard]] std::vector<std::vector<BiPoint>> leadingFronts(
-    const std::vector<BiPoint>& points, std::size_t levels);
 
 // True iff `front` is mutually non-dominating and no point of `points`
 // dominates any member.  Used by property tests.

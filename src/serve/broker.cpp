@@ -24,13 +24,12 @@ double elapsedMsSince(Clock::time_point start, Clock::time_point now) {
 }
 
 // A study as the broker holds it: n, the fronts, the trade-offs and
-// the failures.  The per-configuration data and points are released
-// with their capacity (assigning {} would keep it), so the cache, the
-// stale store and fleet replicas hold only what an answer reads.
+// the failures.  The per-configuration data is released with its
+// capacity (assigning {} would keep it), so the cache, the stale store
+// and fleet replicas hold only what an answer reads.
 std::shared_ptr<const core::WorkloadResult> answersOnly(
     core::WorkloadResult r) {
   std::vector<apps::GpuDataPoint>().swap(r.data);
-  std::vector<pareto::BiPoint>().swap(r.points);
   return std::make_shared<const core::WorkloadResult>(std::move(r));
 }
 

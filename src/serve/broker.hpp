@@ -17,9 +17,9 @@
 //     (device, N, tuning-constants hash).  A cache hit is served
 //     synchronously at submission — no queue round trip.  The broker
 //     keeps answers, not studies: a held result carries n, the fronts,
-//     the trade-offs and the failures.  The per-configuration data and
-//     points are read once, for the executing request's energy ledger,
-//     and released before the result is cached, stored or replicated.
+//     the trade-offs and the failures.  The per-configuration data is
+//     read once, for the executing request's energy ledger, and
+//     released before the result is cached, stored or replicated.
 //   * Request coalescing: while a study for key K is being computed,
 //     further requests for K do not queue; they register as waiters on
 //     the in-flight entry and are all fulfilled by the one computing
@@ -83,10 +83,10 @@ struct BrokerOptions {
   // Per-device circuit breaker over engine evaluations; disabled by
   // default (failureThreshold == 0).
   CircuitBreakerOptions breaker{};
-  // Stale-while-error store: every successful study (as held: no data
-  // or points) is also remembered here, independently of the LRU
-  // result cache, and served — flagged stale — when the engine fails
-  // or the breaker is open.  0 disables.
+  // Stale-while-error store: every successful study (as held: no data)
+  // is also remembered here, independently of the LRU result cache,
+  // and served — flagged stale — when the engine fails or the breaker
+  // is open.  0 disables.
   std::size_t staleCapacity = 128;
   // Optional anomaly watchdog fed one outcome per finished request
   // (error / stale / healthy), for the ErrorBudget detector.  Must
@@ -106,7 +106,7 @@ struct BrokerOptions {
   //   onStudyExecuted: fires once per cold engine evaluation that
   //     succeeded — the fleet router replicates the result to the key's
   //     ring successor and streams its front into the cluster fronts.
-  //     The result is the held one: no data or points.
+  //     The result is the held one: no data.
   //   onTuneComplete: fires for every fulfilled tune promise (success
   //     or rejection) — the router's EWMA J/req price signal and
   //     latency accounting feed off it.

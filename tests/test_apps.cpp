@@ -513,19 +513,45 @@ std::vector<std::vector<pareto::BiPoint>> quadraticFronts(
   return fronts;
 }
 
+void expectSamePoint(const pareto::BiPoint& got, const pareto::BiPoint& want) {
+  EXPECT_EQ(got.configId, want.configId);
+  EXPECT_EQ(got.time, want.time);
+  EXPECT_EQ(got.energy, want.energy);
+  EXPECT_EQ(got.label, want.label);
+}
+
 void expectSameFront(const std::vector<pareto::BiPoint>& got,
                      const std::vector<pareto::BiPoint>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].configId, want[i].configId) << "i=" << i;
-    EXPECT_EQ(got[i].time, want[i].time) << "i=" << i;
-    EXPECT_EQ(got[i].energy, want[i].energy) << "i=" << i;
-    EXPECT_EQ(got[i].label, want[i].label) << "i=" << i;
+    SCOPED_TRACE("i=" + std::to_string(i));
+    expectSamePoint(got[i], want[i]);
   }
 }
 
+// Both points with their label and configId, and both ratios, bit for
+// bit.
+void expectSameTradeoff(const pareto::Tradeoff& got,
+                        const pareto::Tradeoff& want) {
+  {
+    SCOPED_TRACE("performance-optimal");
+    expectSamePoint(got.performanceOptimal, want.performanceOptimal);
+  }
+  {
+    SCOPED_TRACE("energy-optimal");
+    expectSamePoint(got.energyOptimal, want.energyOptimal);
+  }
+  EXPECT_EQ(got.maxEnergySavings, want.maxEnergySavings);
+  EXPECT_EQ(got.performanceDegradation, want.performanceDegradation);
+}
+
+// The fronts against the quadratic reference; the global trade-off
+// against analyzeTradeoff over every point (first-in-input among
+// ties), and the local one against analyzeTradeoff over the reference
+// level-2 front.
 void expectFinalizeMatchesReference(const core::WorkloadResult& r) {
-  const auto want = quadraticFronts(r.points, 2);
+  const std::vector<pareto::BiPoint> points = GpuMatMulApp::toPoints(r.data);
+  const auto want = quadraticFronts(points, 2);
   {
     SCOPED_TRACE("global front");
     expectSameFront(r.globalFront, want[0]);
@@ -533,6 +559,17 @@ void expectFinalizeMatchesReference(const core::WorkloadResult& r) {
   {
     SCOPED_TRACE("local front");
     expectSameFront(r.localFront, want[1]);
+  }
+  {
+    SCOPED_TRACE("global trade-off");
+    expectSameTradeoff(r.globalTradeoff, pareto::analyzeTradeoff(points));
+  }
+  {
+    SCOPED_TRACE("local trade-off");
+    ASSERT_EQ(r.localTradeoff.has_value(), !want[1].empty());
+    if (r.localTradeoff) {
+      expectSameTradeoff(*r.localTradeoff, pareto::analyzeTradeoff(want[1]));
+    }
   }
 }
 
@@ -546,7 +583,6 @@ TEST(FinalizeWorkload, FrontsMatchQuadraticReferenceOnRealStudies) {
       SCOPED_TRACE(spec.name + " n=" + std::to_string(n));
       Rng rng(static_cast<std::uint64_t>(n));
       const core::WorkloadResult r = study.runWorkload(n, rng);
-      ASSERT_EQ(r.points.size(), r.data.size());
       expectFinalizeMatchesReference(r);
       ++sizes;
     }

@@ -208,11 +208,11 @@ TEST(ChaosEngine, DelegatesBitwiseWhenNoFaultFires) {
             inner->tuningHash(serve::Device::P100));
   const auto clean = inner->evaluate(serve::Device::P100, 512);
   const auto wrapped = chaotic.evaluate(serve::Device::P100, 512);
-  ASSERT_EQ(wrapped.points.size(), clean.points.size());
-  for (std::size_t i = 0; i < clean.points.size(); ++i) {
-    EXPECT_EQ(wrapped.points[i].time.value(), clean.points[i].time.value());
-    EXPECT_EQ(wrapped.points[i].energy.value(),
-              clean.points[i].energy.value());
+  ASSERT_EQ(wrapped.data.size(), clean.data.size());
+  for (std::size_t i = 0; i < clean.data.size(); ++i) {
+    EXPECT_EQ(wrapped.data[i].time.value(), clean.data[i].time.value());
+    EXPECT_EQ(wrapped.data[i].dynamicEnergy.value(),
+              clean.data[i].dynamicEnergy.value());
   }
   EXPECT_EQ(chaotic.counts().total(), 0u);
 }
@@ -270,7 +270,7 @@ TEST(ChaosEngine, HangDelegatesAfterTheDelayAndCounts) {
   o.hangMs = 5.0;
   ChaosEngine chaotic(inner, o);
   const auto r = chaotic.evaluate(serve::Device::P100, 384);
-  EXPECT_FALSE(r.points.empty());  // slow, not wrong
+  EXPECT_FALSE(r.data.empty());  // slow, not wrong
   EXPECT_EQ(chaotic.counts()[FaultKind::EngineHang], 1u);
 }
 

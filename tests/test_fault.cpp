@@ -471,7 +471,7 @@ TEST(FaultCampaign, PaperShapesSurviveAndEveryFaultIsCounted) {
   std::size_t skipped = 0;
   for (const auto& r : run.results) {
     skipped += r.failures.size();
-    EXPECT_EQ(pareto::precisionFront(r.points,
+    EXPECT_EQ(pareto::precisionFront(apps::GpuMatMulApp::toPoints(r.data),
                                      stats::MeasurementOptions{}.precision)
                   .size(),
               1u)

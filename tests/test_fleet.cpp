@@ -76,11 +76,12 @@ class FleetFakeEngine : public serve::TuningEngine {
     r.data = {d1, d2};
     const double s = 1.0 + static_cast<double>(n) * 1e-4 +
                      (d == Device::K40c ? 0.01 : 0.0);
-    r.points = {mk(1.0 * s, 10.0, 0), mk(1.1 * s, 7.0, 1),
-                mk(1.5 * s, 4.0, 2), mk(2.0 * s, 3.5, 3)};
-    r.globalFront = pareto::paretoFront(r.points);
-    r.localFront = pareto::localFront(r.points, 2);
-    r.globalTradeoff = pareto::analyzeTradeoff(r.points);
+    const std::vector<pareto::BiPoint> points = {
+        mk(1.0 * s, 10.0, 0), mk(1.1 * s, 7.0, 1), mk(1.5 * s, 4.0, 2),
+        mk(2.0 * s, 3.5, 3)};
+    r.globalFront = pareto::paretoFront(points);
+    r.localFront = pareto::localFront(points, 2);
+    r.globalTradeoff = pareto::analyzeTradeoff(points);
     if (!r.localFront.empty()) {
       r.localTradeoff = pareto::analyzeTradeoff(r.localFront);
     }

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -460,14 +461,31 @@ void expectSameModel(const KernelModel& a, const KernelModel& b) {
   EXPECT_EQ(a.globalLoadTransactions, b.globalLoadTransactions);
 }
 
+// Every configuration of `list` through one whole-list call of
+// `batch`, field by field against modelMatMul on it alone.
+void expectListMatchesOneAtATime(MatMulBatch& batch, const GpuModel& model,
+                                 const std::vector<MatMulConfig>& list) {
+  batch.evaluate(list);
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    const MatMulConfig& cfg = list[i];
+    SCOPED_TRACE(model.spec().name + " n=" + std::to_string(cfg.n) +
+                 " BS=" + std::to_string(cfg.bs) +
+                 " G=" + std::to_string(cfg.g) +
+                 " R=" + std::to_string(cfg.r));
+    KernelModel got;
+    batch.write(i, got);
+    expectSameModel(got, model.modelMatMul(cfg));
+  }
+}
+
 TEST(MatMulModel, BatchEqualsOneConfigAtATime) {
-  // One batch fed configurations out of enumeration order: n and BS
-  // interleave, so most calls miss the cached (n, BS) terms, and G*R
-  // varies as additivityConfigs produces it (G = 1..gMax at fixed R).
-  // Unlaunchable configurations in between throw and leave the batch's
-  // later results untouched.
   for (const GpuModel& model : pinnedModels()) {
     const apps::GpuMatMulApp app(model);
+    MatMulBatch batch(model);
+    // A list out of enumeration order: n and BS interleave, so most
+    // (n, BS) runs are one configuration long, G*R varies as
+    // additivityConfigs produces it (G = 1..gMax at fixed R), and G = 17
+    // and 32 lie past the per-G rows.
     std::vector<MatMulConfig> cfgs;
     for (const int r : {1, 3}) {
       for (const int bs : {32, 1, 17, 24, 8}) {
@@ -475,6 +493,8 @@ TEST(MatMulModel, BatchEqualsOneConfigAtATime) {
           for (const MatMulConfig& c : app.additivityConfigs(n, bs, 8, r)) {
             cfgs.push_back(c);
           }
+          cfgs.push_back({n, bs, 17, r});
+          cfgs.push_back({n, bs, 32, r});
           cfgs.push_back({n, 33, 1, r});  // unlaunchable block
         }
       }
@@ -487,33 +507,37 @@ TEST(MatMulModel, BatchEqualsOneConfigAtATime) {
       }
     }
     ASSERT_EQ(order.size(), cfgs.size());
-    // Then the enumeration order, whose runs reuse the cached terms.
-    for (const int n : {8704, 10240}) {
-      for (const MatMulConfig& c : app.enumerateConfigs(n)) {
-        order.push_back(c);
-      }
+    std::vector<MatMulConfig> launchable;
+    for (const MatMulConfig& c : order) {
+      if (model.isLaunchable(c)) launchable.push_back(c);
+    }
+    EXPECT_GT(launchable.size(), 2u * 128u);
+    EXPECT_LT(launchable.size(), order.size());
+    expectListMatchesOneAtATime(batch, model, launchable);
+
+    // A list that holds an unlaunchable configuration throws before
+    // computing anything: the batch still holds the last list's results.
+    EXPECT_THROW(batch.evaluate(order), ResourceError);
+    for (std::size_t i = 0; i < launchable.size(); i += 17) {
+      KernelModel got;
+      batch.write(i, got);
+      expectSameModel(got, model.modelMatMul(launchable[i]));
     }
 
-    MatMulBatch batch(model);
-    std::size_t evaluated = 0;
-    std::size_t thrown = 0;
-    for (const MatMulConfig& cfg : order) {
-      SCOPED_TRACE(model.spec().name + " n=" + std::to_string(cfg.n) +
-                   " BS=" + std::to_string(cfg.bs) +
-                   " G=" + std::to_string(cfg.g) +
-                   " R=" + std::to_string(cfg.r));
-      KernelModel got;
-      if (!model.isLaunchable(cfg)) {
-        EXPECT_THROW(batch.evaluate(cfg, got), ResourceError);
-        ++thrown;
-        continue;
-      }
-      batch.evaluate(cfg, got);
-      expectSameModel(got, model.modelMatMul(cfg));
-      ++evaluated;
+    // Every enumerated workload, whose (n, BS) runs span their G, over
+    // the tile steps, both additivity thresholds and the memory edge.
+    std::vector<int> sizes;
+    for (int n = 1024; n <= 16320; n += 64) sizes.push_back(n);
+    for (const int n :
+         {1, 7, 33, 1000, 8703, 8704, 10239, 10241, 15359, 15361, 23170}) {
+      sizes.push_back(n);
     }
-    EXPECT_GT(evaluated, 2u * 128u);
-    EXPECT_GT(thrown, 0u);
+    for (const int n : sizes) {
+      const std::vector<MatMulConfig> list = app.enumerateConfigs(n);
+      ASSERT_FALSE(list.empty()) << "n=" << n;
+      expectListMatchesOneAtATime(batch, model, list);
+    }
+    EXPECT_EQ(sizes.size(), 251u);
   }
 }
 

@@ -1555,7 +1555,7 @@ TEST(Instrumentation, StudyRunEmitsPhaseSpansAndCounters) {
   ep::Rng rng(7);
   const auto result = study.runWorkload(10240, rng);
   Tracer::global().setEnabled(false);
-  EXPECT_FALSE(result.points.empty());
+  EXPECT_FALSE(result.data.empty());
   EXPECT_EQ(workloads.value(), before + 1);
 
   std::set<std::string> names;

@@ -65,7 +65,8 @@ TEST(Fig2, P100RegionsAndFrontAtN18432) {
   const auto r = study.runWorkload(18432, rng);
 
   // Weak EP is violated: large energy spread across configurations.
-  const auto weak = core::analyzeWeakEp(r.points, 0.05);
+  const auto weak =
+      core::analyzeWeakEp(apps::GpuMatMulApp::toPoints(r.data), 0.05);
   EXPECT_FALSE(weak.holds);
   EXPECT_GT(weak.spread, 0.5);
 

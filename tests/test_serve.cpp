@@ -86,11 +86,12 @@ class FakeEngine : public TuningEngine {
     r.data = {d1, d2};
     const double s = 1.0 + static_cast<double>(n) * 1e-4 +
                      (d == Device::K40c ? 0.01 : 0.0);
-    r.points = {mk(1.0 * s, 10.0, 0), mk(1.1 * s, 7.0, 1),
-                mk(1.5 * s, 4.0, 2), mk(2.0 * s, 3.5, 3)};
-    r.globalFront = pareto::paretoFront(r.points);
-    r.localFront = pareto::localFront(r.points, 2);
-    r.globalTradeoff = pareto::analyzeTradeoff(r.points);
+    const std::vector<pareto::BiPoint> points = {
+        mk(1.0 * s, 10.0, 0), mk(1.1 * s, 7.0, 1), mk(1.5 * s, 4.0, 2),
+        mk(2.0 * s, 3.5, 3)};
+    r.globalFront = pareto::paretoFront(points);
+    r.localFront = pareto::localFront(points, 2);
+    r.globalTradeoff = pareto::analyzeTradeoff(points);
     if (!r.localFront.empty()) {
       r.localTradeoff = pareto::analyzeTradeoff(r.localFront);
     }
@@ -283,13 +284,13 @@ class NestedParallelEngine : public TuningEngine {
     }
     core::WorkloadResult r;
     r.n = n;
+    std::vector<pareto::BiPoint> points;
     for (std::size_t i = 0; i < times.size(); ++i) {
-      r.points.push_back(
-          mk(times[i], 10.0 - 0.1 * static_cast<double>(i), i));
+      points.push_back(mk(times[i], 10.0 - 0.1 * static_cast<double>(i), i));
     }
-    r.globalFront = pareto::paretoFront(r.points);
-    r.localFront = pareto::localFront(r.points, 2);
-    r.globalTradeoff = pareto::analyzeTradeoff(r.points);
+    r.globalFront = pareto::paretoFront(points);
+    r.localFront = pareto::localFront(points, 2);
+    r.globalTradeoff = pareto::analyzeTradeoff(points);
     if (!r.localFront.empty()) {
       r.localTradeoff = pareto::analyzeTradeoff(r.localFront);
     }
@@ -892,7 +893,8 @@ TEST(EpStudyEngine, FrontRecommendationMatchesFullPointSet) {
   const core::WorkloadResult r = engine.evaluate(Device::K40c, 1024);
   for (double budget : {0.0, 0.05, 0.11, 0.5}) {
     const core::BiObjectiveTuner tuner(budget);
-    const auto fromPoints = tuner.recommend(r.points);
+    const auto fromPoints =
+        tuner.recommend(apps::GpuMatMulApp::toPoints(r.data));
     const auto fromFront = tuner.recommend(r.globalFront);
     EXPECT_EQ(fromPoints.recommended.configId,
               fromFront.recommended.configId)
@@ -924,10 +926,10 @@ void expectSameRecommendation(const core::TunerRecommendation& got,
 
 // The broker keeps answers, not studies: the result a cold study puts
 // in the cache and the stale store is the one onStudyExecuted hands to
-// fleet replicas, and it has released its per-configuration data and
-// points, down to their capacity.  Every answer and ledger, from the
-// cache and from the stale store, still equals one computed from a
-// fresh evaluate().
+// fleet replicas, and it has released its per-configuration data,
+// down to its capacity.  Every answer and ledger, from the cache and
+// from the stale store, still equals one computed from a fresh
+// evaluate().
 TEST(Broker, CachedResultsCarryOnlyAnswers) {
   auto engine = std::make_shared<EpStudyEngine>();
   std::mutex mu;
@@ -942,7 +944,6 @@ TEST(Broker, CachedResultsCarryOnlyAnswers) {
   Broker broker(engine, opts);
   const auto expectAnswersOnly = [](const core::WorkloadResult& r) {
     EXPECT_EQ(r.data.capacity(), 0u) << "n " << r.n;
-    EXPECT_EQ(r.points.capacity(), 0u) << "n " << r.n;
     EXPECT_FALSE(r.globalFront.empty()) << "n " << r.n;
   };
   // The stale store holds the study: it answers a tune on its own.

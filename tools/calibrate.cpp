@@ -22,7 +22,7 @@ using namespace ep;
 namespace {
 
 void dumpResult(const char* tag, const core::WorkloadResult& r, bool listAll) {
-  std::printf("\n=== %s N=%d: %zu configs ===\n", tag, r.n, r.points.size());
+  std::printf("\n=== %s N=%d: %zu configs ===\n", tag, r.n, r.data.size());
   if (listAll) {
     for (const auto& d : r.data) {
       std::printf("  %-18s t=%9.3f s  E=%10.1f J  occ=%.2f boost=%.3f%s\n",

@@ -105,13 +105,13 @@ cmake --build build -j "${JOBS}"
 # instead of passing by luck.
 (cd build && ctest --output-on-failure -j "${JOBS}" --repeat until-fail:3)
 
-echo "== bench smoke: codec, cold-tune and instrumentation microbenches =="
+echo "== bench smoke: codec, cold-study, cold-tune and instrumentation microbenches =="
 # One short pass, so the benches that reproduce the serving path's
-# codec and cold-tune figures, and the per-operation span, counter and
-# profiler-frame costs, keep building and running; their timings are
-# not checked here.
+# codec, cold-study (model grid, fronts, whole study) and cold-tune
+# figures, and the per-operation span, counter and profiler-frame
+# costs, keep building and running; their timings are not checked here.
 ./build/bench/bench_micro_algorithms \
-  --benchmark_filter='^(BM_DecodeTuneLine|BM_EncodeTuneResponse|BM_BrokerColdTune)' \
+  --benchmark_filter='^(BM_DecodeTuneLine|BM_EncodeTuneResponse|BM_BrokerColdTune|BM_ModelDirectGrid|BM_FinalizeWorkload|BM_ColdModelDirectEvaluate)' \
   --benchmark_min_time=0.01
 ./build/bench/bench_obs_overhead --benchmark_min_time=0.01
 
