@@ -44,32 +44,50 @@ std::vector<pareto::BiPoint> randomPoints(std::size_t n, Rng& rng) {
   return pts;
 }
 
+// Each front bench cycles through 64 seeded inputs per size: sorting
+// one input over and over lets the branch predictor learn its compares
+// (one 128-point set read ~3x faster than rotating ones).
+constexpr std::size_t kRotatingInputs = 64;
+
+std::vector<std::vector<pareto::BiPoint>> rotatingPointSets(
+    std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<pareto::BiPoint>> sets;
+  for (std::size_t k = 0; k < kRotatingInputs; ++k) {
+    sets.push_back(randomPoints(n, rng));
+  }
+  return sets;
+}
+
 void BM_ParetoFront(benchmark::State& state) {
-  Rng rng(1);
-  const auto pts = randomPoints(static_cast<std::size_t>(state.range(0)),
-                                rng);
+  const auto sets =
+      rotatingPointSets(static_cast<std::size_t>(state.range(0)), 1);
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pareto::paretoFront(pts));
+    benchmark::DoNotOptimize(pareto::paretoFront(sets[next]));
+    next = (next + 1) % sets.size();
   }
 }
 BENCHMARK(BM_ParetoFront)->Arg(128)->Arg(1024)->Arg(8192);
 
 void BM_NonDominatedSort(benchmark::State& state) {
-  Rng rng(2);
-  const auto pts = randomPoints(static_cast<std::size_t>(state.range(0)),
-                                rng);
+  const auto sets =
+      rotatingPointSets(static_cast<std::size_t>(state.range(0)), 2);
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pareto::nonDominatedSort(pts));
+    benchmark::DoNotOptimize(pareto::nonDominatedSort(sets[next]));
+    next = (next + 1) % sets.size();
   }
 }
 BENCHMARK(BM_NonDominatedSort)->Arg(128)->Arg(1024)->Arg(8192);
 
 void BM_LocalFront(benchmark::State& state) {
-  Rng rng(2);
-  const auto pts = randomPoints(static_cast<std::size_t>(state.range(0)),
-                                rng);
+  const auto sets =
+      rotatingPointSets(static_cast<std::size_t>(state.range(0)), 2);
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pareto::localFront(pts, 2));
+    benchmark::DoNotOptimize(pareto::localFront(sets[next], 2));
+    next = (next + 1) % sets.size();
   }
 }
 BENCHMARK(BM_LocalFront)->Arg(128)->Arg(1024)->Arg(8192);
@@ -297,20 +315,37 @@ BENCHMARK(BM_ModelDirectGrid);
 // A cold model-direct study's two parts: BM_ModelDirectGrid above, and
 // the fronts below.
 
+// 64 seeded sizes from e2ebench's miss_json grid (multiples of 64 in
+// [1024, 16320]) for the study benches below to cycle through, so none
+// of them sorts one study's points over and over.
+std::vector<int> rotatingStudySizes() {
+  Rng rng(9);
+  std::vector<int> sizes;
+  for (std::size_t k = 0; k < kRotatingInputs; ++k) {
+    sizes.push_back(1024 + 64 * static_cast<int>(rng.uniformInt(0, 239)));
+  }
+  return sizes;
+}
+
 // Rebuilding both fronts and the trade-offs of a 128-configuration
-// P100 study (n = 10240).
+// P100 study.
 void BM_FinalizeWorkload(benchmark::State& state) {
   apps::GpuMatMulOptions opts;
   opts.useMeter = false;
   const core::GpuEpStudy study(
       apps::GpuMatMulApp(hw::GpuModel(hw::nvidiaP100Pcie()), opts));
-  Rng rng(9);
-  core::WorkloadResult r = study.runWorkload(10240, rng);
-  for (auto _ : state) {
-    core::finalizeWorkload(r);
-    benchmark::DoNotOptimize(r.localFront.data());
+  std::vector<core::WorkloadResult> studies;
+  for (const int n : rotatingStudySizes()) {
+    Rng rng(static_cast<std::uint64_t>(n));
+    studies.push_back(study.runWorkload(n, rng));
   }
-  state.counters["configs"] = static_cast<double>(r.data.size());
+  std::size_t next = 0;
+  for (auto _ : state) {
+    core::finalizeWorkload(studies[next]);
+    benchmark::DoNotOptimize(studies[next].localFront.data());
+    next = (next + 1) % studies.size();
+  }
+  state.counters["configs"] = static_cast<double>(studies[0].data.size());
 }
 BENCHMARK(BM_FinalizeWorkload);
 
@@ -318,8 +353,12 @@ BENCHMARK(BM_FinalizeWorkload);
 // default engine runs it.
 void BM_ColdModelDirectEvaluate(benchmark::State& state) {
   const serve::EpStudyEngine engine;
+  const std::vector<int> sizes = rotatingStudySizes();
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.evaluate(serve::Device::P100, 10240));
+    benchmark::DoNotOptimize(
+        engine.evaluate(serve::Device::P100, sizes[next]));
+    next = (next + 1) % sizes.size();
   }
 }
 BENCHMARK(BM_ColdModelDirectEvaluate);

@@ -4,20 +4,30 @@
 // thread count is what runs: parallelFor puts its caller to work beside
 // the pool, so T threads are T-1 pool workers plus the caller.
 //
-// Two invariants are checked on every parallel run:
-//   * results are bitwise-identical to the serial baseline (per-config
-//     forked RNG streams + per-index output slots), and
-//   * a nested shape — runSweep over sizes, each workload itself
-//     parallel on the same pool — completes and matches too.
+// Every parallel run must be bitwise-identical to the serial baseline
+// (per-config forked RNG streams + per-index output slots).
 //
-// Emits BENCH_study.json (ns/op, configs/s, thread count) so the perf
-// trajectory is tracked across PRs.
+// Then one e2ebench study_metered request per device — four sizes, K40c
+// n = 7168..10240 and P100 at twice those — run from a task on a
+// 3-worker pool as the broker runs it, two ways, reps alternated: its
+// sizes one after another (runWorkload each, one parallelFor per size)
+// and one pass over all of them (runWorkloads, one parallelFor over
+// every configuration of the sweep, longest window first).  It prints
+// the median wall time, CPU / wall and whether both give the same bits.
+//
+// Emits BENCH_study.json (ns/config, configs/s, thread count) so the
+// perf trajectory is tracked across PRs.  Exits 1 when any result is
+// not bitwise-identical to its reference.
 //
 // Run as:  bench_study_scaling [maxThreads]   (default 8, at least 2)
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -57,6 +67,49 @@ bool sweepEqual(const std::vector<core::WorkloadResult>& a,
     if (a[i].n != b[i].n || !bitwiseEqual(a[i].data, b[i].data)) return false;
   }
   return true;
+}
+
+double processCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
+
+// One schedule of the request: every wall time and CPU / wall, and the
+// results of its last rep.
+struct Schedule {
+  const char* name;
+  std::vector<double> wallS;
+  std::vector<double> cpuPerWall;
+  std::vector<core::WorkloadResult> results;
+};
+
+// Runs `schedule` as one task on `pool`, as the broker runs a study job,
+// and records its wall time and CPU / wall.
+template <typename Fn>
+void timeOnPool(ThreadPool& pool, Schedule& out, Fn schedule) {
+  std::promise<std::vector<core::WorkloadResult>> done;
+  auto results = done.get_future();
+  const double cpu0 = processCpuSeconds();
+  const auto t0 = Clock::now();
+  pool.submit([&done, &schedule] {
+    try {
+      done.set_value(schedule());
+    } catch (...) {
+      done.set_exception(std::current_exception());
+    }
+  });
+  out.results = results.get();
+  const double wall = secondsSince(t0);
+  out.wallS.push_back(wall);
+  out.cpuPerWall.push_back((processCpuSeconds() - cpu0) / wall);
 }
 
 }  // namespace
@@ -119,23 +172,77 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  // Nested shape: parallel sweep over sizes, each workload parallel on
-  // the same pool (what a serve-broker study job exercises).
-  Rng sweepRng(7);
-  const auto sweepT0 = Clock::now();
-  const auto sweepSerial = study.runSweep(sweepSizes, sweepRng);
-  const double sweepSerialS = secondsSince(sweepT0);
-  ThreadPool pool(static_cast<std::size_t>(maxThreads) - 1);
-  const auto sweepT1 = Clock::now();
-  const auto sweepParallel = study.runSweep(sweepSizes, sweepRng, &pool);
-  const double sweepParallelS = secondsSince(sweepT1);
-  const bool sweepSame = sweepEqual(sweepParallel, sweepSerial);
-  allIdentical = allIdentical && sweepSame;
-  std::printf(
-      "\nnested sweep (%zu sizes): serial %.3f s, %d-thread %.3f s "
-      "(%.2fx), bitwise %s\n",
-      sweepSizes.size(), sweepSerialS, maxThreads, sweepParallelS,
-      sweepSerialS / sweepParallelS, sweepSame ? "yes" : "NO");
+  // One study_metered request per device, sizes one after another
+  // against one pass, from a task on a 3-worker pool.
+  constexpr int kReps = 9;
+  constexpr int kWorkers = 3;
+  Table sweepTable({"device", "sizes", "schedule", "median wall [ms]",
+                    "CPU / wall", "vs one by one", "bitwise"});
+  sweepTable.setTitle("study_metered request: 4 sizes on a " +
+                      std::to_string(kWorkers) + "-worker pool, median of " +
+                      std::to_string(kReps) + " alternated reps");
+  ThreadPool brokerPool(kWorkers);
+  for (const auto& [spec, nFirst] :
+       {std::pair{hw::nvidiaK40c(), 7168}, std::pair{hw::nvidiaP100Pcie(),
+                                                     2 * 7168}}) {
+    const core::GpuEpStudy sweepStudy(
+        apps::GpuMatMulApp(hw::GpuModel(spec), {}));
+    std::vector<int> sizes;
+    std::vector<std::uint64_t> seeds;
+    Rng sweepRng(7);
+    double sweepConfigs = 0.0;
+    for (int k = 0; k < 4; ++k) {
+      sizes.push_back(nFirst + k * nFirst / 7);  // steps of 1024 on K40c
+      seeds.push_back(
+          sweepRng.fork(static_cast<std::uint64_t>(sizes.back()) * 0x9E37ULL)
+              .seed());
+      sweepConfigs += static_cast<double>(
+          sweepStudy.app().enumerateConfigs(sizes.back()).size());
+    }
+    Schedule oneByOne{"one by one", {}, {}, {}};
+    Schedule onePass{"one pass", {}, {}, {}};
+    bool same = true;
+    for (int rep = 0; rep < kReps; ++rep) {
+      timeOnPool(brokerPool, oneByOne, [&] {
+        std::vector<core::WorkloadResult> out;
+        for (std::size_t k = 0; k < sizes.size(); ++k) {
+          Rng stream(seeds[k]);
+          out.push_back(
+              sweepStudy.runWorkload(sizes[k], stream, &brokerPool));
+        }
+        return out;
+      });
+      timeOnPool(brokerPool, onePass, [&] {
+        std::vector<core::WorkloadResult> out;
+        for (auto& a : sweepStudy.runWorkloads(sizes, seeds, &brokerPool)) {
+          if (a.error) std::rethrow_exception(a.error);
+          out.push_back(std::move(a.result));
+        }
+        return out;
+      });
+      same = same && sweepEqual(onePass.results, oneByOne.results);
+    }
+    allIdentical = allIdentical && same;
+    const double byOneS = median(oneByOne.wallS);
+    const std::string label = spec.name.substr(spec.name.find(' ') + 1);
+    const std::string range = std::to_string(sizes.front()) + ".." +
+                              std::to_string(sizes.back());
+    for (const Schedule* sched : {&oneByOne, &onePass}) {
+      const double wallS = median(sched->wallS);
+      sweepTable.addRow({label, range, sched->name,
+                         formatDouble(1e3 * wallS, 1),
+                         formatDouble(median(sched->cpuPerWall), 2),
+                         formatDouble(wallS / byOneS, 3),
+                         same ? "yes" : "NO"});
+      records.push_back({std::string("study_metered/") +
+                             (sched == &onePass ? "one_pass/" : "one_by_one/") +
+                             label,
+                         kWorkers, 1e9 * wallS / sweepConfigs,
+                         sweepConfigs / wallS});
+    }
+  }
+  std::printf("\n");
+  sweepTable.print(std::cout);
 
   if (!bench::writeBenchJson("BENCH_study.json", "study_scaling", records)) {
     return 1;

@@ -1,7 +1,9 @@
 #include "apps/gpu_matmul_app.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -137,7 +139,11 @@ GpuDataPoint GpuMatMulApp::runConfig(const hw::MatMulConfig& cfg,
   GpuDataPoint out;
   out.config = cfg;
   out.model = model_.modelMatMul(cfg);
+  measure(out, rng);
+  return out;
+}
 
+void GpuMatMulApp::measure(GpuDataPoint& p, Rng& rng) const {
   // Build the node's ground-truth power profile for one execution.
   obs::Span span("power/measure_window");
   // epprof kernel frame: CPU and energy samples taken during this
@@ -146,24 +152,23 @@ GpuDataPoint GpuMatMulApp::runConfig(const hw::MatMulConfig& cfg,
   // Attribution scope for the anomaly watchdog: windows measured here
   // belong to this device model.
   power::MeasureScopeLabel scopeLabel(model_.spec().name.c_str());
+  const hw::KernelModel& model = p.model;
   power::ProfilePowerSource profile(nodeIdlePower());
-  profile.addSegment({Seconds{0.0}, out.model.time, out.model.corePower});
+  profile.addSegment({Seconds{0.0}, model.time, model.corePower});
   Seconds tail{0.0};
-  if (out.model.uncoreActive) {
-    tail = out.model.uncoreTail;
-    profile.addSegment(
-        {Seconds{0.0}, out.model.time + tail, out.model.uncorePower});
+  if (model.uncoreActive) {
+    tail = model.uncoreTail;
+    profile.addSegment({Seconds{0.0}, model.time + tail, model.uncorePower});
   }
   const power::EnergyMeasurer measurer(
       detail::makeMeter(options_.meter, options_.faults), nodeIdlePower());
   const power::MeasuredEnergy measured =
-      measurer.measure(profile, out.model.time, rng, tail,
-                       options_.measurement, options_.robustness);
-  out.time = measured.mean.executionTime;
-  out.dynamicEnergy = measured.mean.dynamicEnergy;
-  out.repetitions = measured.dynamicEnergyStats.repetitions;
-  out.remeasures = measured.faults.recoveries();
-  return out;
+      measurer.measure(profile, model.time, rng, tail, options_.measurement,
+                       options_.robustness);
+  p.time = measured.mean.executionTime;
+  p.dynamicEnergy = measured.mean.dynamicEnergy;
+  p.repetitions = measured.dynamicEnergyStats.repetitions;
+  p.remeasures = measured.faults.recoveries();
 }
 
 std::uint64_t GpuMatMulApp::forkSalt(const hw::MatMulConfig& cfg) {
@@ -177,97 +182,216 @@ std::uint64_t GpuMatMulApp::forkSalt(const hw::MatMulConfig& cfg) {
 std::vector<GpuDataPoint> GpuMatMulApp::runWorkload(
     int n, Rng& rng, ThreadPool* pool,
     std::vector<GpuConfigFailure>* failures) const {
-  std::vector<hw::MatMulConfig> configs = enumerateConfigs(n);
-  const bool skip = options_.failPolicy == fault::FailPolicy::SkipAndRecord;
-  const auto recordFailure = [&](const hw::MatMulConfig& cfg,
-                                 std::string error) {
-    detail::configFailureCounter().inc();
-    if (failures != nullptr) failures->push_back({cfg, std::move(error)});
-  };
-  if (!options_.useMeter) {
-    // Model-direct configs cost ~0.1 us each and draw no randomness:
-    // evaluated inline on the calling thread, with no forked stream and
-    // no pool hand-off (either would cost more than the config), by one
-    // batch over the list.  Under SkipAndRecord the configurations that
-    // cannot launch leave the list first, recorded in enumeration order.
-    if (skip) {
-      std::size_t kept = 0;
-      for (const hw::MatMulConfig& cfg : configs) {
-        try {
-          model_.requireLaunchable(cfg);
-          configs[kept++] = cfg;
-        } catch (const EpError& e) {
-          recordFailure(cfg, e.what());
-        }
-      }
-      configs.resize(kept);
+  if (options_.useMeter) {
+    GpuWorkload w;
+    w.n = n;
+    w.seed = rng.seed();
+    runWorkloads({&w, 1}, pool);
+    if (w.error) std::rethrow_exception(w.error);
+    if (failures != nullptr) {
+      failures->insert(failures->end(),
+                       std::make_move_iterator(w.failures.begin()),
+                       std::make_move_iterator(w.failures.end()));
     }
-    hw::MatMulBatch batch(model_);
-    batch.evaluate(configs);
-    // Each point is written once, into `p`, and copied: GCC would
-    // default-construct each element of a sized vector through a rep
-    // stos, which costs ~3x the copy, before it is written.
-    std::vector<GpuDataPoint> out;
-    out.reserve(configs.size());
-    GpuDataPoint p;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      modelPoint(batch, i, p);
-      out.push_back(p);
-    }
-    return out;
+    return std::move(w.data);
   }
 
-  std::vector<GpuDataPoint> out(configs.size());
-  // Under SkipAndRecord errors are captured per slot (parallelFor never
-  // sees an exception) and compacted below in enumeration order, which
-  // keeps serial == parallel identity even for a failing campaign.
-  std::vector<std::string> errs;
-  std::vector<char> failed;
-  if (skip) {
-    errs.resize(configs.size());
-    failed.assign(configs.size(), 0);
-  }
-  // Each slot is owned by exactly one index and each config draws only
-  // from its own forked stream (fork() is const and reads just the
-  // seed), so execution order cannot affect the result.
-  const auto evalOne = [&](std::size_t i) {
-    const auto write = [&] {
-      Rng configRng = rng.fork(forkSalt(configs[i]));
-      out[i] = runConfig(configs[i], configRng);
-    };
-    if (!skip) {
-      write();
-      return;
-    }
-    try {
-      write();
-    } catch (const EpError& e) {
-      failed[i] = 1;
-      errs[i] = e.what();
-    }
-  };
-  if (pool == nullptr || configs.size() < 2) {
-    for (std::size_t i = 0; i < configs.size(); ++i) evalOne(i);
-  } else {
-    // Grain 1: one CI-looped measurement per config dwarfs scheduling
-    // overhead, and fine grains load-balance the uneven repetition
-    // counts.
-    obs::Span span("study/parallel_eval");
-    pool->parallelFor(0, configs.size(), evalOne, /*grain=*/1);
-  }
-  if (skip) {
-    std::vector<GpuDataPoint> kept;
-    kept.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (failed[i] != 0) {
-        recordFailure(configs[i], std::move(errs[i]));
-      } else {
-        kept.push_back(std::move(out[i]));
+  // Model-direct configs cost ~0.1 us each and draw no randomness:
+  // evaluated inline on the calling thread, with no forked stream and
+  // no pool hand-off (either would cost more than the config), by one
+  // batch over the list.  Under SkipAndRecord the configurations that
+  // cannot launch leave the list first, recorded in enumeration order.
+  std::vector<hw::MatMulConfig> configs = enumerateConfigs(n);
+  if (options_.failPolicy == fault::FailPolicy::SkipAndRecord) {
+    std::size_t kept = 0;
+    for (const hw::MatMulConfig& cfg : configs) {
+      try {
+        model_.requireLaunchable(cfg);
+        configs[kept++] = cfg;
+      } catch (const EpError& e) {
+        detail::configFailureCounter().inc();
+        if (failures != nullptr) failures->push_back({cfg, e.what()});
       }
     }
-    out = std::move(kept);
+    configs.resize(kept);
+  }
+  hw::MatMulBatch batch(model_);
+  batch.evaluate(configs);
+  // Each point is written once, into `p`, and copied: GCC would
+  // default-construct each element of a sized vector through a rep
+  // stos, which costs ~3x the copy, before it is written.
+  std::vector<GpuDataPoint> out;
+  out.reserve(configs.size());
+  GpuDataPoint p;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    modelPoint(batch, i, p);
+    out.push_back(p);
   }
   return out;
+}
+
+namespace {
+
+constexpr std::size_t kNoFailure = std::numeric_limits<std::size_t>::max();
+
+// Lowers `first` to `i` unless it already holds a lower index.
+void lowerTo(std::atomic<std::size_t>& first, std::size_t i) {
+  std::size_t seen = first.load(std::memory_order_relaxed);
+  while (i < seen &&
+         !first.compare_exchange_weak(seen, i, std::memory_order_relaxed)) {
+  }
+}
+
+std::string messageOf(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown measurement failure";
+  }
+}
+
+}  // namespace
+
+void GpuMatMulApp::runWorkloads(std::span<GpuWorkload> workloads,
+                                ThreadPool* pool) const {
+  if (!options_.useMeter) {
+    for (GpuWorkload& w : workloads) {
+      try {
+        Rng rng(w.seed);
+        w.data = runWorkload(w.n, rng, nullptr, &w.failures);
+      } catch (...) {
+        w.error = std::current_exception();
+      }
+    }
+    return;
+  }
+
+  const bool skip = options_.failPolicy == fault::FailPolicy::SkipAndRecord;
+  // Slot i of workload w is pass slot first[w] + i.  A slot's error is
+  // fatal to its workload under FailFast, and under SkipAndRecord when
+  // it is not an EpError; fatal[w] holds the lowest fatal index so far.
+  // A pair above it is skipped: the serial path never reaches it, so
+  // the error a workload carries is the serial one whatever the order.
+  std::vector<std::size_t> first(workloads.size());
+  std::vector<std::atomic<std::size_t>> fatal(workloads.size());
+  std::vector<std::exception_ptr> errors;
+  // Called in a handler: keeps the error of slot i of workload w.
+  const auto fail = [&](std::size_t w, std::size_t i, bool fatalError) {
+    errors[first[w] + i] = std::current_exception();
+    if (fatalError) lowerTo(fatal[w], i);
+  };
+  {
+    // The model first: one batch per workload writes each slot's kernel
+    // model, which its measurement then reads.  A configuration that
+    // cannot be resident fails here, as modelMatMul would fail it.
+    hw::MatMulBatch batch(model_);
+    std::vector<hw::MatMulConfig> live;
+    std::vector<std::uint32_t> at;  // the slot of live[j]
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+      GpuWorkload& wl = workloads[w];
+      const std::vector<hw::MatMulConfig> configs = enumerateConfigs(wl.n);
+      first[w] = errors.size();
+      fatal[w].store(kNoFailure, std::memory_order_relaxed);
+      errors.resize(errors.size() + configs.size());
+      wl.data.assign(configs.size(), GpuDataPoint{});
+      live.clear();
+      at.clear();
+      for (std::uint32_t i = 0; i < configs.size(); ++i) {
+        wl.data[i].config = configs[i];
+        try {
+          model_.requireLaunchable(configs[i]);
+          live.push_back(configs[i]);
+          at.push_back(i);
+        } catch (const EpError&) {
+          fail(w, i, !skip);
+        }
+      }
+      batch.evaluate(live);
+      for (std::size_t j = 0; j < live.size(); ++j) {
+        batch.write(j, wl.data[at[j]].model);
+      }
+    }
+  }
+
+  // The pass's pairs: slot i of workload w for every modelled slot.
+  struct Pair {
+    std::uint32_t w = 0;
+    std::uint32_t i = 0;
+  };
+  std::vector<Pair> order;
+  order.reserve(errors.size());
+  for (std::uint32_t w = 0; w < workloads.size(); ++w) {
+    for (std::uint32_t i = 0; i < workloads[w].data.size(); ++i) {
+      if (!errors[first[w] + i]) order.push_back({w, i});
+    }
+  }
+
+  // Each pair forks its workload's stream (fork() reads just the seed)
+  // and writes only its own slot, so the order cannot affect the bits.
+  const auto measureOne = [&](std::size_t k) {
+    const Pair pair = order[k];
+    if (pair.i > fatal[pair.w].load(std::memory_order_relaxed)) return;
+    GpuWorkload& w = workloads[pair.w];
+    GpuDataPoint& p = w.data[pair.i];
+    try {
+      Rng rng = Rng(w.seed).fork(forkSalt(p.config));
+      measure(p, rng);
+    } catch (const EpError&) {
+      fail(pair.w, pair.i, !skip);
+    } catch (...) {
+      fail(pair.w, pair.i, true);
+    }
+  };
+  if (pool == nullptr || order.size() < 2) {
+    for (std::size_t k = 0; k < order.size(); ++k) measureOne(k);
+  } else {
+    // Longest window first: the four BS = 1 windows hold most of a
+    // size's meter samples, so starting them first leaves only short
+    // pairs to fill the pool at the end.  Pairs are distinct, so the
+    // order is total.  Grain 1: one CI-looped measurement per pair
+    // dwarfs scheduling overhead, and fine grains load-balance the
+    // uneven repetition counts.
+    // A pair's window is its model's measurement window: the kernel
+    // time plus the uncore tail when that is active.
+    const auto window = [&workloads](const Pair& pair) {
+      const hw::KernelModel& m = workloads[pair.w].data[pair.i].model;
+      return m.uncoreActive ? m.time + m.uncoreTail : m.time;
+    };
+    std::sort(order.begin(), order.end(),
+              [&window](const Pair& a, const Pair& b) {
+                const Seconds wa = window(a);
+                const Seconds wb = window(b);
+                if (wa != wb) return wa > wb;
+                if (a.w != b.w) return a.w < b.w;
+                return a.i < b.i;
+              });
+    obs::Span span("study/parallel_eval");
+    pool->parallelFor(0, order.size(), measureOne, /*grain=*/1);
+  }
+
+  // Each workload's outcome, failures compacted in enumeration order.
+  for (std::size_t w = 0; w < workloads.size(); ++w) {
+    GpuWorkload& wl = workloads[w];
+    const std::exception_ptr* slotErrors = errors.data() + first[w];
+    if (const std::size_t f = fatal[w].load(std::memory_order_relaxed);
+        f != kNoFailure) {
+      wl.error = slotErrors[f];
+      std::vector<GpuDataPoint>().swap(wl.data);
+      continue;
+    }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < wl.data.size(); ++i) {
+      if (slotErrors[i]) {
+        detail::configFailureCounter().inc();
+        wl.failures.push_back({wl.data[i].config, messageOf(slotErrors[i])});
+      } else {
+        wl.data[kept++] = wl.data[i];
+      }
+    }
+    wl.data.resize(kept);
+  }
 }
 
 std::vector<pareto::BiPoint> GpuMatMulApp::toPoints(

@@ -11,6 +11,8 @@
 // produces every launchable (BS, G, R) combination for it.
 #pragma once
 
+#include <exception>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -66,6 +68,19 @@ struct GpuConfigFailure {
   std::string error;
 };
 
+// One workload of GpuMatMulApp::runWorkloads.  In: its size and the
+// seed of its stream (runWorkload's `rng` with rng.seed() == seed: a
+// configuration draws from Rng(seed).fork(forkSalt(cfg))).  Out: the
+// points and failures runWorkload returns and records for it, or the
+// error it throws.
+struct GpuWorkload {
+  int n = 0;
+  std::uint64_t seed = 0;
+  std::vector<GpuDataPoint> data;
+  std::vector<GpuConfigFailure> failures;
+  std::exception_ptr error;
+};
+
 class GpuMatMulApp {
  public:
   static constexpr Watts kHostIdlePower{85.0};
@@ -84,7 +99,8 @@ class GpuMatMulApp {
   [[nodiscard]] std::vector<hw::MatMulConfig> additivityConfigs(
       int n, int bs, int gMax = 4, int r = 1) const;
 
-  // Run one configuration through the measurement stack.
+  // Run one configuration: its kernel model, then, metered, the
+  // measurement step each pair of runWorkloads takes.
   [[nodiscard]] GpuDataPoint runConfig(const hw::MatMulConfig& cfg,
                                        Rng& rng) const;
 
@@ -96,21 +112,35 @@ class GpuMatMulApp {
   // Run every configuration of a workload; returns points in
   // enumeration order.  Metered configurations (useMeter) each draw
   // from their own forked stream and write only their own slot; with a
-  // pool they are evaluated in parallel, so the result is
-  // bitwise-identical to the serial path for any pool size.  Safe to
-  // call from inside a task on `pool`.  Model-direct configurations
-  // (useMeter == false) draw nothing and cost well under a microsecond
-  // each, so they always run inline on the calling thread through one
-  // hw::MatMulBatch call over the whole list, each written in place: no
-  // forked stream, and the pool is not used.
+  // pool they are evaluated in parallel (runWorkloads on a list of
+  // one), so the result is bitwise-identical to the serial path for any
+  // pool size.  Safe to call from inside a task on `pool`.
+  // Model-direct configurations (useMeter == false) draw nothing and
+  // cost well under a microsecond each, so they always run inline on
+  // the calling thread through one hw::MatMulBatch call over the whole
+  // list, each written in place: no forked stream, and the pool is not
+  // used.
   //
   // Under FailPolicy::SkipAndRecord a configuration whose measurement
   // throws (budget exhausted, unlaunchable, ...) is dropped from the
   // returned points and appended to `failures` (when non-null) in
-  // enumeration order; under FailFast the first error propagates.
+  // enumeration order; under FailFast the error of the first failing
+  // configuration in enumeration order propagates.
   [[nodiscard]] std::vector<GpuDataPoint> runWorkload(
       int n, Rng& rng, ThreadPool* pool = nullptr,
       std::vector<GpuConfigFailure>* failures = nullptr) const;
+
+  // runWorkload over several workloads: each entry ends up holding, bit
+  // for bit, what runWorkload returns and records for it, or in `error`
+  // what it throws, so a failing workload fails no other.  Metered, one
+  // parallelFor runs every (workload, configuration) pair of the list,
+  // longest model window (kernel time plus the uncore tail when that is
+  // active) first, ties in list and then enumeration order, so the long
+  // BS = 1 windows of every size start first and no size waits on
+  // another's tail.  Model-direct workloads run one after another on
+  // the calling thread.
+  void runWorkloads(std::span<GpuWorkload> workloads,
+                    ThreadPool* pool = nullptr) const;
 
   // Convert data points to bi-objective points (ids = indices).
   [[nodiscard]] static std::vector<pareto::BiPoint> toPoints(
@@ -123,6 +153,11 @@ class GpuMatMulApp {
   // (every field).
   static void modelPoint(const hw::MatMulBatch& batch, std::size_t i,
                          GpuDataPoint& out);
+
+  // Measures p.config over its kernel model p.model through the meter
+  // and the protocol: writes p's time, energy, repetitions and
+  // remeasures.
+  void measure(GpuDataPoint& p, Rng& rng) const;
 
   hw::GpuModel model_;
   GpuMatMulOptions options_;

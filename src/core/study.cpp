@@ -52,12 +52,30 @@ EnergyAttribution attributeEnergy(const WorkloadResult& r) {
   return a;
 }
 
+namespace {
+
+obs::Counter& workloadCounter() {
+  static obs::Counter& c = obs::Registry::global().counter(
+      "ep_study_workloads_total", "Workload studies executed by GpuEpStudy");
+  return c;
+}
+
+}  // namespace
+
+void GpuEpStudy::finishWorkload(WorkloadResult& r) {
+  EP_REQUIRE(!r.data.empty(),
+             r.failures.empty()
+                 ? std::string("no launchable configurations for workload")
+                 : "every configuration failed measurement (" +
+                       std::to_string(r.failures.size()) + " failures), e.g. " +
+                       r.failures.front().error);
+  finalizeWorkload(r);
+}
+
 WorkloadResult GpuEpStudy::runWorkload(int n, Rng& rng,
                                        ThreadPool* pool) const {
-  static obs::Counter& workloads = obs::Registry::global().counter(
-      "ep_study_workloads_total", "Workload studies executed by GpuEpStudy");
   obs::Span span("study/workload");
-  workloads.inc();
+  workloadCounter().inc();
   WorkloadResult r;
   r.n = n;
   {
@@ -66,32 +84,60 @@ WorkloadResult GpuEpStudy::runWorkload(int n, Rng& rng,
     obs::Span appSpan("study/app_eval");
     r.data = app_.runWorkload(n, rng, pool, &r.failures);
   }
-  EP_REQUIRE(!r.data.empty(),
-             r.failures.empty()
-                 ? std::string("no launchable configurations for workload")
-                 : "every configuration failed measurement (" +
-                       std::to_string(r.failures.size()) + " failures), e.g. " +
-                       r.failures.front().error);
-  finalizeWorkload(r);
+  finishWorkload(r);
   return r;
+}
+
+std::vector<WorkloadAttempt> GpuEpStudy::runWorkloads(
+    std::span<const int> sizes, std::span<const std::uint64_t> seeds,
+    ThreadPool* pool) const {
+  EP_REQUIRE(sizes.size() == seeds.size(), "one seed per workload");
+  obs::Span span("study/workload");
+  workloadCounter().inc(sizes.size());
+  std::vector<apps::GpuWorkload> runs(sizes.size());
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    runs[k].n = sizes[k];
+    runs[k].seed = seeds[k];
+  }
+  {
+    obs::Span appSpan("study/app_eval");
+    app_.runWorkloads(runs, pool);
+  }
+  std::vector<WorkloadAttempt> out(runs.size());
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    if (runs[k].error) {
+      out[k].error = runs[k].error;
+      continue;
+    }
+    WorkloadResult& r = out[k].result;
+    r.n = sizes[k];
+    r.data = std::move(runs[k].data);
+    r.failures = std::move(runs[k].failures);
+    try {
+      finishWorkload(r);
+    } catch (...) {
+      out[k].error = std::current_exception();
+      out[k].result = {};
+    }
+  }
+  return out;
 }
 
 std::vector<WorkloadResult> GpuEpStudy::runSweep(const std::vector<int>& sizes,
                                                  Rng& rng,
                                                  ThreadPool* pool) const {
-  std::vector<WorkloadResult> out(sizes.size());
-  const auto evalOne = [&](std::size_t i) {
-    Rng nRng = rng.fork(static_cast<std::uint64_t>(sizes[i]) * 0x9E37ULL);
-    out[i] = runWorkload(sizes[i], nRng, pool);
-  };
-  if (pool == nullptr || sizes.size() < 2) {
-    for (std::size_t i = 0; i < sizes.size(); ++i) evalOne(i);
-    return out;
+  std::vector<std::uint64_t> seeds(sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const auto salt = static_cast<std::uint64_t>(sizes[i]) * 0x9E37ULL;
+    seeds[i] = rng.fork(salt).seed();
   }
-  // Each workload nests its own parallelFor over configurations on the
-  // same pool; caller work-participation keeps that deadlock-free.
-  obs::Span span("study/parallel_eval");
-  pool->parallelFor(0, sizes.size(), evalOne, /*grain=*/1);
+  std::vector<WorkloadAttempt> attempts = runWorkloads(sizes, seeds, pool);
+  std::vector<WorkloadResult> out;
+  out.reserve(attempts.size());
+  for (WorkloadAttempt& a : attempts) {
+    if (a.error) std::rethrow_exception(a.error);
+    out.push_back(std::move(a.result));
+  }
   return out;
 }
 

@@ -5,7 +5,9 @@
 // fronts are 4 and 5 for the K40c", "(50 %, 11 %) for the P100", ...).
 #pragma once
 
+#include <exception>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,13 @@ struct WorkloadResult {
   // Configurations skipped under FailPolicy::SkipAndRecord; the fronts
   // above are built from the surviving points only.
   std::vector<apps::GpuConfigFailure> failures;
+};
+
+// One workload of GpuEpStudy::runWorkloads: its result, or the error
+// that failed it (and it alone).
+struct WorkloadAttempt {
+  WorkloadResult result;
+  std::exception_ptr error;
 };
 
 // Rebuild the fronts and trade-offs of `r` from r.data (deterministic,
@@ -105,18 +114,29 @@ class GpuEpStudy {
   [[nodiscard]] WorkloadResult runWorkload(int n, Rng& rng,
                                            ThreadPool* pool = nullptr) const;
 
-  // With a pool, workload sizes run in parallel AND each metered
-  // workload's configurations run in parallel on the same pool (the
-  // nested parallelFor shape); per-size forked streams and per-index
-  // result slots keep the output bitwise-identical to the serial path.
+  // runWorkload over several workloads in one pass: entry k holds, bit
+  // for bit, what runWorkload(sizes[k], rng, pool) returns for an `rng`
+  // whose seed() is seeds[k], or in `error` what it throws.  Metered
+  // workloads share one parallelFor over all their configurations
+  // (GpuMatMulApp::runWorkloads).
+  [[nodiscard]] std::vector<WorkloadAttempt> runWorkloads(
+      std::span<const int> sizes, std::span<const std::uint64_t> seeds,
+      ThreadPool* pool = nullptr) const;
+
+  // runWorkloads over `sizes`, workload n drawing from
+  // rng.fork(n * 0x9E37): one pass, so the result is bitwise-identical
+  // at any pool size.  Throws the error of the first failing workload
+  // in sweep order.
   [[nodiscard]] std::vector<WorkloadResult> runSweep(
       const std::vector<int>& sizes, Rng& rng,
       ThreadPool* pool = nullptr) const;
 
   // runSweep with failure tolerance and optional checkpoint/resume.
-  // Parallelism and determinism match runSweep: for a fixed seed the
-  // surviving results are bitwise-identical at any pool size, whether
-  // or not the sweep was interrupted and resumed.
+  // Each workload runs as its own runWorkload, in parallel over the
+  // sizes with a pool, and is journalled as it completes; its streams
+  // are runSweep's, so for a fixed seed the surviving results are
+  // bitwise-identical to runSweep's at any pool size, whether or not
+  // the sweep was interrupted and resumed.
   [[nodiscard]] SweepResult runSweepChecked(const std::vector<int>& sizes,
                                             Rng& rng,
                                             const SweepOptions& options = {},
@@ -134,6 +154,10 @@ class GpuEpStudy {
       const std::vector<WorkloadResult>& results);
 
  private:
+  // r's points and failures in, its fronts out; throws when no point
+  // survived.
+  static void finishWorkload(WorkloadResult& r);
+
   apps::GpuMatMulApp app_;
 };
 

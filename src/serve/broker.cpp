@@ -33,6 +33,10 @@ std::shared_ptr<const core::WorkloadResult> answersOnly(
   return std::make_shared<const core::WorkloadResult>(std::move(r));
 }
 
+std::string breakerOpenMessage(Device device) {
+  return "circuit breaker open for device " + std::string(deviceName(device));
+}
+
 std::string describe(const std::exception_ptr& err) {
   try {
     std::rethrow_exception(err);
@@ -485,7 +489,7 @@ void Broker::runTuneJob(const TuneJobPtr& job) {
   } catch (const BreakerOpenError& e) {
     rejectTune(job, Status::CircuitOpen, e.what());
   } catch (...) {
-    if (lk.owns_lock()) lk.unlock();  // thrown before obtainStudy let go
+    if (lk.owns_lock()) lk.unlock();  // thrown before computeStudy let go
     rejectTune(job, Status::Error, describe(std::current_exception()));
   }
   lk.lock();
@@ -497,53 +501,133 @@ void Broker::runStudyJob(
     Clock::time_point deadline,
     const std::shared_ptr<std::promise<StudyResponse>>& promise) {
   obs::Span span("serve/study_job");
+  const Device device = req->device;
+  const std::vector<int> sizes = req->sizes();
+  // How each size of the sweep is answered: from the cache, by joining
+  // another thread's in-flight study after the pass, stale from a
+  // breaker refusal, or by this job's one engine call (a claim).
+  struct SweepSize {
+    StudyKey key;
+    StudyOutcome outcome;  // result set once answered
+    bool hit = false;
+    std::shared_future<StudyOutcome> join;
+    std::shared_ptr<InFlightStudy> claim;
+    std::exception_ptr error;
+  };
+  std::vector<SweepSize> answers(sizes.size());
+  std::vector<int> claimed;
+  // The size whose breaker refusal, with nothing stale, ended the claims.
+  std::size_t refused = sizes.size();
+  bool expired = false;
   {
+    // One acquisition resolves every size, in sweep order.
     std::lock_guard lk(mu_);
     --queueDepth_;
     ++activeJobs_;
+    expired = now() > deadline;
+    for (std::size_t k = 0; !expired && k < sizes.size(); ++k) {
+      SweepSize& s = answers[k];
+      s.key = keyFor(device, sizes[k]);
+      if (auto hit = cache_.get(s.key)) {
+        cCacheHits_.inc();
+        s.hit = true;
+        s.outcome.result = *hit;
+        continue;
+      }
+      cCacheMisses_.inc();
+      if (auto it = inFlight_.find(s.key); it != inFlight_.end()) {
+        cCoalesced_.inc();
+        s.join = it->second->future;
+        continue;
+      }
+      ResultPtr stale;
+      s.claim = claimLocked(device, s.key, &stale);
+      if (s.claim != nullptr) {
+        claimed.push_back(sizes[k]);
+      } else if (stale != nullptr) {
+        s.outcome = {stale, true};
+      } else {
+        refused = k;
+        break;
+      }
+    }
   }
 
-  StudyResponse resp;
-  std::vector<core::WorkloadResult> results;
-  const std::vector<int> sizes = req->sizes();
-  results.reserve(sizes.size());
-  for (int n : sizes) {
-    if (now() > deadline) {
-      resp.status = Status::DeadlineExceeded;
-      break;
-    }
-    bool cacheHit = false;
-    bool coalesced = false;
+  if (!claimed.empty()) {
+    // Every claimed size in one engine call: a metered engine runs all
+    // their configurations as one pass over the pool.
+    std::vector<core::WorkloadAttempt> attempts;
     try {
-      std::unique_lock lk(mu_);
-      const StudyOutcome o =
-          obtainStudy(lk, req->device, n, &cacheHit, &coalesced);
-      results.push_back(*o.result);
-      if (o.stale) {
-        ++resp.staleWorkloads;
-        ++resp.report.staleServed;
-      }
-      if (o.executed) {
-        ++resp.report.studiesExecuted;
-        resp.report.attributedJoules += o.attr.joules;
-        resp.report.measurementWindows += o.attr.windows;
-        resp.report.remeasures += o.attr.remeasures;
-        resp.report.skippedConfigs += o.attr.skippedConfigs;
-      }
-    } catch (const BreakerOpenError& e) {
-      resp.status = Status::CircuitOpen;
-      resp.error = e.what();
-      break;
+      obs::Span evalSpan("serve/engine_evaluate");
+      attempts = engine_->evaluateList(device, claimed, pool_.get());
+      EP_REQUIRE(attempts.size() == claimed.size(),
+                 "engine answered a different number of sizes");
     } catch (...) {
-      resp.status = Status::Error;
-      resp.error = describe(std::current_exception());
-      break;
+      const std::exception_ptr err = std::current_exception();
+      attempts.assign(claimed.size(), {});
+      for (core::WorkloadAttempt& a : attempts) a.error = err;
     }
-    if (cacheHit) {
+    std::size_t next = 0;
+    for (std::size_t k = 0; k < sizes.size(); ++k) {
+      SweepSize& s = answers[k];
+      if (s.claim == nullptr) continue;
+      try {
+        s.outcome = publishStudy(device, sizes[k], s.key, s.claim,
+                                 std::move(attempts[next++]));
+      } catch (...) {
+        s.error = std::current_exception();
+      }
+    }
+  }
+  // Joined only now, with every claim of this job published, so a sweep
+  // never blocks while it holds an in-flight entry.
+  for (SweepSize& s : answers) {
+    if (!s.join.valid()) continue;
+    try {
+      // The shared outcome carries the *owner's* attribution; zero it
+      // on this copy so a coalesced join never double-counts the energy.
+      s.outcome = s.join.get();  // rethrows the owner's failure
+      s.outcome.executed = false;
+      s.outcome.attr = {};
+    } catch (...) {
+      s.error = std::current_exception();
+    }
+  }
+
+  // The response, in sweep order: the first size that failed decides
+  // the status; every answered size counts in the report.
+  StudyResponse resp;
+  if (expired) resp.status = Status::DeadlineExceeded;
+  std::vector<core::WorkloadResult> results;
+  results.reserve(sizes.size());
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    const SweepSize& s = answers[k];
+    if (resp.status == Status::Ok && k == refused) {
+      resp.status = Status::CircuitOpen;
+      resp.error = breakerOpenMessage(device);
+    }
+    if (resp.status == Status::Ok && s.error) {
+      resp.status = Status::Error;
+      resp.error = describe(s.error);
+    }
+    if (s.outcome.result == nullptr) continue;
+    results.push_back(*s.outcome.result);
+    if (s.hit) {
       ++resp.workloadCacheHits;
       ++resp.report.cacheHits;
     }
-    if (coalesced) ++resp.report.coalesced;
+    if (s.join.valid()) ++resp.report.coalesced;
+    if (s.outcome.stale) {
+      ++resp.staleWorkloads;
+      ++resp.report.staleServed;
+    }
+    if (s.outcome.executed) {
+      ++resp.report.studiesExecuted;
+      resp.report.attributedJoules += s.outcome.attr.joules;
+      resp.report.measurementWindows += s.outcome.attr.windows;
+      resp.report.remeasures += s.outcome.attr.remeasures;
+      resp.report.skippedConfigs += s.outcome.attr.skippedConfigs;
+    }
   }
   if (resp.status == Status::Ok && results.size() == sizes.size()) {
     resp.statistics = core::GpuEpStudy::summarize(results);
@@ -570,7 +654,7 @@ void Broker::runStudyJob(
       cFailed_.inc();
       break;
   }
-  feedWatchdog(req->device,
+  feedWatchdog(device,
                resp.status == Status::Error ||
                    resp.status == Status::CircuitOpen,
                resp.staleWorkloads > 0);
@@ -581,65 +665,40 @@ void Broker::runStudyJob(
   promise->set_value(std::move(resp));
 }
 
-Broker::StudyOutcome Broker::obtainStudy(std::unique_lock<std::mutex>& lk,
-                                         Device device, int n, bool* cacheHit,
-                                         bool* coalesced) {
-  const StudyKey key = keyFor(device, n);
-  if (auto hit = cache_.get(key)) {
-    cCacheHits_.inc();
-    *cacheHit = true;
-    lk.unlock();
-    return {*hit, false};
+std::shared_ptr<Broker::InFlightStudy> Broker::claimLocked(
+    Device device, const StudyKey& key, ResultPtr* stale) {
+  // Breaker admission sits right before claiming the computation, so
+  // every allow() == true is balanced by exactly one onSuccess()/
+  // onFailure() in publishStudy (cache hits and coalesced joins never
+  // consume half-open probes).
+  if (!breakers_[deviceIndex(device)].allow(now())) {
+    if (options_.staleCapacity > 0) {
+      if (auto st = staleStore_.get(key)) {
+        cStaleServed_.inc();
+        *stale = *st;
+      }
+    }
+    return nullptr;
   }
-  cCacheMisses_.inc();
-  if (auto it = inFlight_.find(key); it != inFlight_.end()) {
-    // Blocking join: safe because in-flight entries only exist while
-    // their owner is actively computing on another thread.
-    cCoalesced_.inc();
-    *coalesced = true;
-    auto future = it->second->future;
-    lk.unlock();
-    // The shared outcome carries the *owner's* attribution; zero it on
-    // this copy so a coalesced join never double-counts the energy.
-    StudyOutcome joined = future.get();  // rethrows the owner's failure
-    joined.executed = false;
-    joined.attr = {};
-    return joined;
-  }
-  return computeStudy(lk, device, n, key);
+  auto entry = std::make_shared<InFlightStudy>();
+  entry->future = entry->promise.get_future().share();
+  inFlight_[key] = entry;
+  cStudiesExecuted_.inc();
+  return entry;
 }
 
 Broker::StudyOutcome Broker::computeStudy(std::unique_lock<std::mutex>& lk,
                                           Device device, int n,
                                           const StudyKey& key) {
-  // Breaker admission sits right before claiming the computation, so
-  // every allow() == true is balanced by exactly one onSuccess()/
-  // onFailure() below (cache hits and coalesced joins never consume
-  // half-open probes).
-  CircuitBreaker& breaker = breakers_[deviceIndex(device)];
-  if (!breaker.allow(now())) {
-    if (options_.staleCapacity > 0) {
-      if (auto st = staleStore_.get(key)) {
-        cStaleServed_.inc();
-        lk.unlock();
-        return {*st, true};
-      }
-    }
-    lk.unlock();
-    throw BreakerOpenError("circuit breaker open for device " +
-                           std::string(deviceName(device)));
+  ResultPtr stale;
+  const std::shared_ptr<InFlightStudy> entry = claimLocked(device, key, &stale);
+  lk.unlock();
+  if (entry == nullptr) {
+    if (stale != nullptr) return {stale, true};
+    throw BreakerOpenError(breakerOpenMessage(device));
   }
 
-  // Claim the computation.
-  auto entry = std::make_shared<InFlightStudy>();
-  entry->future = entry->promise.get_future().share();
-  inFlight_[key] = entry;
-  cStudiesExecuted_.inc();
-  lk.unlock();
-
-  ResultPtr result;
-  core::EnergyAttribution attribution;
-  std::exception_ptr err;
+  core::WorkloadAttempt attempt;
   // Cold-study wall time feeds the admission controller's deadline
   // shedding; only read the clock when that consumer exists.
   const bool timeStudy = admission_.enabled();
@@ -651,20 +710,36 @@ Broker::StudyOutcome Broker::computeStudy(std::unique_lock<std::mutex>& lk,
     // the pool to the engine lets idle workers help with a metered
     // study's configuration loop (nested parallelFor — safe since the
     // caller participates).  An inline engine gets no pool.
-    core::WorkloadResult evaluated = engine_->evaluate(device, n, pool_.get());
-    // The ledger entry is the only reader of the per-configuration
-    // data: take it, then keep just what answers read.
-    attribution = core::attributeEnergy(evaluated);
-    result = answersOnly(std::move(evaluated));
+    attempt.result = engine_->evaluate(device, n, pool_.get());
   } catch (...) {
-    err = std::current_exception();
+    attempt.error = std::current_exception();
   }
-  if (timeStudy && result != nullptr) {
+  if (timeStudy && !attempt.error) {
     admission_.observeColdStudyMs(elapsedMsSince(evalStart, now()));
+  }
+  return publishStudy(device, n, key, entry, std::move(attempt));
+}
+
+Broker::StudyOutcome Broker::publishStudy(
+    Device device, int n, const StudyKey& key,
+    const std::shared_ptr<InFlightStudy>& entry,
+    core::WorkloadAttempt attempt) {
+  ResultPtr result;
+  core::EnergyAttribution attribution;
+  std::exception_ptr err = std::move(attempt.error);
+  if (!err) {
+    try {
+      // The ledger entry is the only reader of the per-configuration
+      // data: take it, then keep just what answers read.
+      attribution = core::attributeEnergy(attempt.result);
+      result = answersOnly(std::move(attempt.result));
+    } catch (...) {
+      err = std::current_exception();
+    }
   }
 
   ResultPtr stale;
-  lk.lock();
+  std::unique_lock lk(mu_);
   inFlight_.erase(key);
   if (result) {
     if (cache_.put(key, result)) cCacheEvictions_.inc();
@@ -675,6 +750,7 @@ Broker::StudyOutcome Broker::computeStudy(std::unique_lock<std::mutex>& lk,
   std::vector<TuneJobPtr> waiters = std::move(entry->waiters);
   lk.unlock();
 
+  CircuitBreaker& breaker = breakers_[deviceIndex(device)];
   if (err) {
     const auto opensBefore = breaker.opens();
     breaker.onFailure(now());

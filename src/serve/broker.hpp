@@ -33,13 +33,30 @@
 //     and in-flight job before returning — no future is ever abandoned.
 //
 // Invariant that keeps the blocking paths deadlock-free: an in-flight
-// map entry exists only while its owning thread is actively inside
-// TuningEngine::evaluate().  Anyone who blocks on an in-flight future
-// therefore waits on a *running* computation, never on queued work.
-// Tune jobs never block at all: one lock acquisition sees a key neither
-// cached nor in flight and claims it, or registers the job as a waiter
-// that the owner completes.  Only study sweeps (off the event threads)
-// block-join another thread's study.
+// map entry exists only while its owning thread is inside the one
+// engine call that computes it — TuningEngine::evaluate() for a tune,
+// one TuningEngine::evaluateList() over every size a sweep claimed —
+// or is publishing what that call returned.  Anyone who blocks on an
+// in-flight future therefore waits on a *running* computation, never
+// on queued work.  Tune jobs never block at all: one lock acquisition
+// sees a key neither cached nor in flight and claims it, or registers
+// the job as a waiter that the owner completes.  Only study sweeps (off
+// the event threads) block-join another thread's study, and only after
+// publishing every claim of their own.
+//
+// Study sweeps resolve every size under one mu_ acquisition, in sweep
+// order: a cache hit is counted once; a key in flight elsewhere is
+// joined after the pass; a breaker refusal is answered stale, or else
+// ends the claims (the response is CircuitOpen); anything else is
+// claimed.  One evaluateList() call computes the claimed sizes, and
+// each is published through the code a tune's cold study uses.  So:
+//   * the deadline is checked once, before the claims;
+//   * a failing size fails only itself: the other sizes are computed
+//     and cached, the breaker sees one failure per failing size, and
+//     the response is Error with the first failing size's message;
+//   * sweep sizes do not feed AdmissionController::observeColdStudyMs,
+//     since a size inside a shared pass has no wall time of its own;
+//     cold tunes still do.  (No binary arms admission.)
 #pragma once
 
 #include <array>
@@ -272,20 +289,30 @@ class Broker {
                    Clock::time_point submitted, Clock::time_point deadline,
                    const std::shared_ptr<std::promise<StudyResponse>>& promise);
 
-  // One size of a study sweep: answer from the cache (one counted
-  // lookup), block-join another thread's in-flight study, or compute.
-  // Called with `lk` holding mu_; returns (or throws) with it released.
-  [[nodiscard]] StudyOutcome obtainStudy(std::unique_lock<std::mutex>& lk,
-                                         Device device, int n, bool* cacheHit,
-                                         bool* coalesced);
-  // Claim and run the study for a key the caller saw neither cached
-  // nor in flight under `lk` (held on entry, released on return or
-  // throw), or answer it from the breaker path.  Throws on engine
-  // failure with no stale fallback, BreakerOpenError when the breaker
-  // rejects and nothing stale is available.
+  // Under mu_, for a key seen neither cached nor in flight: claim it
+  // (register it in flight, one breaker allow() spent) and return the
+  // entry, or, when the device's breaker refuses, return null with
+  // `*stale` set to the stale store's answer if it holds one.
+  [[nodiscard]] std::shared_ptr<InFlightStudy> claimLocked(
+      Device device, const StudyKey& key, ResultPtr* stale);
+  // A tune's cold study: claim the key the caller saw neither cached nor
+  // in flight under `lk` (held on entry, released on return or throw),
+  // evaluate it and publish it, or answer it from the breaker path.
+  // Throws on engine failure with no stale fallback, BreakerOpenError
+  // when the breaker rejects and nothing stale is available.
   [[nodiscard]] StudyOutcome computeStudy(std::unique_lock<std::mutex>& lk,
                                           Device device, int n,
                                           const StudyKey& key);
+  // What the engine answered for a claimed key, made visible: the
+  // in-flight entry goes, the result is cached (and kept stale), the
+  // breaker, the ledger, the onStudyExecuted hook and every waiter are
+  // settled, and the claimer's outcome is returned — or the engine's
+  // error thrown when nothing stale can answer.  Called without mu_,
+  // once per claim, by tunes and sweeps alike.
+  [[nodiscard]] StudyOutcome publishStudy(
+      Device device, int n, const StudyKey& key,
+      const std::shared_ptr<InFlightStudy>& entry,
+      core::WorkloadAttempt attempt);
 
   // Fulfill a tune job from a completed study (cheap tuner step).
   // `attribution`/`executed` carry the owner's energy ledger entry;

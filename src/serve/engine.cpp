@@ -7,6 +7,19 @@
 
 namespace ep::serve {
 
+std::vector<core::WorkloadAttempt> TuningEngine::evaluateList(
+    Device device, std::span<const int> sizes, ThreadPool* pool) const {
+  std::vector<core::WorkloadAttempt> out(sizes.size());
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    try {
+      out[k].result = evaluate(device, sizes[k], pool);
+    } catch (...) {
+      out[k].error = std::current_exception();
+    }
+  }
+  return out;
+}
+
 namespace {
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
@@ -50,17 +63,27 @@ std::uint64_t EpStudyEngine::tuningHash(Device device) const {
   return hashes_[deviceIndex(device)];
 }
 
+Rng EpStudyEngine::stream(Device device, int n) const {
+  return Rng(options_.seed)
+      .fork(mix(static_cast<std::uint64_t>(device) + 1,
+                static_cast<std::uint64_t>(n)));
+}
+
 core::WorkloadResult EpStudyEngine::evaluate(Device device, int n,
                                              ThreadPool* pool) const {
-  const core::GpuEpStudy& study = studies_[deviceIndex(device)];
-  // Per-(device, n) stream: results are independent of request order,
-  // which is what makes them cacheable and coalescable.  The parallel
-  // path is bitwise-identical to serial, so the pool (or its size)
-  // never leaks into the cached result.
-  Rng rng = Rng(options_.seed)
-                .fork(mix(static_cast<std::uint64_t>(device) + 1,
-                          static_cast<std::uint64_t>(n)));
-  return study.runWorkload(n, rng, pool);
+  // The parallel path is bitwise-identical to serial, so the pool (or
+  // its size) never leaks into the cached result.
+  Rng rng = stream(device, n);
+  return studies_[deviceIndex(device)].runWorkload(n, rng, pool);
+}
+
+std::vector<core::WorkloadAttempt> EpStudyEngine::evaluateList(
+    Device device, std::span<const int> sizes, ThreadPool* pool) const {
+  std::vector<std::uint64_t> seeds(sizes.size());
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    seeds[k] = stream(device, sizes[k]).seed();
+  }
+  return studies_[deviceIndex(device)].runWorkloads(sizes, seeds, pool);
 }
 
 }  // namespace ep::serve

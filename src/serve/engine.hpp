@@ -1,5 +1,6 @@
 // The compute side of the service: everything expensive the broker can
-// be asked to do is "evaluate one workload study on one device".
+// be asked to do is "evaluate one workload study on one device", or a
+// list of them for a study sweep.
 //
 // TuningEngine is the seam that keeps the broker testable — the unit
 // tests inject a gated counting engine to prove coalescing ("N
@@ -18,6 +19,8 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/study.hpp"
 #include "fault/fault.hpp"
@@ -44,6 +47,15 @@ class TuningEngine {
   // pool == nullptr.  Throws ep::EpError on unlaunchable workloads.
   [[nodiscard]] virtual core::WorkloadResult evaluate(
       Device device, int n, ThreadPool* pool = nullptr) const = 0;
+
+  // The list form of evaluate(), for a study sweep: entry k holds what
+  // evaluate(device, sizes[k], pool) returns, or in `error` what it
+  // throws, so a failing size fails no other.  The default calls
+  // evaluate() once per size; an engine that can run a whole sweep as
+  // one pass over its configurations overrides it.
+  [[nodiscard]] virtual std::vector<core::WorkloadAttempt> evaluateList(
+      Device device, std::span<const int> sizes,
+      ThreadPool* pool = nullptr) const;
 
   // True when evaluate() is a short computation that uses no pool, so
   // the broker runs it to completion on the submitting thread instead
@@ -72,9 +84,14 @@ class EpStudyEngine : public TuningEngine {
   [[nodiscard]] std::uint64_t tuningHash(Device device) const override;
   [[nodiscard]] core::WorkloadResult evaluate(
       Device device, int n, ThreadPool* pool = nullptr) const override;
+  // One GpuEpStudy pass over the sizes' per-(device, n) streams: metered,
+  // every configuration of the sweep shares one parallelFor.
+  [[nodiscard]] std::vector<core::WorkloadAttempt> evaluateList(
+      Device device, std::span<const int> sizes,
+      ThreadPool* pool = nullptr) const override;
   // A model-direct study (tens of µs, no pool) runs inline; the metered
-  // protocol (hundreds of ms, nested parallelFor) keeps the pool.  Fault
-  // campaigns require the meter, so they stay pooled too.
+  // protocol (tens of ms per size, parallelFor on the pool) keeps the
+  // pool.  Fault campaigns require the meter, so they stay pooled too.
   [[nodiscard]] bool runsInline() const override { return !options_.useMeter; }
 
   [[nodiscard]] const EpStudyEngineOptions& options() const {
@@ -82,6 +99,10 @@ class EpStudyEngine : public TuningEngine {
   }
 
  private:
+  // The (device, n) stream: results are independent of request order,
+  // which is what makes them cacheable and coalescable.
+  [[nodiscard]] Rng stream(Device device, int n) const;
+
   EpStudyEngineOptions options_;
   // One study and one tuning hash per kDevices row.
   std::array<core::GpuEpStudy, kDeviceCount> studies_;

@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <exception>
+#include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -460,30 +465,6 @@ TEST(GpuStudyIntegration, ParallelWorkloadBitwiseEqualsSerial) {
   }
 }
 
-TEST(GpuStudyIntegration, ParallelSweepBitwiseEqualsSerial) {
-  GpuMatMulOptions opts;
-  opts.useMeter = true;
-  core::GpuEpStudy study(GpuMatMulApp(hw::GpuModel(hw::nvidiaK40c()), opts));
-  const std::vector<int> sizes{8704, 10240};
-  Rng rng(7);
-  const auto serial = study.runSweep(sizes, rng);
-  for (std::size_t threads : {1u, 4u, 8u}) {
-    // The sweep nests: parallel over sizes AND parallel over configs,
-    // all on one pool.
-    ThreadPool pool(threads);
-    Rng prng(7);
-    const auto parallel = study.runSweep(sizes, prng, &pool);
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < parallel.size(); ++i) {
-      EXPECT_EQ(parallel[i].n, serial[i].n);
-      expectSameGpuData(parallel[i].data, serial[i].data);
-      ASSERT_EQ(parallel[i].globalFront.size(), serial[i].globalFront.size());
-      ASSERT_EQ(parallel[i].localFront.size(), serial[i].localFront.size());
-    }
-  }
-}
-
 // --- one-sort finalize against an independent quadratic reference ---
 
 // Level 1 = the points no other point dominates; level 2 = the same
@@ -632,6 +613,216 @@ TEST(GpuApp, LabelMatchesConcatenatedTextForEveryLaunchableConfig) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+// --- one metered pass over a list of workloads == each one alone ---
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every field of a data point, doubles by their bits.
+void expectSameDataPoint(const GpuDataPoint& got, const GpuDataPoint& want) {
+  EXPECT_EQ(got.config.n, want.config.n);
+  EXPECT_EQ(got.config.bs, want.config.bs);
+  EXPECT_EQ(got.config.g, want.config.g);
+  EXPECT_EQ(got.config.r, want.config.r);
+  EXPECT_EQ(bits(got.time.value()), bits(want.time.value()));
+  EXPECT_EQ(bits(got.dynamicEnergy.value()), bits(want.dynamicEnergy.value()));
+  EXPECT_EQ(got.repetitions, want.repetitions);
+  EXPECT_EQ(got.remeasures, want.remeasures);
+  const hw::KernelModel& a = got.model;
+  const hw::KernelModel& b = want.model;
+  EXPECT_EQ(bits(a.time.value()), bits(b.time.value()));
+  EXPECT_EQ(bits(a.corePower.value()), bits(b.corePower.value()));
+  EXPECT_EQ(bits(a.boostRatio), bits(b.boostRatio));
+  EXPECT_EQ(a.uncoreActive, b.uncoreActive);
+  EXPECT_EQ(bits(a.uncorePower.value()), bits(b.uncorePower.value()));
+  EXPECT_EQ(bits(a.uncoreTail.value()), bits(b.uncoreTail.value()));
+  EXPECT_EQ(a.occupancy.blocksPerSm, b.occupancy.blocksPerSm);
+  EXPECT_EQ(a.occupancy.threadsPerSm, b.occupancy.threadsPerSm);
+  EXPECT_EQ(bits(a.occupancy.fraction), bits(b.occupancy.fraction));
+  EXPECT_STREQ(a.occupancy.limitedBy, b.occupancy.limitedBy);
+  EXPECT_EQ(bits(a.achievedGflops), bits(b.achievedGflops));
+  EXPECT_EQ(bits(a.achievedBandwidthGBs), bits(b.achievedBandwidthGBs));
+  EXPECT_EQ(a.flopCount, b.flopCount);
+  EXPECT_EQ(a.dramBytes, b.dramBytes);
+  EXPECT_EQ(a.sharedLoadStore, b.sharedLoadStore);
+  EXPECT_EQ(a.globalLoadTransactions, b.globalLoadTransactions);
+}
+
+// The data, the failures, both fronts and both trade-offs.
+void expectSameWorkload(const core::WorkloadResult& got,
+                        const core::WorkloadResult& want) {
+  EXPECT_EQ(got.n, want.n);
+  ASSERT_EQ(got.data.size(), want.data.size());
+  for (std::size_t i = 0; i < got.data.size(); ++i) {
+    SCOPED_TRACE("point " + std::to_string(i));
+    expectSameDataPoint(got.data[i], want.data[i]);
+  }
+  ASSERT_EQ(got.failures.size(), want.failures.size());
+  for (std::size_t i = 0; i < got.failures.size(); ++i) {
+    EXPECT_EQ(got.failures[i].config.bs, want.failures[i].config.bs);
+    EXPECT_EQ(got.failures[i].config.g, want.failures[i].config.g);
+    EXPECT_EQ(got.failures[i].error, want.failures[i].error);
+  }
+  {
+    SCOPED_TRACE("global front");
+    expectSameFront(got.globalFront, want.globalFront);
+  }
+  {
+    SCOPED_TRACE("local front");
+    expectSameFront(got.localFront, want.localFront);
+  }
+  expectSameTradeoff(got.globalTradeoff, want.globalTradeoff);
+  ASSERT_EQ(got.localTradeoff.has_value(), want.localTradeoff.has_value());
+  if (got.localTradeoff) {
+    expectSameTradeoff(*got.localTradeoff, *want.localTradeoff);
+  }
+}
+
+std::string errorOf(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+}
+
+// What a workload's lone, serial run returns, or the error it throws.
+struct LoneRun {
+  core::WorkloadResult result;
+  std::string error;
+};
+
+std::vector<LoneRun> loneRuns(const core::GpuEpStudy& study,
+                              const std::vector<int>& sizes,
+                              const std::vector<std::uint64_t>& seeds) {
+  std::vector<LoneRun> out(sizes.size());
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    Rng rng(seeds[k]);
+    try {
+      out[k].result = study.runWorkload(sizes[k], rng);
+    } catch (const std::exception& e) {
+      out[k].error = e.what();
+    }
+  }
+  return out;
+}
+
+// Against each workload's lone serial run, with no pool and pools of 1,
+// 3 and 8 workers: runWorkloads over the first 1, 2, 3 and 1 sizes, and
+// runSweep over all four.  A list of 2+ sizes interleaves its
+// workloads' pairs in one longest-window-first schedule, so a stream
+// shared across a workload's configurations, or a slot written in
+// schedule order, shows up as a mismatch.  `wantErrors` lone runs must
+// throw; their entries must carry the same error, and runSweep throws.
+// Adds the configurations the lone runs recorded as failed to
+// `*recorded`.
+void expectPassesEqualLoneRuns(const core::GpuEpStudy& study,
+                               const std::vector<int>& sizes,
+                               std::size_t wantErrors,
+                               std::size_t* recorded = nullptr) {
+  ASSERT_EQ(sizes.size(), 4u);
+  // runSweep's streams, so its result compares against the same runs.
+  Rng sweepRng(7);
+  std::vector<std::uint64_t> seeds;
+  for (const int n : sizes) {
+    const auto salt = static_cast<std::uint64_t>(n) * 0x9E37ULL;
+    seeds.push_back(sweepRng.fork(salt).seed());
+  }
+  const std::vector<LoneRun> alone = loneRuns(study, sizes, seeds);
+  ASSERT_EQ(static_cast<std::size_t>(std::count_if(
+                alone.begin(), alone.end(),
+                [](const LoneRun& r) { return !r.error.empty(); })),
+            wantErrors);
+  for (const LoneRun& r : alone) {
+    if (recorded != nullptr) *recorded += r.result.failures.size();
+  }
+  const std::size_t poolSizes[] = {0, 1, 3, 8};
+  for (std::size_t p = 0; p < std::size(poolSizes); ++p) {
+    SCOPED_TRACE("pool " + std::to_string(poolSizes[p]));
+    std::unique_ptr<ThreadPool> pool;
+    if (poolSizes[p] > 0) pool = std::make_unique<ThreadPool>(poolSizes[p]);
+    const std::size_t len = 1 + p % 3;
+    const std::vector<core::WorkloadAttempt> got = study.runWorkloads(
+        std::span(sizes).first(len), std::span(seeds).first(len), pool.get());
+    ASSERT_EQ(got.size(), len);
+    for (std::size_t k = 0; k < len; ++k) {
+      SCOPED_TRACE("list of " + std::to_string(len) +
+                   ", n=" + std::to_string(sizes[k]));
+      if (!alone[k].error.empty()) {
+        ASSERT_TRUE(got[k].error != nullptr);
+        EXPECT_EQ(errorOf(got[k].error), alone[k].error);
+        continue;
+      }
+      ASSERT_TRUE(got[k].error == nullptr) << errorOf(got[k].error);
+      expectSameWorkload(got[k].result, alone[k].result);
+    }
+    Rng rng(7);
+    if (wantErrors > 0) {
+      EXPECT_THROW((void)study.runSweep(sizes, rng, pool.get()), EpError);
+      const std::vector<core::WorkloadAttempt> all =
+          study.runWorkloads(sizes, seeds, pool.get());
+      for (std::size_t k = 0; k < sizes.size(); ++k) {
+        SCOPED_TRACE("list of 4, n=" + std::to_string(sizes[k]));
+        ASSERT_EQ(all[k].error != nullptr, !alone[k].error.empty());
+        if (all[k].error) {
+          EXPECT_EQ(errorOf(all[k].error), alone[k].error);
+        } else {
+          expectSameWorkload(all[k].result, alone[k].result);
+        }
+      }
+      continue;
+    }
+    const std::vector<core::WorkloadResult> sweep =
+        study.runSweep(sizes, rng, pool.get());
+    ASSERT_EQ(sweep.size(), sizes.size());
+    for (std::size_t k = 0; k < sizes.size(); ++k) {
+      SCOPED_TRACE("sweep n=" + std::to_string(sizes[k]));
+      expectSameWorkload(sweep[k], alone[k].result);
+    }
+  }
+}
+
+// Both devices, clean under FailFast and under a 5 % SkipAndRecord
+// meter campaign with the serving path's hardening (epserved --fault-*):
+// each entry must equal its lone run bit for bit, failures included.
+TEST(GpuStudyIntegration, PassOverWorkloadsEqualsEachAloneBitForBit) {
+  std::size_t recorded = 0;
+  for (const auto& spec : {hw::nvidiaK40c(), hw::nvidiaP100Pcie()}) {
+    for (const bool campaign : {false, true}) {
+      SCOPED_TRACE(spec.name + (campaign ? " SkipAndRecord campaign(0.05)"
+                                         : " clean FailFast"));
+      GpuMatMulOptions opts;
+      opts.useMeter = true;
+      if (campaign) {
+        opts.faults = fault::FaultInjectionOptions::campaign(0.05);
+        opts.failPolicy = fault::FailPolicy::SkipAndRecord;
+        opts.robustness.sanitizeSamples = true;
+        opts.robustness.maxPlausibleWatts = 600.0;
+        opts.robustness.validation.enabled = true;
+        opts.robustness.validation.maxGapFactor = 5.0;
+        opts.robustness.validation.stuckRunLength = 8;
+        opts.robustness.rejectOutliers = true;
+      }
+      const core::GpuEpStudy study(GpuMatMulApp(hw::GpuModel(spec), opts));
+      expectPassesEqualLoneRuns(study, {3072, 4096, 5120, 6144}, 0,
+                                &recorded);
+    }
+  }
+  EXPECT_GT(recorded, 0u) << "the campaign recorded no failure to compact";
+}
+
+// A FailFast timeout campaign that fails exactly one workload of the
+// list, its third (found by lone runs at these sizes and this seed): it
+// fails that entry alone.
+TEST(GpuStudyIntegration, PassFailsOnlyTheWorkloadThatFailed) {
+  GpuMatMulOptions opts;
+  opts.useMeter = true;
+  opts.faults.timeoutRate = 0.0005;
+  opts.robustness.timeoutRetries = 0;
+  const core::GpuEpStudy study(
+      GpuMatMulApp(hw::GpuModel(hw::nvidiaP100Pcie()), opts));
+  expectPassesEqualLoneRuns(study, {7168, 8192, 9216, 10240}, 1);
 }
 
 // A P100 whose SMs hold only 800 threads: blocks of BS >= 29 (841+

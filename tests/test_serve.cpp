@@ -15,6 +15,7 @@
 #include <future>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -50,7 +51,9 @@ pareto::BiPoint mk(double t, double e, std::uint64_t id) {
 
 // A deterministic engine whose evaluate() can be gated (to hold a study
 // "in flight" while the test arranges concurrent requests) and counted
-// (to prove coalescing executes exactly one study).
+// (to prove coalescing executes exactly one study).  It records the
+// sizes of every evaluateList() call and answers them with the default,
+// one evaluate() per size.
 class FakeEngine : public TuningEngine {
  public:
   explicit FakeEngine(bool gated = false) : gated_(gated) {}
@@ -98,6 +101,15 @@ class FakeEngine : public TuningEngine {
     return r;
   }
 
+  std::vector<core::WorkloadAttempt> evaluateList(
+      Device d, std::span<const int> sizes, ThreadPool* pool) const override {
+    {
+      std::lock_guard lk(mu_);
+      lists_.emplace_back(sizes.begin(), sizes.end());
+    }
+    return TuningEngine::evaluateList(d, sizes, pool);
+  }
+
   void failOn(int n) { failN_ = n; }
   void failAlways(bool on = true) {
     failAll_.store(on, std::memory_order_relaxed);
@@ -117,6 +129,10 @@ class FakeEngine : public TuningEngine {
 
   int calls() const { return calls_.load(std::memory_order_relaxed); }
   ThreadPool* lastPool() const { return lastPool_; }
+  std::vector<std::vector<int>> lists() const {
+    std::lock_guard lk(mu_);
+    return lists_;
+  }
 
  private:
   bool gated_;
@@ -128,6 +144,7 @@ class FakeEngine : public TuningEngine {
   bool released_ = false;
   mutable std::atomic<int> calls_{0};
   mutable std::atomic<ThreadPool*> lastPool_{nullptr};
+  mutable std::vector<std::vector<int>> lists_;
 };
 
 TuneRequest tuneReq(int n, double budget = 0.5, double deadlineMs = 0.0,
@@ -2776,6 +2793,152 @@ TEST(Admission, DisabledAdmissionNeverRejectsOverloaded) {
   EXPECT_EQ(m.shedDeadline, 0u);
   EXPECT_EQ(m.admissionLimit, 0u);  // gauge reads 0 when disabled
   broker.shutdown();
+}
+
+// A sweep's sizes inside one shared pass have no wall time of their
+// own, so they do not teach the cost model; a cold tune still does
+// (DeadlineInfeasibleColdRequestsShedAtAdmission).
+TEST(Admission, SweepSizesDoNotFeedTheColdStudyCost) {
+  auto engine = std::make_shared<FakeEngine>(/*gated=*/true);
+  FakeClock clock;
+  BrokerOptions opts;
+  opts.threads = 1;
+  opts.clock = clock.fn();
+  opts.admission.targetLatencyMs = 50.0;
+  opts.admission.initialLimit = 8;
+  Broker broker(engine, opts);
+
+  StudyRequest sweep;
+  sweep.nBegin = 100;
+  sweep.nEnd = 300;
+  sweep.nStep = 100;
+  auto swept = broker.submitStudy(sweep);
+  engine->waitEntered(1);
+  clock.advanceMs(80.0);  // the pass takes 80 ms
+  engine->release();
+  ASSERT_EQ(swept.get().status, Status::Ok);
+
+  // A cold tune whose deadline an 80 ms study would not meet is still
+  // admitted: the cost model holds no sample.
+  const TuneResponse resp = broker.submitTune(tuneReq(8, 0.5, 10.0)).get();
+  EXPECT_EQ(resp.status, Status::Ok);
+  EXPECT_EQ(broker.metrics().shedDeadline, 0u);
+  broker.shutdown();
+}
+
+// --- study sweeps: every size resolved under one lock, one list call ---
+
+StudyRequest sweepReq(int nBegin, int nEnd, int nStep,
+                      double deadlineMs = 0.0) {
+  StudyRequest req;
+  req.device = Device::P100;
+  req.nBegin = nBegin;
+  req.nEnd = nEnd;
+  req.nStep = nStep;
+  req.deadlineMs = deadlineMs;
+  return req;
+}
+
+TEST(Broker, SweepJoinsAKeyInFlightAndClaimsTheRestInOneListCall) {
+  auto engine = std::make_shared<FakeEngine>(/*gated=*/true);
+  BrokerOptions opts;
+  opts.threads = 2;
+  Broker broker(engine, opts);
+
+  auto tune = broker.submitTune(tuneReq(200));
+  engine->waitEntered(1);  // n = 200 is in flight
+  auto swept = broker.submitStudy(sweepReq(100, 300, 100));
+  engine->waitEntered(2);  // the sweep's list call is running
+  engine->release();
+
+  const StudyResponse resp = swept.get();
+  ASSERT_EQ(resp.status, Status::Ok);
+  EXPECT_EQ(resp.statistics.workloads, 3u);
+  EXPECT_EQ(resp.report.coalesced, 1u);
+  EXPECT_EQ(resp.report.studiesExecuted, 2u);
+  EXPECT_DOUBLE_EQ(resp.report.attributedJoules,
+                   fakeStudyJoules(100) + fakeStudyJoules(300));
+  EXPECT_EQ(engine->lists(), (std::vector<std::vector<int>>{{100, 300}}));
+  EXPECT_EQ(tune.get().status, Status::Ok);
+  EXPECT_EQ(engine->calls(), 3);
+  const ServeMetrics m = broker.metrics();
+  EXPECT_EQ(m.coalesced, 1u);
+  EXPECT_EQ(m.studiesExecuted, 3u);
+}
+
+TEST(Broker, FailingSweepSizeFailsOnlyItself) {
+  {
+    // The middle size fails: the response is its error, and the size
+    // after it was still computed and cached.
+    auto engine = std::make_shared<FakeEngine>();
+    engine->failOn(200);
+    Broker broker(engine, BrokerOptions{});
+    const StudyResponse first = broker.study(sweepReq(100, 300, 100));
+    EXPECT_EQ(first.status, Status::Error);
+    EXPECT_NE(first.error.find("synthetic engine failure"), std::string::npos)
+        << first.error;
+    EXPECT_EQ(engine->calls(), 3);
+    const StudyResponse second = broker.study(sweepReq(100, 300, 100));
+    EXPECT_EQ(second.status, Status::Error);
+    EXPECT_EQ(second.workloadCacheHits, 2u);
+    EXPECT_EQ(engine->calls(), 4);  // only n = 200 ran again
+  }
+  {
+    // An armed breaker (threshold 2) sees the sweep's one failure once:
+    // it stays closed, and the same size failing once more opens it.
+    auto engine = std::make_shared<FakeEngine>();
+    engine->failOn(300);
+    BrokerOptions opts;
+    opts.breaker.failureThreshold = 2;
+    opts.breaker.openMs = 60'000.0;
+    Broker broker(engine, opts);
+    EXPECT_EQ(broker.study(sweepReq(100, 300, 100)).status, Status::Error);
+    EXPECT_EQ(broker.metrics().breakerOpens, 0u);
+    const StudyResponse again = broker.study(sweepReq(100, 300, 100));
+    EXPECT_EQ(again.status, Status::Error);
+    EXPECT_EQ(again.workloadCacheHits, 2u);
+    EXPECT_EQ(broker.metrics().breakerOpens, 1u);
+  }
+}
+
+TEST(Broker, SweepChecksItsDeadlineOnceBeforeTheClaims) {
+  {
+    // Started in time, the sweep runs to its end although the deadline
+    // passes during its pass.
+    auto engine = std::make_shared<FakeEngine>(/*gated=*/true);
+    FakeClock clock;
+    BrokerOptions opts;
+    opts.threads = 1;
+    opts.clock = clock.fn();
+    Broker broker(engine, opts);
+    auto swept = broker.submitStudy(sweepReq(100, 300, 100, 10.0));
+    engine->waitEntered(1);
+    clock.advanceMs(50.0);
+    engine->release();
+    const StudyResponse resp = swept.get();
+    EXPECT_EQ(resp.status, Status::Ok);
+    EXPECT_EQ(resp.report.studiesExecuted, 3u);
+  }
+  {
+    // Expired while queued: rejected before any size is looked up.
+    auto engine = std::make_shared<FakeEngine>(/*gated=*/true);
+    FakeClock clock;
+    BrokerOptions opts;
+    opts.threads = 1;
+    opts.clock = clock.fn();
+    Broker broker(engine, opts);
+    auto tune = broker.submitTune(tuneReq(42));
+    engine->waitEntered(1);  // holds the only worker
+    auto swept = broker.submitStudy(sweepReq(100, 300, 100, 10.0));
+    clock.advanceMs(50.0);
+    engine->release();
+    EXPECT_EQ(swept.get().status, Status::DeadlineExceeded);
+    EXPECT_EQ(tune.get().status, Status::Ok);
+    EXPECT_EQ(engine->calls(), 1);
+    const ServeMetrics m = broker.metrics();
+    EXPECT_EQ(m.rejectedDeadline, 1u);
+    EXPECT_EQ(m.cacheHits + m.cacheMisses, 1u);  // the tune's lookup
+  }
 }
 
 // --- the device table must not move the exposition ---

@@ -105,7 +105,7 @@ cmake --build build -j "${JOBS}"
 # instead of passing by luck.
 (cd build && ctest --output-on-failure -j "${JOBS}" --repeat until-fail:3)
 
-echo "== bench smoke: codec, cold-study, cold-tune and instrumentation microbenches =="
+echo "== bench smoke: codec, cold-study, cold-tune, instrumentation and sweep benches =="
 # One short pass, so the benches that reproduce the serving path's
 # codec, cold-study (model grid, fronts, whole study) and cold-tune
 # figures, and the per-operation span, counter and profiler-frame
@@ -114,6 +114,11 @@ echo "== bench smoke: codec, cold-study, cold-tune and instrumentation microbenc
   --benchmark_filter='^(BM_DecodeTuneLine|BM_EncodeTuneResponse|BM_BrokerColdTune|BM_ModelDirectGrid|BM_FinalizeWorkload|BM_ColdModelDirectEvaluate)' \
   --benchmark_min_time=0.01
 ./build/bench/bench_obs_overhead --benchmark_min_time=0.01
+# The metered study_metered request (one pass against its sizes one by
+# one) on a 3-worker pool, ~60-80 ms per sweep; it exits 1 when a
+# parallel or one-pass result is not bitwise the reference.  It writes
+# BENCH_study.json (git-ignored) here.
+./build/bench/bench_study_scaling 4
 
 echo "== epctl watch smoke: watchdog catches an injected 58 W offset =="
 # Anomalous server: a constant +58 W meter offset (the Fig 6 signature)
@@ -297,9 +302,10 @@ cmake --build build-tsan -j "${JOBS}" --target test_serve test_common test_obs \
   test_stats test_apps test_fleet test_net test_chaos epserved epctl
 # halt_on_error: any reported race fails the run, not just the exit
 # status of the last test.  test_apps covers the parallel study engine
-# (pool-backed runWorkload/runSweep, nested parallelFor); test_serve
-# covers study jobs that re-enter the broker's own pool; test_fleet the
-# router's lock-free scoring path under concurrent admin churn.
+# (pool-backed runWorkload, and the one-pass runWorkloads/runSweep over
+# every configuration of a list of workloads); test_serve covers study
+# jobs that re-enter the broker's own pool; test_fleet the router's
+# lock-free scoring path under concurrent admin churn.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_common
 # test_stats races eight threads on a cold slot of the Student-t memo,
 # which every metered configuration reads from the pool.
